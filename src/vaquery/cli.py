@@ -15,13 +15,14 @@ stderr), 3 runtime errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
 from . import engine, evaluation, ingest, querylang
-from .errors import VaqueryError
+from .errors import InvalidWindowSpec, VaqueryError
 from .model import TRACE_SCHEMA
 from .windows import WindowKind, WindowSpec
 
@@ -36,20 +37,20 @@ def _parse_window_flag(text: str) -> WindowSpec:
     kind = {"time": WindowKind.TIME, "tuple": WindowKind.TUPLE}.get(parts[0].lower())
     if kind is None:
         raise VaqueryError(f"window kind must be time or tuple, got {parts[0]!r}")
-    return WindowSpec(kind, float(parts[1]), float(parts[2]))
+    try:
+        size, hop = float(parts[1]), float(parts[2])
+    except ValueError:
+        raise InvalidWindowSpec(f"window size and hop must be numbers, got {text!r}") from None
+    return WindowSpec(kind, size, hop)
 
 
 def _engine_config(args) -> engine.EngineConfig:
-    if getattr(args, "engine_config", None):
-        cfg = engine.EngineConfig.from_file(args.engine_config)
-    else:
-        cfg = engine.EngineConfig()
-    if getattr(args, "rate", None):
-        cfg = engine.EngineConfig(cfg.queue_capacity, cfg.quantum, cfg.watchdog_seconds,
-                                  cfg.feeders, float(args.rate))
-    if getattr(args, "quantum", None):
-        cfg = engine.EngineConfig(cfg.queue_capacity, int(args.quantum),
-                                  cfg.watchdog_seconds, cfg.feeders, cfg.default_rate)
+    path = getattr(args, "engine_config", None)
+    cfg = engine.EngineConfig.from_file(path) if path else engine.EngineConfig()
+    if getattr(args, "rate", None) is not None:
+        cfg = dataclasses.replace(cfg, default_rate=float(args.rate))
+    if getattr(args, "quantum", None) is not None:
+        cfg = dataclasses.replace(cfg, quantum=int(args.quantum))
     return cfg
 
 
@@ -87,6 +88,9 @@ def cmd_run(args) -> int:
     try:
         window = _parse_window_flag(args.window) if args.window else None
         plan = _load_plan(args.query, window)
+    except FileNotFoundError as exc:
+        print(f"error [NO_SUCH_FILE]: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
     except VaqueryError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_QUERY_ERROR
@@ -234,10 +238,7 @@ def cmd_bench(args) -> int:
 
 def cmd_parse_check(args) -> int:
     try:
-        text = Path(args.query).read_text(encoding="utf-8")
-        ast = querylang.parse(text)
-        catalog = {name: TRACE_SCHEMA for name in _source_names(ast)}
-        plan = querylang.plan(ast, catalog)
+        plan = _load_plan(args.query)
     except FileNotFoundError as exc:
         print(f"error [NO_SUCH_FILE]: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR

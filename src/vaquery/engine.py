@@ -26,9 +26,9 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, QueueStall, SchemaMismatch
 from .model import Arrable, BoundingBox, FeatureVector, Relation, Schema
-from .operators import (CctOption, ComparisonCounter, Direction8, JoinPair,
-                        aggregate, cct, cct_join, cjoin, count_star, direction,
-                        hash_equi_join, nl_join, project, select)
+from .operators import (ComparisonCounter, Direction8, aggregate, cct, cct_join,
+                        cjoin, count_star, direction, hash_equi_join, nl_join,
+                        project, select)
 from .querylang.planner import (AggregateNode, CctNode, DirectionNode,
                                 EquiJoinNode, JoinNode, PlanNode, ProjectNode,
                                 QueryPlan, R2ANode, SelectNode, SourceNode,
@@ -72,15 +72,18 @@ class EngineConfig:
 
     @staticmethod
     def from_mapping(raw: Mapping[str, Any]) -> "EngineConfig":
-        feeders = {name: FeederConfig(float(rate))
-                   for name, rate in dict(raw.get("rates", {})).items()}
-        return EngineConfig(
-            queue_capacity=int(raw.get("queue_capacity", 1024)),
-            quantum=int(raw.get("quantum", 256)),
-            watchdog_seconds=float(raw.get("watchdog_seconds", 10.0)),
-            feeders=feeders,
-            default_rate=float(raw.get("rate", 0.0)),
-        )
+        try:
+            feeders = {name: FeederConfig(float(rate))
+                       for name, rate in dict(raw.get("rates", {})).items()}
+            return EngineConfig(
+                queue_capacity=int(raw.get("queue_capacity", 1024)),
+                quantum=int(raw.get("quantum", 256)),
+                watchdog_seconds=float(raw.get("watchdog_seconds", 10.0)),
+                feeders=feeders,
+                default_rate=float(raw.get("rate", 0.0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad engine config value: {exc}") from None
 
     @staticmethod
     def from_file(path: str | Path) -> "EngineConfig":
@@ -89,7 +92,10 @@ class EngineConfig:
         text = Path(path).read_text(encoding="utf-8")
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            return EngineConfig.from_mapping(json.loads(text))
+            try:
+                return EngineConfig.from_mapping(json.loads(text))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"engine config is not valid JSON: {exc}") from None
         raw: dict[str, Any] = {"rates": {}}
         for line_no, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -181,7 +187,15 @@ def _payload_size(payload) -> int:
 
 
 class _Stage:
-    """One operator instance; owns its state, never runs concurrently with itself."""
+    """One operator instance; owns its state, never runs concurrently with itself.
+
+    Each ``step`` moves pending output downstream, takes up to ``quantum``
+    input items while downstream has room (handing each to ``on_item`` and
+    each input's end to ``on_eos``), then runs ``on_step``. A stage is done
+    once it has emitted ``_EOS`` and all of its output has left.
+    """
+
+    counter: ComparisonCounter | None = None
 
     def __init__(self, name: str, inputs: list[_Queue], output: _Queue):
         self.name = name
@@ -189,8 +203,11 @@ class _Stage:
         self.output = output
         self.stats = StageStats(name)
         self.done = False
-        self.waiting_on_time = False
         self._pending: deque = deque()
+        self._eos_sent = False
+
+    def _has_room(self) -> bool:
+        return self.output.space() > len(self._pending)
 
     def _drain(self) -> int:
         moved = 0
@@ -201,54 +218,87 @@ class _Stage:
 
     def _emit(self, item) -> None:
         self._pending.append(item)
+        if item is _EOS:
+            self._eos_sent = True
+
+    def _take(self, quantum: int) -> int:
+        taken = 0
+        for side, queue in enumerate(self.inputs):
+            while taken < quantum and queue and self._has_room():
+                item = queue.get()
+                taken += 1
+                if item is _EOS:
+                    self.on_eos(side)
+                    break
+                self.on_item(side, item)
+        return taken
+
+    def on_item(self, side: int, item) -> None:
+        raise NotImplementedError
+
+    def on_eos(self, side: int) -> None:
+        self._emit(_EOS)
+
+    def on_step(self) -> None:
+        """Runs once per step, after the inputs were taken."""
+
+    def _apply(self, idx: int, *payloads) -> None:
+        """Transform one window with ``self._fn``, timed, and record its stats."""
+        self.stats.tuples_in += sum(_payload_size(p) for p in payloads)
+        started = time.monotonic()
+        result = self._fn(*payloads)
+        elapsed = time.monotonic() - started
+        self.stats.wall_seconds += elapsed
+        self.stats.window_wall[idx] = self.stats.window_wall.get(idx, 0.0) + elapsed
+        if self.counter is not None:
+            self.stats.smatch_comparisons = self.counter.count
+        self.stats.tuples_out += _payload_size(result)
+        self._emit(("win", idx, result))
 
     def step(self, quantum: int) -> int:
-        raise NotImplementedError
+        progress = self._drain() + self._take(quantum)
+        self.on_step()
+        progress += self._drain()
+        self.done = self._eos_sent and not self._pending
+        return progress
 
 
 class _SourceStage(_Stage):
-    def __init__(self, name: str, output: _Queue, rows: Sequence[Mapping[str, Any]],
-                 rate: float, ordinal: int = 0):
+    """Feeds one trace's rows, at most ``rate`` per second when throttled."""
+
+    def __init__(self, name: str, output: _Queue, rate: float, ordinal: int):
         super().__init__(name, [], output)
         self.ordinal = ordinal
-        self._rows: Iterator = iter(rows)
-        self._rate = rate
-        self._released = 0
-        self._started: float | None = None
-        self._exhausted = False
-
-    def step(self, quantum: int) -> int:
-        progress = self._drain()
+        self.rows: Iterator = iter(())
         self.waiting_on_time = False
-        if self._exhausted:
-            if not self._pending:
-                self.done = True
-            return progress
+        self._rate = rate
+        self._started: float | None = None
+
+    def _take(self, quantum: int) -> int:
+        self.waiting_on_time = False
+        if self._eos_sent:
+            return 0
         if self._started is None:
             self._started = time.monotonic()
         budget = quantum
         if self._rate > 0:
-            allowed = int((time.monotonic() - self._started) * self._rate) - self._released
+            # tuples_in counts the rows released so far
+            allowed = int((time.monotonic() - self._started) * self._rate) - self.stats.tuples_in
             budget = min(budget, allowed)
             if budget <= 0:
                 self.waiting_on_time = True
-                return progress
-        while budget > 0 and self.output.space() > len(self._pending):
-            row = next(self._rows, None)
+                return 0
+        taken = 0
+        while taken < budget and self._has_room():
+            row = next(self.rows, None)
             if row is None:
-                self._exhausted = True
                 self._emit(_EOS)
                 break
-            self._released += 1
             self.stats.tuples_in += 1
             self.stats.tuples_out += 1
             self._emit(("row", row))
-            budget -= 1
-            progress += 1
-        progress += self._drain()
-        if self._exhausted and not self._pending:
-            self.done = True
-        return progress
+            taken += 1
+        return taken
 
 
 class _WindowStage(_Stage):
@@ -256,44 +306,26 @@ class _WindowStage(_Stage):
                  schema: Schema):
         super().__init__(name, [inp], output)
         self._manager = WindowManager(spec)
-        self._spec = spec
+        self._by_time = spec.kind is WindowKind.TIME
         self._schema = schema
-        self._ordinal = 0
-        self._input_eos = False
 
     def _emit_closed(self, closed) -> None:
         for win, rows in closed:
             self.stats.tuples_out += len(rows)
             self._emit(("win", win.index, Relation(self._schema, tuple(rows))))
 
-    def step(self, quantum: int) -> int:
-        progress = self._drain()
-        queue = self.inputs[0]
-        taken = 0
-        while taken < quantum and queue and self.output.space() > len(self._pending):
-            item = queue.get()
-            taken += 1
-            if item == _EOS:
-                self._input_eos = True
-                self._emit_closed(self._manager.flush())
-                self._emit(_EOS)
-                break
-            _, row = item
-            self.stats.tuples_in += 1
-            if self._spec.kind is WindowKind.TIME:
-                key = row["ts"]
-            else:
-                key = self._ordinal
-            self._ordinal += 1
-            self._manager.add(key, row)
-            if self._spec.kind is WindowKind.TIME:
-                self._emit_closed(self._manager.close_windows(row["ts"]))
-            else:
-                self._emit_closed(self._manager.close_windows(self._ordinal))
-        progress += taken + self._drain()
-        if self._input_eos and not self._pending:
-            self.done = True
-        return progress
+    def on_item(self, side: int, item) -> None:
+        _, row = item
+        # a tuple window's key is the row's ordinal, i.e. tuples_in before it
+        key = row["ts"] if self._by_time else self.stats.tuples_in
+        self.stats.tuples_in += 1
+        self._manager.add(key, row)
+        watermark = row["ts"] if self._by_time else self.stats.tuples_in
+        self._emit_closed(self._manager.close_windows(watermark))
+
+    def on_eos(self, side: int) -> None:
+        self._emit_closed(self._manager.flush())
+        super().on_eos(side)
 
 
 class _PerWindowStage(_Stage):
@@ -303,150 +335,55 @@ class _PerWindowStage(_Stage):
                  fn: Callable[[Any], Any], counter: ComparisonCounter | None = None):
         super().__init__(name, [inp], output)
         self._fn = fn
-        self._counter = counter
-        self._input_eos = False
+        self.counter = counter
 
-    def step(self, quantum: int) -> int:
-        progress = self._drain()
-        queue = self.inputs[0]
-        taken = 0
-        while taken < quantum and queue and self.output.space() > len(self._pending):
-            item = queue.get()
-            taken += 1
-            if item == _EOS:
-                self._input_eos = True
-                self._emit(_EOS)
-                break
-            _, idx, payload = item
-            self.stats.tuples_in += _payload_size(payload)
-            started = time.monotonic()
-            result = self._fn(payload)
-            elapsed = time.monotonic() - started
-            self.stats.wall_seconds += elapsed
-            self.stats.window_wall[idx] = self.stats.window_wall.get(idx, 0.0) + elapsed
-            if self._counter is not None:
-                self.stats.smatch_comparisons = self._counter.count
-            self.stats.tuples_out += _payload_size(result)
-            self._emit(("win", idx, result))
-        progress += taken + self._drain()
-        if self._input_eos and not self._pending:
-            self.done = True
-        return progress
+    def on_item(self, side: int, item) -> None:
+        _, idx, payload = item
+        self._apply(idx, payload)
 
 
 class _JoinStage(_Stage):
+    """Pairs the two inputs' windows by index and joins each pair."""
+
     def __init__(self, name: str, left: _Queue, right: _Queue, output: _Queue,
                  node: JoinNode | EquiJoinNode):
         super().__init__(name, [left, right], output)
-        self._node = node
-        self._buffers: tuple[dict[int, Any], dict[int, Any]] = ({}, {})
-        self._eos = [False, False]
-        self._eos_sent = False
-        self._next_idx = 0
-        self._counter = ComparisonCounter()
+        self.counter = ComparisonCounter()
+        self._fn = _join_fn(node, self.counter)
+        children = (node.left, node.right)
         if isinstance(node, JoinNode):
-            self._gbas = (_gba_of(node.left), _gba_of(node.right))
+            self._empty = tuple(Arrable(_gba_of(c), "ts", c.schema, ()) for c in children)
         else:
-            self._gbas = None
+            self._empty = tuple(Relation(c.schema, ()) for c in children)
+        self._buffers: tuple[dict[int, Any], dict[int, Any]] = ({}, {})
+        self._ended = [False, False]
+        self._next_idx = 0
 
-    def _empty(self, side: int):
-        child = self._node.left if side == 0 else self._node.right
-        if self._gbas is None:
-            return Relation(child.schema, ())
-        return Arrable(self._gbas[side], "ts", child.schema, ())
+    def on_item(self, side: int, item) -> None:
+        _, idx, payload = item
+        self._buffers[side][idx] = payload
 
-    def _process(self, left, right) -> Relation:
-        node = self._node
-        if isinstance(node, EquiJoinNode):
-            return hash_equi_join(left, right, node.on_left, node.on_right, node.prefixes)
-        on = (node.on_left, node.on_right)
-        if node.kind == "CJOIN":
-            pairs = cjoin(left, right, node.cond, on, node.extras, self._counter)
-        elif node.kind == "CCTJOIN":
-            pairs = cct_join(left, right, node.cond, node.cct_option, on,
-                             node.extras, self._counter)
-        else:
-            pairs = nl_join(left, right, node.cond, on, node.extras, self._counter)
-        names = node.schema.names()
-        return Relation(node.schema, tuple(
-            {names[0]: p.left_oid, names[1]: p.right_oid, names[2]: p.score}
-            for p in pairs))
+    def on_eos(self, side: int) -> None:
+        self._ended[side] = True
 
-    def step(self, quantum: int) -> int:
-        progress = self._drain()
-        taken = 0
-        for side, queue in enumerate(self.inputs):
-            while taken < quantum and queue:
-                item = queue.get()
-                taken += 1
-                if item == _EOS:
-                    self._eos[side] = True
-                    break
-                _, idx, payload = item
-                self.stats.tuples_in += _payload_size(payload)
-                self._buffers[side][idx] = payload
-
-        left_buf, right_buf = self._buffers
-        while self.output.space() > len(self._pending):
-            if self._eos[0] and self._eos[1] and not left_buf and not right_buf:
-                break  # every window on both sides has been paired
+    def on_step(self) -> None:
+        while not self._eos_sent and self._has_room():
+            if all(self._ended) and not any(self._buffers):
+                self._emit(_EOS)  # every window on both sides has been paired
+                return
             idx = self._next_idx
             # a side is resolved for idx once the window arrived, or the side
             # ended (its stream simply had fewer windows: pair with empty)
-            if not (idx in left_buf or self._eos[0]):
-                break
-            if not (idx in right_buf or self._eos[1]):
-                break
-            left = left_buf.pop(idx) if idx in left_buf else self._empty(0)
-            right = right_buf.pop(idx) if idx in right_buf else self._empty(1)
-            started = time.monotonic()
-            result = self._process(left, right)
-            elapsed = time.monotonic() - started
-            self.stats.wall_seconds += elapsed
-            self.stats.window_wall[idx] = elapsed
-            self.stats.smatch_comparisons = self._counter.count
-            self.stats.tuples_out += len(result.rows)
-            self._emit(("win", idx, result))
+            if not all(idx in buf or ended for buf, ended in zip(self._buffers, self._ended)):
+                return
+            self._apply(idx, *(buf.pop(idx, empty)
+                               for buf, empty in zip(self._buffers, self._empty)))
             self._next_idx += 1
-            progress += 1
-
-        if (self._eos[0] and self._eos[1] and not left_buf and not right_buf
-                and not self._eos_sent):
-            self._emit(_EOS)
-            self._eos_sent = True
-        progress += taken + self._drain()
-        if self._eos_sent and not self._pending:
-            self.done = True
-        return progress
 
 
-class _SinkStage(_Stage):
-    """Collects the root's window payloads as flat result rows."""
-
-    def __init__(self, inp: _Queue):
-        super().__init__("sink", [inp], _Queue(1))
-        self.rows: list[dict[str, Any]] = []
-
-    def step(self, quantum: int) -> int:
-        queue = self.inputs[0]
-        taken = 0
-        while taken < quantum and queue:
-            item = queue.get()
-            taken += 1
-            if item == _EOS:
-                self.done = True
-                break
-            _, idx, payload = item
-            for row in _payload_rows(payload):
-                out = {"window": idx}
-                out.update(row)
-                self.rows.append(out)
-        return taken
-
-
-def _payload_rows(payload) -> list[dict[str, Any]]:
+def _payload_rows(payload) -> Sequence[Mapping[str, Any]]:
     if isinstance(payload, Relation):
-        return [dict(r) for r in payload.rows]
+        return payload.rows
     if isinstance(payload, Arrable):
         if payload.rows and not payload.rows[0].values:
             # grouped value projected down to its key: one row per group
@@ -464,7 +401,6 @@ class Pipeline:
         self.stages: list[_Stage] = []
         self._source_stages: list[_SourceStage] = []
         self._root_queue = _Queue(config.queue_capacity)
-        self._sink = _SinkStage(self._root_queue)
         self._names_used: dict[str, int] = {}
         self._build(plan.root, self._root_queue)
         # schedule leaves first so data flows on the first pass
@@ -486,8 +422,7 @@ class Pipeline:
         make_queue = lambda: _Queue(self.config.queue_capacity)
 
         if isinstance(node, SourceNode):
-            stage = _SourceStage(name, output, (),
-                                 self.config.rate_for(node.name), node.ordinal)
+            stage = _SourceStage(name, output, self.config.rate_for(node.name), node.ordinal)
             self._source_stages.append(stage)
             self.stages.append(stage)
             return
@@ -507,7 +442,7 @@ class Pipeline:
         counter = None
         if isinstance(node, SelectNode):
             counter = ComparisonCounter()
-            fn = _select_fn(node, counter)
+            fn = lambda payload, n=node, c=counter: select(payload, n.predicate, c)
         elif isinstance(node, R2ANode):
             fn = lambda payload, n=node: r2a_op(payload, n.gba, n.aoa)
         elif isinstance(node, CctNode):
@@ -534,15 +469,23 @@ class Pipeline:
             raise SchemaMismatch(
                 f"plan needs {len(self._source_stages)} sources, got {len(sources)}")
         for stage in self._source_stages:
-            stage._rows = iter(sources[stage.ordinal].rows)
+            stage.rows = iter(sources[stage.ordinal].rows)
 
-        runnable = self.stages + [self._sink]
+        rows: list[dict[str, Any]] = []
         last_progress = time.monotonic()
-        while not self._sink.done:
+        while True:
             progress = 0
-            for stage in runnable:
+            for stage in self.stages:
                 if not stage.done:
                     progress += stage.step(self.config.quantum)
+            # collect the root's windows as flat result rows
+            while self._root_queue:
+                item = self._root_queue.get()
+                progress += 1
+                if item is _EOS:
+                    return rows, self.stats()
+                _, idx, payload = item
+                rows.extend({"window": idx, **row} for row in _payload_rows(payload))
             if progress:
                 last_progress = time.monotonic()
                 continue
@@ -554,16 +497,27 @@ class Pipeline:
             if time.monotonic() - last_progress > self.config.watchdog_seconds:
                 raise QueueStall(
                     f"no stage progressed for {self.config.watchdog_seconds}s")
-        return self._sink.rows, self.stats()
 
     def stats(self) -> OpStats:
         return OpStats([s.stats for s in self.stages])
 
 
-def _select_fn(node: SelectNode, counter: ComparisonCounter):
-    def fn(payload):
-        result = select(payload, node.predicate, counter)
-        return result
+def _join_fn(node: JoinNode | EquiJoinNode, counter: ComparisonCounter):
+    def fn(left, right) -> Relation:
+        if isinstance(node, EquiJoinNode):
+            return hash_equi_join(left, right, node.on_left, node.on_right, node.prefixes)
+        on = (node.on_left, node.on_right)
+        if node.kind == "CJOIN":
+            pairs = cjoin(left, right, node.cond, on, node.extras, counter)
+        elif node.kind == "CCTJOIN":
+            pairs = cct_join(left, right, node.cond, node.cct_option, on,
+                             node.extras, counter)
+        else:
+            pairs = nl_join(left, right, node.cond, on, node.extras, counter)
+        names = node.schema.names()
+        return Relation(node.schema, tuple(
+            {names[0]: p.left_oid, names[1]: p.right_oid, names[2]: p.score}
+            for p in pairs))
     return fn
 
 
@@ -591,15 +545,6 @@ def _direction_fn(node: DirectionNode):
 def instantiate(plan: QueryPlan, config: EngineConfig | None = None) -> Pipeline:
     """Build a pipeline: one stage per plan node, bounded queues in between."""
     return Pipeline(plan, config or EngineConfig())
-
-
-def run(pipeline: Pipeline, sources: Sequence[Relation]) -> tuple[list[dict[str, Any]], OpStats]:
-    return pipeline.run(sources)
-
-
-def stats(pipeline: Pipeline) -> OpStats:
-    """Consistent snapshot of all stage counters."""
-    return pipeline.stats()
 
 
 # --- result serialization ------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyRow, IllegalColumnKind, TupleValidationError, UnknownColumn
+from .errors import IllegalColumnKind, TupleValidationError, UnknownColumn
 
 
 class ColumnKind(Enum):
@@ -41,9 +41,6 @@ class BoundingBox:
 
     def corner(self) -> tuple[float, float]:
         return (self.x, self.y)
-
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.w, self.h]
@@ -207,10 +204,6 @@ def kind_check(op_name: str, column: str, schema: Schema) -> None:
         raise IllegalColumnKind(op_name, schema.resolve(column), kind.name)
 
 
-def canonical_order_key(row: Mapping[str, Any]) -> tuple:
-    return (row["ts"], row["fid"], row["oid"])
-
-
 @dataclass(frozen=True)
 class Relation:
     """An ordered relation; rows are plain column->value mappings.
@@ -279,11 +272,6 @@ class Arrable:
     def element_count(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def vector_columns(self) -> tuple[str, ...]:
-        for r in self.rows:
-            return tuple(r.values.keys())
-        return tuple(n for n in self.schema.names() if n != self.gba)
-
     def flatten(self) -> list[dict[str, Any]]:
         """Expand back to one mapping per element (a permutation of the input rows)."""
         out: list[dict[str, Any]] = []
@@ -295,9 +283,3 @@ class Arrable:
                     rec[name] = vec[i]
                 out.append(rec)
         return out
-
-    def row_for(self, key: Any) -> ArrableRow:
-        for r in self.rows:
-            if r.key == key:
-                return r
-        raise EmptyRow(f"no arrable row with key {key!r}")

@@ -517,13 +517,12 @@ _DIRECTION_BY_SIGNS = {
 }
 
 
-def direction(ar: Arrable, epsilon: float = 0.0, bb_column: str = "bb",
-              use_center: bool = False) -> list[tuple[Any, Direction8]]:
+def direction(ar: Arrable, epsilon: float = 0.0,
+              bb_column: str = "bb") -> list[tuple[Any, Direction8]]:
     """Net direction of motion per group, from the first and last boxes.
 
-    The displacement is taken between the lower-left corners (or centers,
-    with ``use_center``); components within ``epsilon`` of zero count as no
-    movement on that axis.
+    The displacement is taken between the lower-left corners; components
+    within ``epsilon`` of zero count as no movement on that axis.
     """
     kind_check("direction", bb_column, ar.schema)
     col = ar.schema.resolve(bb_column)
@@ -532,8 +531,7 @@ def direction(ar: Arrable, epsilon: float = 0.0, bb_column: str = "bb",
         boxes = row.column(col)
         if not boxes:
             raise EmptyRow(f"group {row.key!r} has no bounding boxes")
-        p1 = boxes[0].center() if use_center else boxes[0].corner()
-        p2 = boxes[-1].center() if use_center else boxes[-1].corner()
+        p1, p2 = boxes[0].corner(), boxes[-1].corner()
         signs = (_signed(p2[0] - p1[0], epsilon), _signed(p2[1] - p1[1], epsilon))
         out.append((row.key, _DIRECTION_BY_SIGNS[signs]))
     return out

@@ -283,7 +283,10 @@ class _Parser:
 
     def parse_smatch_args(self) -> SMatchArgs:
         self.expect_punct("(")
+        th_tok = self.peek()
         th = float(self.parse_number())
+        if not 0.0 <= th <= 1.0:
+            raise self.error(f"threshold must lie in [0, 1], got {th:g}", th_tok)
         metric = polarity = None
         if self.accept_punct(","):
             tok = self.next()
@@ -371,9 +374,13 @@ class _Parser:
     def parse_bb_component(self):
         if self.accept_punct("*"):
             return None
+        lo_tok = self.peek()
         lo = float(self.parse_number())
         if self.accept_punct(":"):
             hi = float(self.parse_number())
+            if lo > hi:
+                raise self.error(f"range lower bound exceeds upper bound: {lo:g}:{hi:g}",
+                                 lo_tok)
             return (lo, hi)
         return lo
 

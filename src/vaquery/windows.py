@@ -29,7 +29,7 @@ class WindowSpec:
     origin: float | None = None  # None: first item's key per source
 
     def __post_init__(self) -> None:
-        if self.size <= 0 or self.hop <= 0:
+        if not (self.size > 0 and self.hop > 0):  # written so that NaN fails too
             raise InvalidWindowSpec(f"window size and hop must be positive, got size={self.size} hop={self.hop}")
 
     @property

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vaquery.cli import main
+from vaquery.cli import _engine_config, build_parser, main
 from vaquery.ingest import ObjectSpec, SynthSpec, generate, write_trace
 
 Q2 = ('SELECT count(*) FROM (SELECT AR1.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
@@ -213,3 +213,45 @@ def test_run_table_format_prints_once(tmp_path, trace_file, capsys):
     assert code == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["window=0  count=2"]
+
+
+SMATCH_OUT_OF_RANGE = "SELECT fid FROM R1 WHERE [FV] SMATCH(1.5) [1.0, 0.0, 0.0, 0.0]"
+BB_RANGE_REVERSED = "SELECT fid FROM R1 WHERE bb MATCHES [10:0, *, *, *]"
+
+
+@pytest.mark.parametrize("command, query, extra, code, error", [
+    ("run", SMATCH_OUT_OF_RANGE, [], 2, "SYNTAX_ERROR"),
+    ("parse-check", SMATCH_OUT_OF_RANGE, [], 2, "SYNTAX_ERROR"),
+    ("run", BB_RANGE_REVERSED, [], 2, "SYNTAX_ERROR"),
+    ("run", Q2, ["--window", "time,abc,1"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", Q2, ["--window", "time,nan,1"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", None, [], 3, "NO_SUCH_FILE"),
+    ("run", Q2, ["--engine-config", "quantum=abc\n"], 3, "CONFIG_ERROR"),
+    ("run", Q2, ["--engine-config", '{"quantum": '], 3, "CONFIG_ERROR"),
+    ("run", Q2, ["--quantum", "0"], 3, "CONFIG_ERROR"),
+], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
+        "missing-query", "config-value", "config-json", "quantum-zero"])
+def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
+                                                command, query, extra, code, error):
+    qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
+    if "--engine-config" in extra:
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(extra[1])
+        extra = ["--engine-config", str(cfg)]
+    args = [command, "--query", str(qpath)]
+    if command == "run":
+        args += ["--trace", str(trace_file)] + extra
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert f"error [{error}]" in err
+    assert "Traceback" not in err
+
+
+def test_rate_zero_and_quantum_override_config_file(tmp_path):
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("rate=100\nquantum=8\n")
+    args = build_parser().parse_args(["run", "--query", "q.vaq", "--trace", "t.jsonl",
+                                      "--engine-config", str(cfg), "--rate", "0",
+                                      "--quantum", "1"])
+    config = _engine_config(args)
+    assert config.default_rate == 0.0 and config.quantum == 1

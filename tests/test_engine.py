@@ -1,7 +1,7 @@
 import pytest
 
 from vaquery.engine import (EngineConfig, FeederConfig, Pipeline, instantiate,
-                            row_to_json, run, stats)
+                            row_to_json)
 from vaquery.errors import ConfigError, QueueStall, SchemaMismatch
 from vaquery.ingest import ObjectSpec, SynthSpec, generate
 from vaquery.model import Relation, TRACE_SCHEMA
@@ -69,28 +69,45 @@ def test_windowed_counts_per_window():
     assert all(r["count"] == 2 for r in rows)
 
 
+def untimed(st) -> dict:
+    """Stats as a dict with timing values removed; window_wall keeps its keys."""
+    d = st.to_dict()
+    del d["total_wall_seconds"]
+    for stage in d["stages"]:
+        del stage["wall_seconds"]
+        stage["window_wall"] = sorted(stage["window_wall"])
+    return d
+
+
 def test_determinism_across_rates_and_quanta():
     trace = small_trace()
-    p = plan(parse(Q2), ONE)
+    p = plan(parse(Q2 + " WINDOW(TIME, 0.5, 0.25)"), ONE)
     outputs = []
     for rate in (0.0, 400.0):
         for quantum in (1, 256):
             cfg = EngineConfig(quantum=quantum, default_rate=rate)
-            rows, _ = instantiate(p, cfg).run([trace])
-            outputs.append("\n".join(row_to_json(r) for r in rows))
-    assert len(set(outputs)) == 1
+            rows, st = instantiate(p, cfg).run([trace])
+            outputs.append(("\n".join(row_to_json(r) for r in rows), untimed(st)))
+    assert all(out == outputs[0] for out in outputs)
+    assert outputs[0][1]["stages"][-1]["window_wall"] == ["0", "1", "2", "3", "4", "5"]
 
 
 def test_join_determinism_across_configs():
     left, right = small_trace(1), small_trace(2)
-    p = plan(parse(Q3), TWO)
-    outputs = []
-    for quantum in (1, 64):
-        for capacity in (4, 1024):
-            cfg = EngineConfig(queue_capacity=capacity, quantum=quantum)
-            rows, _ = instantiate(p, cfg).run([left, right])
-            outputs.append("\n".join(row_to_json(r) for r in rows))
-    assert len(set(outputs)) == 1
+    empty = Relation(TRACE_SCHEMA, ())
+    p = plan(parse(Q3 + " WINDOW(TIME, 0.5, 0.5)"), TWO)
+    for traces in ([left, right], [empty, right], [left, empty]):
+        outputs = []
+        for quantum in (1, 64):
+            for capacity in (1, 4, 1024):
+                cfg = EngineConfig(queue_capacity=capacity, quantum=quantum)
+                rows, st = instantiate(p, cfg).run(traces)
+                outputs.append(("\n".join(row_to_json(r) for r in rows), untimed(st)))
+        assert all(out == outputs[0] for out in outputs)
+        join = next(s for s in outputs[0][1]["stages"] if s["name"] == "join")
+        # a side with fewer windows pairs the rest with empty windows
+        assert join["window_wall"] == ["0", "1", "2"]
+        assert (join["tuples_out"] > 0) == (empty not in traces)
 
 
 def test_empty_source_join_terminates_cleanly():
@@ -102,7 +119,7 @@ def test_empty_source_join_terminates_cleanly():
 
 def test_counters_zero_before_any_input():
     pipeline = instantiate(plan(parse(Q2), ONE))
-    st = stats(pipeline)
+    st = pipeline.stats()
     assert all(s.tuples_in == 0 and s.smatch_comparisons == 0 for s in st.stages)
 
 
@@ -201,3 +218,15 @@ def test_single_underfilled_time_window():
     text = Q2 + " WINDOW(TIME, 120, 120)"
     rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
     assert rows == [{"window": 0, "count": 2}]
+
+
+def test_count_oid_counts_objects_count_fid_counts_visits():
+    # one person seen twice in one window: CCT keeps one frame per visit
+    trace = generate(SynthSpec(frames=30, fps=30, fv_dim=4, objects=(
+        ObjectSpec(1, "person", (0, 0, 4, 8), (1, 0), intervals=((0, 10), (20, 30))),)), 0)
+    counts = {}
+    for column in ("oid", "fid"):
+        text = f"SELECT count({column}) FROM (CCT(R2A(R1, R1.oid, R1.fid), first)) AR1"
+        rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
+        counts[column] = rows[0][f"count({column})"]
+    assert counts == {"oid": 1, "fid": 2}
