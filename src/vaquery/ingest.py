@@ -205,6 +205,10 @@ class SynthSpec:
                 if not (0 <= lo < hi <= self.frames):
                     raise GeneratorSpecError(
                         f"interval [{lo}, {hi}) of oid {obj.oid} outside [0, {self.frames})")
+            ordered = sorted(obj.intervals)
+            for (_, hi), (lo, _) in zip(ordered, ordered[1:]):
+                if lo < hi:  # one frame would get two tuples of this object
+                    raise GeneratorSpecError(f"intervals of oid {obj.oid} overlap at frame {lo}")
 
     @staticmethod
     def from_json(text: str) -> "SynthSpec":

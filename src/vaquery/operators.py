@@ -13,7 +13,7 @@ can observe how many feature-vector comparisons each variant performs.
 from __future__ import annotations
 
 import operator as _pyop
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Sequence
 
@@ -22,7 +22,8 @@ import numpy as np
 from .errors import EmptyRow, IllegalColumnKind, UnknownColumn
 from .model import (Arrable, ArrableRow, Column, ColumnKind, FeatureVector,
                     Relation, Schema, kind_check)
-from .similarity import MatchCondition, normalized_matrix, scores_against, smatch
+# smatch stays a module attribute so that tracing tools can wrap it here
+from .similarity import MatchCondition, normalized_matrix, scores_against, smatch  # noqa: F401
 
 
 class ComparisonCounter:
@@ -174,6 +175,11 @@ class SMatchProbe(Predicate):
     column: str
     probe: FeatureVector
     cond: MatchCondition
+    # the probe is a constant of the query, so it is normalized once
+    unit_probe: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "unit_probe", normalized_matrix([self.probe]))
 
     def columns(self) -> list[str]:
         return [self.column]
@@ -182,10 +188,10 @@ class SMatchProbe(Predicate):
         kind_check("smatch", self.column, schema)
 
     def evaluate(self, get, counter=None) -> bool:
-        matched, _ = smatch(self.cond, get(self.column), self.probe)
+        unit = normalized_matrix([get(self.column)])
         if counter is not None:
             counter.add(1)
-        return matched
+        return bool(self.cond.matched(scores_against(self.cond, unit, self.unit_probe)[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -357,32 +363,29 @@ class ScalarPairPredicate:
     right_column: str
     offset: float = 0.0
 
-    def mask_row(self, left_value: Any, right_values: Sequence[Any]) -> np.ndarray:
-        fn = _CMP_FUNCS[self.op]
-        lv = left_value + self.offset if self.offset else left_value
-        return np.fromiter((fn(lv, rv) for rv in right_values), dtype=bool,
-                           count=len(right_values))
+    def mask(self, left_values: Sequence[Any], right_values: Sequence[Any]) -> np.ndarray:
+        """(n, m) truth table of the comparison over every element pair."""
+        lv = np.asarray(left_values)[:, None]
+        if self.offset:
+            lv = lv + self.offset
+        return _CMP_FUNCS[self.op](lv, np.asarray(right_values)[None, :])
 
 
 def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
                  on: tuple[str, str], extra: tuple[ScalarPairPredicate, ...],
                  counter: ComparisonCounter | None,
                  first_match_only: bool) -> list[JoinPair]:
-    """Shared nested-loop core for the similarity joins.
+    """Shared core for the similarity joins.
 
-    Scans element pairs in (left element, right element) order within each
-    (left group, right group) pair. ``first_match_only`` makes the scan stop
-    at the first matching pair of a group pair; otherwise every element pair
-    is evaluated and the first match is recorded as witness.
+    Scores each (left group, right group) pair as one block; the witness is
+    the first matching element pair in (left element, right element) order.
+    ``first_match_only`` counts comparisons as if the scan stopped at that
+    witness; otherwise every element pair of the block counts.
     """
     kind_check("smatch", on[0], left.schema)
     kind_check("smatch", on[1], right.schema)
     lcol = left.schema.resolve(on[0])
     rcol = right.schema.resolve(on[1])
-    if cond.polarity.value.startswith("similarity"):
-        match_mask = lambda s: s >= cond.th
-    else:
-        match_mask = lambda s: s <= cond.th
 
     right_mats = [normalized_matrix(list(r.column(rcol))) for r in right.rows]
     pairs: list[JoinPair] = []
@@ -391,32 +394,19 @@ def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
         if lmat.shape[0] == 0:
             continue
         for rrow, rmat in zip(right.rows, right_mats):
-            m = rmat.shape[0]
-            if m == 0:
+            if rmat.shape[0] == 0:
                 continue
-            found: JoinPair | None = None
-            for li in range(lmat.shape[0]):
-                scores = scores_against(cond, lmat[li], rmat)
-                mask = match_mask(scores)
-                for pred in extra:
-                    mask = mask & pred.mask_row(lrow.column(pred.left_column)[li],
-                                                rrow.column(pred.right_column))
-                hit = int(np.argmax(mask)) if mask.any() else -1
-                if first_match_only:
-                    if hit >= 0:
-                        if counter is not None:
-                            counter.add(hit + 1)
-                        found = JoinPair(lrow.key, rrow.key, li, hit, float(scores[hit]))
-                        break
-                    if counter is not None:
-                        counter.add(m)
-                else:
-                    if counter is not None:
-                        counter.add(m)
-                    if hit >= 0 and found is None:
-                        found = JoinPair(lrow.key, rrow.key, li, hit, float(scores[hit]))
-            if found is not None:
-                pairs.append(found)
+            scores = scores_against(cond, lmat, rmat)
+            mask = cond.matched(scores)
+            for pred in extra:
+                mask &= pred.mask(lrow.column(pred.left_column), rrow.column(pred.right_column))
+            flat = int(np.argmax(mask))
+            hit = bool(mask.flat[flat])
+            if counter is not None:
+                counter.add(flat + 1 if hit and first_match_only else mask.size)
+            if hit:
+                li, ri = divmod(flat, mask.shape[1])
+                pairs.append(JoinPair(lrow.key, rrow.key, li, ri, float(scores[li, ri])))
     return pairs
 
 

@@ -54,53 +54,36 @@ class MatchCondition:
         if self.polarity is None:
             object.__setattr__(self, "polarity", DEFAULT_POLARITY[self.metric])
 
-    def matched(self, score: float) -> bool:
+    def matched(self, score: float | np.ndarray) -> bool | np.ndarray:
+        """Match test for one score, or elementwise over an array of scores."""
         if self.polarity is MatchPolarity.SIMILARITY_AT_LEAST:
             return score >= self.th
         return score <= self.th
 
 
-def _checked(a: FeatureVector, b: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"feature vectors differ in dimension: {a.dim} vs {b.dim}")
-    if not np.any(a.values) or not np.any(b.values):
-        raise ZeroVector("similarity is undefined for an all-zero vector")
-    return a.values, b.values
-
-
 def cosine_similarity(a: FeatureVector, b: FeatureVector) -> float:
     """Cosine of the angle between ``a`` and ``b``, clamped to [0, 1]."""
-    va, vb = _checked(a, b)
-    if np.array_equal(va, vb):
-        return 1.0  # exact reflexivity; roundoff must not break self-matches
-    raw = float(np.dot(va, vb) / (np.linalg.norm(va) * np.linalg.norm(vb)))
-    return min(1.0, max(0.0, raw))
+    return smatch(MatchCondition(Metric.COSINE), a, b)[1]
 
 
 def euclidean_distance_unit(a: FeatureVector, b: FeatureVector) -> float:
     """Euclidean distance between the L2-normalized inputs, scaled to [0, 1]."""
-    va, vb = _checked(a, b)
-    if np.array_equal(va, vb):
-        return 0.0
-    ua = va / np.linalg.norm(va)
-    ub = vb / np.linalg.norm(vb)
-    return min(1.0, max(0.0, float(np.linalg.norm(ua - ub)) / 2.0))
+    return smatch(MatchCondition(Metric.EUCLIDEAN), a, b)[1]
 
 
 def smatch(cond: MatchCondition, a: FeatureVector, b: FeatureVector) -> tuple[bool, float]:
     """Evaluate the match condition; returns (matched, score)."""
-    if cond.metric is Metric.COSINE:
-        score = cosine_similarity(a, b)
-    else:
-        score = euclidean_distance_unit(a, b)
+    score = float(scores_against(cond, normalized_matrix([a]), normalized_matrix([b]))[0, 0])
     return cond.matched(score), score
 
 
-# Batched kernels used by the join operators. A group's feature vectors are
-# stacked into one row-normalized matrix; every join variant scores one left
-# vector against the whole right matrix through this same arithmetic, so
-# short-circuiting joins and exhaustive joins see bit-identical scores and
-# agree exactly on which pairs cross the threshold.
+# The one similarity kernel: SELECT probes and all three joins score through
+# scores_against, so every caller sees the same arithmetic and exactness rule.
+
+#: Equal unit rows are looked for only once a cosine score passes 1 - gate;
+#: a d-dimensional dot product is off by about d * 1e-16, far less than this.
+_EQUAL_GATE = 1e-6
+
 
 def normalized_matrix(vectors: list[FeatureVector]) -> np.ndarray:
     """Stack vectors into a row-normalized (n, d) matrix."""
@@ -109,17 +92,28 @@ def normalized_matrix(vectors: list[FeatureVector]) -> np.ndarray:
     dims = {v.dim for v in vectors}
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed feature vector dimensions in one group: {sorted(dims)}")
-    mat = np.stack([v.values for v in vectors])
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
+    mat = np.array([v.values for v in vectors])
+    norms = np.sqrt((mat * mat).sum(axis=1))  # np.linalg.norm's arithmetic, less overhead
+    if not norms.all():
         raise ZeroVector("similarity is undefined for an all-zero vector")
     return mat / norms[:, None]
 
-def scores_against(cond: MatchCondition, unit_row: np.ndarray, unit_matrix: np.ndarray) -> np.ndarray:
-    """Scores of one unit vector against every row of a unit matrix."""
-    if unit_matrix.shape[1] != unit_row.shape[0]:
+
+def scores_against(cond: MatchCondition, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(n, m) scores of every row of unit matrix ``left`` against every row of ``right``.
+
+    Exactness rule: equal unit rows score exactly 1.0 under cosine and
+    exactly 0.0 under euclidean, whatever the roundoff of the arithmetic.
+    """
+    if left.shape[1] != right.shape[1]:
         raise DimensionMismatch(
-            f"feature vectors differ in dimension: {unit_row.shape[0]} vs {unit_matrix.shape[1]}")
-    if cond.metric is Metric.COSINE:
-        return np.clip(unit_matrix @ unit_row, 0.0, 1.0)
-    return np.clip(np.linalg.norm(unit_matrix - unit_row, axis=1) / 2.0, 0.0, 1.0)
+            f"feature vectors differ in dimension: {left.shape[1]} vs {right.shape[1]}")
+    if cond.metric is Metric.EUCLIDEAN:
+        # direct differences: an equal row subtracts to exactly zero
+        dist = np.array([np.linalg.norm(right - row, axis=1) for row in left])
+        return np.clip(dist.reshape(len(left), len(right)) / 2.0, 0.0, 1.0)
+    scores = np.clip(left @ right.T, 0.0, 1.0)
+    if scores.size and scores.max() > 1.0 - _EQUAL_GATE:
+        ids = np.unique(np.concatenate([left, right]), axis=0, return_inverse=True)[1].reshape(-1)
+        scores[ids[:len(left), None] == ids[None, len(left):]] = 1.0
+    return scores

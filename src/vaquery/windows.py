@@ -31,6 +31,8 @@ class WindowSpec:
     def __post_init__(self) -> None:
         if not (self.size > 0 and self.hop > 0):  # written so that NaN fails too
             raise InvalidWindowSpec(f"window size and hop must be positive, got size={self.size} hop={self.hop}")
+        if math.isinf(self.hop) and not math.isinf(self.size):  # no window after the first
+            raise InvalidWindowSpec(f"a finite window size needs a finite hop, got hop={self.hop}")
 
     @property
     def disjoint(self) -> bool:

@@ -60,25 +60,44 @@ def cct_oracle(fids: Sequence[int], option: str, gap: int = 1) -> list[int]:
     return keep
 
 
+_CMP_ORACLE = {
+    "=": lambda a, b: a == b, "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+}
+
+
 def join_pairs_oracle(left: dict, right: dict, metric: str, polarity: str,
-                      th: float) -> set[tuple]:
+                      th: float, extras: Sequence[tuple] = ()) -> set[tuple]:
     """All (left_key, right_key) group pairs with at least one matching
-    element pair; groups map key -> list of vectors."""
+    element pair; groups map key -> list of vectors.
+
+    Each extra is ``(left_values, op, right_values, offset)``, where the
+    value maps are key -> per-element list, and demands
+    ``left_value + offset <op> right_value`` of the element pair too.
+    """
     pairs = set()
     for lkey, lvecs in left.items():
         for rkey, rvecs in right.items():
-            if any(matched_oracle(metric, polarity, th, a, b)
-                   for a in lvecs for b in rvecs):
+            group_extras = [(lv[lkey], op, rv[rkey], off) for lv, op, rv, off in extras]
+            if first_witness_oracle(lvecs, rvecs, metric, polarity, th,
+                                    group_extras) is not None:
                 pairs.add((lkey, rkey))
     return pairs
 
 
 def first_witness_oracle(lvecs, rvecs, metric: str, polarity: str,
-                         th: float) -> tuple[int, int] | None:
-    """First matching (left index, right index) in row-major scan order."""
+                         th: float, extras: Sequence[tuple] = ()) -> tuple[int, int] | None:
+    """First matching (left index, right index) in row-major scan order.
+
+    Each extra is ``(left_values, op, right_values, offset)`` with one value
+    per element of the group, as in :func:`join_pairs_oracle`.
+    """
     for li, a in enumerate(lvecs):
         for ri, b in enumerate(rvecs):
-            if matched_oracle(metric, polarity, th, a, b):
+            if matched_oracle(metric, polarity, th, a, b) and all(
+                    _CMP_ORACLE[op](lv[li] + off if off else lv[li], rv[ri])
+                    for lv, op, rv, off in extras):
                 return (li, ri)
     return None
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,12 +229,13 @@ BB_RANGE_REVERSED = "SELECT fid FROM R1 WHERE bb MATCHES [10:0, *, *, *]"
     ("run", BB_RANGE_REVERSED, [], 2, "SYNTAX_ERROR"),
     ("run", Q2, ["--window", "time,abc,1"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
     ("run", Q2, ["--window", "time,nan,1"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", Q2, ["--window", "time,1,inf"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
     ("run", None, [], 3, "NO_SUCH_FILE"),
     ("run", Q2, ["--engine-config", "quantum=abc\n"], 3, "CONFIG_ERROR"),
     ("run", Q2, ["--engine-config", '{"quantum": '], 3, "CONFIG_ERROR"),
     ("run", Q2, ["--quantum", "0"], 3, "CONFIG_ERROR"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
-        "missing-query", "config-value", "config-json", "quantum-zero"])
+        "window-inf-hop", "missing-query", "config-value", "config-json", "quantum-zero"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -255,3 +260,24 @@ def test_rate_zero_and_quantum_override_config_file(tmp_path):
                                       "--quantum", "1"])
     config = _engine_config(args)
     assert config.default_rate == 0.0 and config.quantum == 1
+
+
+@pytest.mark.parametrize("query, n_traces", [
+    (Q3, 2),
+    ("SELECT fid, oid FROM R1 WHERE [FV] SMATCH(0.9) [1.0, 0.0, 0.0, 0.0]", 1),
+], ids=["cjoin", "smatch-select"])
+def test_benchmark_tracer_finds_the_similarity_functions(tmp_path, trace_file, query, n_traces):
+    # benchmarks/tracer.py wraps similarity functions by their operators
+    # attribute names; renaming one must fail here, not only in the benchmark
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    cmd = [sys.executable, str(root / "benchmarks" / "tracer.py"), str(spans), "all",
+           "run", "--query", str(write_query(tmp_path, query))]
+    cmd += ["--trace", str(trace_file)] * n_traces
+    cmd += ["--out", str(tmp_path / "out.jsonl"), "--no-header"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    leaves = {name for span in json.loads(spans.read_text())["spans"] for name in span["leaves"]}
+    assert {"similarity.scores_against", "similarity.normalized_matrix"} <= leaves

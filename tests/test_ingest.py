@@ -199,6 +199,18 @@ def test_synth_spec_validation():
             ObjectSpec(1, "x", (0, 0, 1, 1), intervals=((5, 11),)),))
 
 
+def test_synth_spec_rejects_overlapping_intervals():
+    # overlapping visits would write two tuples for one (fid, oid)
+    with pytest.raises(GeneratorSpecError) as exc:
+        SynthSpec(frames=100, objects=(
+            ObjectSpec(4, "person", (0, 0, 1, 1), intervals=((55, 90), (12, 56))),))
+    assert exc.value.code == "SPEC_ERROR"
+    # touching half-open intervals do not overlap
+    spec = SynthSpec(frames=100, objects=(
+        ObjectSpec(4, "person", (0, 0, 1, 1), intervals=((12, 55), (55, 90))),))
+    assert len(generate(spec, 0).rows) == 78
+
+
 def test_synth_spec_from_json_roundtrip():
     text = json.dumps({
         "frames": 12, "fps": 24, "fv_dim": 3,

@@ -273,18 +273,58 @@ def test_cjoin_pair_set_equals_nl_join_randomized():
         lg, rg = mk_groups(), mk_groups()
         lg = {k: [v if any(v) else (1.0,) * dim for v in vs] for k, vs in lg.items()}
         rg = {k: [v if any(v) else (1.0,) * dim for v in vs] for k, vs in rg.items()}
+        # per-element ts and label columns for the scalar extras
+        lts, rts = ({k: [rng.uniform(0, 3) for _ in vs] for k, vs in g.items()} for g in (lg, rg))
+        llab, rlab = ({k: [rng.choice(["person", "car"]) for _ in vs] for k, vs in g.items()}
+                      for g in (lg, rg))
+        offset = rng.uniform(-1, 1)
+        extra_specs = rng.choice([(), (("ts", "<=", offset),), (("label", "=", 0.0),),
+                                  (("ts", "<=", offset), ("label", "=", 0.0))])
+        extra = tuple(ScalarPairPredicate(col, op, col, off) for col, op, off in extra_specs)
+        cols = {"ts": (lts, rts), "label": (llab, rlab)}
+        oracle_extras = [(cols[col][0], op, cols[col][1], off) for col, op, off in extra_specs]
         th = rng.random()
         metric = rng.choice([Metric.COSINE, Metric.EUCLIDEAN])
         cond = MatchCondition(metric, th)
-        left, right = _arrables_from_vec_groups(lg), _arrables_from_vec_groups(rg)
+        left, right = (arrable_of({k: {"fid": list(range(len(vs))), "fv": vs, "ts": ts[k],
+                                       "label": lab[k]} for k, vs in g.items()})
+                       for g, ts, lab in ((lg, lts, llab), (rg, rts, rlab)))
         nl_counter, c_counter = ComparisonCounter(), ComparisonCounter()
-        nl = {p.key() for p in nl_join(left, right, cond, counter=nl_counter)}
-        cj = {p.key() for p in cjoin(left, right, cond, counter=c_counter)}
-        assert nl == cj
-        assert c_counter.count <= nl_counter.count
-        oracle = join_pairs_oracle(lg, rg, metric.value,
-                                   cond.polarity.value, th)
+        nl_pairs = nl_join(left, right, cond, extra=extra, counter=nl_counter)
+        cj_pairs = cjoin(left, right, cond, extra=extra, counter=c_counter)
+        nl = {p.key() for p in nl_pairs}
+        assert nl == {p.key() for p in cj_pairs}
+        oracle = join_pairs_oracle(lg, rg, metric.value, cond.polarity.value, th,
+                                   oracle_extras)
         assert nl == oracle
+        expected_nl = expected_cj = 0
+        witnesses = {}
+        for lk, lvs in lg.items():
+            for rk, rvs in rg.items():
+                n, m = len(lvs), len(rvs)
+                w = first_witness_oracle(lvs, rvs, metric.value, cond.polarity.value, th,
+                                         [(lv[lk], op, rv[rk], off)
+                                          for lv, op, rv, off in oracle_extras])
+                expected_nl += n * m
+                expected_cj += n * m if w is None else w[0] * m + w[1] + 1
+                if w is not None:
+                    witnesses[(lk, rk)] = w
+        for pairs in (nl_pairs, cj_pairs):
+            assert {p.key(): (p.left_witness, p.right_witness) for p in pairs} == witnesses
+        assert (nl_counter.count, c_counter.count) == (expected_nl, expected_cj)
+
+
+@pytest.mark.parametrize("dim", [3, 128, 4096])
+def test_self_join_pairs_every_object_with_itself(dim):
+    # equal vectors score exactly 1.0 (cosine) and 0.0 (euclidean) in every
+    # join, for single-frame and multi-frame objects and at large dimension
+    rng = random.Random(dim)
+    groups = {k: [tuple(rng.uniform(-1, 1) for _ in range(dim)) for _ in range(1 + k % 3)]
+              for k in range(40)}
+    ar = _arrables_from_vec_groups(groups)
+    for cond in (MatchCondition(Metric.COSINE, 1.0), MatchCondition(Metric.EUCLIDEAN, 0.0)):
+        for join in (nl_join, cjoin, cct_join):
+            assert {p.key() for p in join(ar, ar, cond)} == {(k, k) for k in groups}
 
 
 def test_cct_join_equals_cjoin_when_first_elements_match():

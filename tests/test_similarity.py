@@ -154,17 +154,19 @@ def test_threshold_monotonicity(a, b, th1, th2):
 
 def test_batched_scores_match_oracle():
     vectors = [fv([1, 0]), fv([1, 1]), fv([0.3, 0.7])]
-    probe = fv([0.5, 0.5])
+    probes = [fv([0.5, 0.5]), fv([2, -1]), fv([0, 3])]
     mat = normalized_matrix(vectors)
-    probe_unit = normalized_matrix([probe])[0]
+    probe_mat = normalized_matrix(probes)
     for metric in Metric:
         cond = MatchCondition(metric, 0.5)
-        scores = scores_against(cond, probe_unit, mat)
-        for i, v in enumerate(vectors):
-            expected = (cosine_oracle(probe.as_list(), v.as_list())
-                        if metric is Metric.COSINE
-                        else euclidean_unit_oracle(probe.as_list(), v.as_list()))
-            assert scores[i] == pytest.approx(expected, abs=1e-9)
+        scores = scores_against(cond, probe_mat, mat)
+        assert scores.shape == (len(probes), len(vectors))
+        for p, probe in enumerate(probes):
+            for i, v in enumerate(vectors):
+                expected = (cosine_oracle(probe.as_list(), v.as_list())
+                            if metric is Metric.COSINE
+                            else euclidean_unit_oracle(probe.as_list(), v.as_list()))
+                assert scores[p, i] == pytest.approx(expected, abs=1e-9)
 
 
 def test_batched_zero_vector_rejected():

@@ -33,7 +33,7 @@ def test_boundary_is_half_open():
 
 
 def test_nonpositive_size_or_hop_rejected():
-    for size, hop in [(0, 1), (1, 0), (-5, 5), (5, -5)]:
+    for size, hop in [(0, 1), (1, 0), (-5, 5), (5, -5), (1, math.inf)]:
         with pytest.raises(InvalidWindowSpec) as exc:
             WindowSpec(WindowKind.TIME, size, hop)
         assert exc.value.code == "NONPOSITIVE_SIZE_OR_HOP"
