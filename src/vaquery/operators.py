@@ -15,13 +15,16 @@ from __future__ import annotations
 import operator as _pyop
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
+from itertools import compress
+from numbers import Real
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyRow, IllegalColumnKind, UnknownColumn
-from .model import (Arrable, ArrableRow, Column, ColumnKind, FeatureVector,
-                    Relation, Schema, kind_check)
+from .errors import EmptyRow, IllegalColumnKind, SchemaMismatch, UnknownColumn
+from .model import (Arrable, ArrableRow, BoundingBox, Column, ColumnKind,
+                    FeatureVector, Relation, Schema, kind_check)
 # smatch stays a module attribute so that tracing tools can wrap it here
 from .similarity import MatchCondition, normalized_matrix, scores_against, smatch  # noqa: F401
 
@@ -82,17 +85,22 @@ class BBPattern:
             if isinstance(comp, tuple) and comp[0] > comp[1]:
                 raise ValueError(f"range lower bound exceeds upper bound: {comp}")
 
-    def matches(self, bb) -> bool:
-        for comp, value in zip((self.x, self.y, self.w, self.h),
-                               (bb.x, bb.y, bb.w, bb.h)):
+    def mask(self, boxes: Sequence[BoundingBox]) -> np.ndarray:
+        """Match test for each box, as one bool array over the (n, 4) box block."""
+        # object dtype keeps Python's exact int/float comparison per value
+        block = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=object).reshape(-1, 4)
+        keep = np.ones(len(block), dtype=bool)
+        for comp, values in zip((self.x, self.y, self.w, self.h), block.T):
             if comp is None:
                 continue
             if isinstance(comp, tuple):
-                if not comp[0] <= value <= comp[1]:
-                    return False
-            elif value != comp:
-                return False
-        return True
+                keep &= (comp[0] <= values) & (values <= comp[1])
+            else:
+                keep &= values == comp
+        return keep
+
+    def matches(self, bb: BoundingBox) -> bool:
+        return bool(self.mask([bb])[0])
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,7 @@ _ORDERED_OPS = {"<", "<=", ">", ">="}
 
 
 class Predicate:
-    """Base for row/element-level predicates used by select()."""
+    """Base for the predicates of select(), decided as one mask per window."""
 
     def columns(self) -> list[str]:
         raise NotImplementedError
@@ -128,7 +136,14 @@ class Predicate:
     def check(self, schema: Schema) -> None:
         raise NotImplementedError
 
-    def evaluate(self, get: Callable[[str], Any], counter: ComparisonCounter | None) -> bool:
+    def mask(self, column: Callable[[str], Sequence[Any]], live: np.ndarray,
+             counter: ComparisonCounter | None) -> np.ndarray:
+        """Truth value of the predicate per element, False outside ``live``.
+
+        ``column(name)`` gives the window's values of one column in element
+        order; ``live`` marks the elements still to be decided, which are
+        exactly those a per-element short-circuit evaluation would reach.
+        """
         raise NotImplementedError
 
 
@@ -145,12 +160,19 @@ class Comparison(Predicate):
 
     def check(self, schema: Schema) -> None:
         kind_check("compare", self.column, schema)
-        if self.op in _ORDERED_OPS and schema.kind_of(self.column) is not ColumnKind.SCALAR_NUMERIC:
+        if self.op not in _ORDERED_OPS:
+            return
+        if schema.kind_of(self.column) is not ColumnKind.SCALAR_NUMERIC:
             raise IllegalColumnKind(self.op, schema.resolve(self.column),
                                     schema.kind_of(self.column).name)
+        if not isinstance(self.value, Real):
+            raise SchemaMismatch(f"{self.op!r} compares numeric column "
+                                 f"{schema.resolve(self.column)!r} with non-numeric {self.value!r}")
 
-    def evaluate(self, get, counter=None) -> bool:
-        return _CMP_FUNCS[self.op](get(self.column), self.value)
+    def mask(self, column, live, counter=None) -> np.ndarray:
+        # object dtype keeps Python's comparison semantics per value
+        values = np.array(column(self.column), dtype=object)
+        return _CMP_FUNCS[self.op](values, self.value) & live
 
 
 @dataclass(frozen=True)
@@ -164,8 +186,8 @@ class BBoxTest(Predicate):
     def check(self, schema: Schema) -> None:
         kind_check("bb_pattern", self.column, schema)
 
-    def evaluate(self, get, counter=None) -> bool:
-        return self.pattern.matches(get(self.column))
+    def mask(self, column, live, counter=None) -> np.ndarray:
+        return self.pattern.mask(column(self.column)) & live
 
 
 @dataclass(frozen=True)
@@ -187,11 +209,19 @@ class SMatchProbe(Predicate):
     def check(self, schema: Schema) -> None:
         kind_check("smatch", self.column, schema)
 
-    def evaluate(self, get, counter=None) -> bool:
-        unit = normalized_matrix([get(self.column)])
+    def mask(self, column, live, counter=None) -> np.ndarray:
+        """Scores the live elements as one block against the probe."""
+        out = np.zeros(len(live), dtype=bool)
+        idx = np.flatnonzero(live)
+        if not len(idx):
+            return out
+        values = column(self.column)
+        unit = normalized_matrix([values[i] for i in idx])
         if counter is not None:
-            counter.add(1)
-        return bool(self.cond.matched(scores_against(self.cond, unit, self.unit_probe)[0, 0]))
+            counter.add(len(idx))
+        # probe on the left: the euclidean kernel loops over left rows
+        out[idx] = self.cond.matched(scores_against(self.cond, self.unit_probe, unit)[0])
+        return out
 
 
 @dataclass(frozen=True)
@@ -205,8 +235,11 @@ class And(Predicate):
         for p in self.parts:
             p.check(schema)
 
-    def evaluate(self, get, counter=None) -> bool:
-        return all(p.evaluate(get, counter) for p in self.parts)
+    def mask(self, column, live, counter=None) -> np.ndarray:
+        # each part decides only the elements every earlier part kept
+        for p in self.parts:
+            live = p.mask(column, live, counter)
+        return live
 
 
 @dataclass(frozen=True)
@@ -220,8 +253,12 @@ class Or(Predicate):
         for p in self.parts:
             p.check(schema)
 
-    def evaluate(self, get, counter=None) -> bool:
-        return any(p.evaluate(get, counter) for p in self.parts)
+    def mask(self, column, live, counter=None) -> np.ndarray:
+        # each part decides only the elements no earlier part kept
+        out = np.zeros_like(live)
+        for p in self.parts:
+            out |= p.mask(column, live & ~out, counter)
+        return out
 
 
 @dataclass(frozen=True)
@@ -234,8 +271,8 @@ class Not(Predicate):
     def check(self, schema: Schema) -> None:
         self.part.check(schema)
 
-    def evaluate(self, get, counter=None) -> bool:
-        return not self.part.evaluate(get, counter)
+    def mask(self, column, live, counter=None) -> np.ndarray:
+        return live & ~self.part.mask(column, live, counter)
 
 
 # --- grouping and compression ------------------------------------------------
@@ -311,27 +348,34 @@ def select(data: Relation | Arrable, predicate: Predicate,
            counter: ComparisonCounter | None = None) -> Relation | Arrable:
     """Filter rows (relation) or vector elements (arrable) by a predicate.
 
-    On an arrable the predicate is evaluated per element position; rows whose
-    vectors become empty are dropped. Column-kind violations are raised
-    before any row is touched.
+    The predicate is decided as one mask over the window's elements: a
+    relation's rows, or an arrable's vector elements in row order, each
+    element seeing its row's group key in the ``gba`` column. Arrable rows
+    whose vectors become empty are dropped. Column-kind violations are
+    raised before any row is touched.
     """
     predicate.check(data.schema)
     if isinstance(data, Relation):
-        kept = tuple(r for r in data.rows if predicate.evaluate(r.__getitem__, counter))
-        return Relation(data.schema, kept, data.source_id)
+        def rel_values(name: str) -> list[Any]:
+            return [r[name] for r in data.rows]
 
+        keep = predicate.mask(cache(rel_values), np.ones(len(data.rows), dtype=bool), counter)
+        return Relation(data.schema, tuple(compress(data.rows, keep.tolist())), data.source_id)
+
+    def values(name: str) -> list[Any]:
+        if name == data.gba:
+            return [row.key for row in data.rows for _ in range(len(row))]
+        return [v for row in data.rows for v in row.column(name)]
+
+    keep = predicate.mask(cache(values), np.ones(data.element_count(), dtype=bool),
+                          counter).tolist()
     new_rows = []
+    start = 0
     for row in data.rows:
-        def get_at(i: int) -> Callable[[str], Any]:
-            def get(col: str) -> Any:
-                if col == data.gba:
-                    return row.key
-                return row.column(col)[i]
-            return get
-
-        keep = [i for i in range(len(row)) if predicate.evaluate(get_at(i), counter)]
-        if keep:
-            new_rows.append(ArrableRow(row.key, {c: tuple(vec[i] for i in keep)
+        seg = keep[start:start + len(row)]
+        start += len(row)
+        if any(seg):
+            new_rows.append(ArrableRow(row.key, {c: tuple(compress(vec, seg))
                                                  for c, vec in row.values.items()}))
     return Arrable(data.gba, data.aoa, data.schema, tuple(new_rows))
 

@@ -411,6 +411,13 @@ class _Planner:
                 off = -off
             kind_check("compare", pl.name, left.node.schema)
             kind_check("compare", pr.name, right.node.schema)
+            lkind = left.node.schema.kind_of(pl.name)
+            rkind = right.node.schema.kind_of(pr.name)
+            if lkind is not rkind:
+                raise SchemaMismatch(f"join condition compares {pl} ({lkind.name}) "
+                                     f"with {pr} ({rkind.name})")
+            if off and lkind is not ColumnKind.SCALAR_NUMERIC:
+                raise SchemaMismatch(f"join condition adds an offset to {pl} ({lkind.name})")
             extras.append(ScalarPairPredicate(left.node.schema.resolve(pl.name), op,
                                               right.node.schema.resolve(pr.name), off))
 

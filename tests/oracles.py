@@ -102,6 +102,46 @@ def first_witness_oracle(lvecs, rvecs, metric: str, polarity: str,
     return None
 
 
+def select_oracle(elements: Sequence[dict], tree: tuple) -> tuple[list[int], int]:
+    """Positions of the elements a predicate tree keeps, and the number of
+    probe evaluations, deciding each element on its own with short-circuit.
+
+    ``tree`` is ``("and" | "or", [subtrees])``, ``("not", subtree)``,
+    ``("cmp", column, op, literal)``, ``("bb", column, (x, y, w, h))`` with
+    each component ``None``, a value or a ``(lo, hi)`` range, or
+    ``("probe", column, metric, polarity, th, probe)``. Boxes are 4-tuples
+    and feature vectors plain sequences.
+    """
+    evaluations = 0
+
+    def holds(node: tuple, el: dict) -> bool:
+        nonlocal evaluations
+        kind = node[0]
+        if kind == "and":
+            return all(holds(part, el) for part in node[1])
+        if kind == "or":
+            return any(holds(part, el) for part in node[1])
+        if kind == "not":
+            return not holds(node[1], el)
+        if kind == "cmp":
+            _, column, op, literal = node
+            return _CMP_ORACLE[op](el[column], literal)
+        if kind == "bb":
+            _, column, comps = node
+            for comp, value in zip(comps, el[column]):
+                if isinstance(comp, tuple) and not comp[0] <= value <= comp[1]:
+                    return False
+                if comp is not None and not isinstance(comp, tuple) and value != comp:
+                    return False
+            return True
+        _, column, metric, polarity, th, probe = node
+        evaluations += 1
+        return matched_oracle(metric, polarity, th, el[column], probe)
+
+    kept = [i for i, el in enumerate(elements) if holds(tree, el)]
+    return kept, evaluations
+
+
 def confusion_oracle(emitted: set, positives: set, left_universe: set,
                      right_universe: set) -> tuple[int, int, int, int]:
     """(tp, tn, fp, fn) by explicit enumeration of the pair universe."""

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import trace_relation
 from vaquery.cli import _engine_config, build_parser, main
 from vaquery.ingest import ObjectSpec, SynthSpec, generate, write_trace
 
@@ -221,6 +222,9 @@ def test_run_table_format_prints_once(tmp_path, trace_file, capsys):
 
 SMATCH_OUT_OF_RANGE = "SELECT fid FROM R1 WHERE [FV] SMATCH(1.5) [1.0, 0.0, 0.0, 0.0]"
 BB_RANGE_REVERSED = "SELECT fid FROM R1 WHERE bb MATCHES [10:0, *, *, *]"
+ORDERED_STRING = 'SELECT fid FROM R1 WHERE R1.oid < "abc"'
+JOIN_EXTRA = ('SELECT AR1.oid, AR2.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
+              'CJOIN (R2A(R2, R2.oid, R2.fid)) AR2 ON AR1.[FV] sMatch(0.9) AR2.[FV] AND ')
 
 
 @pytest.mark.parametrize("command, query, extra, code, error", [
@@ -234,8 +238,14 @@ BB_RANGE_REVERSED = "SELECT fid FROM R1 WHERE bb MATCHES [10:0, *, *, *]"
     ("run", Q2, ["--engine-config", "quantum=abc\n"], 3, "CONFIG_ERROR"),
     ("run", Q2, ["--engine-config", '{"quantum": '], 3, "CONFIG_ERROR"),
     ("run", Q2, ["--quantum", "0"], 3, "CONFIG_ERROR"),
+    ("run", ORDERED_STRING, [], 2, "SCHEMA_MISMATCH"),
+    ("parse-check", ORDERED_STRING.replace("<", ">="), [], 2, "SCHEMA_MISMATCH"),
+    ("run", JOIN_EXTRA + "AR1.label < AR2.ts", [], 2, "SCHEMA_MISMATCH"),
+    ("run", JOIN_EXTRA + "AR1.label + 5 = AR2.label", [], 2, "SCHEMA_MISMATCH"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
-        "window-inf-hop", "missing-query", "config-value", "config-json", "quantum-zero"])
+        "window-inf-hop", "missing-query", "config-value", "config-json", "quantum-zero",
+        "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
+        "join-extra-offset-on-label"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -250,6 +260,26 @@ def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
     err = capsys.readouterr().err
     assert f"error [{error}]" in err
     assert "Traceback" not in err
+
+
+def test_equality_with_a_string_literal_counts_no_rows(tmp_path, trace_file, capsys):
+    qpath = write_query(tmp_path, 'SELECT count(*) FROM R1 WHERE R1.oid = "x"')
+    assert main(["run", "--query", str(qpath), "--trace", str(trace_file)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"window": 0, "count": 0}
+
+
+def test_zero_vector_in_a_live_row_exits_3(tmp_path, capsys):
+    trace = tmp_path / "zero.jsonl"
+    write_trace(trace_relation([(0, 1, "person", (0, 0, 1, 1), (1.0, 0.0, 0.0, 0.0)),
+                                (0, 2, "car", (5, 0, 1, 1), (0.0, 0.0, 0.0, 0.0))]), trace)
+    probe = "[FV] SMATCH(0.9) [1.0, 0.0, 0.0, 0.0]"
+    decided = write_query(tmp_path, f'SELECT oid FROM R1 WHERE R1.label = "person" AND {probe}')
+    assert main(["run", "--query", str(decided), "--trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"window": 0, "oid": 1}
+    live = write_query(tmp_path, f"SELECT oid FROM R1 WHERE {probe}", "live.vaq")
+    assert main(["run", "--query", str(live), "--trace", str(trace)]) == 3
+    err = capsys.readouterr().err
+    assert "error [ZERO_VECTOR]" in err and "Traceback" not in err
 
 
 def test_rate_zero_and_quantum_override_config_file(tmp_path):

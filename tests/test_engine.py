@@ -92,6 +92,25 @@ def test_determinism_across_rates_and_quanta():
     assert outputs[0][1]["stages"][-1]["window_wall"] == ["0", "1", "2", "3", "4", "5"]
 
 
+def test_probe_select_determinism_across_quanta_and_capacities():
+    # a tuple-windowed OR of two probes: the second probe scores only the
+    # rows the first one rejected, per window, whatever the batching
+    trace = small_trace()
+    e0, e2 = ([1.0 if d == i else 0.0 for d in range(8)] for i in (0, 2))
+    p = plan(parse(f"SELECT fid, oid FROM R1 WHERE [FV] SMATCH(0.9) {e0} "
+                   f"OR [FV] SMATCH(0.9) {e2} WINDOW(TUPLE, 25, 25)"), ONE)
+    outputs = []
+    for quantum, capacity in ((1, 1), (7, 3), (256, 1024)):
+        cfg = EngineConfig(queue_capacity=capacity, quantum=quantum)
+        rows, st = instantiate(p, cfg).run([trace])
+        outputs.append(("\n".join(row_to_json(r) for r in rows), untimed(st)))
+    assert all(out == outputs[0] for out in outputs)
+    select = next(s for s in outputs[0][1]["stages"] if s["name"] == "select")
+    # 120 rows meet the first probe, the 80 it rejects meet the second
+    assert (select["tuples_in"], select["tuples_out"]) == (120, 80)
+    assert select["smatch_comparisons"] == 200
+
+
 def test_join_determinism_across_configs():
     left, right = small_trace(1), small_trace(2)
     empty = Relation(TRACE_SCHEMA, ())

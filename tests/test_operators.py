@@ -1,14 +1,17 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import arrable_of, make_tuple, trace_relation
 from oracles import (cct_oracle, confusion_oracle, first_witness_oracle,
-                     join_pairs_oracle, split_runs_oracle)
-from vaquery.errors import EmptyRow, IllegalColumnKind, UnknownColumn
+                     join_pairs_oracle, score_oracle, select_oracle, split_runs_oracle)
+from vaquery.errors import EmptyRow, IllegalColumnKind, SchemaMismatch, UnknownColumn, ZeroVector
 from vaquery.model import BoundingBox, FeatureVector, Relation, TRACE_SCHEMA
-from vaquery.operators import (BBoxTest, BBPattern, CctOption, Comparison,
-                               ComparisonCounter, Direction8, ScalarPairPredicate,
+from vaquery.operators import (And, BBoxTest, BBPattern, CctOption, Comparison,
+                               ComparisonCounter, Direction8, Not, Or, ScalarPairPredicate,
                                SMatchProbe, aggregate, cct, cct_join, cjoin,
                                count_star, direction, element_count,
                                group_count, hash_equi_join, nl_join, project,
@@ -194,6 +197,135 @@ def test_select_kind_violation_raised_before_filtering(two_person_trace):
         select(two_person_trace, Comparison("fv", "=", 1))
     with pytest.raises(IllegalColumnKind):
         select(two_person_trace, Comparison("label", "<", "n"))
+
+
+def test_ordered_comparison_with_a_non_numeric_literal_rejected(two_person_trace):
+    for op in ("<", "<=", ">", ">="):
+        with pytest.raises(SchemaMismatch):
+            select(two_person_trace, Comparison("oid", op, "abc"))
+    assert select(two_person_trace, Comparison("oid", "=", "x")).rows == ()
+    assert len(select(two_person_trace, Comparison("oid", "!=", "x")).rows) == 5
+
+
+def test_zero_vector_in_a_decided_element_is_never_scored():
+    rel = trace_relation([
+        (1, 1, "car", (0, 0, 1, 1), (0.0, 0.0, 0.0, 0.0)),
+        (1, 2, "person", (0, 0, 1, 1), (1.0, 0.0, 0.0, 0.0)),
+    ])
+    probe = SMatchProbe("fv", FeatureVector([1.0, 0.0, 0.0, 0.0]), COS)
+    for pred, kept in ((And((Comparison("label", "=", "person"), probe)), [2]),
+                       (Or((Comparison("label", "=", "car"), probe)), [1, 2]),
+                       (Not(Or((Comparison("oid", "=", 1), probe))), [])):
+        counter = ComparisonCounter()
+        assert [r["oid"] for r in select(rel, pred, counter).rows] == kept
+        assert counter.count == 1
+    with pytest.raises(ZeroVector):
+        select(rel, Or((Comparison("label", "=", "person"), probe)))
+
+
+@pytest.mark.parametrize("cond", [MatchCondition(Metric.COSINE, 1.0),
+                                  MatchCondition(Metric.EUCLIDEAN, 0.0)])
+def test_probe_keeps_its_equal_row_at_the_exact_threshold_in_a_large_window(cond):
+    vecs = np.random.default_rng(7).normal(size=(2000, 128))
+    rel = Relation(TRACE_SCHEMA, tuple(
+        {"fid": i, "oid": i, "label": "person", "bb": BoundingBox(0, 0, 1, 1),
+         "fv": FeatureVector(v), "ts": i / 30} for i, v in enumerate(vecs)))
+    counter = ComparisonCounter()
+    out = select(rel, SMatchProbe("fv", FeatureVector(vecs[1234]), cond), counter)
+    assert [r["oid"] for r in out.rows] == [1234]
+    assert counter.count == 2000
+
+
+# --- select against the per-element oracle ---------------------------------------
+
+_COS_TH = (0.33, 0.61, 0.87)  # thresholds no small-integer vector pair scores exactly
+_EUC_TH = (0.23, 0.41, 0.58)
+
+_probe_leaf = st.one_of(
+    st.tuples(st.just("cosine"), st.sampled_from(["similarity_at_least", "distance_at_most"]),
+              st.sampled_from(_COS_TH)),
+    st.tuples(st.just("euclidean"), st.sampled_from(["distance_at_most", "similarity_at_least"]),
+              st.sampled_from(_EUC_TH)),
+).flatmap(lambda c: st.tuples(
+    st.just("probe"), st.just("fv"), st.just(c[0]), st.just(c[1]), st.just(c[2]),
+    st.tuples(*[st.integers(-2, 2)] * 3).filter(any).map(lambda v: tuple(map(float, v)))))
+_bb_comp = st.one_of(st.none(), st.integers(0, 3).map(float),
+                     st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda r: tuple(sorted(r))))
+_leaf = st.one_of(
+    st.tuples(st.just("cmp"), st.sampled_from(["fid", "oid", "ts"]),
+              st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+              st.one_of(st.integers(0, 4), st.sampled_from([0.25, 0.5, 1.5, 2.0]))),
+    st.tuples(st.just("cmp"), st.just("label"), st.sampled_from(["=", "!="]),
+              st.sampled_from(["person", "car", "x"])),
+    st.tuples(st.just("bb"), st.just("bb"), st.tuples(*[_bb_comp] * 4)),
+    _probe_leaf,
+)
+_tree = st.recursive(_leaf, lambda kids: st.one_of(
+    st.tuples(st.sampled_from(["and", "or"]), st.lists(kids, min_size=1, max_size=3)),
+    st.tuples(st.just("not"), kids)), max_leaves=6)
+_element = st.fixed_dictionaries({
+    "fid": st.integers(0, 4), "oid": st.integers(0, 3),
+    "label": st.sampled_from(["person", "car"]),
+    "bb": st.tuples(*[st.integers(0, 3).map(float)] * 4),
+    "fv": st.tuples(*[st.integers(-2, 2)] * 3).filter(any).map(lambda v: tuple(map(float, v))),
+    "ts": st.sampled_from([0.0, 0.25, 1.5, 3.0]),
+})
+
+
+def _predicate(tree):
+    kind = tree[0]
+    if kind in ("and", "or"):
+        return (And if kind == "and" else Or)(tuple(_predicate(t) for t in tree[1]))
+    if kind == "not":
+        return Not(_predicate(tree[1]))
+    if kind == "cmp":
+        return Comparison(*tree[1:])
+    if kind == "bb":
+        return BBoxTest(tree[1], BBPattern(*tree[2]))
+    _, column, metric, polarity, th, probe = tree
+    return SMatchProbe(column, FeatureVector(probe),
+                       MatchCondition(Metric(metric), th, MatchPolarity(polarity)))
+
+
+def _probes(tree):
+    if tree[0] in ("and", "or"):
+        return [p for t in tree[1] for p in _probes(t)]
+    if tree[0] == "not":
+        return _probes(tree[1])
+    return [tree] if tree[0] == "probe" else []
+
+
+def _plain(rec: dict) -> dict:
+    out = dict(rec)
+    out["bb"] = tuple(rec["bb"].as_list())
+    out["fv"] = rec["fv"].as_list()
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_element, max_size=12), _tree)
+def test_select_matches_per_element_oracle(elements, tree):
+    # no probe score may sit on its threshold, where summation order decides
+    assume(all(abs(score_oracle(p[2], el["fv"], p[5]) - p[4]) > 1e-9
+               for p in _probes(tree) for el in elements))
+    pred = _predicate(tree)
+    rel = Relation(TRACE_SCHEMA, tuple(
+        dict(e, bb=BoundingBox(*e["bb"]), fv=FeatureVector(e["fv"])) for e in elements))
+    groups = {}
+    for e in elements:
+        g = groups.setdefault(e["oid"], {c: [] for c in ("fid", "label", "bb", "fv", "ts")})
+        for c in g:
+            g[c].append(e[c])
+    ar = arrable_of(groups)
+    empty = Relation(TRACE_SCHEMA, ())
+    for data, records in ((rel, list(rel.rows)), (ar, ar.flatten()), (empty, []),
+                          (arrable_of({}), [])):
+        kept, evaluations = select_oracle([_plain(r) for r in records], tree)
+        counter = ComparisonCounter()
+        out = select(data, pred, counter)
+        got = list(out.rows) if isinstance(out, Relation) else out.flatten()
+        assert got == [records[i] for i in kept]
+        assert counter.count == evaluations
 
 
 def test_project_subset_and_identity(two_person_trace):
