@@ -5,59 +5,193 @@ The interchange format is JSON Lines, one detection per line::
     {"fid": 2, "oid": 1, "label": "person", "bb": [11, 20.5, 30, 20],
      "fv": [0.1, 0.9], "ts": 0.066}
 
-``ts`` is optional; when absent it is derived as ``fid / fps``. A CSV
-alternative uses the fixed header ``fid,oid,label,ts,bb_x,bb_y,bb_w,bb_h,
-fv_0..fv_k``. The file extension selects the format (.jsonl / .csv).
+Fields keep their JSON types: ``fid`` and ``oid`` are integers, ``label``
+a string, ``bb`` an array of 4 numbers, ``fv`` an array of numbers of the
+same length on every line, and ``ts`` a number or absent (``null`` counts
+as absent); when absent it is derived as ``fid / fps``. A CSV alternative
+uses the fixed header ``fid,oid,label,ts,bb_x,bb_y,bb_w,bb_h,fv_0..fv_k``
+and parses each text field as a number. The file extension selects the
+format (.jsonl / .csv).
+
+Both formats, and :func:`generate`, feed one builder: it checks the rows
+in blocks with array operations and keeps each block's feature vectors as
+one ``(k, d)`` matrix whose read-only rows the relation's
+:class:`FeatureVector` values view. The first offending line in file order
+decides the error, whatever its kind; a ``ts`` regression is reported once
+the whole file has been read.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (GeneratorSpecError, OutOfOrderFrame, SchemaMismatch,
-                     TraceParseError)
-from .model import BoundingBox, FeatureVector, Relation, VTuple, validate_tuple
+from .errors import (DimensionMismatch, GeneratorSpecError, OutOfOrderFrame,
+                     SchemaMismatch, TraceParseError, TupleValidationError,
+                     VaqueryError)
+from .model import (BoundingBox, FeatureVector, Relation, TRACE_SCHEMA, VTuple,
+                    validate_tuple)
+
+#: Lines decoded and checked together. Small blocks keep few decoded JSON
+#: values alive at once: larger ones raised the peak memory of a run.
+CHUNK = 64
+
+_REQUIRED = ("fid", "oid", "label", "bb", "fv")
+_fields = itemgetter(*_REQUIRED)
+_scan = json.JSONDecoder().scan_once
+_NUMBER = {int, float}
+_INT64 = np.iinfo(np.int64)
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+#: One chunk of parsed records as columns (fid, oid, label, bb, fv, ts), the
+#: file line of each record, and the error of the line that ended the chunk.
+_Chunk = tuple[list[int], Sequence[Sequence], VaqueryError | None]
 
 
-def _tuple_from_parts(fid, oid, label, bb, fv, ts, fps: float, line_no: int) -> VTuple:
+def _kind(value) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
+def _types(values) -> set:
+    return set(map(type, values))
+
+
+def _ints_fit(values) -> bool:
+    return _types(values) <= {int} and _INT64.min <= min(values) and max(values) <= _INT64.max
+
+
+def _numbers_fit(rows) -> bool:
+    """Whether every element of ``rows`` is an int or float that float64 holds."""
+    kinds = _types(chain.from_iterable(rows))
+    return kinds <= _NUMBER and (
+        int not in kinds or max(map(abs, chain.from_iterable(rows))) <= sys.float_info.max)
+
+
+def _check_id(name: str, value, line_no: int) -> None:
+    if type(value) is not int:
+        raise TraceParseError(f"{name} must be an integer, got {_kind(value)}", line_no)
+    if not _INT64.min <= value <= _INT64.max:
+        raise TraceParseError(f"{name} {value} is outside the 64-bit integer range", line_no)
+
+
+def _floats(name: str, values: list, line_no: int) -> list[float]:
+    if not _types(values) <= _NUMBER:
+        raise TraceParseError(f"{name} must be an array of numbers", line_no)
     try:
-        bb_vals = [float(v) for v in bb]
-        if len(bb_vals) != 4:
-            raise ValueError(f"bounding box needs 4 components, got {len(bb_vals)}")
-        t = VTuple(fid=int(fid), oid=int(oid), label=str(label),
-                   bb=BoundingBox(*bb_vals),
-                   fv=FeatureVector([float(v) for v in fv]),
-                   ts=float(ts) if ts is not None else int(fid) / fps)
-    except (TypeError, ValueError) as exc:
-        raise TraceParseError(str(exc), line_no) from None
-    validate_tuple(t)
-    return t
+        return [float(v) for v in values]
+    except OverflowError:
+        raise TraceParseError(f"{name} holds a number too large for a float", line_no) from None
 
 
-def _iter_jsonl(path: Path, fps: float) -> Iterator[VTuple]:
+def _decode(line: str, line_no: int) -> dict:
+    """The object on one JSONL line, decoded once by the stdlib scanner."""
+    try:
+        rec, end = _scan(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    if end != len(line):
+        try:
+            rec = json.loads(line)  # raises here; it words the error exactly as loads does
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(f"invalid JSON: {exc.msg}", line_no) from None
+    if type(rec) is not dict:
+        raise TraceParseError(f"expected a JSON object, got {_kind(rec)}", line_no)
+    return rec
+
+
+def _jsonl_record(rec: dict, line_no: int) -> tuple:
+    """Check one decoded line's fields and types; returns its record."""
+    missing = set(_REQUIRED) - rec.keys()
+    if missing:
+        raise TraceParseError(f"missing fields {sorted(missing)}", line_no)
+    fid, oid, label, bb, fv = _fields(rec)
+    ts = rec.get("ts")
+    _check_id("fid", fid, line_no)
+    _check_id("oid", oid, line_no)
+    if type(label) is not str:
+        raise TraceParseError(f"label must be a string, got {_kind(label)}", line_no)
+    if type(bb) is not list:
+        raise TraceParseError(f"bb must be an array of 4 numbers, got {_kind(bb)}", line_no)
+    if len(bb) != 4:
+        raise TraceParseError(f"bounding box needs 4 components, got {len(bb)}", line_no)
+    if type(fv) is not list:
+        raise TraceParseError(f"fv must be an array of numbers, got {_kind(fv)}", line_no)
+    if ts is not None:
+        if type(ts) not in _NUMBER:
+            raise TraceParseError(f"ts must be a number, got {_kind(ts)}", line_no)
+        ts = _floats("ts", [ts], line_no)[0]
+    return fid, oid, label, _floats("bb", bb, line_no), _floats("fv", fv, line_no), ts
+
+
+def _jsonl_chunk(lines: list[int], recs: list[dict], error: VaqueryError | None) -> _Chunk:
+    """Columns of decoded lines: checked per chunk, or per line to find a fault."""
+    if recs:
+        try:
+            cols = (*zip(*map(_fields, recs)), [rec.get("ts") for rec in recs])
+        except KeyError:
+            cols = None
+        if cols is not None:
+            fids, oids, labels, bbs, fvs, tss = cols
+            if (_ints_fit(fids) and _ints_fit(oids) and _types(labels) <= {str}
+                    and _types(bbs) <= {list} and set(map(len, bbs)) == {4}
+                    and _numbers_fit(bbs) and _types(fvs) <= {list} and _numbers_fit(fvs)
+                    and _numbers_fit([[t for t in tss if t is not None]])):
+                return lines, cols, error
+    records = []
+    for rec, line_no in zip(recs, lines):
+        try:
+            records.append(_jsonl_record(rec, line_no))
+        except TraceParseError as exc:
+            error = exc
+            break
+    return lines[:len(records)], list(zip(*records)), error
+
+
+def _jsonl_chunks(path: Path) -> Iterator[_Chunk]:
     with open(path, encoding="utf-8") as fh:
+        lines: list[int] = []
+        recs: list[dict] = []
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(f"invalid JSON: {exc.msg}", line_no) from None
-            missing = {"fid", "oid", "label", "bb", "fv"} - rec.keys()
-            if missing:
-                raise TraceParseError(f"missing fields {sorted(missing)}", line_no)
-            yield _tuple_from_parts(rec["fid"], rec["oid"], rec["label"],
-                                    rec["bb"], rec["fv"], rec.get("ts"), fps, line_no)
+                recs.append(_decode(line, line_no))
+            except TraceParseError as exc:
+                yield _jsonl_chunk(lines, recs, exc)
+                return
+            lines.append(line_no)
+            if len(recs) == CHUNK:
+                yield _jsonl_chunk(lines, recs, None)
+                lines, recs = [], []
+        if recs:
+            yield _jsonl_chunk(lines, recs, None)
 
 
-def _iter_csv(path: Path, fps: float) -> Iterator[VTuple]:
+def _csv_record(rec: list[str], line_no: int) -> tuple:
+    """Parse one CSV row's text fields, in the order their errors are reported."""
+    try:
+        bb = [float(v) for v in rec[4:8]]
+        fid, oid = int(rec[0]), int(rec[1])
+        fv = [float(v) for v in rec[8:]]
+        ts = float(rec[3]) if rec[3] != "" else None
+    except ValueError as exc:
+        raise TraceParseError(str(exc), line_no) from None
+    _check_id("fid", fid, line_no)
+    _check_id("oid", oid, line_no)
+    return fid, oid, rec[2], bb, fv, ts
+
+
+def _csv_chunks(path: Path) -> Iterator[_Chunk]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -67,13 +201,140 @@ def _iter_csv(path: Path, fps: float) -> Iterator[VTuple]:
         expected = ["fid", "oid", "label", "ts", "bb_x", "bb_y", "bb_w", "bb_h"]
         if header[:8] != expected or not all(h.startswith("fv_") for h in header[8:]):
             raise TraceParseError(f"unexpected CSV header {header[:8]}", 1)
+        lines: list[int] = []
+        records: list[tuple] = []
         for line_no, rec in enumerate(reader, start=2):
             if not rec:
                 continue
-            if len(rec) != len(header):
-                raise TraceParseError(f"expected {len(header)} fields, got {len(rec)}", line_no)
-            ts = rec[3] if rec[3] != "" else None
-            yield _tuple_from_parts(rec[0], rec[1], rec[2], rec[4:8], rec[8:], ts, fps, line_no)
+            try:
+                if len(rec) != len(header):
+                    raise TraceParseError(f"expected {len(header)} fields, got {len(rec)}",
+                                          line_no)
+                records.append(_csv_record(rec, line_no))
+            except TraceParseError as exc:
+                yield lines, list(zip(*records)), exc
+                return
+            lines.append(line_no)
+            if len(records) == CHUNK:
+                yield lines, list(zip(*records)), None
+                lines, records = [], []
+        if records:
+            yield lines, list(zip(*records)), None
+
+
+class _TraceBuilder:
+    """Checks blocks of trace records and collects them as relation rows.
+
+    Blocks arrive in file order. Each is checked with array operations for
+    what :func:`validate_tuple` demands of one tuple, for frame order and for
+    duplicate ``(fid, oid)`` keys; only the first flagged row is rebuilt as a
+    :class:`VTuple` to raise its exact error.
+    """
+
+    def __init__(self, fps: float, flip_y: float | None):
+        self.fps = fps
+        self.flip_y = flip_y
+        self.dim: int | None = None
+        self.rows: list[dict] = []
+        self.keys: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # fid, oid, ts
+        self.last_fid = -1
+        self.frame_oids = np.empty(0, dtype=np.int64)  # oids seen so far in frame last_fid
+
+    def add_records(self, chunk: _Chunk) -> None:
+        """Add parsed records; then raise the error that ended their chunk, if any."""
+        lines, cols, error = chunk
+        k = len(lines)
+        if k:
+            fids, oids, labels, bbs, fvs, tss = cols
+            if self.dim is None:
+                self.dim = len(fvs[0])
+            lengths = list(map(len, fvs))
+            if self.dim == 0 or lengths.count(self.dim) != k:
+                k = next(i for i, n in enumerate(lengths) if n != self.dim or n == 0)
+                error = self._shape_error(lines[k], *(col[k] for col in cols))
+                fids, oids, labels, bbs, fvs, tss = (col[:k] for col in cols)
+        if k:
+            fid = np.array(fids, dtype=np.int64)
+            if None in tss:
+                missing = np.array([t is None for t in tss])
+                ts = np.array([0.0 if t is None else t for t in tss], dtype=np.float64)
+                ts[missing] = fid[missing] / self.fps
+            else:
+                ts = np.array(tss, dtype=np.float64)
+            self.add(fid, np.array(oids, dtype=np.int64), labels,
+                     np.array(bbs, dtype=np.float64), np.array(fvs, dtype=np.float64), ts)
+        if error is not None:
+            raise error
+
+    def _shape_error(self, line_no: int, fid, oid, label, bb, fv, ts) -> VaqueryError:
+        """The error of a record whose feature vector does not fit the trace's dimension."""
+        t = VTuple(fid=fid, oid=oid, label=label, bb=BoundingBox(*map(float, bb)),
+                   fv=FeatureVector(fv), ts=float(ts) if ts is not None else fid / self.fps)
+        try:
+            validate_tuple(t)
+        except TupleValidationError as exc:
+            return exc
+        return DimensionMismatch(f"feature vector has {len(fv)} components where the trace's "
+                                 f"first has {self.dim} (line {line_no})")
+
+    def add(self, fid: np.ndarray, oid: np.ndarray, labels: Sequence[str], bb: np.ndarray,
+            fv: np.ndarray, ts: np.ndarray) -> None:
+        """Check a block of rows in file order and keep them.
+
+        ``fv`` becomes read-only and, under ``flip_y``, ``bb`` is flipped in place.
+        """
+        bad = ((bb[:, 2] < 0) | (bb[:, 3] < 0) | ~np.isfinite(bb).all(axis=1)
+               | ~np.isfinite(ts) | ~np.isfinite(fv).all(axis=1)
+               | (fid < 0) | (oid < 0) | (ts < 0))
+        prev = np.concatenate(([self.last_fid], fid[:-1]))
+        bad |= fid < prev
+        # duplicates: stable sort of this frame's earlier keys followed by the block
+        seen = len(self.frame_oids)
+        all_fid = np.concatenate((np.full(seen, self.last_fid), fid))
+        all_oid = np.concatenate((self.frame_oids, oid))
+        order = np.lexsort((all_oid, all_fid))
+        tie = ((all_fid[order[1:]] == all_fid[order[:-1]])
+               & (all_oid[order[1:]] == all_oid[order[:-1]]))
+        bad[order[1:][tie] - seen] = True
+        flagged = np.flatnonzero(bad)
+        if flagged.size:
+            i = int(flagged[0])
+            validate_tuple(VTuple(fid=int(fid[i]), oid=int(oid[i]), label=labels[i],
+                                  bb=BoundingBox(*bb[i].tolist()), fv=FeatureVector(fv[i]),
+                                  ts=float(ts[i])))
+            if fid[i] < prev[i]:
+                raise OutOfOrderFrame(f"frame {int(fid[i])} arrives after frame {int(prev[i])}")
+            if np.any((all_fid[:seen + i] == fid[i]) & (all_oid[:seen + i] == oid[i])):
+                raise OutOfOrderFrame(f"duplicate (fid, oid) = ({int(fid[i])}, {int(oid[i])})")
+            raise AssertionError(f"row {i} of a block flagged but passes every check")
+        if self.flip_y is not None:
+            bb[:, 1] = self.flip_y - bb[:, 1] - bb[:, 3]
+        fv.setflags(write=False)
+        self.rows.extend({"fid": f, "oid": o, "label": lab, "bb": BoundingBox(*box),
+                          "fv": FeatureVector(vec), "ts": t}
+                         for f, o, lab, box, vec, t
+                         in zip(fid.tolist(), oid.tolist(), labels, bb.tolist(), fv,
+                                ts.tolist()))
+        self.keys.append((fid, oid, ts))
+        self.last_fid = int(fid[-1])
+        self.frame_oids = all_oid[all_fid == self.last_fid]
+
+    def relation(self, source_id: str) -> Relation:
+        """The rows in canonical (fid, oid) order, once ``ts`` is checked in that order."""
+        rows = self.rows
+        if not rows:
+            return Relation(TRACE_SCHEMA, (), source_id)
+        fid, oid, ts = (np.concatenate(col) for col in zip(*self.keys))
+        order = np.lexsort((oid, fid))
+        if np.any(order[1:] < order[:-1]):
+            rows = [rows[i] for i in order]
+            ts = ts[order]
+        back = np.flatnonzero(ts[1:] < ts[:-1])
+        if back.size:
+            prev, cur = rows[back[0]], rows[back[0] + 1]
+            raise OutOfOrderFrame(
+                f"ts regresses from {prev['ts']} to {cur['ts']} at fid {cur['fid']}")
+        return Relation(TRACE_SCHEMA, tuple(rows), source_id)
 
 
 def read_trace(path: str | Path, fps: float = 30.0, source_id: str | None = None,
@@ -87,31 +348,11 @@ def read_trace(path: str | Path, fps: float = 30.0, source_id: str | None = None
     lower-left corner becomes ``flip_y - y - h``.
     """
     path = Path(path)
-    it = _iter_csv(path, fps) if path.suffix.lower() == ".csv" else _iter_jsonl(path, fps)
-    if flip_y is not None:
-        it = (VTuple(fid=t.fid, oid=t.oid, label=t.label,
-                     bb=BoundingBox(t.bb.x, flip_y - t.bb.y - t.bb.h, t.bb.w, t.bb.h),
-                     fv=t.fv, ts=t.ts) for t in it)
-    tuples: list[VTuple] = []
-    frame: list[VTuple] = []
-    last_fid = -1
-    seen: set[tuple[int, int]] = set()
-    for t in it:
-        if t.fid < last_fid:
-            raise OutOfOrderFrame(f"frame {t.fid} arrives after frame {last_fid}")
-        if (t.fid, t.oid) in seen:
-            raise OutOfOrderFrame(f"duplicate (fid, oid) = ({t.fid}, {t.oid})")
-        seen.add((t.fid, t.oid))
-        if t.fid != last_fid:
-            tuples.extend(sorted(frame, key=lambda x: x.oid))
-            frame = []
-            last_fid = t.fid
-        frame.append(t)
-    tuples.extend(sorted(frame, key=lambda x: x.oid))
-    for prev, cur in zip(tuples, tuples[1:]):
-        if cur.ts < prev.ts:
-            raise OutOfOrderFrame(f"ts regresses from {prev.ts} to {cur.ts} at fid {cur.fid}")
-    return Relation.from_tuples(tuples, source_id or path.stem)
+    chunks = _csv_chunks(path) if path.suffix.lower() == ".csv" else _jsonl_chunks(path)
+    builder = _TraceBuilder(fps, flip_y)
+    for chunk in chunks:
+        builder.add_records(chunk)
+    return builder.relation(source_id or path.stem)
 
 
 def write_trace(rel: Relation, path: str | Path) -> None:
@@ -239,18 +480,38 @@ def generate(spec: SynthSpec, seed: int) -> Relation:
             v = rng.uniform(0.1, 1.0, size=spec.fv_dim)
             bases[obj.oid] = v
 
-    tuples: list[VTuple] = []
-    for obj in spec.objects:
+    visits = [(obj, lo, hi) for obj in spec.objects for lo, hi in obj.intervals]
+    if not visits:
+        return Relation(TRACE_SCHEMA, (), "synthetic")
+    dims = sorted({bases[obj.oid].size for obj, _, _ in visits})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"generated feature vectors differ in dimension: {dims}")
+    fid = np.concatenate([np.arange(lo, hi, dtype=np.int64) for _, lo, hi in visits])
+    oid = np.concatenate([np.full(hi - lo, obj.oid, dtype=np.int64) for obj, lo, hi in visits])
+    ts = fid / spec.fps
+    order = np.lexsort((oid, fid, ts))
+    at = np.empty_like(order)  # canonical position of each generated tuple
+    at[order] = np.arange(len(order))
+    # each visit's values are drawn in generation order and written to their
+    # canonical rows; one draw per visit takes the same values as one per frame
+    fv = np.empty((len(fid), dims[0]))
+    bb = np.empty((len(fid), 4))
+    start = 0
+    for obj, lo, hi in visits:
+        rows, frames = at[start:start + hi - lo], fid[start:start + hi - lo]
         base = bases[obj.oid]
+        fv[rows] = base + (rng.normal(0.0, obj.noise, size=(hi - lo, base.size))
+                           if obj.noise else 0.0)
         x0, y0, w, h = obj.start_bb
-        for lo, hi in obj.intervals:
-            for fid in range(lo, hi):
-                fv = base + (rng.normal(0.0, obj.noise, size=base.size) if obj.noise else 0.0)
-                tuples.append(VTuple(
-                    fid=fid, oid=obj.oid, label=obj.label,
-                    bb=BoundingBox(x0 + obj.velocity[0] * fid, y0 + obj.velocity[1] * fid, w, h),
-                    fv=FeatureVector(fv), ts=fid / spec.fps))
-    tuples.sort(key=lambda t: (t.ts, t.fid, t.oid))
-    for t in tuples:
-        validate_tuple(t)
-    return Relation.from_tuples(tuples, "synthetic")
+        bb[rows, 0] = x0 + obj.velocity[0] * frames
+        bb[rows, 1] = y0 + obj.velocity[1] * frames
+        bb[rows, 2:] = (w, h)
+        start += hi - lo
+    labels = [obj.label for obj, lo, hi in visits for _ in range(lo, hi)]
+    labels = [labels[i] for i in order]
+    fid, oid, ts = fid[order], oid[order], ts[order]
+    builder = _TraceBuilder(spec.fps, None)
+    for lo in range(0, len(fid), CHUNK):
+        hi = lo + CHUNK
+        builder.add(fid[lo:hi], oid[lo:hi], labels[lo:hi], bb[lo:hi], fv[lo:hi], ts[lo:hi])
+    return builder.relation("synthetic")

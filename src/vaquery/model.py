@@ -62,7 +62,7 @@ class FeatureVector:
         return int(self.values.size)
 
     def as_list(self) -> list[float]:
-        return [float(v) for v in self.values]
+        return self.values.tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureVector):

@@ -127,6 +127,13 @@ _CMP_FUNCS: dict[str, Callable[[Any, Any], bool]] = {
 _ORDERED_OPS = {"<", "<=", ">", ">="}
 
 
+def ordered_check(op: str, column: str, schema: Schema) -> None:
+    """Reject ``<``, ``<=``, ``>`` and ``>=`` on a column that is not numeric."""
+    kind = schema.kind_of(column)
+    if op in _ORDERED_OPS and kind is not ColumnKind.SCALAR_NUMERIC:
+        raise IllegalColumnKind(op, schema.resolve(column), kind.name)
+
+
 class Predicate:
     """Base for the predicates of select(), decided as one mask per window."""
 
@@ -160,12 +167,8 @@ class Comparison(Predicate):
 
     def check(self, schema: Schema) -> None:
         kind_check("compare", self.column, schema)
-        if self.op not in _ORDERED_OPS:
-            return
-        if schema.kind_of(self.column) is not ColumnKind.SCALAR_NUMERIC:
-            raise IllegalColumnKind(self.op, schema.resolve(self.column),
-                                    schema.kind_of(self.column).name)
-        if not isinstance(self.value, Real):
+        ordered_check(self.op, self.column, schema)
+        if self.op in _ORDERED_OPS and not isinstance(self.value, Real):
             raise SchemaMismatch(f"{self.op!r} compares numeric column "
                                  f"{schema.resolve(self.column)!r} with non-numeric {self.value!r}")
 

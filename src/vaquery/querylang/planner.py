@@ -21,7 +21,7 @@ from ..errors import SchemaMismatch, UnknownColumn, UnknownIdentifier
 from ..model import Column, ColumnKind, FeatureVector, Schema, kind_check
 from ..operators import (And, BBoxTest, BBPattern, CctOption, Comparison, Not,
                          Or, Predicate, ScalarPairPredicate, SMatchProbe,
-                         equi_join_schema)
+                         equi_join_schema, ordered_check)
 from ..similarity import MatchCondition, Metric
 from ..windows import WHOLE_STREAM, WindowSpec
 from . import nodes as ast
@@ -418,6 +418,7 @@ class _Planner:
                                      f"with {pr} ({rkind.name})")
             if off and lkind is not ColumnKind.SCALAR_NUMERIC:
                 raise SchemaMismatch(f"join condition adds an offset to {pl} ({lkind.name})")
+            ordered_check(op, pl.name, left.node.schema)
             extras.append(ScalarPairPredicate(left.node.schema.resolve(pl.name), op,
                                               right.node.schema.resolve(pr.name), off))
 

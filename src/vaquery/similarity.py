@@ -83,6 +83,9 @@ def smatch(cond: MatchCondition, a: FeatureVector, b: FeatureVector) -> tuple[bo
 #: Equal unit rows are looked for only once a cosine score passes 1 - gate;
 #: a d-dimensional dot product is off by about d * 1e-16, far less than this.
 _EQUAL_GATE = 1e-6
+#: Elements of one block of euclidean differences: a slice of left rows is
+#: differenced against all of ``right`` at once, in blocks of at most this size.
+_DIFF_ELEMENTS = 1 << 16
 
 
 def normalized_matrix(vectors: list[FeatureVector]) -> np.ndarray:
@@ -109,9 +112,15 @@ def scores_against(cond: MatchCondition, left: np.ndarray, right: np.ndarray) ->
         raise DimensionMismatch(
             f"feature vectors differ in dimension: {left.shape[1]} vs {right.shape[1]}")
     if cond.metric is Metric.EUCLIDEAN:
-        # direct differences: an equal row subtracts to exactly zero
-        dist = np.array([np.linalg.norm(right - row, axis=1) for row in left])
-        return np.clip(dist.reshape(len(left), len(right)) / 2.0, 0.0, 1.0)
+        # direct differences, summed as np.linalg.norm sums them: an equal
+        # row subtracts to exactly zero
+        dist = np.empty((len(left), len(right)))
+        step = max(1, _DIFF_ELEMENTS // max(1, right.size))
+        for lo in range(0, len(left), step):
+            diff = right[None] - left[lo:lo + step, None]
+            np.multiply(diff, diff, out=diff)
+            np.add.reduce(diff, axis=2, out=dist[lo:lo + step])
+        return np.clip(np.sqrt(dist) / 2.0, 0.0, 1.0)
     scores = np.clip(left @ right.T, 0.0, 1.0)
     if scores.size and scores.max() > 1.0 - _EQUAL_GATE:
         ids = np.unique(np.concatenate([left, right]), axis=0, return_inverse=True)[1].reshape(-1)

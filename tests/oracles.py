@@ -1,13 +1,24 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately naive pure Python (math module only, no
-numpy) so the oracles share no code path with the package.
+Most oracles here are deliberately naive pure Python (math module only, no
+numpy) so they share no code path with the package. Two keep an earlier
+per-row implementation as the reference for the block version that replaced
+it: :func:`euclidean_scores_oracle` (the per-row euclidean loop) and
+:func:`read_trace_oracle` (the tuple-at-a-time trace reader).
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+from pathlib import Path
 from typing import Sequence
+
+import numpy as np
+
+from vaquery.errors import OutOfOrderFrame, TraceParseError
+from vaquery.model import BoundingBox, FeatureVector, Relation, VTuple, validate_tuple
 
 
 def cosine_oracle(a: Sequence[float], b: Sequence[float]) -> float:
@@ -172,3 +183,102 @@ def windows_containing_oracle(key: float, origin: float, size: float,
         if start <= key < start + size:
             out.append(i)
     return out
+
+
+def euclidean_scores_oracle(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Unit euclidean scores of unit rows, one left row at a time."""
+    dist = np.array([np.linalg.norm(right - row, axis=1) for row in left])
+    return np.clip(dist.reshape(len(left), len(right)) / 2.0, 0.0, 1.0)
+
+
+_JSON_KINDS = {list: "an array", str: "a string", int: "an integer", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def _tuple_from_parts(fid, oid, label, bb, fv, ts, fps: float, line_no: int) -> VTuple:
+    try:
+        bb_vals = [float(v) for v in bb]
+        if len(bb_vals) != 4:
+            raise ValueError(f"bounding box needs 4 components, got {len(bb_vals)}")
+        t = VTuple(fid=int(fid), oid=int(oid), label=str(label),
+                   bb=BoundingBox(*bb_vals),
+                   fv=FeatureVector([float(v) for v in fv]),
+                   ts=float(ts) if ts is not None else int(fid) / fps)
+    except (TypeError, ValueError) as exc:
+        raise TraceParseError(str(exc), line_no) from None
+    validate_tuple(t)
+    return t
+
+
+def _iter_jsonl(path: Path, fps: float):
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(f"invalid JSON: {exc.msg}", line_no) from None
+            if not isinstance(rec, dict):
+                raise TraceParseError(f"expected a JSON object, got {_JSON_KINDS[type(rec)]}",
+                                      line_no)
+            missing = {"fid", "oid", "label", "bb", "fv"} - rec.keys()
+            if missing:
+                raise TraceParseError(f"missing fields {sorted(missing)}", line_no)
+            yield _tuple_from_parts(rec["fid"], rec["oid"], rec["label"],
+                                    rec["bb"], rec["fv"], rec.get("ts"), fps, line_no)
+
+
+def _iter_csv(path: Path, fps: float):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return
+        expected = ["fid", "oid", "label", "ts", "bb_x", "bb_y", "bb_w", "bb_h"]
+        if header[:8] != expected or not all(h.startswith("fv_") for h in header[8:]):
+            raise TraceParseError(f"unexpected CSV header {header[:8]}", 1)
+        for line_no, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != len(header):
+                raise TraceParseError(f"expected {len(header)} fields, got {len(rec)}", line_no)
+            ts = rec[3] if rec[3] != "" else None
+            yield _tuple_from_parts(rec[0], rec[1], rec[2], rec[4:8], rec[8:], ts, fps, line_no)
+
+
+def read_trace_oracle(path, fps: float = 30.0, source_id: str | None = None,
+                      flip_y: float | None = None) -> Relation:
+    """Read a trace one tuple at a time: parse, validate, then check order.
+
+    Fields are coerced with ``int``/``float``/``str`` whatever their JSON
+    type, and feature-vector lengths are not compared with each other.
+    """
+    path = Path(path)
+    it = _iter_csv(path, fps) if path.suffix.lower() == ".csv" else _iter_jsonl(path, fps)
+    if flip_y is not None:
+        it = (VTuple(fid=t.fid, oid=t.oid, label=t.label,
+                     bb=BoundingBox(t.bb.x, flip_y - t.bb.y - t.bb.h, t.bb.w, t.bb.h),
+                     fv=t.fv, ts=t.ts) for t in it)
+    tuples: list[VTuple] = []
+    frame: list[VTuple] = []
+    last_fid = -1
+    seen: set[tuple[int, int]] = set()
+    for t in it:
+        if t.fid < last_fid:
+            raise OutOfOrderFrame(f"frame {t.fid} arrives after frame {last_fid}")
+        if (t.fid, t.oid) in seen:
+            raise OutOfOrderFrame(f"duplicate (fid, oid) = ({t.fid}, {t.oid})")
+        seen.add((t.fid, t.oid))
+        if t.fid != last_fid:
+            tuples.extend(sorted(frame, key=lambda x: x.oid))
+            frame = []
+            last_fid = t.fid
+        frame.append(t)
+    tuples.extend(sorted(frame, key=lambda x: x.oid))
+    for prev, cur in zip(tuples, tuples[1:]):
+        if cur.ts < prev.ts:
+            raise OutOfOrderFrame(f"ts regresses from {prev.ts} to {cur.ts} at fid {cur.fid}")
+    return Relation.from_tuples(tuples, source_id or path.stem)

@@ -242,10 +242,12 @@ JOIN_EXTRA = ('SELECT AR1.oid, AR2.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
     ("parse-check", ORDERED_STRING.replace("<", ">="), [], 2, "SCHEMA_MISMATCH"),
     ("run", JOIN_EXTRA + "AR1.label < AR2.ts", [], 2, "SCHEMA_MISMATCH"),
     ("run", JOIN_EXTRA + "AR1.label + 5 = AR2.label", [], 2, "SCHEMA_MISMATCH"),
+    ("run", JOIN_EXTRA + "AR1.label < AR2.label", [], 2, "ILLEGAL_COLUMN_KIND"),
+    ("run", Q2, ["--trace", "[1, 2]\n"], 3, "PARSE_ERROR"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
         "window-inf-hop", "missing-query", "config-value", "config-json", "quantum-zero",
         "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
-        "join-extra-offset-on-label"])
+        "join-extra-offset-on-label", "join-extra-ordered-label", "trace-non-object"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -253,6 +255,10 @@ def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
         cfg = tmp_path / "engine.cfg"
         cfg.write_text(extra[1])
         extra = ["--engine-config", str(cfg)]
+    if extra[:1] == ["--trace"]:  # a trace file with the given text
+        trace_file = tmp_path / "bad.jsonl"
+        trace_file.write_text(extra[1])
+        extra = []
     args = [command, "--query", str(qpath)]
     if command == "run":
         args += ["--trace", str(trace_file)] + extra

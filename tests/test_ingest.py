@@ -1,14 +1,18 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vaquery.errors import (GeneratorSpecError, OutOfOrderFrame,
-                            SchemaMismatch, TraceParseError)
-from vaquery.ingest import (ObjectSpec, SynthSpec, concat_traces, generate,
+from vaquery.errors import (DimensionMismatch, GeneratorSpecError, OutOfOrderFrame,
+                            SchemaMismatch, TraceParseError, TupleValidationError,
+                            VaqueryError)
+from vaquery.ingest import (CHUNK, ObjectSpec, SynthSpec, concat_traces, generate,
                             read_trace, write_trace)
 from vaquery.model import Relation, TRACE_SCHEMA
 from vaquery.operators import CctOption, Direction8, cct, direction, r2a
-from oracles import split_runs_oracle
+from oracles import read_trace_oracle, split_runs_oracle
 
 
 def write_jsonl(path, records):
@@ -248,3 +252,224 @@ def test_flip_y_reverses_vertical_direction(tmp_path):
     assert direction(down_in_screen) == [(1, Direction8.N)]
     flipped = r2a(read_trace(path, flip_y=480.0), "oid", "fid")
     assert direction(flipped) == [(1, Direction8.S)]
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "3", '"x"', "null"])
+def test_non_object_line_is_a_parse_error(tmp_path, line):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"fid": 1, "oid": 1, "label": "x", "bb": [1, 1, 1, 1], "fv": [1]}\n'
+                    + line + "\n")
+    with pytest.raises(TraceParseError) as exc:
+        read_trace(path)
+    assert exc.value.code == "PARSE_ERROR" and exc.value.line == 2
+    assert "expected a JSON object" in str(exc.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fv", "12"), ("fv", [1, True]), ("bb", "1234"), ("bb", [1, 2, "3", 4]),
+    ("label", None), ("label", 5), ("fid", 1.7), ("fid", "1"), ("oid", True),
+    ("ts", "0.5"), ("ts", False), ("fid", 2 ** 63), ("fv", [1, 10 ** 400]),
+])
+def test_json_fields_keep_their_types(tmp_path, field, value):
+    good = {"fid": 1, "oid": 1, "label": "x", "bb": [1, 1, 1, 1], "fv": [1, 2]}
+    path = tmp_path / "t.jsonl"
+    write_jsonl(path, [good, {**good, "fid": 2, field: value}])
+    with pytest.raises(TraceParseError) as exc:
+        read_trace(path)
+    assert exc.value.code == "PARSE_ERROR" and exc.value.line == 2
+    assert field in str(exc.value)
+
+
+def test_null_ts_counts_as_absent(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_jsonl(path, [{"fid": 3, "oid": 1, "label": "x", "bb": [1, 1, 1, 1], "fv": [1],
+                        "ts": None}])
+    assert read_trace(path, fps=8.0).rows[0]["ts"] == 3 / 8.0
+
+
+def test_feature_dimension_must_not_change(tmp_path):
+    rec = {"fid": 1, "oid": 1, "label": "x", "bb": [1, 1, 1, 1], "fv": [1, 2]}
+    path = tmp_path / "t.jsonl"
+    write_jsonl(path, [rec, {**rec, "oid": 2}, {**rec, "oid": 3, "fv": [1, 2, 3]}])
+    with pytest.raises(DimensionMismatch) as exc:
+        read_trace(path)
+    assert exc.value.code == "DIMENSION_MISMATCH" and "(line 3)" in str(exc.value)
+
+
+@pytest.mark.parametrize("first, second, error", [
+    # (fault, its line) pairs: the earlier line decides, whatever the kinds
+    (("dup", 3), ("json", 4), OutOfOrderFrame),
+    (("nan", 3), ("dup", 4), TupleValidationError),
+    (("json", 3), ("nan", 4), TraceParseError),
+    (("dup", CHUNK + 1), ("json", CHUNK + 2), OutOfOrderFrame),
+    (("nan", CHUNK + 1), ("dup", CHUNK + 2), TupleValidationError),
+    (("dim", 5), ("dup", 6), DimensionMismatch),
+    (("dup", 5), ("dim", 6), OutOfOrderFrame),
+])
+def test_first_offending_line_decides(tmp_path, first, second, error):
+    recs = [{"fid": i, "oid": 1, "label": "x", "bb": [1, 1, 1, 1], "fv": [1, 2]}
+            for i in range(2 * CHUNK)]
+    lines = [json.dumps(r) for r in recs]
+    for fault, line_no in (first, second):
+        i = line_no - 1
+        if fault == "dup":
+            recs[i]["fid"] = recs[i - 1]["fid"]
+        elif fault == "nan":
+            recs[i]["bb"][0] = float("nan")
+        elif fault == "dim":
+            recs[i]["fv"] = [1, 2, 3]
+        lines[i] = "{not json" if fault == "json" else json.dumps(recs[i])
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error):
+        read_trace(path)
+
+
+def test_rows_view_read_only_feature_blocks(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_jsonl(path, [{"fid": i, "oid": 1, "label": "x", "bb": [1, 1, 1, 1], "fv": [i, 1.5]}
+                       for i in range(3)])
+    rows = read_trace(path).rows
+    values = [r["fv"].values for r in rows]
+    assert not any(v.flags.writeable for v in values)
+    assert values[0].base is values[2].base
+    assert rows[2]["fv"].as_list() == [2.0, 1.5]
+    assert all(type(v) is float for v in rows[2]["fv"].as_list())
+
+
+def test_generate_draws_the_same_noise_as_one_draw_per_frame():
+    spec = SynthSpec(frames=40, fps=8.0, fv_dim=6, objects=(
+        ObjectSpec(1, "person", (0, 0, 2, 2), noise=0.1, intervals=((0, 9), (20, 31))),
+        ObjectSpec(2, "car", (5, 5, 2, 2), noise=0.3, intervals=((3, 40),)),
+    ))
+    rng = np.random.default_rng(11)
+    bases = {o.oid: rng.uniform(0.1, 1.0, size=6) for o in spec.objects}
+    expected = {(fid, o.oid): bases[o.oid] + rng.normal(0.0, o.noise, size=6)
+                for o in spec.objects for lo, hi in o.intervals for fid in range(lo, hi)}
+    rows = generate(spec, 11).rows
+    assert len(rows) == len(expected)
+    for r in rows:
+        assert np.array_equal(r["fv"].values, expected[(r["fid"], r["oid"])])
+
+
+# --- differential test against the tuple-at-a-time reader -------------------
+
+_FAULTS = ("none", "bad_json", "missing_key", "non_object", "bb3", "nonfinite",
+           "negative", "out_of_order", "duplicate", "ts_regression", "fv_len", "type")
+#: 0-based fault positions at and around the chunk boundaries; None is anywhere
+_NEAR = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, None)
+
+
+def _records(rng, n, dim):
+    recs, fid = [], 0
+    while len(recs) < n:
+        for oid in rng.permutation(int(rng.integers(1, 5))).tolist():
+            rec = {"fid": fid, "oid": oid, "label": ["person", "car"][oid % 2],
+                   "bb": [round(float(v), 3) for v in rng.uniform(-50, 50, 2)]
+                   + [round(float(v), 3) for v in rng.uniform(0, 20, 2)],
+                   "fv": [float(v) for v in rng.normal(size=dim)]}
+            if rng.random() < 0.5:  # a line without ts takes fid / fps
+                rec["ts"] = fid / 8.0 + oid / 1024
+            recs.append(rec)
+        fid += int(rng.integers(1, 3))
+    return recs[:n]
+
+
+def _inject(rng, recs, i, fault, csv_format):
+    """Apply one fault to record ``i``; returns the line text to use instead, if any."""
+    rec, prev = recs[i], recs[i - 1] if i else None
+    if fault == "bad_json":
+        return rng.choice(["{not json", json.dumps(rec)[:-1], json.dumps(rec) + " x"])
+    if fault == "missing_key":
+        del rec[str(rng.choice(["fid", "oid", "label", "bb", "fv"]))]
+    elif fault == "non_object":
+        return rng.choice(["[1, 2]", "3", '"x"'])
+    elif fault == "bb3":
+        rec["bb"] = rec["bb"][:3]
+    elif fault == "nonfinite":
+        value = float(rng.choice([np.nan, np.inf, -np.inf]))
+        where = rng.choice(["bb", "fv", "ts"])
+        if where == "ts":
+            rec["ts"] = value
+        else:
+            rec[where][int(rng.integers(len(rec[where])))] = value
+    elif fault == "negative":
+        where = rng.choice(["w", "h", "fid", "oid", "ts"])
+        if where in ("w", "h"):
+            rec["bb"][2 if where == "w" else 3] = -1.5
+        else:
+            rec[where] = -1 if where != "ts" else -0.5
+    elif fault == "out_of_order" and prev is not None and prev["fid"] > 0:
+        rec["fid"] = prev["fid"] - 1
+    elif fault == "duplicate" and prev is not None:
+        rec["fid"], rec["oid"] = prev["fid"], prev["oid"]
+    elif fault == "ts_regression":
+        rec["ts"] = rec["fid"] / 8.0 - 0.2
+    elif fault == "fv_len":
+        rec["fv"] = rec["fv"] + [0.5] if rng.random() < 0.5 else rec["fv"][:-1]
+    elif fault == "type" and not csv_format:
+        field, value = [("fid", float(rec["fid"])), ("oid", True), ("label", None),
+                        ("bb", "1234"), ("fv", "12"), ("ts", "0.5")][int(rng.integers(6))]
+        rec[field] = value
+    return None
+
+
+def _write_csv(path, recs, dim, texts):
+    header = ["fid", "oid", "label", "ts", "bb_x", "bb_y", "bb_w", "bb_h"] \
+        + [f"fv_{k}" for k in range(dim)]
+    lines = [",".join(header)]
+    for rec, text in zip(recs, texts):
+        if text is not None:  # unparsable JSON becomes an unparsable number
+            lines.append(",".join(["x", "1", "car", ""] + ["1"] * (4 + dim)))
+            continue
+        fields = [rec.get("fid", ""), rec.get("oid", ""), rec.get("label", ""),
+                  rec.get("ts", "")] + list(rec.get("bb", [])) + list(rec.get("fv", []))
+        lines.append(",".join(str(f) for f in fields))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _outcome(read, path, flip_y):
+    try:
+        rel = read(path, fps=8.0, flip_y=flip_y)
+    except VaqueryError as exc:
+        return ("error", type(exc), exc.code, str(exc), getattr(exc, "line", None))
+    return ("rows", [repr((r["fid"], r["oid"], r["label"], r["bb"].as_list(),
+                           r["fv"].as_list(), r["ts"])) for r in rel.rows])
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dim=st.integers(1, 3),
+       fault=st.sampled_from(_FAULTS),
+       near=st.sampled_from(_NEAR),
+       csv_format=st.booleans(),
+       flip_y=st.sampled_from([None, 480.0]))
+def test_reader_matches_tuple_at_a_time_oracle(tmp_path_factory, seed, dim, fault, near,
+                                               csv_format, flip_y):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 2 * CHUNK + 3)) if rng.random() < 0.3 else 2 * CHUNK + 2
+    recs = _records(rng, n, dim)
+    i = int(rng.integers(n)) if near is None else min(near, n - 1)
+    texts = [None] * n
+    if fault != "none":
+        texts[i] = _inject(rng, recs, i, fault, csv_format)
+    path = tmp_path_factory.mktemp("trace") / ("t.csv" if csv_format else "t.jsonl")
+    if csv_format:
+        _write_csv(path, recs, dim, texts)
+    else:
+        path.write_text("".join((t if t is not None else json.dumps(r)) + "\n"
+                                for r, t in zip(recs, texts)))
+    got = _outcome(read_trace, path, flip_y)
+    expected = _outcome(read_trace_oracle, path, flip_y)
+    line = i + 2 if csv_format else i + 1
+    if fault == "type" and not csv_format:
+        # fields keep their JSON types where the tuple-at-a-time reader coerced them
+        assert got[:3] == ("error", TraceParseError, "PARSE_ERROR") and got[4] == line
+    elif fault == "fv_len" and not csv_format and recs[i]["fv"] and n > 1:
+        # one feature dimension per trace, set by the first line
+        lengths = [len(r["fv"]) for r in recs]
+        first = next(k for k, m in enumerate(lengths) if m != lengths[0])
+        assert got[:3] == ("error", DimensionMismatch, "DIMENSION_MISMATCH")
+        assert got[3].endswith(f"(line {first + 1})")
+    else:
+        assert got == expected

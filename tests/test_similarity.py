@@ -1,10 +1,11 @@
 import math
 
 import pytest
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cosine_oracle, euclidean_unit_oracle
+from oracles import cosine_oracle, euclidean_scores_oracle, euclidean_unit_oracle
 from vaquery.errors import DimensionMismatch, ZeroVector
 from vaquery.model import FeatureVector
 from vaquery.similarity import (MatchCondition, MatchPolarity, Metric,
@@ -172,3 +173,20 @@ def test_batched_scores_match_oracle():
 def test_batched_zero_vector_rejected():
     with pytest.raises(ZeroVector):
         normalized_matrix([fv([0.0, 0.0])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40), st.integers(0, 40),
+       st.sampled_from([1, 3, 16, 128, 2000]))
+def test_euclidean_blocks_match_the_per_row_loop_bit_for_bit(seed, n, m, dim):
+    # 2000-d rows put one left row per block; small ones many
+    rng = np.random.default_rng(seed)
+    left, right = (normalized_matrix([fv(v) for v in rng.normal(size=(k, dim))]) if k
+                   else np.zeros((0, dim)) for k in (n, m))
+    if n and m:
+        right[m // 2] = left[n // 2]
+    got = scores_against(MatchCondition(Metric.EUCLIDEAN, 0.5), left, right)
+    assert got.shape == (n, m)
+    assert np.array_equal(got, euclidean_scores_oracle(left, right))
+    if n and m:
+        assert got[n // 2, m // 2] == 0.0
