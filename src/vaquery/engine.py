@@ -1,12 +1,14 @@
 """Pipeline execution engine.
 
 A query plan is instantiated as one stage per plan node, connected by
-bounded FIFO queues. Source stages feed tuples (optionally rate-throttled,
-in timestamp order); window stages close windows as the watermark advances;
-per-window stages transform whole window payloads. A cooperative round-robin
-scheduler grants each stage a bounded quantum of items per pass, so results
-are a function of the plan and the input traces only — feed rates and
-quantum sizes change scheduling, never output.
+bounded FIFO queues. Source stages release their trace as row ranges of at
+most ``quantum`` rows (optionally rate-throttled, in timestamp order);
+window stages close windows as the watermark advances, each window a
+zero-copy slice of the trace; per-window stages transform whole window
+payloads. A cooperative round-robin scheduler grants each stage a bounded
+quantum of items per pass, so results are a function of the plan and the
+input traces only — feed rates and quantum sizes change scheduling, never
+output.
 
 Binary stages (joins) pair windows from their two inputs by window index;
 window managers emit every index in order (gaps as empty windows), which
@@ -22,7 +24,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, QueueStall, SchemaMismatch
 from .model import Arrable, BoundingBox, FeatureVector, Relation, Schema
@@ -34,7 +38,7 @@ from .querylang.planner import (AggregateNode, CctNode, DirectionNode,
                                 QueryPlan, R2ANode, SelectNode, SourceNode,
                                 WindowNode, _gba_of)
 from .operators import r2a as r2a_op
-from .windows import WindowKind, WindowManager, WindowSpec
+from .windows import WindowKind, WindowManager, WindowSpec, check_span
 
 _EOS = ("eos",)
 
@@ -178,14 +182,6 @@ class OpStats:
                 "total_wall_seconds": self.total_wall_seconds}
 
 
-def _payload_size(payload) -> int:
-    if isinstance(payload, Relation):
-        return len(payload.rows)
-    if isinstance(payload, Arrable):
-        return payload.element_count()
-    return len(payload)
-
-
 class _Stage:
     """One operator instance; owns its state, never runs concurrently with itself.
 
@@ -244,7 +240,7 @@ class _Stage:
 
     def _apply(self, idx: int, *payloads) -> None:
         """Transform one window with ``self._fn``, timed, and record its stats."""
-        self.stats.tuples_in += sum(_payload_size(p) for p in payloads)
+        self.stats.tuples_in += sum(p.element_count() for p in payloads)
         started = time.monotonic()
         result = self._fn(*payloads)
         elapsed = time.monotonic() - started
@@ -252,7 +248,7 @@ class _Stage:
         self.stats.window_wall[idx] = self.stats.window_wall.get(idx, 0.0) + elapsed
         if self.counter is not None:
             self.stats.smatch_comparisons = self.counter.count
-        self.stats.tuples_out += _payload_size(result)
+        self.stats.tuples_out += result.element_count()
         self._emit(("win", idx, result))
 
     def step(self, quantum: int) -> int:
@@ -264,19 +260,19 @@ class _Stage:
 
 
 class _SourceStage(_Stage):
-    """Feeds one trace's rows, at most ``rate`` per second when throttled."""
+    """Releases one trace as row ranges, at most ``rate`` rows per second when throttled."""
 
     def __init__(self, name: str, output: _Queue, rate: float, ordinal: int):
         super().__init__(name, [], output)
         self.ordinal = ordinal
-        self.rows: Iterator = iter(())
+        self.relation = Relation(Schema(()), {})
         self.waiting_on_time = False
         self._rate = rate
         self._started: float | None = None
 
     def _take(self, quantum: int) -> int:
         self.waiting_on_time = False
-        if self._eos_sent:
+        if self._eos_sent or not self._has_room():
             return 0
         if self._started is None:
             self._started = time.monotonic()
@@ -288,40 +284,43 @@ class _SourceStage(_Stage):
             if budget <= 0:
                 self.waiting_on_time = True
                 return 0
-        taken = 0
-        while taken < budget and self._has_room():
-            row = next(self.rows, None)
-            if row is None:
-                self._emit(_EOS)
-                break
-            self.stats.tuples_in += 1
-            self.stats.tuples_out += 1
-            self._emit(("row", row))
-            taken += 1
-        return taken
+        lo = self.stats.tuples_in
+        hi = min(lo + budget, len(self.relation))
+        if hi > lo:
+            self.stats.tuples_in = self.stats.tuples_out = hi
+            self._emit(("rows", self.relation, lo, hi))
+        if hi == len(self.relation):
+            self._emit(_EOS)
+        return hi - lo
 
 
 class _WindowStage(_Stage):
-    def __init__(self, name: str, inp: _Queue, output: _Queue, spec: WindowSpec,
-                 schema: Schema):
+    """Assigns released row ranges to windows; each closed window is a slice of the trace."""
+
+    def __init__(self, name: str, inp: _Queue, output: _Queue, spec: WindowSpec):
         super().__init__(name, [inp], output)
         self._manager = WindowManager(spec)
         self._by_time = spec.kind is WindowKind.TIME
-        self._schema = schema
+        self._relation: Relation | None = None
 
     def _emit_closed(self, closed) -> None:
         for win, rows in closed:
             self.stats.tuples_out += len(rows)
-            self._emit(("win", win.index, Relation(self._schema, tuple(rows))))
+            self._emit(("win", win.index, self._relation.take(slice(rows.start, rows.stop))))
 
     def on_item(self, side: int, item) -> None:
-        _, row = item
-        # a tuple window's key is the row's ordinal, i.e. tuples_in before it
-        key = row["ts"] if self._by_time else self.stats.tuples_in
-        self.stats.tuples_in += 1
-        self._manager.add(key, row)
-        watermark = row["ts"] if self._by_time else self.stats.tuples_in
-        self._emit_closed(self._manager.close_windows(watermark))
+        _, rel, lo, hi = item
+        if self._by_time:
+            keys, last = rel.column("ts")[lo:hi], rel.column("ts")[-1].item()
+        else:  # a tuple window's key is the row's ordinal, its position in the trace
+            keys, last = np.arange(lo, hi), len(rel) - 1
+        self.stats.tuples_in += hi - lo
+        self._manager.add(keys)
+        if self._relation is None:
+            # the whole trace must fit in the window limit before a window closes
+            self._relation = rel
+            check_span(self._manager.spec, self._manager.origin, last)
+        self._emit_closed(self._manager.close_windows(keys[-1].item() if self._by_time else hi))
 
     def on_eos(self, side: int) -> None:
         self._emit_closed(self._manager.flush())
@@ -352,9 +351,9 @@ class _JoinStage(_Stage):
         self._fn = _join_fn(node, self.counter)
         children = (node.left, node.right)
         if isinstance(node, JoinNode):
-            self._empty = tuple(Arrable(_gba_of(c), "ts", c.schema, ()) for c in children)
+            self._empty = tuple(Arrable.from_rows(_gba_of(c), "ts", c.schema) for c in children)
         else:
-            self._empty = tuple(Relation(c.schema, ()) for c in children)
+            self._empty = tuple(Relation.from_rows(c.schema, ()) for c in children)
         self._buffers: tuple[dict[int, Any], dict[int, Any]] = ({}, {})
         self._ended = [False, False]
         self._next_idx = 0
@@ -379,17 +378,6 @@ class _JoinStage(_Stage):
             self._apply(idx, *(buf.pop(idx, empty)
                                for buf, empty in zip(self._buffers, self._empty)))
             self._next_idx += 1
-
-
-def _payload_rows(payload) -> Sequence[Mapping[str, Any]]:
-    if isinstance(payload, Relation):
-        return payload.rows
-    if isinstance(payload, Arrable):
-        if payload.rows and not payload.rows[0].values:
-            # grouped value projected down to its key: one row per group
-            return [{payload.gba: r.key} for r in payload.rows]
-        return payload.flatten()
-    raise SchemaMismatch(f"cannot emit payload of type {type(payload).__name__}")
 
 
 class Pipeline:
@@ -428,7 +416,7 @@ class Pipeline:
             return
         if isinstance(node, WindowNode):
             inq = make_queue()
-            self.stages.append(_WindowStage(name, inq, output, node.spec, node.schema))
+            self.stages.append(_WindowStage(name, inq, output, node.spec))
             self._build(node.child, inq)
             return
         if isinstance(node, (JoinNode, EquiJoinNode)):
@@ -469,7 +457,7 @@ class Pipeline:
             raise SchemaMismatch(
                 f"plan needs {len(self._source_stages)} sources, got {len(sources)}")
         for stage in self._source_stages:
-            stage.rows = iter(sources[stage.ordinal].rows)
+            stage.relation = sources[stage.ordinal]
 
         rows: list[dict[str, Any]] = []
         last_progress = time.monotonic()
@@ -485,7 +473,7 @@ class Pipeline:
                 if item is _EOS:
                     return rows, self.stats()
                 _, idx, payload = item
-                rows.extend({"window": idx, **row} for row in _payload_rows(payload))
+                rows.extend({"window": idx, **row} for row in payload.flatten())
             if progress:
                 last_progress = time.monotonic()
                 continue
@@ -515,9 +503,9 @@ def _join_fn(node: JoinNode | EquiJoinNode, counter: ComparisonCounter):
         else:
             pairs = nl_join(left, right, node.cond, on, node.extras, counter)
         names = node.schema.names()
-        return Relation(node.schema, tuple(
-            {names[0]: p.left_oid, names[1]: p.right_oid, names[2]: p.score}
-            for p in pairs))
+        return Relation.from_columns(node.schema, {
+            names[0]: [p.left_oid for p in pairs], names[1]: [p.right_oid for p in pairs],
+            names[2]: [p.score for p in pairs]})
     return fn
 
 
@@ -530,15 +518,15 @@ def _aggregate_fn(node: AggregateNode):
                 value = aggregate(payload, node.func, node.column)
             except ValueError:
                 value = None  # empty window
-        return Relation(node.schema, ({node.label: value},))
+        return Relation.from_columns(node.schema, {node.label: [value]})
     return fn
 
 
 def _direction_fn(node: DirectionNode):
     def fn(payload):
         results = direction(payload, node.epsilon, node.bb_column)
-        rows = tuple({node.key_column: key, "direction": d} for key, d in results)
-        return Relation(node.schema, rows)
+        return Relation.from_columns(node.schema, {node.key_column: [k for k, _ in results],
+                                                   "direction": [d for _, d in results]})
     return fn
 
 

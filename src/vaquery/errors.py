@@ -62,6 +62,10 @@ class InvalidWindowSpec(VaqueryError):
     code = "NONPOSITIVE_SIZE_OR_HOP"
 
 
+class TooManyWindows(VaqueryError):
+    code = "TOO_MANY_WINDOWS"
+
+
 class QuerySyntaxError(VaqueryError):
     """Raised by the query parser; carries the 1-based source position."""
 

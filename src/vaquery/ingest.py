@@ -5,7 +5,8 @@ The interchange format is JSON Lines, one detection per line::
     {"fid": 2, "oid": 1, "label": "person", "bb": [11, 20.5, 30, 20],
      "fv": [0.1, 0.9], "ts": 0.066}
 
-Fields keep their JSON types: ``fid`` and ``oid`` are integers, ``label``
+Lines end with ``\n`` (or ``\r\n``) and must be UTF-8 text. Fields keep
+their JSON types: ``fid`` and ``oid`` are integers, ``label``
 a string, ``bb`` an array of 4 numbers, ``fv`` an array of numbers of the
 same length on every line, and ``ts`` a number or absent (``null`` counts
 as absent); when absent it is derived as ``fid / fps``. A CSV alternative
@@ -14,17 +15,17 @@ and parses each text field as a number. The file extension selects the
 format (.jsonl / .csv).
 
 Both formats, and :func:`generate`, feed one builder: it checks the rows
-in blocks with array operations and keeps each block's feature vectors as
-one ``(k, d)`` matrix whose read-only rows the relation's
-:class:`FeatureVector` values view. The first offending line in file order
-decides the error, whatever its kind; a ``ts`` regression is reported once
-the whole file has been read.
+in blocks with array operations and keeps each block's columns; the
+relation's columns are those blocks concatenated. The first offending line
+in file order decides the error, whatever its kind; a ``ts`` regression is
+reported once the whole file has been read.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -33,10 +34,11 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
-from .errors import (DimensionMismatch, GeneratorSpecError, OutOfOrderFrame,
-                     SchemaMismatch, TraceParseError, TupleValidationError,
-                     VaqueryError)
+from .errors import (ConfigError, DimensionMismatch, GeneratorSpecError,
+                     OutOfOrderFrame, SchemaMismatch, TraceParseError,
+                     TupleValidationError, VaqueryError)
 from .model import (BoundingBox, FeatureVector, Relation, TRACE_SCHEMA, VTuple,
                     validate_tuple)
 
@@ -90,6 +92,15 @@ def _floats(name: str, values: list, line_no: int) -> list[float]:
         return [float(v) for v in values]
     except OverflowError:
         raise TraceParseError(f"{name} holds a number too large for a float", line_no) from None
+
+
+def _text_lines(fh) -> Iterator[str]:
+    """The lines of a binary file as text; a line that is not UTF-8 is a parse error."""
+    for line_no, raw in enumerate(fh, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(f"not UTF-8 text: {exc.reason}", line_no) from None
 
 
 def _decode(line: str, line_no: int) -> dict:
@@ -157,24 +168,24 @@ def _jsonl_chunk(lines: list[int], recs: list[dict], error: VaqueryError | None)
 
 
 def _jsonl_chunks(path: Path) -> Iterator[_Chunk]:
-    with open(path, encoding="utf-8") as fh:
-        lines: list[int] = []
-        recs: list[dict] = []
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+    lines: list[int] = []
+    recs: list[dict] = []
+    error = None
+    with open(path, "rb") as fh:
+        try:
+            for line_no, line in enumerate(_text_lines(fh), start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 recs.append(_decode(line, line_no))
-            except TraceParseError as exc:
-                yield _jsonl_chunk(lines, recs, exc)
-                return
-            lines.append(line_no)
-            if len(recs) == CHUNK:
-                yield _jsonl_chunk(lines, recs, None)
-                lines, recs = [], []
-        if recs:
-            yield _jsonl_chunk(lines, recs, None)
+                lines.append(line_no)
+                if len(recs) == CHUNK:
+                    yield _jsonl_chunk(lines, recs, None)
+                    lines, recs = [], []
+        except TraceParseError as exc:
+            error = exc
+    if recs or error is not None:
+        yield _jsonl_chunk(lines, recs, error)
 
 
 def _csv_record(rec: list[str], line_no: int) -> tuple:
@@ -192,38 +203,43 @@ def _csv_record(rec: list[str], line_no: int) -> tuple:
 
 
 def _csv_chunks(path: Path) -> Iterator[_Chunk]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    lines: list[int] = []
+    records: list[tuple] = []
+    error = None
+    with open(path, "rb") as fh:
+        reader = csv.reader(_text_lines(fh))
         try:
-            header = next(reader)
-        except StopIteration:
-            return
-        expected = ["fid", "oid", "label", "ts", "bb_x", "bb_y", "bb_w", "bb_h"]
-        if header[:8] != expected or not all(h.startswith("fv_") for h in header[8:]):
-            raise TraceParseError(f"unexpected CSV header {header[:8]}", 1)
-        lines: list[int] = []
-        records: list[tuple] = []
-        for line_no, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            try:
+            header = next(reader, None)
+            if header is None:
+                return
+            expected = ["fid", "oid", "label", "ts", "bb_x", "bb_y", "bb_w", "bb_h"]
+            if header[:8] != expected or not all(h.startswith("fv_") for h in header[8:]):
+                raise TraceParseError(f"unexpected CSV header {header[:8]}", 1)
+            for line_no, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
                 if len(rec) != len(header):
                     raise TraceParseError(f"expected {len(header)} fields, got {len(rec)}",
                                           line_no)
                 records.append(_csv_record(rec, line_no))
-            except TraceParseError as exc:
-                yield lines, list(zip(*records)), exc
-                return
-            lines.append(line_no)
-            if len(records) == CHUNK:
-                yield lines, list(zip(*records)), None
-                lines, records = [], []
-        if records:
-            yield lines, list(zip(*records)), None
+                lines.append(line_no)
+                if len(records) == CHUNK:
+                    yield lines, list(zip(*records)), None
+                    lines, records = [], []
+        except csv.Error as exc:
+            error = TraceParseError(str(exc), reader.line_num)
+        except TraceParseError as exc:
+            error = exc
+    if records or error is not None:
+        yield lines, list(zip(*records)), error
+
+
+def _joined(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 class _TraceBuilder:
-    """Checks blocks of trace records and collects them as relation rows.
+    """Checks blocks of trace records and keeps them as column blocks.
 
     Blocks arrive in file order. Each is checked with array operations for
     what :func:`validate_tuple` demands of one tuple, for frame order and for
@@ -235,11 +251,9 @@ class _TraceBuilder:
         self.fps = fps
         self.flip_y = flip_y
         self.dim: int | None = None
-        self.rows: list[dict] = []
-        self.keys: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # fid, oid, ts
+        self.blocks: list[tuple] = []  # (fid, oid, labels, bb, fv, ts) per block
         self.last_fid = -1
         self.frame_oids = np.empty(0, dtype=np.int64)  # oids seen so far in frame last_fid
-
     def add_records(self, chunk: _Chunk) -> None:
         """Add parsed records; then raise the error that ended their chunk, if any."""
         lines, cols, error = chunk
@@ -279,10 +293,8 @@ class _TraceBuilder:
 
     def add(self, fid: np.ndarray, oid: np.ndarray, labels: Sequence[str], bb: np.ndarray,
             fv: np.ndarray, ts: np.ndarray) -> None:
-        """Check a block of rows in file order and keep them.
-
-        ``fv`` becomes read-only and, under ``flip_y``, ``bb`` is flipped in place.
-        """
+        """Check a block of rows in file order and keep them; under ``flip_y``
+        ``bb`` is flipped in place."""
         bad = ((bb[:, 2] < 0) | (bb[:, 3] < 0) | ~np.isfinite(bb).all(axis=1)
                | ~np.isfinite(ts) | ~np.isfinite(fv).all(axis=1)
                | (fid < 0) | (oid < 0) | (ts < 0))
@@ -309,32 +321,32 @@ class _TraceBuilder:
             raise AssertionError(f"row {i} of a block flagged but passes every check")
         if self.flip_y is not None:
             bb[:, 1] = self.flip_y - bb[:, 1] - bb[:, 3]
-        fv.setflags(write=False)
-        self.rows.extend({"fid": f, "oid": o, "label": lab, "bb": BoundingBox(*box),
-                          "fv": FeatureVector(vec), "ts": t}
-                         for f, o, lab, box, vec, t
-                         in zip(fid.tolist(), oid.tolist(), labels, bb.tolist(), fv,
-                                ts.tolist()))
-        self.keys.append((fid, oid, ts))
+        self.blocks.append((fid, oid, labels, bb, fv, ts))
         self.last_fid = int(fid[-1])
         self.frame_oids = all_oid[all_fid == self.last_fid]
 
     def relation(self, source_id: str) -> Relation:
         """The rows in canonical (fid, oid) order, once ``ts`` is checked in that order."""
-        rows = self.rows
-        if not rows:
-            return Relation(TRACE_SCHEMA, (), source_id)
-        fid, oid, ts = (np.concatenate(col) for col in zip(*self.keys))
-        order = np.lexsort((oid, fid))
+        if not self.blocks:
+            return Relation.from_rows(TRACE_SCHEMA, (), source_id)
+        fid, oid, labels, bb, fv, ts = zip(*self.blocks)
+        self.blocks = []
+        # one block is kept as is: generate() passes its whole trace as one
+        rel = Relation(TRACE_SCHEMA, {
+            "fid": _joined(fid), "oid": _joined(oid),
+            "label": np.array(list(chain.from_iterable(labels)), dtype=StringDType()),
+            "bb": _joined(bb), "fv": _joined(fv), "ts": _joined(ts)}, source_id)
+        order = np.lexsort((rel.column("oid"), rel.column("fid")))
         if np.any(order[1:] < order[:-1]):
-            rows = [rows[i] for i in order]
-            ts = ts[order]
+            rel = rel.take(order)
+        fid, ts = rel.column("fid"), rel.column("ts")
         back = np.flatnonzero(ts[1:] < ts[:-1])
         if back.size:
-            prev, cur = rows[back[0]], rows[back[0] + 1]
-            raise OutOfOrderFrame(
-                f"ts regresses from {prev['ts']} to {cur['ts']} at fid {cur['fid']}")
-        return Relation(TRACE_SCHEMA, tuple(rows), source_id)
+            i = int(back[0])
+            raise OutOfOrderFrame(f"ts regresses from {ts[i].item()} to {ts[i + 1].item()} "
+                                  f"at fid {fid[i + 1].item()}")
+        rel.column("fv").setflags(write=False)
+        return rel
 
 
 def read_trace(path: str | Path, fps: float = 30.0, source_id: str | None = None,
@@ -347,6 +359,8 @@ def read_trace(path: str | Path, fps: float = 30.0, source_id: str | None = None
     direction rules assume: pass the frame height in pixels and each box's
     lower-left corner becomes ``flip_y - y - h``.
     """
+    if not (fps > 0 and math.isfinite(fps)):
+        raise ConfigError(f"fps must be a positive finite number, got {fps}")
     path = Path(path)
     chunks = _csv_chunks(path) if path.suffix.lower() == ".csv" else _jsonl_chunks(path)
     builder = _TraceBuilder(fps, flip_y)
@@ -355,27 +369,31 @@ def read_trace(path: str | Path, fps: float = 30.0, source_id: str | None = None
     return builder.relation(source_id or path.stem)
 
 
+def _records(rel: Relation) -> Iterator[tuple]:
+    """(fid, oid, label, ts, bb, fv) of each row as Python values, a chunk at a time."""
+    for lo in range(0, len(rel), CHUNK):
+        yield from zip(*(rel.column(n)[lo:lo + CHUNK].tolist()
+                         for n in ("fid", "oid", "label", "ts", "bb", "fv")))
+
+
 def write_trace(rel: Relation, path: str | Path) -> None:
     """Write a full-schema relation back out; format chosen by extension."""
     path = Path(path)
-    rows = rel.rows
     if path.suffix.lower() == ".csv":
-        dim = rows[0]["fv"].dim if rows else 0
+        dim = rel.column("fv").shape[1] if len(rel) else 0
         header = ["fid", "oid", "label", "ts", "bb_x", "bb_y", "bb_w", "bb_h"] \
             + [f"fv_{i}" for i in range(dim)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for r in rows:
-                writer.writerow([r["fid"], r["oid"], r["label"], repr(float(r["ts"]))]
-                                + [repr(v) for v in r["bb"].as_list()]
-                                + [repr(v) for v in r["fv"].as_list()])
+            for fid, oid, label, ts, bb, fv in _records(rel):
+                writer.writerow([fid, oid, label, repr(ts)] + [repr(v) for v in bb]
+                                + [repr(v) for v in fv])
         return
     with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(json.dumps({"fid": r["fid"], "oid": r["oid"], "label": r["label"],
-                                 "bb": r["bb"].as_list(), "fv": r["fv"].as_list(),
-                                 "ts": r["ts"]}) + "\n")
+        for fid, oid, label, ts, bb, fv in _records(rel):
+            fh.write(json.dumps({"fid": fid, "oid": oid, "label": label, "bb": bb, "fv": fv,
+                                 "ts": ts}) + "\n")
 
 
 def concat_traces(a: Relation, b: Relation, oid_offset: int,
@@ -386,32 +404,29 @@ def concat_traces(a: Relation, b: Relation, oid_offset: int,
     its timestamps shifted accordingly; ``oid_offset`` must clear ``a``'s
     oid range so object identities stay distinct.
     """
-    if not a.rows:
+    if not len(a):
         return b
-    if not b.rows:
+    if not len(b):
         return a
-    dims_a = {r["fv"].dim for r in a.rows}
-    dims_b = {r["fv"].dim for r in b.rows}
-    if dims_a != dims_b:
-        raise SchemaMismatch(f"feature dimensions differ: {sorted(dims_a)} vs {sorted(dims_b)}")
-    max_oid_a = max(r["oid"] for r in a.rows)
-    if oid_offset + min(r["oid"] for r in b.rows) <= max_oid_a:
+    dim_a, dim_b = a.column("fv").shape[1], b.column("fv").shape[1]
+    if dim_a != dim_b:
+        raise SchemaMismatch(f"feature dimensions differ: [{dim_a}] vs [{dim_b}]")
+    max_oid_a = a.column("oid").max().item()
+    if oid_offset + b.column("oid").min().item() <= max_oid_a:
         raise SchemaMismatch(
             f"oid_offset {oid_offset} collides with existing oids (max {max_oid_a})")
 
-    last = a.rows[-1]
+    (first_fid, last_fid), (first_ts, last_ts) = (a.column(n)[[0, -1]].tolist()
+                                                  for n in ("fid", "ts"))
     if frame_dt is None:
-        span_f = last["fid"] - a.rows[0]["fid"]
-        frame_dt = (last["ts"] - a.rows[0]["ts"]) / span_f if span_f > 0 else 1.0
-    fid_shift = last["fid"] + 1 - b.rows[0]["fid"]
-    ts_shift = last["ts"] + frame_dt - b.rows[0]["ts"]
-
-    shifted = [VTuple(fid=r["fid"] + fid_shift, oid=r["oid"] + oid_offset,
-                      label=r["label"], bb=r["bb"], fv=r["fv"], ts=r["ts"] + ts_shift)
-               for r in b.rows]
-    combined = [VTuple(**{k: r[k] for k in ("fid", "oid", "label", "bb", "fv", "ts")})
-                for r in a.rows] + shifted
-    return Relation.from_tuples(combined, a.source_id or b.source_id)
+        span_f = last_fid - first_fid
+        frame_dt = (last_ts - first_ts) / span_f if span_f > 0 else 1.0
+    shift = {"fid": last_fid + 1 - b.column("fid")[0].item(), "oid": oid_offset,
+             "ts": last_ts + frame_dt - b.column("ts")[0].item()}
+    columns = {n: np.concatenate((col, b.column(n) + shift[n] if n in shift else b.column(n)))
+               for n, col in a.columns.items()}
+    columns["fv"].setflags(write=False)
+    return Relation(TRACE_SCHEMA, columns, a.source_id or b.source_id)
 
 
 @dataclass(frozen=True)
@@ -482,7 +497,7 @@ def generate(spec: SynthSpec, seed: int) -> Relation:
 
     visits = [(obj, lo, hi) for obj in spec.objects for lo, hi in obj.intervals]
     if not visits:
-        return Relation(TRACE_SCHEMA, (), "synthetic")
+        return Relation.from_rows(TRACE_SCHEMA, (), "synthetic")
     dims = sorted({bases[obj.oid].size for obj, _, _ in visits})
     if len(dims) > 1:
         raise DimensionMismatch(f"generated feature vectors differ in dimension: {dims}")
@@ -511,7 +526,5 @@ def generate(spec: SynthSpec, seed: int) -> Relation:
     labels = [labels[i] for i in order]
     fid, oid, ts = fid[order], oid[order], ts[order]
     builder = _TraceBuilder(spec.fps, None)
-    for lo in range(0, len(fid), CHUNK):
-        hi = lo + CHUNK
-        builder.add(fid[lo:hi], oid[lo:hi], labels[lo:hi], bb[lo:hi], fv[lo:hi], ts[lo:hi])
+    builder.add(fid, oid, labels, bb, fv, ts)
     return builder.relation("synthetic")

@@ -8,18 +8,26 @@ misuse is rejected before any data is touched.
 The grouped/ordered form of a relation is an :class:`Arrable`: one row per
 group key, with the remaining columns turned into parallel vectors ordered
 by an ordering attribute.
+
+Both are stored as numpy columns, one array per column; the row objects of
+the API (mappings, :class:`ArrableRow`, :class:`BoundingBox`,
+:class:`FeatureVector`) are built only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .errors import IllegalColumnKind, TupleValidationError, UnknownColumn
+
+_INT64 = np.iinfo(np.int64)
 
 
 class ColumnKind(Enum):
@@ -204,28 +212,129 @@ def kind_check(op_name: str, column: str, schema: Schema) -> None:
         raise IllegalColumnKind(op_name, schema.resolve(column), kind.name)
 
 
-@dataclass(frozen=True)
-class Relation:
-    """An ordered relation; rows are plain column->value mappings.
+def _column(kind: ColumnKind, values: Sequence[Any]) -> np.ndarray:
+    """One column array from per-row Python values.
 
-    Rows built from a trace are kept in (ts, fid, oid) order, the canonical
-    stream order.
+    Boxes become an (n, 4) and feature vectors an (n, d) float block;
+    otherwise ints that fit int64 become int64, other numbers float64,
+    labels a string array, and anything else an object array.
+    """
+    if kind is ColumnKind.BBOX_VECTOR:
+        return np.array([b.as_list() for b in values], dtype=np.float64).reshape(-1, 4)
+    if kind is ColumnKind.FEATURE_VECTOR:
+        return np.array([v.values for v in values] or np.zeros((0, 0)), dtype=np.float64)
+    types = set(map(type, values))
+    if kind is ColumnKind.CATEGORICAL and types <= {str}:
+        return np.array(values, dtype=StringDType())
+    if types <= {int} and all(_INT64.min <= v <= _INT64.max for v in values):
+        return np.array(values, dtype=np.int64)
+    if types <= {int, float}:
+        return np.array(values, dtype=np.float64)
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _values(kind: ColumnKind, column: np.ndarray) -> list:
+    """A column's values as the Python objects a row holds."""
+    if kind is ColumnKind.BBOX_VECTOR:
+        return [BoundingBox(*b) for b in column.tolist()]
+    if kind is ColumnKind.FEATURE_VECTOR:
+        return [FeatureVector(v) for v in column]  # read-only views of the block
+    return column.tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class Relation:
+    """An ordered relation stored as equal-length columns, one per schema column.
+
+    ``fid`` and ``oid`` are int64, ``ts`` float64, ``label`` a string array,
+    ``bb`` an (n, 4) and ``fv`` an (n, d) float block; other columns hold
+    whatever their operator produced. Rows built from a trace are kept in
+    (ts, fid, oid) order, the canonical stream order. :attr:`rows` builds
+    one mapping per row on demand.
     """
 
     schema: Schema
-    rows: tuple[dict[str, Any], ...]
+    columns: Mapping[str, np.ndarray]
     source_id: str = ""
 
     @staticmethod
+    def from_columns(schema: Schema, values: Mapping[str, Sequence[Any]],
+                     source_id: str = "") -> "Relation":
+        """Relation from per-column sequences of Python values."""
+        return Relation(schema, {n: _column(schema.kind_of(n), values[n])
+                                 for n in schema.names()}, source_id)
+
+    @staticmethod
+    def from_rows(schema: Schema, rows: Iterable[Mapping[str, Any]],
+                  source_id: str = "") -> "Relation":
+        rows = list(rows)
+        return Relation.from_columns(schema, {n: [r[n] for r in rows] for n in schema.names()},
+                                     source_id)
+
+    @staticmethod
     def from_tuples(tuples: Iterable[VTuple], source_id: str = "") -> "Relation":
-        rows = tuple(t.as_row() for t in tuples)
-        return Relation(TRACE_SCHEMA, rows, source_id)
+        return Relation.from_rows(TRACE_SCHEMA, (t.as_row() for t in tuples), source_id)
+
+    @property
+    def rows(self) -> "RowView":
+        return RowView(self)
+
+    def row_dicts(self, lo: int = 0, hi: int | None = None) -> list[dict[str, Any]]:
+        """Rows ``lo`` to ``hi`` as column->value mappings in schema order."""
+        names = list(self.columns)
+        values = [_values(self.schema.kind_of(n), self.columns[n][lo:hi]) for n in names]
+        return [dict(zip(names, row)) for row in zip(*values)]
+
+    flatten = row_dicts
+
+    def column(self, name: str) -> np.ndarray:
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise UnknownColumn(name) from None
+
+    values = column
+
+    def element_count(self) -> int:
+        return len(self)
+
+    def take(self, index: np.ndarray | slice) -> "Relation":
+        """The rows at ``index`` (positions, a boolean mask or a slice), in that order."""
+        return Relation(self.schema, {n: c[index] for n, c in self.columns.items()},
+                        self.source_id)
+
+    def subset(self, schema: Schema) -> "Relation":
+        return Relation(schema, {n: self.column(n) for n in schema.names()}, self.source_id)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(next(iter(self.columns.values()), ()))
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self.rows)
+        return iter(self.row_dicts())
+
+
+class RowView(SequenceABC):
+    """A relation's rows as mappings, built when read; ``len`` builds none."""
+
+    def __init__(self, rel: Relation):
+        self._rel = rel
+
+    def __len__(self) -> int:
+        return len(self._rel)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._rel.row_dicts()[i]
+        i = range(len(self._rel))[i]  # a negative index counts from the end
+        return self._rel.row_dicts(i, i + 1)[0]
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return iter(self._rel.row_dicts())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return tuple(self) == tuple(other)
 
 
 @dataclass(frozen=True)
@@ -252,34 +361,106 @@ class ArrableRow:
             raise UnknownColumn(name) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arrable:
-    """Relation of ordered arrays: one row per distinct group-by value."""
+    """Relation of ordered arrays: one group per distinct group-by value.
+
+    A group's elements are rows of ``base``, a relation of the non-``gba``
+    columns: element ``j`` is base row ``order[j]``, and the elements run
+    group after group, each group in ``aoa`` order. ``keys`` holds one key
+    per group in first-appearance order and group ``i`` is elements
+    ``offsets[i]`` to ``offsets[i + 1]``. Grouping, filtering and compressing
+    only compute a new ``order``; no column is copied. An arrable projected
+    down to its key has no element columns and no elements. :attr:`rows`
+    builds one :class:`ArrableRow` per group on demand.
+    """
 
     gba: str
     aoa: str
     schema: Schema
-    rows: tuple[ArrableRow, ...] = field(default_factory=tuple)
+    keys: np.ndarray
+    offsets: np.ndarray
+    base: Relation
+    order: np.ndarray
 
-    def __post_init__(self) -> None:
-        keys = [r.key for r in self.rows]
+    @staticmethod
+    def from_rows(gba: str, aoa: str, schema: Schema,
+                  rows: Sequence[ArrableRow] = ()) -> "Arrable":
+        """Arrable from groups given as rows; every row holds the same columns,
+        by default every schema column but ``gba``."""
+        keys = [r.key for r in rows]
         if len(keys) != len(set(keys)):
             raise ValueError("duplicate group keys in arrable")
+        names = list(rows[0].values) if rows else [n for n in schema.names() if n != gba]
+        base = Relation.from_columns(
+            schema.subset(names), {n: [v for r in rows for v in r.column(n)] for n in names})
+        return Arrable(gba, aoa, schema, _column(schema.kind_of(gba), keys),
+                       offsets_of([len(r) for r in rows]), base, np.arange(len(base)))
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
-    def element_count(self) -> int:
-        return sum(len(r) for r in self.rows)
+    @property
+    def elements(self) -> Relation:
+        return self.base.take(self.order)
+
+    @property
+    def rows(self) -> tuple[ArrableRow, ...]:
+        elements = self.elements
+        values = {n: _values(elements.schema.kind_of(n), c) for n, c in elements.columns.items()}
+        bounds = self.offsets.tolist()
+        return tuple(ArrableRow(key, {n: tuple(v[lo:hi]) for n, v in values.items()})
+                     for key, lo, hi in zip(self.keys.tolist(), bounds, bounds[1:]))
 
     def flatten(self) -> list[dict[str, Any]]:
-        """Expand back to one mapping per element (a permutation of the input rows)."""
-        out: list[dict[str, Any]] = []
-        for row in self.rows:
-            cols = row.values
-            for i in range(len(row)):
-                rec = {self.gba: row.key}
-                for name, vec in cols.items():
-                    rec[name] = vec[i]
-                out.append(rec)
-        return out
+        """One mapping per element, the group key first (a permutation of the
+        grouped rows); an arrable projected to its key gives one per group."""
+        keys = self.keys.tolist()
+        if not self.base.columns:
+            return [{self.gba: k} for k in keys]
+        return [{self.gba: k, **row}
+                for k, row in zip(np.repeat(self.keys, self.counts).tolist(),
+                                  self.elements.row_dicts())]
+
+    def column(self, name: str) -> np.ndarray:
+        """One value per element; the ``gba`` column repeats each group's key."""
+        if name == self.gba:
+            return np.repeat(self.keys, self.counts)
+        return self.base.column(name)[self.order]
+
+    def values(self, name: str) -> np.ndarray:
+        """A column as aggregates see it: ``gba`` gives one key per group."""
+        return self.keys if name == self.gba else self.column(name)
+
+    def element_count(self) -> int:
+        return int(self.offsets[-1])
+
+    def regroup(self, keep: np.ndarray, drop_empty: bool) -> "Arrable":
+        """The elements where ``keep`` holds, still grouped; groups left
+        without elements are dropped when ``drop_empty``."""
+        counts = np.diff(np.concatenate(([0], np.cumsum(keep)))[self.offsets])
+        keys = self.keys
+        if drop_empty:
+            keys, counts = keys[counts > 0], counts[counts > 0]
+        return Arrable(self.gba, self.aoa, self.schema, keys, offsets_of(counts),
+                       self.base, self.order[keep])
+
+    def take(self, keep: np.ndarray) -> "Arrable":
+        """The elements where ``keep`` holds; groups left without any are dropped."""
+        return self.regroup(keep, drop_empty=True)
+
+    def subset(self, schema: Schema) -> "Arrable":
+        names = [n for n in schema.names() if n != self.gba]
+        order = self.order if names else self.order[:0]
+        offsets = self.offsets if names else np.zeros_like(self.offsets)
+        return Arrable(self.gba, self.aoa, schema, self.keys, offsets,
+                       self.base.subset(schema.subset(names)), order)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+def offsets_of(counts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive groups with the given sizes."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))

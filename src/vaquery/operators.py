@@ -16,15 +16,14 @@ import operator as _pyop
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from itertools import compress
 from numbers import Real
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import EmptyRow, IllegalColumnKind, SchemaMismatch, UnknownColumn
-from .model import (Arrable, ArrableRow, BoundingBox, Column, ColumnKind,
-                    FeatureVector, Relation, Schema, kind_check)
+from .model import (Arrable, BoundingBox, Column, ColumnKind, FeatureVector,
+                    Relation, Schema, kind_check, offsets_of)
 # smatch stays a module attribute so that tracing tools can wrap it here
 from .similarity import MatchCondition, normalized_matrix, scores_against, smatch  # noqa: F401
 
@@ -60,14 +59,6 @@ class Direction8(Enum):
 
 
 @dataclass(frozen=True)
-class Run:
-    """Maximal stretch of consecutive appearances, half-open [start_index, end_index)."""
-
-    start_index: int
-    end_index: int
-
-
-@dataclass(frozen=True)
 class BBPattern:
     """Per-component bounding-box test: exact value, [lo, hi] range, or wildcard.
 
@@ -85,10 +76,10 @@ class BBPattern:
             if isinstance(comp, tuple) and comp[0] > comp[1]:
                 raise ValueError(f"range lower bound exceeds upper bound: {comp}")
 
-    def mask(self, boxes: Sequence[BoundingBox]) -> np.ndarray:
-        """Match test for each box, as one bool array over the (n, 4) box block."""
+    def mask(self, boxes: np.ndarray) -> np.ndarray:
+        """Match test for each box of an (n, 4) box block, as one bool array."""
         # object dtype keeps Python's exact int/float comparison per value
-        block = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=object).reshape(-1, 4)
+        block = np.array(boxes.tolist(), dtype=object).reshape(-1, 4)
         keep = np.ones(len(block), dtype=bool)
         for comp, values in zip((self.x, self.y, self.w, self.h), block.T):
             if comp is None:
@@ -100,7 +91,7 @@ class BBPattern:
         return keep
 
     def matches(self, bb: BoundingBox) -> bool:
-        return bool(self.mask([bb])[0])
+        return bool(self.mask(np.array([bb.as_list()]))[0])
 
 
 @dataclass(frozen=True)
@@ -143,13 +134,13 @@ class Predicate:
     def check(self, schema: Schema) -> None:
         raise NotImplementedError
 
-    def mask(self, column: Callable[[str], Sequence[Any]], live: np.ndarray,
+    def mask(self, column: Callable[[str], np.ndarray], live: np.ndarray,
              counter: ComparisonCounter | None) -> np.ndarray:
         """Truth value of the predicate per element, False outside ``live``.
 
-        ``column(name)`` gives the window's values of one column in element
-        order; ``live`` marks the elements still to be decided, which are
-        exactly those a per-element short-circuit evaluation would reach.
+        ``column(name)`` gives the window's column array in element order;
+        ``live`` marks the elements still to be decided, which are exactly
+        those a per-element short-circuit evaluation would reach.
         """
         raise NotImplementedError
 
@@ -174,7 +165,7 @@ class Comparison(Predicate):
 
     def mask(self, column, live, counter=None) -> np.ndarray:
         # object dtype keeps Python's comparison semantics per value
-        values = np.array(column(self.column), dtype=object)
+        values = np.array(column(self.column).tolist(), dtype=object)
         return _CMP_FUNCS[self.op](values, self.value) & live
 
 
@@ -218,8 +209,7 @@ class SMatchProbe(Predicate):
         idx = np.flatnonzero(live)
         if not len(idx):
             return out
-        values = column(self.column)
-        unit = normalized_matrix([values[i] for i in idx])
+        unit = normalized_matrix(column(self.column)[idx])
         if counter is not None:
             counter.add(len(idx))
         # probe on the left: the euclidean kernel loops over left rows
@@ -292,56 +282,32 @@ def r2a(rel: Relation, gba: str, aoa: str) -> Arrable:
     kind_check("r2a_aoa", aoa, rel.schema)
     gba = rel.schema.resolve(gba)
     aoa = rel.schema.resolve(aoa)
-    value_cols = [n for n in rel.schema.names() if n != gba]
-
-    groups: dict[Any, list[dict[str, Any]]] = {}
-    for row in rel.rows:
-        groups.setdefault(row[gba], []).append(row)
-
-    arows = []
-    for key, rows in groups.items():
-        rows = sorted(rows, key=lambda r: (r[aoa], r.get("fid", 0)))
-        arows.append(ArrableRow(key, {c: tuple(r[c] for r in rows) for c in value_cols}))
-    return Arrable(gba, aoa, rel.schema, tuple(arows))
-
-
-def split_runs(fids: Sequence[int], gap_threshold: int = 1) -> list[Run]:
-    """Split an ascending fid vector into maximal runs of near-consecutive frames."""
-    runs: list[Run] = []
-    if not fids:
-        return runs
-    start = 0
-    for i in range(1, len(fids)):
-        if fids[i] - fids[i - 1] > gap_threshold:
-            runs.append(Run(start, i))
-            start = i
-    runs.append(Run(start, len(fids)))
-    return runs
+    _, first, group = np.unique(rel.column(gba), return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[group]  # of each row's group, by first appearance
+    fid = [rel.column("fid")] if "fid" in rel.columns else []
+    order = np.lexsort((*fid, rel.column(aoa), rank))
+    base = rel.subset(rel.schema.subset([n for n in rel.schema.names() if n != gba]))
+    return Arrable(gba, aoa, rel.schema, rel.column(gba)[np.sort(first)],
+                   offsets_of(np.bincount(rank, minlength=len(first))), base, order)
 
 
 def cct(ar: Arrable, option: CctOption = CctOption.FIRST, gap_threshold: int = 1) -> Arrable:
     """Compress each group's consecutive appearances to one or two per run.
 
-    FIRST keeps each run's first element, LAST its last, BOTH first and last
-    (a singleton run contributes a single element, not a duplicate).
+    A run is a maximal stretch of a group's elements whose fids step by at
+    most ``gap_threshold``. FIRST keeps each run's first element, LAST its
+    last, BOTH first and last (a singleton run contributes a single element,
+    not a duplicate).
     """
-    new_rows = []
-    for row in ar.rows:
-        if "fid" not in row.values:
-            raise UnknownColumn("fid")
-        keep: list[int] = []
-        for run in split_runs(row.column("fid"), gap_threshold):
-            if option is CctOption.FIRST:
-                keep.append(run.start_index)
-            elif option is CctOption.LAST:
-                keep.append(run.end_index - 1)
-            else:
-                keep.append(run.start_index)
-                if run.end_index - 1 != run.start_index:
-                    keep.append(run.end_index - 1)
-        new_rows.append(ArrableRow(row.key, {c: tuple(vec[i] for i in keep)
-                                             for c, vec in row.values.items()}))
-    return Arrable(ar.gba, ar.aoa, ar.schema, tuple(new_rows))
+    if len(ar) and "fid" not in ar.base.columns:
+        raise UnknownColumn("fid")
+    fid = ar.column("fid") if "fid" in ar.base.columns else np.zeros(0, dtype=np.int64)
+    start, end = np.ones(len(fid), dtype=bool), np.ones(len(fid), dtype=bool)
+    start[1:] = np.diff(fid) > gap_threshold
+    start[ar.offsets[:-1][ar.counts > 0]] = True
+    end[:-1] = start[1:]
+    keep = {CctOption.FIRST: start, CctOption.LAST: end, CctOption.BOTH: start | end}[option]
+    return ar.regroup(keep, drop_empty=False)
 
 
 # --- select / project ---------------------------------------------------------
@@ -352,46 +318,19 @@ def select(data: Relation | Arrable, predicate: Predicate,
     """Filter rows (relation) or vector elements (arrable) by a predicate.
 
     The predicate is decided as one mask over the window's elements: a
-    relation's rows, or an arrable's vector elements in row order, each
-    element seeing its row's group key in the ``gba`` column. Arrable rows
+    relation's rows, or an arrable's vector elements in group order, each
+    element seeing its group's key in the ``gba`` column. Arrable groups
     whose vectors become empty are dropped. Column-kind violations are
     raised before any row is touched.
     """
     predicate.check(data.schema)
-    if isinstance(data, Relation):
-        def rel_values(name: str) -> list[Any]:
-            return [r[name] for r in data.rows]
-
-        keep = predicate.mask(cache(rel_values), np.ones(len(data.rows), dtype=bool), counter)
-        return Relation(data.schema, tuple(compress(data.rows, keep.tolist())), data.source_id)
-
-    def values(name: str) -> list[Any]:
-        if name == data.gba:
-            return [row.key for row in data.rows for _ in range(len(row))]
-        return [v for row in data.rows for v in row.column(name)]
-
-    keep = predicate.mask(cache(values), np.ones(data.element_count(), dtype=bool),
-                          counter).tolist()
-    new_rows = []
-    start = 0
-    for row in data.rows:
-        seg = keep[start:start + len(row)]
-        start += len(row)
-        if any(seg):
-            new_rows.append(ArrableRow(row.key, {c: tuple(compress(vec, seg))
-                                                 for c, vec in row.values.items()}))
-    return Arrable(data.gba, data.aoa, data.schema, tuple(new_rows))
+    keep = predicate.mask(cache(data.column), np.ones(data.element_count(), dtype=bool), counter)
+    return data.take(keep)
 
 
 def project(data: Relation | Arrable, columns: Sequence[str]) -> Relation | Arrable:
     """Column subset, order preserved. Unknown names raise UNKNOWN_COLUMN."""
-    sub = data.schema.subset(columns)
-    if isinstance(data, Relation):
-        names = sub.names()
-        return Relation(sub, tuple({n: r[n] for n in names} for r in data.rows), data.source_id)
-    vec_names = [n for n in sub.names() if n != data.gba]
-    rows = tuple(ArrableRow(r.key, {n: r.column(n) for n in vec_names}) for r in data.rows)
-    return Arrable(data.gba, data.aoa, sub, rows)
+    return data.subset(data.schema.subset(columns))
 
 
 # --- joins --------------------------------------------------------------------
@@ -434,26 +373,31 @@ def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
     lcol = left.schema.resolve(on[0])
     rcol = right.schema.resolve(on[1])
 
-    right_mats = [normalized_matrix(list(r.column(rcol))) for r in right.rows]
+    lextra = [left.column(p.left_column) for p in extra]
+    rextra = [right.column(p.right_column) for p in extra]
+    lvecs, rvecs = left.base.column(lcol), right.base.column(rcol)
+    lbounds, rbounds = left.offsets.tolist(), right.offsets.tolist()
+    # vectors are gathered and normalized one group at a time, which keeps
+    # the peak memory of a join near one normalized side
+    rgroups = [(key, lo, hi, normalized_matrix(rvecs[right.order[lo:hi]]))
+               for key, lo, hi in zip(right.keys.tolist(), rbounds, rbounds[1:]) if lo < hi]
     pairs: list[JoinPair] = []
-    for lrow in left.rows:
-        lmat = normalized_matrix(list(lrow.column(lcol)))
-        if lmat.shape[0] == 0:
+    for lkey, llo, lhi in zip(left.keys.tolist(), lbounds, lbounds[1:]):
+        if llo == lhi:
             continue
-        for rrow, rmat in zip(right.rows, right_mats):
-            if rmat.shape[0] == 0:
-                continue
+        lmat = normalized_matrix(lvecs[left.order[llo:lhi]])
+        for rkey, rlo, rhi, rmat in rgroups:
             scores = scores_against(cond, lmat, rmat)
             mask = cond.matched(scores)
-            for pred in extra:
-                mask &= pred.mask(lrow.column(pred.left_column), rrow.column(pred.right_column))
+            for pred, lvals, rvals in zip(extra, lextra, rextra):
+                mask &= pred.mask(lvals[llo:lhi], rvals[rlo:rhi])
             flat = int(np.argmax(mask))
             hit = bool(mask.flat[flat])
             if counter is not None:
                 counter.add(flat + 1 if hit and first_match_only else mask.size)
             if hit:
                 li, ri = divmod(flat, mask.shape[1])
-                pairs.append(JoinPair(lrow.key, rrow.key, li, ri, float(scores[li, ri])))
+                pairs.append(JoinPair(lkey, rkey, li, ri, float(scores[li, ri])))
     return pairs
 
 
@@ -514,18 +458,15 @@ def hash_equi_join(left: Relation, right: Relation, column: str,
     rcol = right.schema.resolve(right_column)
     lp, rp = prefixes
 
-    index: dict[Any, list[dict[str, Any]]] = {}
-    for rrow in right.rows:
-        index.setdefault(rrow[rcol], []).append(rrow)
-
-    out_schema = equi_join_schema(left.schema, right.schema, prefixes)
-    rows = []
-    for lrow in left.rows:
-        for rrow in index.get(lrow[lcol], ()):
-            merged = {f"{lp}.{k}": v for k, v in lrow.items()}
-            merged.update({f"{rp}.{k}": v for k, v in rrow.items()})
-            rows.append(merged)
-    return Relation(out_schema, tuple(rows))
+    index: dict[Any, list[int]] = {}
+    for j, key in enumerate(right.column(rcol).tolist()):
+        index.setdefault(key, []).append(j)
+    pairs = [(i, j) for i, key in enumerate(left.column(lcol).tolist())
+             for j in index.get(key, ())]
+    li, ri = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    columns = {f"{lp}.{n}": c[li] for n, c in left.columns.items()}
+    columns.update({f"{rp}.{n}": c[ri] for n, c in right.columns.items()})
+    return Relation(equi_join_schema(left.schema, right.schema, prefixes), columns)
 
 
 def equi_join_schema(left: Schema, right: Schema,
@@ -537,12 +478,6 @@ def equi_join_schema(left: Schema, right: Schema,
 
 
 # --- direction and aggregates ---------------------------------------------------
-
-
-def _signed(delta: float, epsilon: float) -> int:
-    if abs(delta) <= epsilon:
-        return 0
-    return 1 if delta > 0 else -1
 
 
 _DIRECTION_BY_SIGNS = {
@@ -562,44 +497,37 @@ def direction(ar: Arrable, epsilon: float = 0.0,
     within ``epsilon`` of zero count as no movement on that axis.
     """
     kind_check("direction", bb_column, ar.schema)
-    col = ar.schema.resolve(bb_column)
-    out = []
-    for row in ar.rows:
-        boxes = row.column(col)
-        if not boxes:
-            raise EmptyRow(f"group {row.key!r} has no bounding boxes")
-        p1, p2 = boxes[0].corner(), boxes[-1].corner()
-        signs = (_signed(p2[0] - p1[0], epsilon), _signed(p2[1] - p1[1], epsilon))
-        out.append((row.key, _DIRECTION_BY_SIGNS[signs]))
-    return out
+    boxes = ar.base.column(ar.schema.resolve(bb_column))
+    keys = ar.keys.tolist()
+    empty = np.flatnonzero(ar.counts == 0)
+    if empty.size:
+        raise EmptyRow(f"group {keys[empty[0]]!r} has no bounding boxes")
+    first, last = ar.order[ar.offsets[:-1]], ar.order[ar.offsets[1:] - 1]
+    delta = boxes[last, :2] - boxes[first, :2]
+    signs = np.where(np.abs(delta) <= epsilon, 0, np.sign(delta)).astype(int).tolist()
+    return [(key, _DIRECTION_BY_SIGNS[tuple(s)]) for key, s in zip(keys, signs)]
 
 
 def group_count(ar: Arrable) -> int:
     """Number of arrable rows, i.e. distinct group-by values."""
-    return len(ar.rows)
+    return len(ar)
 
 
 def element_count(ar: Arrable, column: str | None = None) -> int:
     """Total elements across all rows (of one column, or of the row vectors)."""
     if column is not None:
-        col = ar.schema.resolve(column)
-        if col == ar.gba:
-            return len(ar.rows)
-        return sum(len(r.column(col)) for r in ar.rows)
+        return len(ar.values(ar.schema.resolve(column)))
     return ar.element_count()
 
 
 def aggregate(data: Relation | Arrable, func: str, column: str) -> float | int:
-    """count/sum/avg/min/max over a column; arithmetic only on numeric columns."""
+    """count/sum/avg/min/max over a column; arithmetic only on numeric columns.
+
+    Over an arrable's ``gba`` column each group counts once.
+    """
     func = func.lower()
     kind_check(func, column, data.schema)
-    col = data.schema.resolve(column)
-    if isinstance(data, Relation):
-        values = [r[col] for r in data.rows]
-    elif col == data.gba:
-        values = [r.key for r in data.rows]
-    else:
-        values = [v for r in data.rows for v in r.column(col)]
+    values = data.values(data.schema.resolve(column)).tolist()
     if func == "count":
         return len(values)
     if not values:
@@ -615,4 +543,4 @@ def aggregate(data: Relation | Arrable, func: str, column: str) -> float | int:
 
 def count_star(data: Relation | Arrable) -> int:
     """count(*): rows of a relation, groups of an arrable."""
-    return len(data.rows)
+    return len(data)

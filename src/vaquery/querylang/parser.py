@@ -23,6 +23,8 @@ Grammar sketch (keywords case-insensitive, ``--`` line comments)::
     column      := [name '.'] (name | '[' name ']')
 
 A query file holds one statement, optionally terminated by a semicolon.
+Nesting is capped at :data:`MAX_DEPTH` levels: each ``(`` around an
+expression or a source, each ``CCT(`` and each ``NOT`` opens one.
 """
 
 from __future__ import annotations
@@ -55,11 +57,16 @@ _POLARITIES = {"SIMILARITY_AT_LEAST": MatchPolarity.SIMILARITY_AT_LEAST,
                "DISTANCE_AT_MOST": MatchPolarity.DISTANCE_AT_MOST}
 _CCT_OPTIONS = {"FIRST": CctOption.FIRST, "LAST": CctOption.LAST, "BOTH": CctOption.BOTH}
 
+#: Deepest nesting a query may use; deeper input is a syntax error rather
+#: than a recursion overflow in the parser or the planner.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # token helpers
 
@@ -70,6 +77,13 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.type != "EOF":
             self.pos += 1
+        return tok
+
+    def nest(self, tok: Token) -> Token:
+        """Open the nesting level of a token just taken; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error(f"query nests deeper than {MAX_DEPTH} levels", tok)
         return tok
 
     def error(self, message: str, tok: Token | None = None) -> QuerySyntaxError:
@@ -211,13 +225,11 @@ class _Parser:
 
     def parse_source_primary(self) -> Source:
         if self.at_punct("("):
-            self.next()
-            if self.at_keyword("SELECT"):
-                inner_query = self.parse_query()
-                self.expect_punct(")")
-                return SubquerySource(inner_query)
-            inner = self.parse_source()
+            self.nest(self.next())
+            inner = (SubquerySource(self.parse_query()) if self.at_keyword("SELECT")
+                     else self.parse_source())
             self.expect_punct(")")
+            self.depth -= 1
             return inner
         if self.at_keyword("R2A"):
             return self.parse_r2a()
@@ -245,7 +257,7 @@ class _Parser:
 
     def parse_cct(self) -> CctSource:
         self.expect_keyword("CCT")
-        self.expect_punct("(")
+        self.nest(self.expect_punct("("))
         inner = self.parse_source()
         self.expect_punct(",")
         tok = self.next()
@@ -256,6 +268,7 @@ class _Parser:
         if self.accept_punct(","):
             gap = int(self.parse_number())
         self.expect_punct(")")
+        self.depth -= 1
         return CctSource(inner, option, gap)
 
     def parse_join(self) -> JoinClause:
@@ -334,15 +347,15 @@ class _Parser:
         return parts[0] if len(parts) == 1 else AndExpr(tuple(parts))
 
     def parse_unary_expr(self) -> Expr:
-        if self.at_keyword("NOT"):
-            self.next()
-            return NotExpr(self.parse_unary_expr())
-        if self.at_punct("("):
-            self.next()
-            inner = self.parse_expr()
+        if not (self.at_keyword("NOT") or self.at_punct("(")):
+            return self.parse_predicate()
+        if self.nest(self.next()).keyword() == "NOT":
+            expr = NotExpr(self.parse_unary_expr())
+        else:
+            expr = self.parse_expr()
             self.expect_punct(")")
-            return inner
-        return self.parse_predicate()
+        self.depth -= 1
+        return expr
 
     def parse_predicate(self) -> Expr:
         ref = self.parse_column_ref()

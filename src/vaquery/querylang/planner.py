@@ -34,18 +34,23 @@ RELATION = "relation"
 ARRABLE = "arrable"
 
 
+class _Node:
+    @property
+    def children(self) -> tuple:
+        """The nodes this one reads, left before right."""
+        return tuple(getattr(self, n) for n in ("child", "left", "right") if hasattr(self, n))
+
+
 @dataclass(frozen=True)
-class SourceNode:
+class SourceNode(_Node):
     name: str
     ordinal: int
     schema: Schema
     payload: str = RELATION
 
-    children = ()
-
 
 @dataclass(frozen=True)
-class WindowNode:
+class WindowNode(_Node):
     child: "PlanNode"
     spec: WindowSpec
 
@@ -57,13 +62,9 @@ class WindowNode:
     def payload(self) -> str:
         return self.child.payload
 
-    @property
-    def children(self):
-        return (self.child,)
-
 
 @dataclass(frozen=True)
-class SelectNode:
+class SelectNode(_Node):
     child: "PlanNode"
     predicate: Predicate
 
@@ -75,13 +76,9 @@ class SelectNode:
     def payload(self) -> str:
         return self.child.payload
 
-    @property
-    def children(self):
-        return (self.child,)
-
 
 @dataclass(frozen=True)
-class R2ANode:
+class R2ANode(_Node):
     child: "PlanNode"
     gba: str
     aoa: str
@@ -91,13 +88,9 @@ class R2ANode:
     def schema(self) -> Schema:
         return self.child.schema
 
-    @property
-    def children(self):
-        return (self.child,)
-
 
 @dataclass(frozen=True)
-class CctNode:
+class CctNode(_Node):
     child: "PlanNode"
     option: CctOption
     gap_threshold: int = 1
@@ -108,13 +101,9 @@ class CctNode:
 
     payload = ARRABLE
 
-    @property
-    def children(self):
-        return (self.child,)
-
 
 @dataclass(frozen=True)
-class ProjectNode:
+class ProjectNode(_Node):
     child: "PlanNode"
     columns: tuple[str, ...]
     schema: Schema
@@ -123,13 +112,9 @@ class ProjectNode:
     def payload(self) -> str:
         return self.child.payload
 
-    @property
-    def children(self):
-        return (self.child,)
-
 
 @dataclass(frozen=True)
-class JoinNode:
+class JoinNode(_Node):
     left: "PlanNode"
     right: "PlanNode"
     kind: str  # JOIN | CJOIN | CCTJOIN
@@ -141,13 +126,9 @@ class JoinNode:
     cct_option: CctOption = CctOption.BOTH
     payload: str = RELATION
 
-    @property
-    def children(self):
-        return (self.left, self.right)
-
 
 @dataclass(frozen=True)
-class EquiJoinNode:
+class EquiJoinNode(_Node):
     left: "PlanNode"
     right: "PlanNode"
     on_left: str
@@ -156,13 +137,9 @@ class EquiJoinNode:
     schema: Schema
     payload: str = RELATION
 
-    @property
-    def children(self):
-        return (self.left, self.right)
-
 
 @dataclass(frozen=True)
-class AggregateNode:
+class AggregateNode(_Node):
     child: "PlanNode"
     func: str  # count | sum | avg | min | max
     column: str | None  # None: count(*)
@@ -173,23 +150,15 @@ class AggregateNode:
     def schema(self) -> Schema:
         return Schema((Column(self.label, ColumnKind.SCALAR_NUMERIC),))
 
-    @property
-    def children(self):
-        return (self.child,)
-
 
 @dataclass(frozen=True)
-class DirectionNode:
+class DirectionNode(_Node):
     child: "PlanNode"
     bb_column: str
     key_column: str
     schema: Schema
     epsilon: float = 0.0
     payload: str = RELATION
-
-    @property
-    def children(self):
-        return (self.child,)
 
 
 PlanNode = Union[SourceNode, WindowNode, SelectNode, R2ANode, CctNode,

@@ -88,18 +88,19 @@ _EQUAL_GATE = 1e-6
 _DIFF_ELEMENTS = 1 << 16
 
 
-def normalized_matrix(vectors: list[FeatureVector]) -> np.ndarray:
-    """Stack vectors into a row-normalized (n, d) matrix."""
-    if not vectors:
-        return np.zeros((0, 0))
-    dims = {v.dim for v in vectors}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed feature vector dimensions in one group: {sorted(dims)}")
-    mat = np.array([v.values for v in vectors])
-    norms = np.sqrt((mat * mat).sum(axis=1))  # np.linalg.norm's arithmetic, less overhead
+def normalized_matrix(vectors: np.ndarray | list[FeatureVector]) -> np.ndarray:
+    """Row-normalized copy of an (n, d) block, or of a list of vectors stacked."""
+    if not isinstance(vectors, np.ndarray):
+        if not vectors:
+            return np.zeros((0, 0))
+        dims = {v.dim for v in vectors}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"mixed feature vector dimensions in one group: {sorted(dims)}")
+        vectors = np.array([v.values for v in vectors])
+    norms = np.sqrt((vectors * vectors).sum(axis=1))  # np.linalg.norm's arithmetic, less overhead
     if not norms.all():
         raise ZeroVector("similarity is undefined for an all-zero vector")
-    return mat / norms[:, None]
+    return vectors / norms[:, None]
 
 
 def scores_against(cond: MatchCondition, left: np.ndarray, right: np.ndarray) -> np.ndarray:

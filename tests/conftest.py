@@ -41,7 +41,7 @@ def arrable_of(groups: dict, aoa: str = "fid") -> Arrable:
             else:
                 values[name] = tuple(vec)
         rows.append(ArrableRow(key, values))
-    return Arrable("oid", aoa, TRACE_SCHEMA, tuple(rows))
+    return Arrable.from_rows("oid", aoa, TRACE_SCHEMA, tuple(rows))
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Most oracles here are deliberately naive pure Python (math module only, no
-numpy) so they share no code path with the package. Two keep an earlier
+numpy) so they share no code path with the package. Three keep an earlier
 per-row implementation as the reference for the block version that replaced
-it: :func:`euclidean_scores_oracle` (the per-row euclidean loop) and
-:func:`read_trace_oracle` (the tuple-at-a-time trace reader).
+it: :func:`euclidean_scores_oracle` (the per-row euclidean loop),
+:func:`read_trace_oracle` (the tuple-at-a-time trace reader) and
+:class:`WindowManagerOracle` (per-item window assignment).
 """
 
 from __future__ import annotations
@@ -282,3 +283,64 @@ def read_trace_oracle(path, fps: float = 30.0, source_id: str | None = None,
         if cur.ts < prev.ts:
             raise OutOfOrderFrame(f"ts regresses from {prev.ts} to {cur.ts} at fid {cur.fid}")
     return Relation.from_tuples(tuples, source_id or path.stem)
+
+
+def assign_oracle(size: float, hop: float, key: float, origin: float) -> range:
+    """Indices of every window containing ``key``, one key at a time."""
+    if math.isinf(size):
+        return range(0, 1)
+    hi = math.floor((key - origin) / hop)
+    lo = math.floor((key - origin - size) / hop) + 1
+    if origin + lo * hop + size <= key:
+        lo += 1
+    return range(max(0, lo), hi + 1)
+
+
+class WindowManagerOracle:
+    """Per-item window manager: each added item goes to every window holding
+    its key; windows close in index order, gaps included, as ``(index,
+    start, end, items)``."""
+
+    def __init__(self, size: float, hop: float, origin: float | None = None):
+        self.size, self.hop, self.origin = size, hop, origin
+        self._open: dict[int, list] = {}
+        self._next_to_close = 0
+        self._max_seen = -1
+        self._watermark = -math.inf
+
+    def _window(self, index: int) -> tuple:
+        if math.isinf(self.size):
+            return (0, self.origin, math.inf)
+        start = self.origin + index * self.hop
+        return (index, start, start + self.size)
+
+    def add(self, key: float, item) -> None:
+        if self.origin is None:
+            self.origin = key
+        for idx in assign_oracle(self.size, self.hop, key, self.origin):
+            if idx >= self._next_to_close:
+                self._open.setdefault(idx, []).append(item)
+                self._max_seen = max(self._max_seen, idx)
+
+    def close_windows(self, watermark: float) -> list[tuple]:
+        if watermark <= self._watermark or self.origin is None:
+            return []
+        self._watermark = watermark
+        closed = []
+        while True:
+            index, start, end = self._window(self._next_to_close)
+            if end > watermark:
+                break
+            closed.append((index, start, end, self._open.pop(index, [])))
+            self._next_to_close += 1
+        return closed
+
+    def flush(self) -> list[tuple]:
+        if self.origin is None:
+            return []
+        flushed = []
+        while self._next_to_close <= self._max_seen:
+            index, start, end = self._window(self._next_to_close)
+            flushed.append((index, start, end, self._open.pop(index, [])))
+            self._next_to_close += 1
+        return flushed

@@ -338,7 +338,7 @@ def test_criterion_11_window_accounting():
     mgr = WindowManager(WindowSpec(WindowKind.TIME, 100, 100, origin=0.0))
     closed = []
     for ts in keys:
-        mgr.add(ts, ts)
+        mgr.add([ts])
         closed.extend(mgr.close_windows(ts))
     closed.extend(mgr.flush())
     assert [w.index for w, _ in closed] == [0, 1, 2]
@@ -349,7 +349,7 @@ def test_criterion_11_window_accounting():
     emitted = []
     for ts in keys:
         assert len(assign(spec, ts, 0.0)) <= 2
-        mgr.add(ts, ts)
+        mgr.add([ts])
         emitted.extend(mgr.close_windows(ts))
     flushed = mgr.flush()
     emitted.extend(flushed)

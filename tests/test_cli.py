@@ -225,6 +225,9 @@ BB_RANGE_REVERSED = "SELECT fid FROM R1 WHERE bb MATCHES [10:0, *, *, *]"
 ORDERED_STRING = 'SELECT fid FROM R1 WHERE R1.oid < "abc"'
 JOIN_EXTRA = ('SELECT AR1.oid, AR2.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
               'CJOIN (R2A(R2, R2.oid, R2.fid)) AR2 ON AR1.[FV] sMatch(0.9) AR2.[FV] AND ')
+DEEP_PARENS = "SELECT fid FROM R1 WHERE " + "(" * 400 + "fid = 1" + ")" * 400
+DEEP_NOTS = "SELECT fid FROM R1 WHERE " + "NOT " * 1000 + "fid = 1"
+NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv": [1.0]}\n'
 
 
 @pytest.mark.parametrize("command, query, extra, code, error", [
@@ -244,10 +247,24 @@ JOIN_EXTRA = ('SELECT AR1.oid, AR2.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
     ("run", JOIN_EXTRA + "AR1.label + 5 = AR2.label", [], 2, "SCHEMA_MISMATCH"),
     ("run", JOIN_EXTRA + "AR1.label < AR2.label", [], 2, "ILLEGAL_COLUMN_KIND"),
     ("run", Q2, ["--trace", "[1, 2]\n"], 3, "PARSE_ERROR"),
+    ("run", Q2, ["--trace", NOT_UTF8], 3, "PARSE_ERROR"),
+    ("run", Q2, ["--fps", "0"], 3, "CONFIG_ERROR"),
+    ("run", Q2, ["--fps", "-30"], 3, "CONFIG_ERROR"),
+    ("run", Q2, ["--fps", "nan"], 3, "CONFIG_ERROR"),
+    ("run", DEEP_PARENS, [], 2, "SYNTAX_ERROR"),
+    ("parse-check", DEEP_PARENS, [], 2, "SYNTAX_ERROR"),
+    ("run", DEEP_NOTS, [], 2, "SYNTAX_ERROR"),
+    ("parse-check", DEEP_NOTS, [], 2, "SYNTAX_ERROR"),
+    ("run", Q2 + " WINDOW(TUPLE, 0.5, 0.5)", [], 2, "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", Q2, ["--window", "tuple,0.5,0.5"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", Q2, ["--window", "time,1e-300,1e-300"], 3, "TOO_MANY_WINDOWS"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
         "window-inf-hop", "missing-query", "config-value", "config-json", "quantum-zero",
         "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
-        "join-extra-offset-on-label", "join-extra-ordered-label", "trace-non-object"])
+        "join-extra-offset-on-label", "join-extra-ordered-label", "trace-non-object",
+        "trace-not-utf8", "fps-zero", "fps-negative", "fps-nan", "deep-parens",
+        "deep-parens-parse-check", "deep-nots", "deep-nots-parse-check",
+        "fractional-tuple-window", "fractional-tuple-window-flag", "window-count"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -257,7 +274,8 @@ def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
         extra = ["--engine-config", str(cfg)]
     if extra[:1] == ["--trace"]:  # a trace file with the given text
         trace_file = tmp_path / "bad.jsonl"
-        trace_file.write_text(extra[1])
+        text = extra[1]
+        trace_file.write_bytes(text if isinstance(text, bytes) else text.encode())
         extra = []
     args = [command, "--query", str(qpath)]
     if command == "run":
@@ -265,7 +283,7 @@ def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
     assert main(args) == code
     err = capsys.readouterr().err
     assert f"error [{error}]" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_equality_with_a_string_literal_counts_no_rows(tmp_path, trace_file, capsys):

@@ -113,7 +113,7 @@ def test_probe_select_determinism_across_quanta_and_capacities():
 
 def test_join_determinism_across_configs():
     left, right = small_trace(1), small_trace(2)
-    empty = Relation(TRACE_SCHEMA, ())
+    empty = Relation.from_rows(TRACE_SCHEMA, ())
     p = plan(parse(Q3 + " WINDOW(TIME, 0.5, 0.5)"), TWO)
     for traces in ([left, right], [empty, right], [left, empty]):
         outputs = []
@@ -130,7 +130,7 @@ def test_join_determinism_across_configs():
 
 
 def test_empty_source_join_terminates_cleanly():
-    empty = Relation(TRACE_SCHEMA, ())
+    empty = Relation.from_rows(TRACE_SCHEMA, ())
     rows, st = instantiate(plan(parse(Q3), TWO)).run([small_trace(), empty])
     assert rows == []
     assert st.of_kind("join")[0].smatch_comparisons == 0

@@ -144,7 +144,7 @@ def test_concat_requires_clearing_oid_offset():
 def test_concat_with_empty_is_identity():
     a = generate(SynthSpec(frames=2, fps=10, objects=(
         ObjectSpec(0, "person", (0, 0, 1, 1), intervals=((0, 2),)),)), 1)
-    empty = Relation(TRACE_SCHEMA, ())
+    empty = Relation.from_rows(TRACE_SCHEMA, ())
     assert concat_traces(a, empty, oid_offset=1) is a
     assert concat_traces(empty, a, oid_offset=0) is a
 

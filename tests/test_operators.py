@@ -15,7 +15,7 @@ from vaquery.operators import (And, BBoxTest, BBPattern, CctOption, Comparison,
                                SMatchProbe, aggregate, cct, cct_join, cjoin,
                                count_star, direction, element_count,
                                group_count, hash_equi_join, nl_join, project,
-                               r2a, select, split_runs)
+                               r2a, select)
 from vaquery.similarity import MatchCondition, MatchPolarity, Metric
 
 COS = MatchCondition(Metric.COSINE, 0.9)
@@ -46,7 +46,7 @@ def test_r2a_fig_shape_group_on_oid_order_on_ts():
 
 
 def test_r2a_empty_relation():
-    ar = r2a(Relation(TRACE_SCHEMA, ()), "oid", "fid")
+    ar = r2a(Relation.from_rows(TRACE_SCHEMA, ()), "oid", "fid")
     assert len(ar.rows) == 0
     assert group_count(ar) == 0
 
@@ -62,10 +62,12 @@ def test_r2a_rejects_vector_columns():
 # --- runs and cct --------------------------------------------------------------
 
 def test_split_runs_matches_oracle():
+    # cct's runs are the oracle's: FIRST keeps each run's start, LAST its end
     for fids in [(1, 2, 3), (2, 13), (1,), (1, 2, 5, 6, 7, 20), ()]:
-        got = [(r.start_index, r.end_index) for r in split_runs(fids)]
-        expected = [(run[0], run[-1] + 1) for run in split_runs_oracle(fids)]
-        assert got == expected
+        ar = arrable_of({1: {"fid": list(fids)}})
+        runs = split_runs_oracle(fids)
+        assert cct(ar, CctOption.FIRST).rows[0].column("fid") == tuple(fids[r[0]] for r in runs)
+        assert cct(ar, CctOption.LAST).rows[0].column("fid") == tuple(fids[r[-1]] for r in runs)
 
 
 def test_cct_appendix_example_both():
@@ -227,7 +229,7 @@ def test_zero_vector_in_a_decided_element_is_never_scored():
                                   MatchCondition(Metric.EUCLIDEAN, 0.0)])
 def test_probe_keeps_its_equal_row_at_the_exact_threshold_in_a_large_window(cond):
     vecs = np.random.default_rng(7).normal(size=(2000, 128))
-    rel = Relation(TRACE_SCHEMA, tuple(
+    rel = Relation.from_rows(TRACE_SCHEMA, tuple(
         {"fid": i, "oid": i, "label": "person", "bb": BoundingBox(0, 0, 1, 1),
          "fv": FeatureVector(v), "ts": i / 30} for i, v in enumerate(vecs)))
     counter = ComparisonCounter()
@@ -309,7 +311,7 @@ def test_select_matches_per_element_oracle(elements, tree):
     assume(all(abs(score_oracle(p[2], el["fv"], p[5]) - p[4]) > 1e-9
                for p in _probes(tree) for el in elements))
     pred = _predicate(tree)
-    rel = Relation(TRACE_SCHEMA, tuple(
+    rel = Relation.from_rows(TRACE_SCHEMA, tuple(
         dict(e, bb=BoundingBox(*e["bb"]), fv=FeatureVector(e["fv"])) for e in elements))
     groups = {}
     for e in elements:
@@ -317,7 +319,7 @@ def test_select_matches_per_element_oracle(elements, tree):
         for c in g:
             g[c].append(e[c])
     ar = arrable_of(groups)
-    empty = Relation(TRACE_SCHEMA, ())
+    empty = Relation.from_rows(TRACE_SCHEMA, ())
     for data, records in ((rel, list(rel.rows)), (ar, ar.flatten()), (empty, []),
                           (arrable_of({}), [])):
         kept, evaluations = select_oracle([_plain(r) for r in records], tree)
