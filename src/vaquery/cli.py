@@ -8,21 +8,26 @@ Subcommands::
     vaquery bench --config bench.json --out table.txt
     vaquery parse-check --query q.vaq
 
-Exit codes: 0 success, 2 query syntax/plan errors (message with position on
-stderr), 3 runtime errors.
+Exit codes: 0 success, 2 for a query file or ``--window`` flag that fails to
+read or plan (message with position on stderr), 3 for every other failure.
+Only :func:`main` turns a failure into an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import engine, evaluation, ingest, querylang
-from .errors import InvalidWindowSpec, VaqueryError
+from .errors import (ConfigError, FormatMismatch, InvalidWindowSpec, QuerySyntaxError,
+                     VaqueryError)
 from .model import TRACE_SCHEMA
 from .windows import WindowKind, WindowSpec
 
@@ -54,8 +59,16 @@ def _engine_config(args) -> engine.EngineConfig:
     return cfg
 
 
-def _load_plan(query_path: str, window: WindowSpec | None = None):
-    text = Path(query_path).read_text(encoding="utf-8")
+def _load_plan(query_path: str, window_flag: str | None = None):
+    """Read and plan a query file; :func:`main` exits 2 on a VaqueryError raised in here."""
+    window = _parse_window_flag(window_flag) if window_flag else None
+    raw = Path(query_path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = raw[:exc.start].split(b"\n")
+        raise QuerySyntaxError(f"not UTF-8 text: {exc.reason}", len(lines), len(lines[-1]) + 1) \
+            from None
     ast = querylang.parse(text)
     # every source in the query reads the trace schema
     catalog = {name: TRACE_SCHEMA for name in _source_names(ast)}
@@ -85,29 +98,12 @@ def _source_names(ast) -> list[str]:
 
 
 def cmd_run(args) -> int:
-    try:
-        window = _parse_window_flag(args.window) if args.window else None
-        plan = _load_plan(args.query, window)
-    except FileNotFoundError as exc:
-        print(f"error [NO_SUCH_FILE]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-    except VaqueryError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_QUERY_ERROR
-    try:
-        if len(args.trace) != len(plan.sources):
-            raise VaqueryError(
-                f"query reads {len(plan.sources)} sources ({', '.join(plan.sources)}), "
-                f"got {len(args.trace)} --trace arguments")
-        traces = [ingest.read_trace(p, fps=args.fps) for p in args.trace]
-        pipeline = engine.instantiate(plan, _engine_config(args))
-        rows, stats = pipeline.run(traces)
-    except FileNotFoundError as exc:
-        print(f"error [NO_SUCH_FILE]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-    except VaqueryError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+    plan = _load_plan(args.query, args.window)
+    if len(args.trace) != len(plan.sources):
+        raise VaqueryError(f"query reads {len(plan.sources)} sources ({', '.join(plan.sources)}), "
+                           f"got {len(args.trace)} --trace arguments")
+    traces = [ingest.read_trace(p, fps=args.fps) for p in args.trace]
+    rows, stats = engine.instantiate(plan, _engine_config(args)).run(traces)
 
     header = None if args.no_header else {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
     if args.format == "table":
@@ -123,62 +119,59 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _ids(row: dict, *names: str) -> list:
+    """The values of result columns that eval keys on: present, and not arrays or objects."""
+    if not all(name in row and not isinstance(row[name], (list, dict)) for name in names):
+        raise FormatMismatch(f"result row needs id columns {list(names)}, has {list(row)}")
+    return [row[name] for name in names]
+
+
 def _result_pairs(rows: list[dict]) -> list[tuple]:
     """The first two non-window columns of each result row form the pair."""
-    pairs = []
-    for row in rows:
-        cols = [k for k in row if k != "window"]
-        if len(cols) < 2:
-            raise VaqueryError("pair evaluation needs at least two result columns")
-        pairs.append((row[cols[0]], row[cols[1]]))
-    return pairs
+    cols = [[k for k in row if k != "window"][:2] for row in rows]
+    if any(len(c) < 2 for c in cols):
+        raise VaqueryError("pair evaluation needs at least two result columns")
+    return [tuple(_ids(row, *c)) for row, c in zip(rows, cols)]
 
 
 def _read_results(path: str) -> list[dict]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            if "_meta" in rec:
-                continue
-            rows.append(rec)
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise FormatMismatch(f"{path} line {line_no} is not JSON: {exc}") from None
+            if type(rec) is not dict:
+                raise FormatMismatch(f"{path} line {line_no} is not a JSON object")
+            if "_meta" not in rec:
+                rows.append(rec)
     return rows
 
 
 def cmd_eval(args) -> int:
-    try:
-        rows = _read_results(args.results)
-        gt_text = Path(args.gt).read_text(encoding="utf-8")
-        if args.task == "pairs":
-            gt = evaluation.PairGroundTruth.from_json(gt_text)
-            counts = evaluation.confusion_pairs(_result_pairs(rows), gt)
-            report = evaluation.AccuracyReport("pairs", counts,
-                                               evaluation.accuracy(counts), args.variant)
-        elif args.task == "count":
-            truth = evaluation.load_count_gt(gt_text)
-            by_window = {row["window"]: row for row in rows}
-            predicted = [by_window[i]["count"] if i in by_window else None
-                         for i in range(len(truth))]
-            acc = evaluation.count_eval(predicted, truth)
-            report = evaluation.AccuracyReport("count", None, acc, args.variant)
-        else:
-            truth = evaluation.load_direction_gt(gt_text)
-            predicted = {}
-            for row in rows:
-                keys = [k for k in row if k not in ("window", "direction")]
-                predicted[str(row[keys[0]])] = row["direction"]
-            acc = evaluation.direction_eval(predicted, truth)
-            report = evaluation.AccuracyReport("direction", None, acc, args.variant)
-    except FileNotFoundError as exc:
-        print(f"error [NO_SUCH_FILE]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-    except (VaqueryError, KeyError) as exc:
-        code = exc.code if isinstance(exc, VaqueryError) else "FORMAT_MISMATCH"
-        print(f"error [{code}]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+    rows = _read_results(args.results)
+    gt_text = Path(args.gt).read_bytes()
+    counts = None
+    if args.task == "pairs":
+        gt = evaluation.PairGroundTruth.from_json(gt_text, args.gt)
+        counts = evaluation.confusion_pairs(_result_pairs(rows), gt)
+        acc = evaluation.accuracy(counts)
+    elif args.task == "count":
+        truth = evaluation.load_count_gt(gt_text, args.gt)
+        by_window = dict(_ids(row, "window", "count") for row in rows)
+        acc = evaluation.count_eval([by_window.get(i) for i in range(len(truth))], truth)
+    else:
+        truth = evaluation.load_direction_gt(gt_text, args.gt)
+        predicted = {}
+        for row in rows:
+            key = next((k for k in row if k not in ("window", "direction")), "oid")
+            oid, direction = _ids(row, key, "direction")
+            predicted[str(oid)] = direction
+        acc = evaluation.direction_eval(predicted, truth)
+    report = evaluation.AccuracyReport(args.task, counts, acc, args.variant)
 
     print(report.to_text())
     if args.out:
@@ -187,49 +180,45 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        spec = ingest.SynthSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
-        rel = ingest.generate(spec, args.seed)
-        ingest.write_trace(rel, args.out)
-    except FileNotFoundError as exc:
-        print(f"error [NO_SUCH_FILE]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-    except VaqueryError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+    spec = ingest.SynthSpec.from_json(Path(args.spec).read_bytes())
+    rel = ingest.generate(spec, args.seed)
+    ingest.write_trace(rel, args.out)
     print(f"wrote {len(rel.rows)} tuples to {args.out}")
     return 0
 
 
-def cmd_bench(args) -> int:
+def _bench_config(path: str) -> tuple[list[str], dict[str, str], int, float]:
+    """The traces, queries, repetitions and fps of a bench config file."""
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        fps = float(raw.get("fps", 30.0))
-        traces = [ingest.read_trace(p, fps=fps) for p in raw["traces"]]
-        repetitions = int(raw.get("repetitions", 3))
-        variants = {}
-        trace_size = sum(len(t.rows) for t in traces)
+        raw = json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ConfigError(f"bench config {path} is not JSON: {exc}") from None
+    if type(raw) is not dict:
+        raise ConfigError(f"bench config {path} must be a JSON object")
+    traces, queries = raw.get("traces"), raw.get("queries")
+    repetitions, fps = raw.get("repetitions", 3), raw.get("fps", 30.0)
+    if type(traces) is not list or not all(type(p) is str for p in traces):
+        raise ConfigError(f"bench traces must be a list of path strings, got {traces!r}")
+    if type(queries) is not dict or not all(type(p) is str for p in queries.values()):
+        raise ConfigError(f"bench queries must map names to path strings, got {queries!r}")
+    if type(repetitions) not in (int, float) or repetitions < 1 or repetitions % 1:
+        raise ConfigError(f"bench repetitions must be a whole number >= 1, got {repetitions!r}")
+    if type(fps) not in (int, float) or not 0 < fps <= sys.float_info.max:
+        raise ConfigError(f"bench fps must be a positive finite number, got {fps!r}")
+    return traces, queries, int(repetitions), float(fps)
 
-        def make_runner(query_path: str):
-            def runner() -> int:
-                plan = _load_plan(query_path)
-                pipeline = engine.instantiate(plan, _engine_config(args))
-                _, stats = pipeline.run(traces)
-                return stats.total_smatch_comparisons
-            return runner
 
-        for name, query_path in raw["queries"].items():
-            variants[name] = make_runner(query_path)
-        rows = evaluation.bench(variants, trace_size, repetitions)
-    except FileNotFoundError as exc:
-        print(f"error [NO_SUCH_FILE]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-    except (VaqueryError, KeyError) as exc:
-        code = exc.code if isinstance(exc, VaqueryError) else "CONFIG_ERROR"
-        print(f"error [{code}]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+def cmd_bench(args) -> int:
+    trace_paths, queries, repetitions, fps = _bench_config(args.config)
+    traces = [ingest.read_trace(p, fps=fps) for p in trace_paths]
+    trace_size = sum(len(t.rows) for t in traces)
 
-    table = evaluation.bench_table(rows)
+    def runner(query_path: str) -> int:
+        _, stats = engine.instantiate(_load_plan(query_path), _engine_config(args)).run(traces)
+        return stats.total_smatch_comparisons
+
+    variants = {name: functools.partial(runner, path) for name, path in queries.items()}
+    table = evaluation.bench_table(evaluation.bench(variants, trace_size, repetitions))
     print(table)
     if args.out:
         Path(args.out).write_text(table + "\n", encoding="utf-8")
@@ -237,14 +226,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_parse_check(args) -> int:
-    try:
-        plan = _load_plan(args.query)
-    except FileNotFoundError as exc:
-        print(f"error [NO_SUCH_FILE]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-    except VaqueryError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_QUERY_ERROR
+    plan = _load_plan(args.query)
     print(f"ok: {len(plan.sources)} source(s), output columns: {', '.join(plan.output_names)}")
     return 0
 
@@ -296,8 +278,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the one place where a failure becomes an exit code.
+
+    An OSError exits 3 (``NO_SUCH_FILE`` for a missing file in an existing directory,
+    else ``IO_ERROR``), a VaqueryError 2 if raised in :func:`_load_plan`, else 3.
+    Nothing else is caught: a bug keeps its traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        missing = (isinstance(exc, FileNotFoundError)
+                   and os.path.isdir(Path(exc.filename or "").parent))
+        code, status, error = "NO_SUCH_FILE" if missing else "IO_ERROR", EXIT_RUNTIME_ERROR, exc
+    except VaqueryError as exc:
+        planning = any(frame.f_code is _load_plan.__code__
+                       for frame, _ in traceback.walk_tb(exc.__traceback__))
+        code, status, error = exc.code, EXIT_QUERY_ERROR if planning else EXIT_RUNTIME_ERROR, exc
+    print(f"error [{code}]: {error}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -43,6 +43,14 @@ from .windows import WindowKind, WindowManager, WindowSpec, check_span
 _EOS = ("eos",)
 
 
+def _whole(value) -> int:
+    """A whole number from a config value: ``8``, ``8.0`` or ``"8"``, not ``1.5``."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class FeederConfig:
     """Per-source feed behavior: tuples per second, 0 = unthrottled."""
@@ -50,8 +58,8 @@ class FeederConfig:
     rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ConfigError(f"feed rate must be >= 0, got {self.rate}")
+        if not 0 <= self.rate < math.inf:
+            raise ConfigError(f"feed rate must be finite and >= 0, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,11 @@ class EngineConfig:
             raise ConfigError(f"queue capacity must be positive, got {self.queue_capacity}")
         if self.quantum <= 0:
             raise ConfigError(f"quantum must be positive, got {self.quantum}")
-        if self.default_rate < 0:
-            raise ConfigError(f"feed rate must be >= 0, got {self.default_rate}")
+        if not 0 < self.watchdog_seconds < math.inf:
+            raise ConfigError(f"watchdog seconds must be positive and finite, "
+                              f"got {self.watchdog_seconds}")
+        if not 0 <= self.default_rate < math.inf:
+            raise ConfigError(f"feed rate must be finite and >= 0, got {self.default_rate}")
 
     def rate_for(self, source: str) -> float:
         cfg = self.feeders.get(source)
@@ -80,20 +91,23 @@ class EngineConfig:
             feeders = {name: FeederConfig(float(rate))
                        for name, rate in dict(raw.get("rates", {})).items()}
             return EngineConfig(
-                queue_capacity=int(raw.get("queue_capacity", 1024)),
-                quantum=int(raw.get("quantum", 256)),
+                queue_capacity=_whole(raw.get("queue_capacity", 1024)),
+                quantum=_whole(raw.get("quantum", 256)),
                 watchdog_seconds=float(raw.get("watchdog_seconds", 10.0)),
                 feeders=feeders,
                 default_rate=float(raw.get("rate", 0.0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad engine config value: {exc}") from None
 
     @staticmethod
     def from_file(path: str | Path) -> "EngineConfig":
         """Load a config file: JSON, or flat ``key=value`` lines where
         ``rate.<source>=`` sets a per-source feed rate."""
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"engine config {path} is not UTF-8 text: {exc.reason}") from None
         stripped = text.lstrip()
         if stripped.startswith("{"):
             try:

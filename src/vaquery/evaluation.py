@@ -60,8 +60,8 @@ class PairGroundTruth:
                 raise PairOutsideUniverse(f"positive pair ({l!r}, {r!r}) outside the universes")
 
     @staticmethod
-    def from_json(text: str) -> "PairGroundTruth":
-        raw = json.loads(text)
+    def from_json(text: str | bytes, source: str = "pair ground truth") -> "PairGroundTruth":
+        raw = _loads(text, source)
         try:
             return PairGroundTruth(
                 frozenset(raw["left_universe"]),
@@ -187,26 +187,35 @@ def bench_table(rows: Sequence[BenchRow]) -> str:
     return "\n".join(lines)
 
 
-# ground-truth file loaders
+# ground-truth file loaders; ``source`` names the file in their errors
 
 
-def load_count_gt(text: str) -> list[int]:
+def _loads(text: str | bytes, source: str) -> Any:
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also text that is not UTF-8
+        raise FormatMismatch(f"{source} is not JSON: {exc}") from None
+
+
+def load_count_gt(text: str | bytes, source: str = "count ground truth") -> list[int]:
     """Per-window expected counts: JSON list, or {"windows": {"0": n, ...}}."""
-    raw = json.loads(text)
-    if isinstance(raw, list):
-        return [int(v) for v in raw]
-    if isinstance(raw, dict) and "windows" in raw:
-        windows = raw["windows"]
-        try:
+    raw = _loads(text, source)
+    try:
+        if isinstance(raw, list):
+            return [int(v) for v in raw]
+        if isinstance(raw, dict) and "windows" in raw:
+            windows = raw["windows"]
             return [int(windows[str(i)]) for i in range(len(windows))]
-        except KeyError as exc:
-            raise FormatMismatch(f"window indices must be contiguous from 0: missing {exc}") from None
+    except KeyError as exc:
+        raise FormatMismatch(f"window indices must be contiguous from 0: missing {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatMismatch(f"{source} must hold integer counts: {exc}") from None
     raise FormatMismatch("count ground truth must be a list or {'windows': {...}}")
 
 
-def load_direction_gt(text: str) -> dict[str, str]:
+def load_direction_gt(text: str | bytes, source: str = "direction ground truth") -> dict[str, str]:
     """Per-object expected directions: JSON object id -> direction name."""
-    raw = json.loads(text)
+    raw = _loads(text, source)
     if not isinstance(raw, dict):
         raise FormatMismatch("direction ground truth must be an object id -> direction map")
     return {str(k): str(v) for k, v in raw.items()}

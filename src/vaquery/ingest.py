@@ -441,6 +441,24 @@ class ObjectSpec:
     noise: float = 0.0
     intervals: tuple[tuple[int, int], ...] = ()  # half-open frame ranges
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.oid <= _INT64.max:
+            raise GeneratorSpecError(f"oid must be a non-negative 64-bit integer, got {self.oid}")
+        if not isinstance(self.label, str):
+            raise GeneratorSpecError(f"label of oid {self.oid} must be a string, "
+                                     f"got {_kind(self.label)}")
+        if len(self.start_bb) != 4 or len(self.velocity) != 2 \
+                or not all(map(math.isfinite, (*self.start_bb, *self.velocity))):
+            raise GeneratorSpecError(f"oid {self.oid} needs a bb of 4 finite numbers and a "
+                                     f"velocity of 2, got {self.start_bb} and {self.velocity}")
+        if not 0 <= self.noise < math.inf:
+            raise GeneratorSpecError(f"noise of oid {self.oid} must be finite and >= 0, "
+                                     f"got {self.noise}")
+        if self.base_fv is not None and not (
+                len(self.base_fv) and all(map(math.isfinite, self.base_fv))):
+            raise GeneratorSpecError(f"fv of oid {self.oid} must be a non-empty array of finite "
+                                     f"numbers, got {self.base_fv}")
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -452,10 +470,12 @@ class SynthSpec:
     objects: tuple[ObjectSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.fps <= 0:
-            raise GeneratorSpecError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise GeneratorSpecError(f"fps must be positive and finite, got {self.fps}")
         if self.frames <= 0:
             raise GeneratorSpecError(f"frames must be positive, got {self.frames}")
+        if self.fv_dim < 1:
+            raise GeneratorSpecError(f"fv_dim must be at least 1, got {self.fv_dim}")
         for obj in self.objects:
             for lo, hi in obj.intervals:
                 if not (0 <= lo < hi <= self.frames):
@@ -467,7 +487,7 @@ class SynthSpec:
                     raise GeneratorSpecError(f"intervals of oid {obj.oid} overlap at frame {lo}")
 
     @staticmethod
-    def from_json(text: str) -> "SynthSpec":
+    def from_json(text: str | bytes) -> "SynthSpec":
         try:
             raw = json.loads(text)
             objects = tuple(
@@ -480,7 +500,7 @@ class SynthSpec:
                 for o in raw["objects"])
             return SynthSpec(frames=int(raw["frames"]), fps=float(raw.get("fps", 30.0)),
                              fv_dim=int(raw.get("fv_dim", 8)), objects=objects)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GeneratorSpecError(f"bad generator spec: {exc}") from None
 
 

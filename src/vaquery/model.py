@@ -25,7 +25,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 from numpy.dtypes import StringDType
 
-from .errors import IllegalColumnKind, TupleValidationError, UnknownColumn
+from .errors import DimensionMismatch, IllegalColumnKind, TupleValidationError, UnknownColumn
 
 _INT64 = np.iinfo(np.int64)
 
@@ -222,6 +222,9 @@ def _column(kind: ColumnKind, values: Sequence[Any]) -> np.ndarray:
     if kind is ColumnKind.BBOX_VECTOR:
         return np.array([b.as_list() for b in values], dtype=np.float64).reshape(-1, 4)
     if kind is ColumnKind.FEATURE_VECTOR:
+        dims = sorted({v.dim for v in values})
+        if len(dims) > 1:
+            raise DimensionMismatch(f"feature vectors of one column differ in dimension: {dims}")
         return np.array([v.values for v in values] or np.zeros((0, 0)), dtype=np.float64)
     types = set(map(type, values))
     if kind is ColumnKind.CATEGORICAL and types <= {str}:

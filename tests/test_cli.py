@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import trace_relation
+from vaquery import querylang
 from vaquery.cli import _engine_config, build_parser, main
 from vaquery.ingest import ObjectSpec, SynthSpec, generate, write_trace
 
@@ -335,3 +340,162 @@ def test_benchmark_tracer_finds_the_similarity_functions(tmp_path, trace_file, q
     assert proc.returncode == 0, proc.stderr
     leaves = {name for span in json.loads(spans.read_text())["spans"] for name in span["leaves"]}
     assert {"similarity.scores_against", "similarity.normalized_matrix"} <= leaves
+
+
+# Each case: argv and the files it reads, written to tmp_path. "{tmp}" and
+# "{trace}" in both stand for tmp_path and a valid trace file.
+GEN = ["gen", "--spec", "{tmp}/spec.json", "--out", "{tmp}/t.jsonl"]
+BENCH = ["bench", "--config", "{tmp}/bench.json"]
+RUN = ["run", "--query", "{tmp}/q.vaq", "--trace", "{trace}"]
+
+
+def _eval(task, results, gt):
+    return (["eval", "--results", "{tmp}/r.jsonl", "--gt", "{tmp}/gt.json", "--task", task],
+            {"r.jsonl": results, "gt.json": gt})
+
+
+def _spec(obj=None, **top):
+    spec = {"frames": 5, "objects": [{"oid": 1, "bb": [0, 0, 1, 1], "intervals": [[0, 5]],
+                                      **(obj or {})}], **top}
+    return GEN, {"spec.json": json.dumps(spec)}
+
+
+def _bench(config):
+    return BENCH, {"bench.json": json.dumps(config), "bad.vaq": "SELECT FROM"}
+
+
+def _run(*extra, **files):
+    return RUN + list(extra), {"q.vaq": Q2, **files}
+
+
+PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
+
+
+@pytest.mark.parametrize("case, code, error, names", [
+    (_spec({"noise": -1}), 3, "SPEC_ERROR", "noise"),
+    (_spec({"velocity": [1]}), 3, "SPEC_ERROR", "velocity"),
+    (_spec({"bb": [0, 0, 1]}), 3, "SPEC_ERROR", "bb"),
+    (_spec(fv_dim=-2), 3, "SPEC_ERROR", "fv_dim"),
+    (_spec(fv_dim=0), 3, "SPEC_ERROR", "fv_dim"),
+    (_spec({"fv": []}), 3, "SPEC_ERROR", "fv"),
+    (_spec({"label": 5}), 3, "SPEC_ERROR", "label"),
+    (_spec(fps=float("nan")), 3, "SPEC_ERROR", "fps"),
+    ((GEN, {"spec.json": b"\xff{"}), 3, "SPEC_ERROR", ""),
+    ((GEN[:-1] + ["{tmp}/absent/t.jsonl"], {"spec.json": _spec()[1]["spec.json"]}), 3,
+     "IO_ERROR", "absent"),
+    (_bench({"traces": [], "queries": {}, "repetitions": "x"}), 3, "CONFIG_ERROR", "repetitions"),
+    (_bench({"traces": [], "queries": {}, "repetitions": 1.5}), 3, "CONFIG_ERROR", "repetitions"),
+    (_bench({"traces": "{trace}", "queries": {}}), 3, "CONFIG_ERROR", "traces"),
+    (_bench({"traces": [], "queries": ["{tmp}/bad.vaq"]}), 3, "CONFIG_ERROR", "queries"),
+    (_bench({"traces": [], "queries": {}, "fps": "x"}), 3, "CONFIG_ERROR", "fps"),
+    (_bench([1]), 3, "CONFIG_ERROR", "bench.json"),
+    ((BENCH, {"bench.json": "{"}), 3, "CONFIG_ERROR", "bench.json"),
+    (_bench({"traces": ["{trace}"], "queries": {"q": "{tmp}/bad.vaq"}, "repetitions": 1}), 2,
+     "SYNTAX_ERROR", "line 1"),
+    (_eval("count", "{", "[1]"), 3, "FORMAT_MISMATCH", "r.jsonl line 1"),
+    (_eval("count", "[1]", "[1]"), 3, "FORMAT_MISMATCH", "r.jsonl line 1"),
+    (_eval("count", '{"window": 0, "count": 1}', "{"), 3, "FORMAT_MISMATCH", "gt.json"),
+    (_eval("count", '{"window": 0, "count": 1}', '["x"]'), 3, "FORMAT_MISMATCH", "gt.json"),
+    (_eval("count", '{"window": [0], "count": 1}', "[1]"), 3, "FORMAT_MISMATCH", "window"),
+    (_eval("pairs", '{"a": [1], "b": 2}', PAIR_GT), 3, "FORMAT_MISMATCH", "'a'"),
+    (_eval("pairs", '{"a": 1, "b": 2}', "[1"), 3, "FORMAT_MISMATCH", "gt.json"),
+    (_eval("direction", '{"window": 0}', '{"1": "N"}'), 3, "FORMAT_MISMATCH", "direction"),
+    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"quantum": 1.5}'}), 3,
+     "CONFIG_ERROR", "1.5"),
+    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"watchdog_seconds": "nan"}'}), 3,
+     "CONFIG_ERROR", "watchdog"),
+    (_run("--engine-config", "{tmp}/e.cfg", **{"e.cfg": b"quantum=\xff\n"}), 3, "CONFIG_ERROR",
+     "UTF-8"),
+    (_run("--rate", "inf"), 3, "CONFIG_ERROR", "rate"),
+    ((RUN[:-1] + ["{tmp}"], {"q.vaq": Q2}), 3, "IO_ERROR", "directory"),
+    ((["run", "--query", "{tmp}", "--trace", "{trace}"], {}), 3, "IO_ERROR", "directory"),
+    (_run("--out", "{tmp}/absent/r.jsonl"), 3, "IO_ERROR", "absent"),
+    ((RUN, {"q.vaq": b"SELECT \xff"}), 2, "SYNTAX_ERROR", "column 8"),
+    ((["parse-check", "--query", "{tmp}"], {}), 3, "IO_ERROR", "directory"),
+    ((["parse-check", "--query", "{tmp}/absent.vaq"], {}), 3, "NO_SUCH_FILE", "absent.vaq"),
+], ids=["spec-noise", "spec-velocity", "spec-bb", "spec-fv-dim-negative", "spec-fv-dim-zero",
+        "spec-fv-empty", "spec-label", "spec-fps-nan", "spec-not-utf8", "gen-out-missing-dir",
+        "bench-repetitions-text", "bench-repetitions-fraction", "bench-traces-string",
+        "bench-queries-list", "bench-fps-text", "bench-list", "bench-not-json",
+        "bench-bad-query", "eval-results-not-json", "eval-results-not-object",
+        "eval-gt-not-json", "eval-gt-count-text", "eval-window-array", "eval-pair-array",
+        "eval-pairs-gt-not-json", "eval-direction-missing", "config-quantum-fraction",
+        "config-watchdog-nan", "config-not-utf8", "rate-inf", "run-trace-dir",
+        "run-query-dir", "run-out-missing-dir", "run-query-not-utf8", "parse-check-dir",
+        "parse-check-missing"])
+def test_every_subcommand_exits_with_a_code(tmp_path, trace_file, capsys, case, code, error,
+                                            names):
+    argv, files = case
+
+    def fill(text):
+        return text.replace("{tmp}", str(tmp_path)).replace("{trace}", str(trace_file))
+
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else fill(text).encode())
+    assert main([fill(arg) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert f"error [{error}]" in err and names in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+
+def test_only_io_and_vaquery_errors_become_exit_codes(tmp_path, monkeypatch):
+    def bug(text):
+        raise ZeroDivisionError("a bug keeps its traceback")
+
+    monkeypatch.setattr(querylang, "parse", bug)
+    with pytest.raises(ZeroDivisionError):
+        main(["parse-check", "--query", str(write_query(tmp_path, Q2))])
+
+
+# Field names the loaders read, so that drawn objects reach their checks.
+# Left out: "frames" (a valid spec with a huge fv_dim or interval would
+# allocate that much) and "rate"/"rates" (a tiny positive feed rate
+# throttles a run for as long as it asks).
+_KEYS = st.sampled_from([
+    "objects", "oid", "label", "bb", "velocity", "fv", "noise", "intervals", "fps", "fv_dim",
+    "traces", "queries", "repetitions", "quantum", "queue_capacity", "watchdog_seconds",
+    "left_universe", "right_universe", "positives", "windows", "window", "count",
+    "direction", "0"]) | st.text(max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=5),
+    max_leaves=12)
+_CONTENT = _JSON.map(lambda value: json.dumps(value).encode()) | st.binary(max_size=40)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "q.vaq").write_text(Q2)
+    (d / "r.jsonl").write_text('{"window": 0, "oid": 1, "count": 2, "direction": "E"}\n')
+    (d / "pairs.json").write_text('{"left_universe": [0, 1], "right_universe": [0, 1], '
+                                  '"positives": [[0, 0]]}')
+    (d / "count.json").write_text("[2]")
+    (d / "direction.json").write_text('{"1": "E"}')
+    write_trace(trace_relation([(0, 1, "person", (0, 0, 1, 1), (1.0, 0.0)),
+                                (1, 1, "person", (1, 0, 1, 1), (1.0, 0.1))]), d / "t.jsonl")
+    return d
+
+
+_TARGETS = [["gen", "--spec", "{file}", "--out", "{dir}/out.jsonl"],
+            ["bench", "--config", "{file}"],
+            ["run", "--query", "{dir}/q.vaq", "--trace", "{dir}/t.jsonl",
+             "--engine-config", "{file}"]]
+_TARGETS += [["eval", "--results", "{dir}/r.jsonl", "--gt", "{file}", "--task", task]
+             for task in ("pairs", "count", "direction")]
+_TARGETS += [["eval", "--results", "{file}", "--gt", f"{{dir}}/{task}.json", "--task", task]
+             for task in ("pairs", "count", "direction")]
+
+
+@settings(max_examples=300, deadline=10_000, derandomize=True)
+@given(target=st.sampled_from(_TARGETS), content=_CONTENT)
+def test_any_input_file_exits_0_2_or_3(fuzz_dir, target, content):
+    path = fuzz_dir / "input"
+    path.write_bytes(content)
+    argv = [a.replace("{file}", str(path)).replace("{dir}", str(fuzz_dir)) for a in target]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert code == 0 or "error [" in err.getvalue()

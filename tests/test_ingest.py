@@ -231,6 +231,53 @@ def test_synth_spec_bad_json():
         SynthSpec.from_json('{"objects": []}')
 
 
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+_extent = st.floats(0, 1e3)
+
+
+@st.composite
+def _synth_specs(draw):
+    frames, dim = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    objects = []
+    for oid in draw(st.lists(st.integers(0, 2 ** 63 - 1), max_size=4, unique=True)):
+        cuts = sorted(draw(st.lists(st.integers(0, frames), max_size=4, unique=True)))
+        objects.append(ObjectSpec(
+            oid, draw(st.text(max_size=6)),
+            (draw(_finite), draw(_finite), draw(_extent), draw(_extent)),
+            (draw(_finite), draw(_finite)),
+            draw(st.none() | st.tuples(*[_finite] * dim)),
+            draw(st.sampled_from([0.0, 0.05, 1.0])),
+            tuple(zip(cuts[::2], cuts[1::2]))))  # disjoint half-open visits
+    return SynthSpec(frames, draw(st.floats(0.5, 120)), dim, tuple(objects))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_synth_specs(), seed=st.integers(0, 2 ** 32 - 1), suffix=st.sampled_from(
+    [".jsonl", ".csv"]))
+def test_generated_traces_read_back_as_generated(tmp_path_factory, spec, seed, suffix):
+    rel = generate(spec, seed)
+    path = tmp_path_factory.mktemp("gen") / f"t{suffix}"
+    write_trace(rel, path)
+    back = read_trace(path, fps=spec.fps)
+    for name in TRACE_SCHEMA.names():
+        assert back.column(name).tolist() == rel.column(name).tolist(), name
+
+
+@pytest.mark.parametrize("change", [
+    {"fps": float("nan")}, {"fps": 0}, {"fv_dim": 0}, {"fv_dim": -2},
+    {"label": 5}, {"start_bb": (0, 0, 1)}, {"start_bb": (0, 0, 1, float("inf"))},
+    {"velocity": (1,)}, {"noise": -1}, {"noise": float("nan")}, {"base_fv": ()},
+    {"base_fv": (1.0, float("nan"))}, {"oid": -1}, {"oid": 2 ** 63},
+], ids=repr)
+def test_spec_checks_its_fields_where_it_is_built(change):
+    obj = dict(oid=1, label="person", start_bb=(0, 0, 1, 1), intervals=((0, 5),))
+    top = dict(frames=5, fps=30.0, fv_dim=2)
+    for key in change:
+        (top if key in top else obj)[key] = change[key]
+    with pytest.raises(GeneratorSpecError):
+        SynthSpec(objects=(ObjectSpec(**obj),), **top)
+
+
 def test_flip_y_converts_screen_coordinates(tmp_path):
     # a box at screen-space top should land near cartesian top after the flip
     path = tmp_path / "t.jsonl"

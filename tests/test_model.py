@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import make_tuple, trace_relation
-from vaquery.errors import (IllegalColumnKind, TupleValidationError,
+from vaquery.errors import (DimensionMismatch, IllegalColumnKind, TupleValidationError,
                             UnknownColumn)
 from vaquery.model import (Arrable, ArrableRow, ColumnKind, FeatureVector,
                            OPERATOR_LEGALITY, TRACE_SCHEMA, kind_check,
@@ -11,6 +11,12 @@ from vaquery.operators import r2a
 
 def test_validate_tuple_well_formed():
     validate_tuple(make_tuple(bb=(10, 20, 30, 20), fv=(1, 2, 3, 4)))
+
+
+def test_a_column_of_mixed_feature_dimensions_is_refused():
+    with pytest.raises(DimensionMismatch):
+        trace_relation([(0, 1, "person", (0, 0, 1, 1), (1.0,)),
+                        (0, 2, "person", (0, 0, 1, 1), (1.0, 0.5))])
 
 
 def test_validate_tuple_negative_width():
