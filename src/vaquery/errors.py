@@ -89,10 +89,6 @@ class ConfigError(VaqueryError):
     code = "CONFIG_ERROR"
 
 
-class QueueStall(VaqueryError):
-    code = "QUEUE_STALL"
-
-
 class TraceParseError(VaqueryError):
     code = "PARSE_ERROR"
 

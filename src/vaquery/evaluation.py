@@ -198,19 +198,22 @@ def _loads(text: str | bytes, source: str) -> Any:
 
 
 def load_count_gt(text: str | bytes, source: str = "count ground truth") -> list[int]:
-    """Per-window expected counts: JSON list, or {"windows": {"0": n, ...}}."""
+    """Per-window expected counts as JSON integers: a list, or {"windows": {"0": n, ...}}."""
     raw = _loads(text, source)
-    try:
-        if isinstance(raw, list):
-            return [int(v) for v in raw]
-        if isinstance(raw, dict) and "windows" in raw:
-            windows = raw["windows"]
-            return [int(windows[str(i)]) for i in range(len(windows))]
-    except KeyError as exc:
-        raise FormatMismatch(f"window indices must be contiguous from 0: missing {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatMismatch(f"{source} must hold integer counts: {exc}") from None
-    raise FormatMismatch("count ground truth must be a list or {'windows': {...}}")
+    if isinstance(raw, dict) and "windows" in raw:
+        windows = raw["windows"]
+        if not isinstance(windows, dict):
+            raise FormatMismatch(f"{source} windows must map window indices to counts")
+        try:
+            raw = [windows[str(i)] for i in range(len(windows))]
+        except KeyError as exc:
+            raise FormatMismatch(f"window indices must be contiguous from 0: missing {exc}") from None
+    if not isinstance(raw, list):
+        raise FormatMismatch("count ground truth must be a list or {'windows': {...}}")
+    for value in raw:
+        if type(value) is not int:  # bool is an int subclass
+            raise FormatMismatch(f"{source} must hold integer counts, got {value!r}")
+    return raw
 
 
 def load_direction_gt(text: str | bytes, source: str = "direction ground truth") -> dict[str, str]:

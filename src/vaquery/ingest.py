@@ -46,6 +46,10 @@ from .model import (BoundingBox, FeatureVector, Relation, TRACE_SCHEMA, VTuple,
 #: values alive at once: larger ones raised the peak memory of a run.
 CHUNK = 64
 
+#: Most float64 values ``generate`` may allocate for one spec (feature
+#: vectors, boxes and timestamps); larger specs are a ``SPEC_ERROR``.
+MAX_GENERATED_VALUES = 2 ** 24
+
 _REQUIRED = ("fid", "oid", "label", "bb", "fv")
 _fields = itemgetter(*_REQUIRED)
 _scan = json.JSONDecoder().scan_once
@@ -476,6 +480,7 @@ class SynthSpec:
             raise GeneratorSpecError(f"frames must be positive, got {self.frames}")
         if self.fv_dim < 1:
             raise GeneratorSpecError(f"fv_dim must be at least 1, got {self.fv_dim}")
+        values = 0  # counted, not allocated: a base vector per object, fv + bb + ts per row
         for obj in self.objects:
             for lo, hi in obj.intervals:
                 if not (0 <= lo < hi <= self.frames):
@@ -485,6 +490,12 @@ class SynthSpec:
             for (_, hi), (lo, _) in zip(ordered, ordered[1:]):
                 if lo < hi:  # one frame would get two tuples of this object
                     raise GeneratorSpecError(f"intervals of oid {obj.oid} overlap at frame {lo}")
+            rows = sum(hi - lo for lo, hi in obj.intervals)
+            dim = self.fv_dim if obj.base_fv is None else len(obj.base_fv)
+            values += (rows + 1) * dim + 5 * rows
+        if values > MAX_GENERATED_VALUES:
+            raise GeneratorSpecError(f"spec would generate {values} float values, more than "
+                                     f"{MAX_GENERATED_VALUES} (fv_dim {self.fv_dim})")
 
     @staticmethod
     def from_json(text: str | bytes) -> "SynthSpec":

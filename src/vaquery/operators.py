@@ -20,6 +20,7 @@ from numbers import Real
 from typing import Any, Callable, Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .errors import EmptyRow, IllegalColumnKind, SchemaMismatch, UnknownColumn
 from .model import (Arrable, BoundingBox, Column, ColumnKind, FeatureVector,
@@ -164,8 +165,11 @@ class Comparison(Predicate):
                                  f"{schema.resolve(self.column)!r} with non-numeric {self.value!r}")
 
     def mask(self, column, live, counter=None) -> np.ndarray:
-        # object dtype keeps Python's comparison semantics per value
-        values = np.array(column(self.column).tolist(), dtype=object)
+        values = column(self.column)
+        if not (isinstance(values.dtype, StringDType) and isinstance(self.value, str)
+                and self.op in ("=", "!=")):
+            # object dtype keeps Python's comparison semantics per value
+            values = np.array(values.tolist(), dtype=object)
         return _CMP_FUNCS[self.op](values, self.value) & live
 
 

@@ -321,13 +321,8 @@ def test_rate_zero_and_quantum_override_config_file(tmp_path):
     assert config.default_rate == 0.0 and config.quantum == 1
 
 
-@pytest.mark.parametrize("query, n_traces", [
-    (Q3, 2),
-    ("SELECT fid, oid FROM R1 WHERE [FV] SMATCH(0.9) [1.0, 0.0, 0.0, 0.0]", 1),
-], ids=["cjoin", "smatch-select"])
-def test_benchmark_tracer_finds_the_similarity_functions(tmp_path, trace_file, query, n_traces):
-    # benchmarks/tracer.py wraps similarity functions by their operators
-    # attribute names; renaming one must fail here, not only in the benchmark
+def _traced_spans(tmp_path, trace_file, query, n_traces):
+    """Spans of one ``vaquery run`` under benchmarks/tracer.py."""
     root = Path(__file__).resolve().parents[1]
     spans = tmp_path / "spans.json"
     cmd = [sys.executable, str(root / "benchmarks" / "tracer.py"), str(spans), "all",
@@ -338,8 +333,32 @@ def test_benchmark_tracer_finds_the_similarity_functions(tmp_path, trace_file, q
         [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    leaves = {name for span in json.loads(spans.read_text())["spans"] for name in span["leaves"]}
+    return json.loads(spans.read_text())["spans"]
+
+
+@pytest.mark.parametrize("query, n_traces", [
+    (Q3, 2),
+    ("SELECT fid, oid FROM R1 WHERE [FV] SMATCH(0.9) [1.0, 0.0, 0.0, 0.0]", 1),
+], ids=["cjoin", "smatch-select"])
+def test_benchmark_tracer_finds_the_similarity_functions(tmp_path, trace_file, query, n_traces):
+    # benchmarks/tracer.py wraps similarity functions by their operators
+    # attribute names; renaming one must fail here, not only in the benchmark
+    spans = _traced_spans(tmp_path, trace_file, query, n_traces)
+    leaves = {name for span in spans for name in span["leaves"]}
     assert {"similarity.scores_against", "similarity.normalized_matrix"} <= leaves
+
+
+def test_benchmark_tracer_finds_the_engine_operators(tmp_path, trace_file):
+    # the tracer patches the engine's operator globals and WindowManager
+    # methods; an engine that stopped calling them would lose these spans
+    query = ('SELECT count(fid) FROM (CCT(R2A(R1, R1.oid, R1.fid), first)) AR1 '
+             'WHERE (R1.label = "person") WINDOW(TIME, 0.5, 0.25)')
+    spans = _traced_spans(tmp_path, trace_file, query, 1)
+    assert {"engine.run", "engine.instantiate", "engine.write_results", "ingest.read_trace",
+            "operators.r2a", "operators.select", "operators.cct",
+            "operators.aggregate"} <= {span["name"] for span in spans}
+    assert {"windows.add", "windows.close"} <= {name for span in spans
+                                                for name in span["leaves"]}
 
 
 # Each case: argv and the files it reads, written to tmp_path. "{tmp}" and
@@ -380,6 +399,8 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
     (_spec({"fv": []}), 3, "SPEC_ERROR", "fv"),
     (_spec({"label": 5}), 3, "SPEC_ERROR", "label"),
     (_spec(fps=float("nan")), 3, "SPEC_ERROR", "fps"),
+    (_spec(fv_dim=10**15), 3, "SPEC_ERROR", "values"),
+    (_spec({"intervals": [[0, 10**12]]}, frames=10**12), 3, "SPEC_ERROR", "values"),
     ((GEN, {"spec.json": b"\xff{"}), 3, "SPEC_ERROR", ""),
     ((GEN[:-1] + ["{tmp}/absent/t.jsonl"], {"spec.json": _spec()[1]["spec.json"]}), 3,
      "IO_ERROR", "absent"),
@@ -396,14 +417,17 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
     (_eval("count", "[1]", "[1]"), 3, "FORMAT_MISMATCH", "r.jsonl line 1"),
     (_eval("count", '{"window": 0, "count": 1}', "{"), 3, "FORMAT_MISMATCH", "gt.json"),
     (_eval("count", '{"window": 0, "count": 1}', '["x"]'), 3, "FORMAT_MISMATCH", "gt.json"),
+    (_eval("count", '{"window": 0, "count": 1}', '[1.5]'), 3, "FORMAT_MISMATCH", "gt.json"),
+    (_eval("count", '{"window": 0, "count": 3}', '["3"]'), 3, "FORMAT_MISMATCH", "gt.json"),
+    (_eval("count", '{"window": 0, "count": 1}', '[true]'), 3, "FORMAT_MISMATCH", "gt.json"),
+    (_eval("count", '{"window": 0, "count": 2}', '{"windows": {"0": 2.0}}'), 3,
+     "FORMAT_MISMATCH", "gt.json"),
     (_eval("count", '{"window": [0], "count": 1}', "[1]"), 3, "FORMAT_MISMATCH", "window"),
     (_eval("pairs", '{"a": [1], "b": 2}', PAIR_GT), 3, "FORMAT_MISMATCH", "'a'"),
     (_eval("pairs", '{"a": 1, "b": 2}', "[1"), 3, "FORMAT_MISMATCH", "gt.json"),
     (_eval("direction", '{"window": 0}', '{"1": "N"}'), 3, "FORMAT_MISMATCH", "direction"),
     (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"quantum": 1.5}'}), 3,
      "CONFIG_ERROR", "1.5"),
-    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"watchdog_seconds": "nan"}'}), 3,
-     "CONFIG_ERROR", "watchdog"),
     (_run("--engine-config", "{tmp}/e.cfg", **{"e.cfg": b"quantum=\xff\n"}), 3, "CONFIG_ERROR",
      "UTF-8"),
     (_run("--rate", "inf"), 3, "CONFIG_ERROR", "rate"),
@@ -414,13 +438,16 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
     ((["parse-check", "--query", "{tmp}"], {}), 3, "IO_ERROR", "directory"),
     ((["parse-check", "--query", "{tmp}/absent.vaq"], {}), 3, "NO_SUCH_FILE", "absent.vaq"),
 ], ids=["spec-noise", "spec-velocity", "spec-bb", "spec-fv-dim-negative", "spec-fv-dim-zero",
-        "spec-fv-empty", "spec-label", "spec-fps-nan", "spec-not-utf8", "gen-out-missing-dir",
+        "spec-fv-empty", "spec-label", "spec-fps-nan", "spec-fv-dim-huge", "spec-frames-huge",
+        "spec-not-utf8", "gen-out-missing-dir",
         "bench-repetitions-text", "bench-repetitions-fraction", "bench-traces-string",
         "bench-queries-list", "bench-fps-text", "bench-list", "bench-not-json",
         "bench-bad-query", "eval-results-not-json", "eval-results-not-object",
-        "eval-gt-not-json", "eval-gt-count-text", "eval-window-array", "eval-pair-array",
+        "eval-gt-not-json", "eval-gt-count-text", "eval-gt-count-fraction",
+        "eval-gt-count-string", "eval-gt-count-bool", "eval-gt-count-windows-float",
+        "eval-window-array", "eval-pair-array",
         "eval-pairs-gt-not-json", "eval-direction-missing", "config-quantum-fraction",
-        "config-watchdog-nan", "config-not-utf8", "rate-inf", "run-trace-dir",
+        "config-not-utf8", "rate-inf", "run-trace-dir",
         "run-query-dir", "run-out-missing-dir", "run-query-not-utf8", "parse-check-dir",
         "parse-check-missing"])
 def test_every_subcommand_exits_with_a_code(tmp_path, trace_file, capsys, case, code, error,
@@ -449,12 +476,13 @@ def test_only_io_and_vaquery_errors_become_exit_codes(tmp_path, monkeypatch):
 
 
 # Field names the loaders read, so that drawn objects reach their checks.
-# Left out: "frames" (a valid spec with a huge fv_dim or interval would
-# allocate that much) and "rate"/"rates" (a tiny positive feed rate
-# throttles a run for as long as it asks).
+# Left out: "frames" (a valid spec may still allocate up to
+# ingest.MAX_GENERATED_VALUES floats, 128 MiB, per example) and
+# "rate"/"rates" (a tiny positive feed rate throttles a run for as long as
+# it asks).
 _KEYS = st.sampled_from([
     "objects", "oid", "label", "bb", "velocity", "fv", "noise", "intervals", "fps", "fv_dim",
-    "traces", "queries", "repetitions", "quantum", "queue_capacity", "watchdog_seconds",
+    "traces", "queries", "repetitions", "quantum",
     "left_universe", "right_universe", "positives", "windows", "window", "count",
     "direction", "0"]) | st.text(max_size=6)
 _JSON = st.recursive(

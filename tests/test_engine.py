@@ -1,8 +1,10 @@
+import time
+
 import pytest
 
 from vaquery.engine import (EngineConfig, FeederConfig, Pipeline, instantiate,
                             row_to_json)
-from vaquery.errors import ConfigError, QueueStall, SchemaMismatch
+from vaquery.errors import ConfigError, SchemaMismatch
 from vaquery.ingest import ObjectSpec, SynthSpec, generate
 from vaquery.model import Relation, TRACE_SCHEMA
 from vaquery.querylang import parse, plan
@@ -43,12 +45,10 @@ def test_q3_pipeline_two_sources_one_join():
     assert sum(1 for n in names if n.startswith("join")) == 1
 
 
-def test_zero_queue_capacity_is_a_config_error():
+def test_zero_quantum_is_a_config_error():
     with pytest.raises(ConfigError) as exc:
-        EngineConfig(queue_capacity=0)
-    assert exc.value.code == "CONFIG_ERROR"
-    with pytest.raises(ConfigError):
         EngineConfig(quantum=0)
+    assert exc.value.code == "CONFIG_ERROR"
     with pytest.raises(ConfigError):
         FeederConfig(rate=-1)
 
@@ -92,7 +92,7 @@ def test_determinism_across_rates_and_quanta():
     assert outputs[0][1]["stages"][-1]["window_wall"] == ["0", "1", "2", "3", "4", "5"]
 
 
-def test_probe_select_determinism_across_quanta_and_capacities():
+def test_probe_select_determinism_across_quanta():
     # a tuple-windowed OR of two probes: the second probe scores only the
     # rows the first one rejected, per window, whatever the batching
     trace = small_trace()
@@ -100,8 +100,8 @@ def test_probe_select_determinism_across_quanta_and_capacities():
     p = plan(parse(f"SELECT fid, oid FROM R1 WHERE [FV] SMATCH(0.9) {e0} "
                    f"OR [FV] SMATCH(0.9) {e2} WINDOW(TUPLE, 25, 25)"), ONE)
     outputs = []
-    for quantum, capacity in ((1, 1), (7, 3), (256, 1024)):
-        cfg = EngineConfig(queue_capacity=capacity, quantum=quantum)
+    for quantum in (1, 7, 256):
+        cfg = EngineConfig(quantum=quantum)
         rows, st = instantiate(p, cfg).run([trace])
         outputs.append(("\n".join(row_to_json(r) for r in rows), untimed(st)))
     assert all(out == outputs[0] for out in outputs)
@@ -117,11 +117,10 @@ def test_join_determinism_across_configs():
     p = plan(parse(Q3 + " WINDOW(TIME, 0.5, 0.5)"), TWO)
     for traces in ([left, right], [empty, right], [left, empty]):
         outputs = []
-        for quantum in (1, 64):
-            for capacity in (1, 4, 1024):
-                cfg = EngineConfig(queue_capacity=capacity, quantum=quantum)
-                rows, st = instantiate(p, cfg).run(traces)
-                outputs.append(("\n".join(row_to_json(r) for r in rows), untimed(st)))
+        for quantum in (1, 7, 64):
+            cfg = EngineConfig(quantum=quantum)
+            rows, st = instantiate(p, cfg).run(traces)
+            outputs.append(("\n".join(row_to_json(r) for r in rows), untimed(st)))
         assert all(out == outputs[0] for out in outputs)
         join = next(s for s in outputs[0][1]["stages"] if s["name"] == "join")
         # a side with fewer windows pairs the rest with empty windows
@@ -171,24 +170,12 @@ def test_source_count_mismatch_rejected():
         instantiate(plan(parse(Q3), TWO)).run([small_trace()])
 
 
-def test_queue_stall_watchdog(monkeypatch):
-    trace = small_trace()
-    cfg = EngineConfig(watchdog_seconds=0.05)
-    pipeline = instantiate(plan(parse(Q2), ONE), cfg)
-    stuck = pipeline.stages[2]
-    monkeypatch.setattr(stuck, "step", lambda quantum: 0)
-    with pytest.raises(QueueStall) as exc:
-        pipeline.run([trace])
-    assert exc.value.code == "QUEUE_STALL"
-
-
 def test_engine_config_from_key_value_file(tmp_path):
     path = tmp_path / "engine.cfg"
     path.write_text("# engine settings\nqueue_capacity=64\nquantum=8\n"
                     "watchdog_seconds=2.5\nrate=100\nrate.R2=50\n")
-    cfg = EngineConfig.from_file(path)
-    assert cfg.queue_capacity == 64 and cfg.quantum == 8
-    assert cfg.watchdog_seconds == 2.5
+    cfg = EngineConfig.from_file(path)  # keys of earlier engines are ignored
+    assert cfg.quantum == 8
     assert cfg.rate_for("R1") == 100.0
     assert cfg.rate_for("R2") == 50.0
 
@@ -197,7 +184,7 @@ def test_engine_config_from_json_file(tmp_path):
     path = tmp_path / "engine.json"
     path.write_text('{"queue_capacity": 32, "rates": {"R1": 10}}')
     cfg = EngineConfig.from_file(path)
-    assert cfg.queue_capacity == 32
+    assert cfg.quantum == 256
     assert cfg.rate_for("R1") == 10.0
     assert cfg.rate_for("R9") == 0.0
 
@@ -211,6 +198,18 @@ def test_throttled_run_matches_unthrottled(two=None):
     assert fast == slow == [{"window": 0, "count": 1}]
 
 
+def test_throttled_join_inputs_are_fed_at_the_same_time():
+    # 120 rows per side at 400 rows/s: 0.3 s when both sources count from
+    # one start, 0.6 s if the right side began only after the left ended
+    left, right = small_trace(1), small_trace(2)
+    cfg = EngineConfig(default_rate=400.0, quantum=16)
+    started = time.monotonic()
+    rows, _ = instantiate(plan(parse(Q3), TWO), cfg).run([left, right])
+    elapsed = time.monotonic() - started
+    assert 0.3 <= elapsed < 0.5
+    assert rows == instantiate(plan(parse(Q3), TWO)).run([left, right])[0]
+
+
 def test_cct_runs_never_span_window_boundaries():
     # one object visible continuously; windowing must split its run, so each
     # window contributes its own compressed appearance
@@ -220,15 +219,6 @@ def test_cct_runs_never_span_window_boundaries():
     rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
     assert [r["window"] for r in rows] == [0, 1]
     assert all(r["count(oid)"] == 1 for r in rows)
-
-
-def test_slow_feed_does_not_trip_watchdog():
-    # the gap between throttled tuples exceeds the watchdog bound; waiting on
-    # the rate limiter must not count as a stall
-    trace = small_trace(frames=5, persons=1, cars=0)
-    cfg = EngineConfig(default_rate=200.0, watchdog_seconds=0.004)
-    rows, _ = instantiate(plan(parse(Q2), ONE), cfg).run([trace])
-    assert rows == [{"window": 0, "count": 1}]
 
 
 def test_single_underfilled_time_window():

@@ -258,7 +258,7 @@ _leaf = st.one_of(
               st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
               st.one_of(st.integers(0, 4), st.sampled_from([0.25, 0.5, 1.5, 2.0]))),
     st.tuples(st.just("cmp"), st.just("label"), st.sampled_from(["=", "!="]),
-              st.sampled_from(["person", "car", "x"])),
+              st.sampled_from(["person", "car", "x", 5])),
     st.tuples(st.just("bb"), st.just("bb"), st.tuples(*[_bb_comp] * 4)),
     _probe_leaf,
 )
