@@ -38,53 +38,48 @@ from .operators import r2a as r2a_op
 from .windows import WindowKind, WindowManager, WindowSpec, check_span
 
 
-def _whole(value) -> int:
-    """A whole number from a config value: ``8``, ``8.0`` or ``"8"``, not ``1.5``."""
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return int(number)
-
-
-@dataclass(frozen=True)
-class FeederConfig:
-    """Per-source feed behavior: tuples per second, 0 = unthrottled."""
-
-    rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.rate < math.inf:
-            raise ConfigError(f"feed rate must be finite and >= 0, got {self.rate}")
+def _number(value: Any, key: str) -> float:
+    """A config value that must be a JSON number, not a boolean or a string."""
+    if type(value) not in (int, float):  # bool is an int subclass
+        raise ConfigError(f"engine config {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"engine config {key} is out of range: {value}") from None
 
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """Rows per source range, and feed rates in tuples per second (0 = unthrottled):
+    ``rates`` per source name, ``default_rate`` for every other source."""
+
     quantum: int = 256
-    feeders: Mapping[str, FeederConfig] = field(default_factory=dict)
+    rates: Mapping[str, float] = field(default_factory=dict)
     default_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.quantum <= 0:
             raise ConfigError(f"quantum must be positive, got {self.quantum}")
-        if not 0 <= self.default_rate < math.inf:
-            raise ConfigError(f"feed rate must be finite and >= 0, got {self.default_rate}")
+        for rate in (self.default_rate, *self.rates.values()):
+            if not 0 <= rate < math.inf:
+                raise ConfigError(f"feed rate must be finite and >= 0, got {rate}")
 
     def rate_for(self, source: str) -> float:
-        cfg = self.feeders.get(source)
-        return cfg.rate if cfg is not None else self.default_rate
+        return self.rates.get(source, self.default_rate)
 
     @staticmethod
     def from_mapping(raw: Mapping[str, Any]) -> "EngineConfig":
-        try:
-            feeders = {name: FeederConfig(float(rate))
-                       for name, rate in dict(raw.get("rates", {})).items()}
-            return EngineConfig(
-                quantum=_whole(raw.get("quantum", 256)),
-                feeders=feeders,
-                default_rate=float(raw.get("rate", 0.0)),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad engine config value: {exc}") from None
+        """Config from a JSON object: ``quantum``, ``rate`` and ``rates``, an
+        object of per-source rates, all numbers; other keys are ignored."""
+        rates = raw.get("rates", {})
+        if type(rates) is not dict:
+            raise ConfigError(f"engine config rates must map sources to numbers, got {rates!r}")
+        quantum = _number(raw.get("quantum", 256), "quantum")
+        if not quantum.is_integer():
+            raise ConfigError(f"engine config quantum must be a whole number, got {quantum!r}")
+        return EngineConfig(int(quantum),
+                            {name: _number(rate, f"rate.{name}") for name, rate in rates.items()},
+                            _number(raw.get("rate", 0.0), "rate"))
 
     @staticmethod
     def from_file(path: str | Path) -> "EngineConfig":
@@ -108,10 +103,16 @@ class EngineConfig:
             if "=" not in line:
                 raise ConfigError(f"expected key=value on line {line_no}: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in ("quantum", "rate") and not key.startswith("rate."):
+                continue
+            try:
+                number = float(value)
+            except ValueError:
+                raise ConfigError(f"engine config {key} must be a number, got {value!r}") from None
             if key.startswith("rate."):
-                raw["rates"][key[len("rate."):]] = value
+                raw["rates"][key[len("rate."):]] = number
             else:
-                raw[key] = value
+                raw[key] = number
         return EngineConfig.from_mapping(raw)
 
 
@@ -143,12 +144,6 @@ class OpStats:
     @property
     def total_wall_seconds(self) -> float:
         return sum(s.wall_seconds for s in self.stages)
-
-    def stage(self, name: str) -> StageStats:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
     def of_kind(self, kind: str) -> list[StageStats]:
         """Stages whose name starts with a node kind, e.g. 'source', 'join'."""
@@ -324,8 +319,7 @@ def _join_fn(node: JoinNode | EquiJoinNode, counter: ComparisonCounter):
         if node.kind == "CJOIN":
             pairs = cjoin(left, right, node.cond, on, node.extras, counter)
         elif node.kind == "CCTJOIN":
-            pairs = cct_join(left, right, node.cond, node.cct_option, on,
-                             node.extras, counter)
+            pairs = cct_join(left, right, node.cond, on=on, extra=node.extras, counter=counter)
         else:
             pairs = nl_join(left, right, node.cond, on, node.extras, counter)
         names = node.schema.names()
@@ -350,7 +344,7 @@ def _aggregate_fn(node: AggregateNode):
 
 def _direction_fn(node: DirectionNode):
     def fn(payload):
-        results = direction(payload, node.epsilon, node.bb_column)
+        results = direction(payload, bb_column=node.bb_column)
         return Relation.from_columns(node.schema, {node.key_column: [k for k, _ in results],
                                                    "direction": [d for _, d in results]})
     return fn
@@ -365,20 +359,16 @@ def instantiate(plan: QueryPlan, config: EngineConfig | None = None) -> Pipeline
 
 
 def jsonable(value: Any) -> Any:
-    if isinstance(value, BoundingBox):
-        return value.as_list()
-    if isinstance(value, FeatureVector):
+    """A result value as JSON: boxes and vectors as lists, directions by name,
+    and non-finite floats as their ``repr``; row values are Python values."""
+    if isinstance(value, (BoundingBox, FeatureVector)):
         return value.as_list()
     if isinstance(value, Direction8):
         return value.value
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
-    if hasattr(value, "item") and callable(value.item):  # numpy scalars
-        return value.item()
     return value
 
 

@@ -14,10 +14,10 @@ time ratios, never absolute seconds.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (EmptyConfusion, FormatMismatch, IndexMismatch,
@@ -171,10 +171,7 @@ def bench(variants: Mapping[str, Callable[[], int]], trace_size: int,
             started = time.perf_counter()
             comparisons = fn()
             times.append(time.perf_counter() - started)
-        times.sort()
-        median = times[len(times) // 2] if len(times) % 2 == 1 else \
-            (times[len(times) // 2 - 1] + times[len(times) // 2]) / 2.0
-        rows.append(BenchRow(name, trace_size, median, comparisons))
+        rows.append(BenchRow(name, trace_size, statistics.median(times), comparisons))
     return rows
 
 

@@ -329,17 +329,17 @@ class _TraceBuilder:
         self.last_fid = int(fid[-1])
         self.frame_oids = all_oid[all_fid == self.last_fid]
 
-    def relation(self, source_id: str) -> Relation:
+    def relation(self) -> Relation:
         """The rows in canonical (fid, oid) order, once ``ts`` is checked in that order."""
         if not self.blocks:
-            return Relation.from_rows(TRACE_SCHEMA, (), source_id)
+            return Relation.from_rows(TRACE_SCHEMA, ())
         fid, oid, labels, bb, fv, ts = zip(*self.blocks)
         self.blocks = []
         # one block is kept as is: generate() passes its whole trace as one
         rel = Relation(TRACE_SCHEMA, {
             "fid": _joined(fid), "oid": _joined(oid),
             "label": np.array(list(chain.from_iterable(labels)), dtype=StringDType()),
-            "bb": _joined(bb), "fv": _joined(fv), "ts": _joined(ts)}, source_id)
+            "bb": _joined(bb), "fv": _joined(fv), "ts": _joined(ts)})
         order = np.lexsort((rel.column("oid"), rel.column("fid")))
         if np.any(order[1:] < order[:-1]):
             rel = rel.take(order)
@@ -353,8 +353,7 @@ class _TraceBuilder:
         return rel
 
 
-def read_trace(path: str | Path, fps: float = 30.0, source_id: str | None = None,
-               flip_y: float | None = None) -> Relation:
+def read_trace(path: str | Path, fps: float = 30.0, flip_y: float | None = None) -> Relation:
     """Read a trace file into a relation in canonical (ts, fid, oid) order.
 
     Frames must be non-decreasing in the file; detections within one frame
@@ -370,7 +369,7 @@ def read_trace(path: str | Path, fps: float = 30.0, source_id: str | None = None
     builder = _TraceBuilder(fps, flip_y)
     for chunk in chunks:
         builder.add_records(chunk)
-    return builder.relation(source_id or path.stem)
+    return builder.relation()
 
 
 def _records(rel: Relation) -> Iterator[tuple]:
@@ -430,7 +429,7 @@ def concat_traces(a: Relation, b: Relation, oid_offset: int,
     columns = {n: np.concatenate((col, b.column(n) + shift[n] if n in shift else b.column(n)))
                for n, col in a.columns.items()}
     columns["fv"].setflags(write=False)
-    return Relation(TRACE_SCHEMA, columns, a.source_id or b.source_id)
+    return Relation(TRACE_SCHEMA, columns)
 
 
 @dataclass(frozen=True)
@@ -528,7 +527,7 @@ def generate(spec: SynthSpec, seed: int) -> Relation:
 
     visits = [(obj, lo, hi) for obj in spec.objects for lo, hi in obj.intervals]
     if not visits:
-        return Relation.from_rows(TRACE_SCHEMA, (), "synthetic")
+        return Relation.from_rows(TRACE_SCHEMA, ())
     dims = sorted({bases[obj.oid].size for obj, _, _ in visits})
     if len(dims) > 1:
         raise DimensionMismatch(f"generated feature vectors differ in dimension: {dims}")
@@ -558,4 +557,4 @@ def generate(spec: SynthSpec, seed: int) -> Relation:
     fid, oid, ts = fid[order], oid[order], ts[order]
     builder = _TraceBuilder(spec.fps, None)
     builder.add(fid, oid, labels, bb, fv, ts)
-    return builder.relation("synthetic")
+    return builder.relation()

@@ -47,9 +47,6 @@ class BoundingBox:
     w: float
     h: float
 
-    def corner(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.w, self.h]
 
@@ -118,24 +115,27 @@ class Schema:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
+    def _find(self, name: str) -> Column:
+        """The column ``name`` spells in any casing."""
+        lowered = name.lower()
+        for c in self.columns:
+            if c.name.lower() == lowered:
+                return c
+        raise UnknownColumn(name)
+
     def resolve(self, name: str) -> str:
         """Map a (possibly differently-cased) name to its canonical spelling."""
-        lowered = name.lower()
-        for c in self.columns:
-            if c.name.lower() == lowered:
-                return c.name
-        raise UnknownColumn(name)
+        return self._find(name).name
 
     def kind_of(self, name: str) -> ColumnKind:
-        lowered = name.lower()
-        for c in self.columns:
-            if c.name.lower() == lowered:
-                return c.kind
-        raise UnknownColumn(name)
+        return self._find(name).kind
 
     def has(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(c.name.lower() == lowered for c in self.columns)
+        try:
+            self._find(name)
+        except UnknownColumn:
+            return False
+        return True
 
     def subset(self, names: Sequence[str]) -> "Schema":
         resolved = [self.resolve(n) for n in names]
@@ -258,25 +258,20 @@ class Relation:
 
     schema: Schema
     columns: Mapping[str, np.ndarray]
-    source_id: str = ""
 
     @staticmethod
-    def from_columns(schema: Schema, values: Mapping[str, Sequence[Any]],
-                     source_id: str = "") -> "Relation":
+    def from_columns(schema: Schema, values: Mapping[str, Sequence[Any]]) -> "Relation":
         """Relation from per-column sequences of Python values."""
-        return Relation(schema, {n: _column(schema.kind_of(n), values[n])
-                                 for n in schema.names()}, source_id)
+        return Relation(schema, {n: _column(schema.kind_of(n), values[n]) for n in schema.names()})
 
     @staticmethod
-    def from_rows(schema: Schema, rows: Iterable[Mapping[str, Any]],
-                  source_id: str = "") -> "Relation":
+    def from_rows(schema: Schema, rows: Iterable[Mapping[str, Any]]) -> "Relation":
         rows = list(rows)
-        return Relation.from_columns(schema, {n: [r[n] for r in rows] for n in schema.names()},
-                                     source_id)
+        return Relation.from_columns(schema, {n: [r[n] for r in rows] for n in schema.names()})
 
     @staticmethod
-    def from_tuples(tuples: Iterable[VTuple], source_id: str = "") -> "Relation":
-        return Relation.from_rows(TRACE_SCHEMA, (t.as_row() for t in tuples), source_id)
+    def from_tuples(tuples: Iterable[VTuple]) -> "Relation":
+        return Relation.from_rows(TRACE_SCHEMA, (t.as_row() for t in tuples))
 
     @property
     def rows(self) -> "RowView":
@@ -303,17 +298,13 @@ class Relation:
 
     def take(self, index: np.ndarray | slice) -> "Relation":
         """The rows at ``index`` (positions, a boolean mask or a slice), in that order."""
-        return Relation(self.schema, {n: c[index] for n, c in self.columns.items()},
-                        self.source_id)
+        return Relation(self.schema, {n: c[index] for n, c in self.columns.items()})
 
     def subset(self, schema: Schema) -> "Relation":
-        return Relation(schema, {n: self.column(n) for n in schema.names()}, self.source_id)
+        return Relation(schema, {n: self.column(n) for n in schema.names()})
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self.row_dicts())
 
 
 class RowView(SequenceABC):

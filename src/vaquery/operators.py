@@ -47,7 +47,7 @@ class CctOption(Enum):
     BOTH = "both"
 
 
-class Direction8(Enum):
+class Direction8(str, Enum):
     N = "N"
     S = "S"
     E = "E"
@@ -129,9 +129,6 @@ def ordered_check(op: str, column: str, schema: Schema) -> None:
 class Predicate:
     """Base for the predicates of select(), decided as one mask per window."""
 
-    def columns(self) -> list[str]:
-        raise NotImplementedError
-
     def check(self, schema: Schema) -> None:
         raise NotImplementedError
 
@@ -154,9 +151,6 @@ class Comparison(Predicate):
     op: str
     value: Any
 
-    def columns(self) -> list[str]:
-        return [self.column]
-
     def check(self, schema: Schema) -> None:
         kind_check("compare", self.column, schema)
         ordered_check(self.op, self.column, schema)
@@ -178,9 +172,6 @@ class BBoxTest(Predicate):
     column: str
     pattern: BBPattern
 
-    def columns(self) -> list[str]:
-        return [self.column]
-
     def check(self, schema: Schema) -> None:
         kind_check("bb_pattern", self.column, schema)
 
@@ -200,9 +191,6 @@ class SMatchProbe(Predicate):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unit_probe", normalized_matrix([self.probe]))
-
-    def columns(self) -> list[str]:
-        return [self.column]
 
     def check(self, schema: Schema) -> None:
         kind_check("smatch", self.column, schema)
@@ -225,9 +213,6 @@ class SMatchProbe(Predicate):
 class And(Predicate):
     parts: tuple[Predicate, ...]
 
-    def columns(self) -> list[str]:
-        return [c for p in self.parts for c in p.columns()]
-
     def check(self, schema: Schema) -> None:
         for p in self.parts:
             p.check(schema)
@@ -242,9 +227,6 @@ class And(Predicate):
 @dataclass(frozen=True)
 class Or(Predicate):
     parts: tuple[Predicate, ...]
-
-    def columns(self) -> list[str]:
-        return [c for p in self.parts for c in p.columns()]
 
     def check(self, schema: Schema) -> None:
         for p in self.parts:
@@ -261,9 +243,6 @@ class Or(Predicate):
 @dataclass(frozen=True)
 class Not(Predicate):
     part: Predicate
-
-    def columns(self) -> list[str]:
-        return self.part.columns()
 
     def check(self, schema: Schema) -> None:
         self.part.check(schema)

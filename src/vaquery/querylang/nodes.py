@@ -72,7 +72,7 @@ class R2ASource:
 class CctSource:
     inner: "Source"
     option: CctOption
-    gap_threshold: int | None = None
+    gap_threshold: int = 1  # largest fid step within one run
     alias: str | None = None
 
 

@@ -29,6 +29,8 @@ expression or a source, each ``CCT(`` and each ``NOT`` opens one.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..errors import QuerySyntaxError
 from ..operators import CctOption
 from ..similarity import MatchPolarity, Metric
@@ -209,9 +211,7 @@ class _Parser:
     def parse_source(self) -> Source:
         src = self.parse_source_primary()
         alias = self.parse_alias()
-        if alias is not None:
-            src = _with_alias(src, alias)
-        return src
+        return src if alias is None else replace(src, alias=alias)
 
     def parse_alias(self) -> str | None:
         if self.at_keyword("AS"):
@@ -264,12 +264,16 @@ class _Parser:
         option = _CCT_OPTIONS.get(tok.keyword())
         if option is None:
             raise self.error("expected FIRST, LAST or BOTH", tok)
-        gap = None
+        src = CctSource(inner, option)
         if self.accept_punct(","):
-            gap = int(self.parse_number())
+            tok = self.peek()
+            gap = self.parse_number()
+            if gap < 1 or gap % 1:
+                raise self.error(f"CCT gap must be a whole number >= 1, got {gap:g}", tok)
+            src = replace(src, gap_threshold=int(gap))
         self.expect_punct(")")
         self.depth -= 1
-        return CctSource(inner, option, gap)
+        return src
 
     def parse_join(self) -> JoinClause:
         kind = self.next().keyword()
@@ -413,16 +417,6 @@ class _Parser:
         hop = float(self.parse_number())
         self.expect_punct(")")
         return WindowClause(kind, size, hop)
-
-
-def _with_alias(src: Source, alias: str) -> Source:
-    if isinstance(src, TableSource):
-        return TableSource(src.name, alias)
-    if isinstance(src, R2ASource):
-        return R2ASource(src.table, src.gba, src.aoa, alias)
-    if isinstance(src, CctSource):
-        return CctSource(src.inner, src.option, src.gap_threshold, alias)
-    return SubquerySource(src.query, alias)
 
 
 def parse(text: str) -> Query:

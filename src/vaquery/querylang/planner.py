@@ -14,10 +14,10 @@ Column-kind violations surface here, before any data flows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
-from ..errors import SchemaMismatch, UnknownColumn, UnknownIdentifier
+from ..errors import SchemaMismatch, UnknownIdentifier
 from ..model import Column, ColumnKind, FeatureVector, Schema, kind_check
 from ..operators import (And, BBoxTest, BBPattern, CctOption, Comparison, Not,
                          Or, Predicate, ScalarPairPredicate, SMatchProbe,
@@ -93,7 +93,7 @@ class R2ANode(_Node):
 class CctNode(_Node):
     child: "PlanNode"
     option: CctOption
-    gap_threshold: int = 1
+    gap_threshold: int
 
     @property
     def schema(self) -> Schema:
@@ -123,7 +123,6 @@ class JoinNode(_Node):
     cond: MatchCondition
     extras: tuple[ScalarPairPredicate, ...]
     schema: Schema
-    cct_option: CctOption = CctOption.BOTH
     payload: str = RELATION
 
 
@@ -157,7 +156,6 @@ class DirectionNode(_Node):
     bb_column: str
     key_column: str
     schema: Schema
-    epsilon: float = 0.0
     payload: str = RELATION
 
 
@@ -288,7 +286,7 @@ class _Planner:
             inner = self.plan_source(src.inner, window)
             if inner.node.payload != ARRABLE:
                 raise SchemaMismatch("CCT requires a grouped (arrable) input")
-            node = CctNode(inner.node, src.option, src.gap_threshold or 1)
+            node = CctNode(inner.node, src.option, src.gap_threshold)
             return _Planned(node, src.alias or inner.alias, inner.base_name,
                             inner.base_schema, inner.r2a_at)
         if isinstance(src, ast.SubquerySource):
@@ -467,36 +465,21 @@ class _Planner:
         if ref.qualifier is not None and schema.has(str(ref)):
             return schema.resolve(str(ref))
         self._check_ref_scope(ref, planned)
-        if not schema.has(ref.name):
-            raise UnknownColumn(ref.name)
         return schema.resolve(ref.name)
 
 
 def _gba_of(node: PlanNode) -> str:
-    if isinstance(node, R2ANode):
-        return node.gba
-    if isinstance(node, (CctNode, SelectNode, WindowNode)):
-        return _gba_of(node.child)
-    if isinstance(node, ProjectNode):
-        return _gba_of(node.child)
-    raise SchemaMismatch("input is not grouped")
+    """The group key of a grouped node: its R2ANode's, below single-child nodes."""
+    while not isinstance(node, R2ANode):
+        node = node.child
+    return node.gba
 
 
-def _replace_node(root: PlanNode, target: PlanNode, replacement: PlanNode) -> PlanNode:
+def _replace_node(root: PlanNode, target: R2ANode, replacement: PlanNode) -> PlanNode:
+    """``root`` with ``target`` swapped for ``replacement``; only CctNodes lie between."""
     if root is target:
         return replacement
-    if isinstance(root, (WindowNode, SelectNode)):
-        return type(root)(_replace_node(root.child, target, replacement),
-                          root.spec if isinstance(root, WindowNode) else root.predicate)
-    if isinstance(root, R2ANode):
-        return R2ANode(_replace_node(root.child, target, replacement), root.gba, root.aoa)
-    if isinstance(root, CctNode):
-        return CctNode(_replace_node(root.child, target, replacement),
-                       root.option, root.gap_threshold)
-    if isinstance(root, ProjectNode):
-        return ProjectNode(_replace_node(root.child, target, replacement),
-                           root.columns, root.schema)
-    raise SchemaMismatch(f"cannot rebuild plan across {type(root).__name__}")
+    return replace(root, child=_replace_node(root.child, target, replacement))
 
 
 def plan(query: ast.Query, catalog: dict[str, Schema],

@@ -6,7 +6,7 @@ single-line canonical form, not the original spelling.
 
 from __future__ import annotations
 
-from .nodes import (AndExpr, BBoxExpr, CctSource, CmpExpr, ColumnRef, Expr,
+from .nodes import (AndExpr, BBoxExpr, CctSource, CmpExpr, Expr,
                     JoinClause, NotExpr, OrExpr, Query, R2ASource,
                     ScalarPairCmp, SelectAggregate, SelectColumn,
                     SelectDirection, SelectStar, SMatchArgs, SMatchExpr,
@@ -44,8 +44,7 @@ def _source(src: Source) -> str:
     elif isinstance(src, R2ASource):
         text = f"R2A({src.table}, gba={src.gba}, aoa={src.aoa})"
     elif isinstance(src, CctSource):
-        gap = f", {src.gap_threshold}" if src.gap_threshold is not None else ""
-        text = f"CCT({_source(src.inner)}, {src.option.name}{gap})"
+        text = f"CCT({_source(src.inner)}, {src.option.name}, {src.gap_threshold})"
     elif isinstance(src, SubquerySource):
         text = f"({render(src.query)})"
     else:

@@ -42,10 +42,6 @@ class WindowSpec:
             raise InvalidWindowSpec(f"tuple window size and hop must be whole numbers, "
                                     f"got size={self.size} hop={self.hop}")
 
-    @property
-    def disjoint(self) -> bool:
-        return self.hop == self.size
-
 
 @dataclass(frozen=True)
 class WindowInstance:

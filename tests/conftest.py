@@ -7,6 +7,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from vaquery.model import (Arrable, ArrableRow, BoundingBox, FeatureVector,
                            Relation, TRACE_SCHEMA, VTuple)
+from vaquery.operators import Direction8
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    """Name a direction parameter ``Direction8.N``: pytest names other
+    ``str`` values, a ``str`` enum's members among them, by their text."""
+    return str(val) if isinstance(val, Direction8) else None
 
 
 def make_tuple(fid=0, oid=0, label="person", bb=(10.0, 20.0, 30.0, 20.0),

@@ -250,8 +250,7 @@ def _iter_csv(path: Path, fps: float):
             yield _tuple_from_parts(rec[0], rec[1], rec[2], rec[4:8], rec[8:], ts, fps, line_no)
 
 
-def read_trace_oracle(path, fps: float = 30.0, source_id: str | None = None,
-                      flip_y: float | None = None) -> Relation:
+def read_trace_oracle(path, fps: float = 30.0, flip_y: float | None = None) -> Relation:
     """Read a trace one tuple at a time: parse, validate, then check order.
 
     Fields are coerced with ``int``/``float``/``str`` whatever their JSON
@@ -282,7 +281,7 @@ def read_trace_oracle(path, fps: float = 30.0, source_id: str | None = None,
     for prev, cur in zip(tuples, tuples[1:]):
         if cur.ts < prev.ts:
             raise OutOfOrderFrame(f"ts regresses from {prev.ts} to {cur.ts} at fid {cur.fid}")
-    return Relation.from_tuples(tuples, source_id or path.stem)
+    return Relation.from_tuples(tuples)
 
 
 def assign_oracle(size: float, hop: float, key: float, origin: float) -> range:

@@ -232,6 +232,7 @@ JOIN_EXTRA = ('SELECT AR1.oid, AR2.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
               'CJOIN (R2A(R2, R2.oid, R2.fid)) AR2 ON AR1.[FV] sMatch(0.9) AR2.[FV] AND ')
 DEEP_PARENS = "SELECT fid FROM R1 WHERE " + "(" * 400 + "fid = 1" + ")" * 400
 DEEP_NOTS = "SELECT fid FROM R1 WHERE " + "NOT " * 1000 + "fid = 1"
+CCT_GAP = "SELECT count(fid) FROM CCT(R2A(R1, R1.oid, R1.fid), first, {})"
 NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv": [1.0]}\n'
 
 
@@ -263,13 +264,17 @@ NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv"
     ("run", Q2 + " WINDOW(TUPLE, 0.5, 0.5)", [], 2, "NONPOSITIVE_SIZE_OR_HOP"),
     ("run", Q2, ["--window", "tuple,0.5,0.5"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
     ("run", Q2, ["--window", "time,1e-300,1e-300"], 3, "TOO_MANY_WINDOWS"),
+    ("run", CCT_GAP.format("0"), [], 2, "SYNTAX_ERROR"),
+    ("run", CCT_GAP.format("-3"), [], 2, "SYNTAX_ERROR"),
+    ("parse-check", CCT_GAP.format("2.5"), [], 2, "SYNTAX_ERROR"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
         "window-inf-hop", "missing-query", "config-value", "config-json", "quantum-zero",
         "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
         "join-extra-offset-on-label", "join-extra-ordered-label", "trace-non-object",
         "trace-not-utf8", "fps-zero", "fps-negative", "fps-nan", "deep-parens",
         "deep-parens-parse-check", "deep-nots", "deep-nots-parse-check",
-        "fractional-tuple-window", "fractional-tuple-window-flag", "window-count"])
+        "fractional-tuple-window", "fractional-tuple-window-flag", "window-count",
+        "cct-gap-zero", "cct-gap-negative", "cct-gap-fraction"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -431,6 +436,14 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
     (_run("--engine-config", "{tmp}/e.cfg", **{"e.cfg": b"quantum=\xff\n"}), 3, "CONFIG_ERROR",
      "UTF-8"),
     (_run("--rate", "inf"), 3, "CONFIG_ERROR", "rate"),
+    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"quantum": true}'}), 3,
+     "CONFIG_ERROR", "quantum"),
+    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"rate": false}'}), 3,
+     "CONFIG_ERROR", "rate"),
+    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"rates": {"R1": true}}'}), 3,
+     "CONFIG_ERROR", "R1"),
+    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"quantum": "8"}'}), 3,
+     "CONFIG_ERROR", "quantum"),
     ((RUN[:-1] + ["{tmp}"], {"q.vaq": Q2}), 3, "IO_ERROR", "directory"),
     ((["run", "--query", "{tmp}", "--trace", "{trace}"], {}), 3, "IO_ERROR", "directory"),
     (_run("--out", "{tmp}/absent/r.jsonl"), 3, "IO_ERROR", "absent"),
@@ -447,7 +460,8 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
         "eval-gt-count-string", "eval-gt-count-bool", "eval-gt-count-windows-float",
         "eval-window-array", "eval-pair-array",
         "eval-pairs-gt-not-json", "eval-direction-missing", "config-quantum-fraction",
-        "config-not-utf8", "rate-inf", "run-trace-dir",
+        "config-not-utf8", "rate-inf", "config-quantum-bool", "config-rate-bool",
+        "config-rates-bool", "config-quantum-string", "run-trace-dir",
         "run-query-dir", "run-out-missing-dir", "run-query-not-utf8", "parse-check-dir",
         "parse-check-missing"])
 def test_every_subcommand_exits_with_a_code(tmp_path, trace_file, capsys, case, code, error,

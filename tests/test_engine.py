@@ -1,13 +1,17 @@
+import json
 import time
 
 import pytest
 
-from vaquery.engine import (EngineConfig, FeederConfig, Pipeline, instantiate,
-                            row_to_json)
+from vaquery import engine
+from vaquery.engine import EngineConfig, Pipeline, instantiate, row_to_json, write_results
 from vaquery.errors import ConfigError, SchemaMismatch
 from vaquery.ingest import ObjectSpec, SynthSpec, generate
-from vaquery.model import Relation, TRACE_SCHEMA
-from vaquery.querylang import parse, plan
+from vaquery.model import BoundingBox, FeatureVector, Relation, TRACE_SCHEMA
+from vaquery.operators import (CctOption, ComparisonCounter, Direction8, ScalarPairPredicate,
+                               cct, cjoin, hash_equi_join, nl_join, r2a)
+from vaquery.querylang import CctNode, parse, plan
+from vaquery.similarity import MatchCondition
 
 ONE = {"R1": TRACE_SCHEMA}
 TWO = {"R1": TRACE_SCHEMA, "R2": TRACE_SCHEMA}
@@ -50,7 +54,7 @@ def test_zero_quantum_is_a_config_error():
         EngineConfig(quantum=0)
     assert exc.value.code == "CONFIG_ERROR"
     with pytest.raises(ConfigError):
-        FeederConfig(rate=-1)
+        EngineConfig(rates={"R1": -1.0})
 
 
 def test_single_window_count_result():
@@ -239,3 +243,111 @@ def test_count_oid_counts_objects_count_fid_counts_visits():
         rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
         counts[column] = rows[0][f"count({column})"]
     assert counts == {"oid": 1, "fid": 2}
+
+
+def _visits(*objects):
+    """A trace of (oid, fv, (lo, hi) visit) objects moving east at 30 fps."""
+    return generate(SynthSpec(frames=240, fps=30, fv_dim=4, objects=tuple(
+        ObjectSpec(oid, "person", (0, 0, 4, 8), (1, 0), base_fv=fv, intervals=(visit,))
+        for oid, fv, visit in objects)), 0)
+
+
+def test_cct_gap_from_query_text_runs_like_the_operator():
+    trace = generate(SynthSpec(frames=60, fps=30, fv_dim=4, objects=(
+        ObjectSpec(1, "person", (0, 0, 4, 8), (1, 0),
+                   intervals=((0, 10), (15, 20), (30, 40), (50, 60))),)), 0)
+    qplan = plan(parse("SELECT * FROM CCT(R2A(R1, R1.oid, R1.fid), FIRST, 6)"), ONE)
+    assert isinstance(qplan.root, CctNode) and qplan.root.gap_threshold == 6
+    rows, _ = instantiate(qplan).run([trace])
+    expected = cct(r2a(trace, "oid", "fid"), CctOption.FIRST, gap_threshold=6)
+    assert [r["fid"] for r in rows] == [0, 30, 50]
+    assert rows == [{"window": 0, **r} for r in expected.flatten()]
+
+
+@pytest.mark.parametrize("op", ["=", "!="])
+def test_direction_compares_by_name(op):
+    trace = small_trace(persons=2, cars=1)  # persons move E, the car N
+    inner = "SELECT AR1.oid, DIRECTION(AR1.bb) FROM R2A(R1, R1.oid, R1.fid) AR1"
+    everything, _ = instantiate(plan(parse(f"SELECT * FROM ({inner}) X"), ONE)).run([trace])
+    text = f'SELECT * FROM ({inner}) X WHERE X.direction {op} "E"'
+    rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
+    expected = [r for r in everything if (r["direction"].value == "E") == (op == "=")]
+    assert expected and len(expected) < len(everything)
+    assert rows == expected
+
+
+JOIN_TRACES = (
+    # R1: oid 1 early, oid 2 late; R2: oid 7 like oid 1 but late, oid 8 like oid 2 but early
+    ((1, (1, 0, 0, 0), (0, 30)), (2, (0, 1, 0, 0), (200, 230))),
+    ((7, (1, 0, 0, 0), (150, 180)), (8, (0, 1, 0, 0), (0, 30))),
+)
+
+
+@pytest.mark.parametrize("kind, join", [("JOIN", nl_join), ("CJOIN", cjoin)])
+@pytest.mark.parametrize("extra", ["AR1.ts + 5 <= AR2.ts", "AR2.ts - 5 >= AR1.ts"])
+def test_join_extra_from_query_text_matches_the_operator(monkeypatch, kind, join, extra):
+    left, right = (_visits(*objects) for objects in JOIN_TRACES)
+    text = (f"SELECT * FROM (R2A(R1, R1.oid, R1.fid)) AR1 {kind} (R2A(R2, R2.oid, R2.fid)) AR2 "
+            f"ON AR1.[FV] sMatch(0.9) AR2.[FV] AND {extra}")
+    qplan = plan(parse(text), TWO)
+    predicate = ScalarPairPredicate("ts", "<=", "ts", 5.0)
+    assert qplan.root.extras == (predicate,)
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(join(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(engine, join.__name__, recording)
+    rows, st = instantiate(qplan).run([left, right])
+    counter = ComparisonCounter()
+    pairs = join(r2a(left, "oid", "fid"), r2a(right, "oid", "fid"), MatchCondition(th=0.9),
+                 ("fv", "fv"), (predicate,), counter)
+    assert [p.key() for p in pairs] == [(1, 7)]  # (2, 8) matches only without the extra
+    assert made == [pairs]
+    assert rows == [{"window": 0, "AR1.oid": p.left_oid, "AR2.oid": p.right_oid,
+                     "score": p.score} for p in pairs]
+    assert st.of_kind("join")[0].smatch_comparisons == counter.count
+
+
+@pytest.mark.parametrize("empty_side", [None, 0, 1])
+def test_equi_join_from_query_text_matches_the_operator(empty_side):
+    traces = [small_trace(1), small_trace(2, persons=1)]
+    if empty_side is not None:
+        traces[empty_side] = Relation.from_rows(TRACE_SCHEMA, ())
+    text = "SELECT * FROM R1 JOIN R2 ON R1.oid = R2.oid"
+    rows, _ = instantiate(plan(parse(text), TWO)).run(traces)
+    expected = hash_equi_join(*traces, "oid", "oid", ("R1", "R2")).row_dicts()
+    assert rows == [{"window": 0, **r} for r in expected]
+    assert bool(rows) == (empty_side is None)
+
+
+def test_key_only_arrable_projection_gives_one_row_per_object():
+    trace = small_trace(persons=2, cars=1)
+    text = "SELECT AR1.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1"
+    rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
+    assert rows == [{"window": 0, "oid": oid} for oid in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("text, sources", [
+    ("SELECT * FROM R1", 1),
+    ("SELECT AR1.oid, DIRECTION(AR1.bb) FROM (R2A(R1, R1.oid, R1.fid)) AR1", 1),
+    ("SELECT avg(ts) FROM R1 WINDOW(TIME, 1, 1)", 1),
+    ("SELECT * FROM (R2A(R1, R1.oid, R1.fid)) AR1 JOIN (R2A(R2, R2.oid, R2.fid)) AR2 "
+     "ON AR1.[FV] sMatch(0.9) AR2.[FV]", 2),
+])
+def test_written_results_read_back_as_the_rows(tmp_path, text, sources):
+    traces = [_visits(*objects) for objects in JOIN_TRACES][:sources]
+    rows, _ = instantiate(plan(parse(text), TWO)).run(traces)
+    path = tmp_path / "results.jsonl"
+    write_results(rows, path)
+    read = [json.loads(line) for line in path.read_text().splitlines()]
+
+    def plain(value):
+        if isinstance(value, Direction8):
+            return value.value
+        return value.as_list() if isinstance(value, (BoundingBox, FeatureVector)) else value
+
+    assert rows and read == [{k: plain(v) for k, v in row.items()} for row in rows]
+    if "avg" in text:  # the windows between the two visits are empty
+        assert None in [row["avg(ts)"] for row in read]

@@ -137,6 +137,24 @@ def test_render_reparse_roundtrip(text):
     assert parse(render(ast)) == ast
 
 
+
+@pytest.mark.parametrize("gap_text, gap", [("", 1), (", 1", 1), (", 6", 6), (", 6.0", 6)])
+def test_cct_gap_parses_and_renders(gap_text, gap):
+    ast = parse(f"SELECT * FROM CCT(R2A(R1, R1.oid, R1.fid), LAST{gap_text}) AR1")
+    assert ast.source.gap_threshold == gap
+    assert f"LAST, {gap})" in render(ast)
+    assert parse(render(ast)) == ast
+    assert plan(ast, {"R1": TRACE_SCHEMA}).root.gap_threshold == gap
+
+
+@pytest.mark.parametrize("gap", ["0", "-3", "2.5"])
+def test_cct_gap_must_be_a_whole_number_of_at_least_one(gap):
+    with pytest.raises(QuerySyntaxError) as exc:
+        parse(f"SELECT * FROM CCT(R2A(R1, R1.oid, R1.fid), FIRST, {gap})")
+    assert exc.value.code == "SYNTAX_ERROR" and "gap" in str(exc.value)
+    assert "column 51" in str(exc.value)  # at the gap's first token
+
+
 # --- planning ----------------------------------------------------------------
 
 def test_q2_plan_shape():
