@@ -25,7 +25,7 @@ import time
 import traceback
 from pathlib import Path
 
-from . import engine, evaluation, ingest, querylang
+from . import engine, ingest, querylang
 from .errors import (ConfigError, FormatMismatch, InvalidWindowSpec, QuerySyntaxError,
                      VaqueryError)
 from .model import TRACE_SCHEMA
@@ -152,6 +152,8 @@ def _read_results(path: str) -> list[dict]:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation  # only eval and bench need it and its imports
+
     rows = _read_results(args.results)
     gt_text = Path(args.gt).read_bytes()
     counts = None
@@ -209,6 +211,8 @@ def _bench_config(path: str) -> tuple[list[str], dict[str, str], int, float]:
 
 
 def cmd_bench(args) -> int:
+    from . import evaluation
+
     trace_paths, queries, repetitions, fps = _bench_config(args.config)
     traces = [ingest.read_trace(p, fps=fps) for p in trace_paths]
     trace_size = sum(len(t.rows) for t in traces)

@@ -51,7 +51,7 @@ def _number(value: Any, key: str) -> float:
 @dataclass(frozen=True)
 class EngineConfig:
     """Rows per source range, and feed rates in tuples per second (0 = unthrottled):
-    ``rates`` per source name, ``default_rate`` for every other source."""
+    ``rates`` per source name in any casing, ``default_rate`` for every other source."""
 
     quantum: int = 256
     rates: Mapping[str, float] = field(default_factory=dict)
@@ -63,9 +63,13 @@ class EngineConfig:
         for rate in (self.default_rate, *self.rates.values()):
             if not 0 <= rate < math.inf:
                 raise ConfigError(f"feed rate must be finite and >= 0, got {rate}")
+        if len({name.lower() for name in self.rates}) < len(self.rates):
+            raise ConfigError(f"feed rates name one source in two casings: {sorted(self.rates)}")
 
     def rate_for(self, source: str) -> float:
-        return self.rates.get(source, self.default_rate)
+        """The feed rate of a source; names match in any casing, as source names do."""
+        return next((rate for name, rate in self.rates.items() if name.lower() == source.lower()),
+                    self.default_rate)
 
     @staticmethod
     def from_mapping(raw: Mapping[str, Any]) -> "EngineConfig":

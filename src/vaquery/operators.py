@@ -127,7 +127,12 @@ def ordered_check(op: str, column: str, schema: Schema) -> None:
 
 
 class Predicate:
-    """Base for the predicates of select(), decided as one mask per window."""
+    """Base for the predicates of select(), decided as one mask per window.
+
+    The query parser builds predicates whose ``column`` fields hold a
+    ``querylang.nodes.ColumnRef``; the planner replaces each with the
+    schema's name for that column before any predicate is checked or run.
+    """
 
     def check(self, schema: Schema) -> None:
         raise NotImplementedError
@@ -186,11 +191,13 @@ class SMatchProbe(Predicate):
     column: str
     probe: FeatureVector
     cond: MatchCondition
-    # the probe is a constant of the query, so it is normalized once
-    unit_probe: np.ndarray = field(init=False, repr=False, compare=False)
+    # the probe is a constant of the query, so it is normalized once;
+    # dataclasses.replace carries the normalized probe over
+    unit_probe: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unit_probe", normalized_matrix([self.probe]))
+        if self.unit_probe is None:
+            object.__setattr__(self, "unit_probe", normalized_matrix([self.probe]))
 
     def check(self, schema: Schema) -> None:
         kind_check("smatch", self.column, schema)

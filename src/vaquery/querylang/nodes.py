@@ -1,13 +1,23 @@
-"""Abstract syntax tree for the query language."""
+"""Abstract syntax tree for the query language.
+
+Sources, select items and clauses are the classes below. WHERE predicates,
+join conditions and windows are the engine's own classes: the operators'
+:class:`~vaquery.operators.Comparison`, ``BBoxTest``, ``SMatchProbe``,
+``And``, ``Or``, ``Not`` and ``ScalarPairPredicate``,
+:class:`~vaquery.similarity.MatchCondition` and
+:class:`~vaquery.windows.WindowSpec`. A parsed predicate holds a
+:class:`ColumnRef` in each column field, where a planned one holds the
+schema's name for it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Union
 
-from ..operators import CctOption
-from ..similarity import MatchPolarity, Metric
-from ..windows import WindowKind
+from ..operators import CctOption, Predicate, ScalarPairPredicate
+from ..similarity import MatchCondition
+from ..windows import WindowSpec
 
 
 @dataclass(frozen=True)
@@ -17,13 +27,6 @@ class ColumnRef:
 
     def __str__(self) -> str:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
-
-
-@dataclass(frozen=True)
-class SMatchArgs:
-    th: float
-    metric: Metric | None = None
-    polarity: MatchPolarity | None = None
 
 
 # select items
@@ -85,63 +88,12 @@ class SubquerySource:
 Source = Union[TableSource, R2ASource, CctSource, SubquerySource]
 
 
-# where-clause expressions
-
-@dataclass(frozen=True)
-class CmpExpr:
-    ref: ColumnRef
-    op: str
-    value: object  # number or string literal
-
-
-@dataclass(frozen=True)
-class BBoxExpr:
-    ref: ColumnRef
-    # each component: None (wildcard), float (exact), or (lo, hi) range
-    components: tuple[object, object, object, object]
-
-
-@dataclass(frozen=True)
-class SMatchExpr:
-    ref: ColumnRef
-    args: SMatchArgs
-    probe: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class AndExpr:
-    parts: tuple["Expr", ...]
-
-
-@dataclass(frozen=True)
-class OrExpr:
-    parts: tuple["Expr", ...]
-
-
-@dataclass(frozen=True)
-class NotExpr:
-    part: "Expr"
-
-
-Expr = Union[CmpExpr, BBoxExpr, SMatchExpr, AndExpr, OrExpr, NotExpr]
-
-
-# join clause
-
-@dataclass(frozen=True)
-class ScalarPairCmp:
-    left: ColumnRef
-    op: str
-    right: ColumnRef
-    offset: float = 0.0  # added to the left side, e.g. left.ts + 30 <= right.ts
-
-
 @dataclass(frozen=True)
 class JoinCond:
     left: ColumnRef
-    args: SMatchArgs | None  # None: plain equality join
+    args: MatchCondition | None  # None: plain equality join
     right: ColumnRef
-    extras: tuple[ScalarPairCmp, ...] = ()
+    extras: tuple[ScalarPairPredicate, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -152,16 +104,9 @@ class JoinClause:
 
 
 @dataclass(frozen=True)
-class WindowClause:
-    kind: WindowKind
-    size: float
-    hop: float
-
-
-@dataclass(frozen=True)
 class Query:
     select: tuple[SelectItem, ...]
     source: Source
     join: JoinClause | None = None
-    where: Expr | None = None
-    window: WindowClause | None = None
+    where: Predicate | None = None
+    window: WindowSpec | None = None

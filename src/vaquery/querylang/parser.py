@@ -1,5 +1,9 @@
 """Recursive-descent parser producing the AST in :mod:`nodes`.
 
+WHERE predicates, join conditions and windows come out as the engine's own
+objects (see :mod:`nodes`), so an out-of-range window raises
+``NONPOSITIVE_SIZE_OR_HOP`` and an all-zero probe ``ZERO_VECTOR`` here.
+
 Grammar sketch (keywords case-insensitive, ``--`` line comments)::
 
     query       := SELECT select_list FROM source [join] [WHERE expr] [window]
@@ -22,26 +26,29 @@ Grammar sketch (keywords case-insensitive, ``--`` line comments)::
     window      := WINDOW '(' (TIME|TUPLE) ',' number ',' number ')'
     column      := [name '.'] (name | '[' name ']')
 
-A query file holds one statement, optionally terminated by a semicolon.
+A number is digits with an optional fractional part, and must fit a
+finite float64. A query file holds one statement, optionally terminated by
+a semicolon.
 Nesting is capped at :data:`MAX_DEPTH` levels: each ``(`` around an
 expression or a source, each ``CCT(`` and each ``NOT`` opens one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from ..errors import QuerySyntaxError
-from ..operators import CctOption
-from ..similarity import MatchPolarity, Metric
-from ..windows import WindowKind
+from ..model import FeatureVector
+from ..operators import (And, BBoxTest, BBPattern, CctOption, Comparison, Not, Or,
+                         Predicate, ScalarPairPredicate, SMatchProbe)
+from ..similarity import MatchCondition, MatchPolarity, Metric
+from ..windows import WindowKind, WindowSpec
 from .lexer import Token, tokenize
-from .nodes import (AndExpr, BBoxExpr, CctSource, CmpExpr, ColumnRef, Expr,
-                    JoinClause, JoinCond, NotExpr, OrExpr, Query, R2ASource,
-                    ScalarPairCmp, SelectAggregate, SelectColumn,
-                    SelectDirection, SelectItem, SelectStar, SMatchArgs,
-                    SMatchExpr, Source, SubquerySource, TableSource,
-                    WindowClause)
+from .nodes import (CctSource, ColumnRef, JoinClause, JoinCond, Query,
+                    R2ASource, SelectAggregate, SelectColumn, SelectDirection,
+                    SelectItem, SelectStar, Source, SubquerySource,
+                    TableSource)
 
 _AGG_FUNCS = {"COUNT", "AVG", "SUM", "MIN", "MAX"}
 _JOIN_KINDS = {"JOIN", "CJOIN", "CCTJOIN"}
@@ -126,9 +133,13 @@ class _Parser:
         tok = self.next()
         if tok.type != "NUMBER":
             raise self.error(f"expected a number, found {tok.value!r}", tok)
+        if not math.isfinite(float(tok.value)):
+            raise self.error(f"number {tok.value[:20]}... does not fit a finite float64", tok)
         if "." in tok.value:
             return sign * float(tok.value)
-        return sign * int(tok.value)
+        # without its leading zeros a finite integer has at most 309 digits,
+        # well inside the digit limit of int()
+        return sign * int(tok.value.lstrip("0") or "0")
 
     def parse_ident(self, what: str) -> str:
         tok = self.next()
@@ -298,13 +309,13 @@ class _Parser:
             extras.append(self.parse_pair_cmp())
         return JoinCond(left, args, right, tuple(extras))
 
-    def parse_smatch_args(self) -> SMatchArgs:
+    def parse_smatch_args(self) -> MatchCondition:
         self.expect_punct("(")
         th_tok = self.peek()
         th = float(self.parse_number())
         if not 0.0 <= th <= 1.0:
             raise self.error(f"threshold must lie in [0, 1], got {th:g}", th_tok)
-        metric = polarity = None
+        metric, polarity = Metric.COSINE, None
         if self.accept_punct(","):
             tok = self.next()
             metric = _METRICS.get(tok.keyword())
@@ -316,9 +327,9 @@ class _Parser:
                 if polarity is None:
                     raise self.error("expected SIMILARITY_AT_LEAST or DISTANCE_AT_MOST", tok)
         self.expect_punct(")")
-        return SMatchArgs(th, metric, polarity)
+        return MatchCondition(metric, th, polarity)
 
-    def parse_pair_cmp(self) -> ScalarPairCmp:
+    def parse_pair_cmp(self) -> ScalarPairPredicate:
         left = self.parse_column_ref()
         offset = 0.0
         if self.at_punct("+") or self.at_punct("-"):
@@ -326,7 +337,7 @@ class _Parser:
             offset = sign * float(self.parse_number())
         op = self.parse_cmp_op()
         right = self.parse_column_ref()
-        return ScalarPairCmp(left, op, right, offset)
+        return ScalarPairPredicate(left, op, right, offset)
 
     def parse_cmp_op(self) -> str:
         tok = self.next()
@@ -336,49 +347,48 @@ class _Parser:
 
     # where-clause expressions
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self) -> Predicate:
         parts = [self.parse_and_expr()]
         while self.at_keyword("OR"):
             self.next()
             parts.append(self.parse_and_expr())
-        return parts[0] if len(parts) == 1 else OrExpr(tuple(parts))
+        return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
-    def parse_and_expr(self) -> Expr:
+    def parse_and_expr(self) -> Predicate:
         parts = [self.parse_unary_expr()]
         while self.at_keyword("AND"):
             self.next()
             parts.append(self.parse_unary_expr())
-        return parts[0] if len(parts) == 1 else AndExpr(tuple(parts))
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
-    def parse_unary_expr(self) -> Expr:
+    def parse_unary_expr(self) -> Predicate:
         if not (self.at_keyword("NOT") or self.at_punct("(")):
             return self.parse_predicate()
         if self.nest(self.next()).keyword() == "NOT":
-            expr = NotExpr(self.parse_unary_expr())
+            expr = Not(self.parse_unary_expr())
         else:
             expr = self.parse_expr()
             self.expect_punct(")")
         self.depth -= 1
         return expr
 
-    def parse_predicate(self) -> Expr:
+    def parse_predicate(self) -> Predicate:
         ref = self.parse_column_ref()
         if self.at_keyword("MATCHES"):
             self.next()
-            return BBoxExpr(ref, self.parse_bb_pattern())
+            return BBoxTest(ref, self.parse_bb_pattern())
         if self.at_keyword("SMATCH"):
             self.next()
-            args = self.parse_smatch_args()
-            probe = self.parse_vector_literal()
-            return SMatchExpr(ref, args, probe)
+            cond = self.parse_smatch_args()
+            return SMatchProbe(ref, FeatureVector(self.parse_vector_literal()), cond)
         op = self.parse_cmp_op()
         tok = self.peek()
         if tok.type == "STRING":
             self.next()
-            return CmpExpr(ref, op, tok.value)
-        return CmpExpr(ref, op, self.parse_number())
+            return Comparison(ref, op, tok.value)
+        return Comparison(ref, op, self.parse_number())
 
-    def parse_bb_pattern(self) -> tuple:
+    def parse_bb_pattern(self) -> BBPattern:
         self.expect_punct("[")
         comps = [self.parse_bb_component()]
         while self.accept_punct(","):
@@ -386,7 +396,7 @@ class _Parser:
         self.expect_punct("]")
         if len(comps) != 4:
             raise self.error(f"a box pattern needs 4 components, got {len(comps)}")
-        return tuple(comps)
+        return BBPattern(*comps)
 
     def parse_bb_component(self):
         if self.accept_punct("*"):
@@ -401,7 +411,7 @@ class _Parser:
             return (lo, hi)
         return lo
 
-    def parse_window(self) -> WindowClause:
+    def parse_window(self) -> WindowSpec:
         self.expect_keyword("WINDOW")
         self.expect_punct("(")
         tok = self.next()
@@ -416,7 +426,7 @@ class _Parser:
         self.expect_punct(",")
         hop = float(self.parse_number())
         self.expect_punct(")")
-        return WindowClause(kind, size, hop)
+        return WindowSpec(kind, size, hop)
 
 
 def parse(text: str) -> Query:

@@ -9,7 +9,10 @@ reordering is attempted beyond two faithful simplifications:
 * a projection feeding ``count(*)`` is dropped, since row counts ignore
   columns.
 
-Column-kind violations surface here, before any data flows.
+The parser's predicates, join conditions and windows are already the
+engine's objects; planning resolves each :class:`~.nodes.ColumnRef` in them
+to the schema's spelling of the column. Column-kind violations surface
+here, before any data flows.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from ..errors import SchemaMismatch, UnknownIdentifier
-from ..model import Column, ColumnKind, FeatureVector, Schema, kind_check
-from ..operators import (And, BBoxTest, BBPattern, CctOption, Comparison, Not,
-                         Or, Predicate, ScalarPairPredicate, SMatchProbe,
+from ..model import Column, ColumnKind, Schema, kind_check
+from ..operators import (CctOption, Predicate, ScalarPairPredicate,
                          equi_join_schema, ordered_check)
-from ..similarity import MatchCondition, Metric
+from ..similarity import MatchCondition
 from ..windows import WHOLE_STREAM, WindowSpec
 from . import nodes as ast
 
@@ -180,12 +182,6 @@ def iter_nodes(node: PlanNode):
 # --- planning ----------------------------------------------------------------
 
 
-def _window_spec(clause: ast.WindowClause | None, inherited: WindowSpec) -> WindowSpec:
-    if clause is None:
-        return inherited
-    return WindowSpec(clause.kind, clause.size, clause.hop)
-
-
 class _Catalog:
     def __init__(self, schemas: dict[str, Schema]):
         self.schemas = schemas
@@ -213,34 +209,24 @@ class _Planned:
     r2a_at: R2ANode | None  # set when the source chain tops out at R2A/CCT
 
 
-def _expr_refs(e: ast.Expr) -> list[ast.ColumnRef]:
-    if isinstance(e, (ast.CmpExpr, ast.BBoxExpr, ast.SMatchExpr)):
-        return [e.ref]
-    if isinstance(e, (ast.AndExpr, ast.OrExpr)):
-        return [r for p in e.parts for r in _expr_refs(p)]
-    return _expr_refs(e.part)
+def _refs(p: Predicate) -> list[ast.ColumnRef]:
+    """The column references of a parsed predicate, left to right."""
+    if hasattr(p, "column"):
+        return [p.column]
+    return [r for part in (p.parts if hasattr(p, "parts") else (p.part,)) for r in _refs(part)]
 
 
-def _to_predicate(e: ast.Expr, schema: Schema) -> Predicate:
-    if isinstance(e, ast.CmpExpr):
-        return Comparison(schema.resolve(e.ref.name), e.op, e.value)
-    if isinstance(e, ast.BBoxExpr):
-        comps = [tuple(c) if isinstance(c, tuple) else c for c in e.components]
-        return BBoxTest(schema.resolve(e.ref.name), BBPattern(*comps))
-    if isinstance(e, ast.SMatchExpr):
-        return SMatchProbe(schema.resolve(e.ref.name), FeatureVector(e.probe),
-                           _condition(e.args))
-    if isinstance(e, ast.AndExpr):
-        return And(tuple(_to_predicate(p, schema) for p in e.parts))
-    if isinstance(e, ast.OrExpr):
-        return Or(tuple(_to_predicate(p, schema) for p in e.parts))
-    if isinstance(e, ast.NotExpr):
-        return Not(_to_predicate(e.part, schema))
-    raise TypeError(f"unknown expression {e!r}")
+def _resolved(p: Predicate, schema: Schema) -> Predicate:
+    """``p`` with each column reference replaced by the schema's name for it."""
+    if hasattr(p, "column"):
+        return replace(p, column=schema.resolve(p.column.name))
+    if hasattr(p, "parts"):
+        return replace(p, parts=tuple(_resolved(part, schema) for part in p.parts))
+    return replace(p, part=_resolved(p.part, schema))
 
 
-def _condition(args: ast.SMatchArgs) -> MatchCondition:
-    return MatchCondition(args.metric or Metric.COSINE, args.th, args.polarity)
+#: the comparison that holds with its two sides swapped
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 
 class _Planner:
@@ -251,7 +237,7 @@ class _Planner:
         if q.join is not None and q.where is not None:
             raise SchemaMismatch("WHERE alongside a join condition is not supported; "
                                  "put extra conjuncts in the ON clause")
-        window = _window_spec(q.window, inherited_window)
+        window = q.window or inherited_window
         planned = self.plan_source(q.source, window)
 
         if q.join is not None:
@@ -301,14 +287,14 @@ class _Planner:
 
     # where placement
 
-    def place_where(self, where: ast.Expr, planned: _Planned) -> PlanNode:
-        refs = _expr_refs(where)
+    def place_where(self, where: Predicate, planned: _Planned) -> PlanNode:
+        refs = _refs(where)
         base_names = {planned.base_name.lower()} if planned.base_name else set()
         quals = {r.qualifier.lower() for r in refs if r.qualifier is not None}
 
         if planned.r2a_at is not None and quals and quals <= base_names:
             # the filter speaks about the pre-grouping relation: apply it below
-            pred = _to_predicate(where, planned.base_schema)
+            pred = _resolved(where, planned.base_schema)
             pred.check(planned.base_schema)
             r2a = planned.r2a_at
             filtered = R2ANode(SelectNode(r2a.child, pred), r2a.gba, r2a.aoa)
@@ -317,7 +303,7 @@ class _Planner:
         allowed = base_names | ({planned.alias.lower()} if planned.alias else set())
         for r in refs:
             self._check_qualifier(r.qualifier, allowed)
-        pred = _to_predicate(where, planned.node.schema)
+        pred = _resolved(where, planned.node.schema)
         pred.check(planned.node.schema)
         return SelectNode(planned.node, pred)
 
@@ -370,12 +356,10 @@ class _Planner:
 
         extras = []
         for pc in clause.cond.extras:
-            pl, pr, off = pc.left, pc.right, pc.offset
-            op = pc.op
-            if side_of(pl) == "right" and side_of(pr) == "left":
-                pl, pr = pr, pl
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}[op]
-                off = -off
+            if side_of(pc.left_column) == "right" and side_of(pc.right_column) == "left":
+                pc = replace(pc, left_column=pc.right_column, op=_FLIPPED[pc.op],
+                             right_column=pc.left_column, offset=-pc.offset)
+            pl, pr = pc.left_column, pc.right_column
             kind_check("compare", pl.name, left.node.schema)
             kind_check("compare", pr.name, right.node.schema)
             lkind = left.node.schema.kind_of(pl.name)
@@ -383,11 +367,11 @@ class _Planner:
             if lkind is not rkind:
                 raise SchemaMismatch(f"join condition compares {pl} ({lkind.name}) "
                                      f"with {pr} ({rkind.name})")
-            if off and lkind is not ColumnKind.SCALAR_NUMERIC:
+            if pc.offset and lkind is not ColumnKind.SCALAR_NUMERIC:
                 raise SchemaMismatch(f"join condition adds an offset to {pl} ({lkind.name})")
-            ordered_check(op, pl.name, left.node.schema)
-            extras.append(ScalarPairPredicate(left.node.schema.resolve(pl.name), op,
-                                              right.node.schema.resolve(pr.name), off))
+            ordered_check(pc.op, pl.name, left.node.schema)
+            extras.append(replace(pc, left_column=left.node.schema.resolve(pl.name),
+                                  right_column=right.node.schema.resolve(pr.name)))
 
         lgba = _gba_of(left.node)
         rgba = _gba_of(right.node)
@@ -399,7 +383,7 @@ class _Planner:
         return JoinNode(left.node, right.node, clause.kind,
                         left.node.schema.resolve(lref.name),
                         right.node.schema.resolve(rref.name),
-                        _condition(clause.cond.args), tuple(extras), schema)
+                        clause.cond.args, tuple(extras), schema)
 
     # select list
 

@@ -6,23 +6,28 @@ single-line canonical form, not the original spelling.
 
 from __future__ import annotations
 
-from .nodes import (AndExpr, BBoxExpr, CctSource, CmpExpr, Expr,
-                    JoinClause, NotExpr, OrExpr, Query, R2ASource,
-                    ScalarPairCmp, SelectAggregate, SelectColumn,
-                    SelectDirection, SelectStar, SMatchArgs, SMatchExpr,
-                    Source, SubquerySource, TableSource, WindowClause)
+import numpy as np
+
+from ..operators import (And, BBoxTest, Comparison, Not, Or, Predicate,
+                         ScalarPairPredicate, SMatchProbe)
+from ..similarity import DEFAULT_POLARITY, MatchCondition
+from ..windows import WindowSpec
+from .nodes import (CctSource, JoinClause, Query, R2ASource, SelectAggregate,
+                    SelectColumn, SelectDirection, SelectStar, Source,
+                    SubquerySource, TableSource)
 
 
 def _num(v) -> str:
-    return repr(v)
+    # floats print positionally: the lexer reads no exponent
+    return repr(v) if isinstance(v, int) else np.format_float_positional(v, trim="0")
 
 
-def _smatch_args(args: SMatchArgs) -> str:
-    parts = [_num(args.th)]
-    if args.metric is not None:
-        parts.append(args.metric.name)
-        if args.polarity is not None:
-            parts.append(args.polarity.name)
+def _smatch_args(cond: MatchCondition) -> str:
+    parts = [_num(cond.th)]
+    if cond != MatchCondition(th=cond.th):  # metric or polarity not the defaults
+        parts.append(cond.metric.name)
+        if cond.polarity is not DEFAULT_POLARITY[cond.metric]:
+            parts.append(cond.polarity.name)
     return f"SMATCH({', '.join(parts)})"
 
 
@@ -56,43 +61,43 @@ def _source(src: Source) -> str:
     return text
 
 
-def _expr(e: Expr) -> str:
-    if isinstance(e, CmpExpr):
+def _expr(e: Predicate) -> str:
+    if isinstance(e, Comparison):
         value = f'"{e.value}"' if isinstance(e.value, str) else _num(e.value)
-        return f"{e.ref} {e.op} {value}"
-    if isinstance(e, BBoxExpr):
+        return f"{e.column} {e.op} {value}"
+    if isinstance(e, BBoxTest):
         comps = []
-        for c in e.components:
+        for c in (e.pattern.x, e.pattern.y, e.pattern.w, e.pattern.h):
             if c is None:
                 comps.append("*")
             elif isinstance(c, tuple):
                 comps.append(f"{_num(c[0])}:{_num(c[1])}")
             else:
                 comps.append(_num(c))
-        return f"{e.ref} MATCHES [{', '.join(comps)}]"
-    if isinstance(e, SMatchExpr):
-        probe = ", ".join(_num(v) for v in e.probe)
-        return f"{e.ref} {_smatch_args(e.args)} [{probe}]"
-    if isinstance(e, AndExpr):
+        return f"{e.column} MATCHES [{', '.join(comps)}]"
+    if isinstance(e, SMatchProbe):
+        probe = ", ".join(_num(v) for v in e.probe.as_list())
+        return f"{e.column} {_smatch_args(e.cond)} [{probe}]"
+    if isinstance(e, And):
         return " AND ".join(_wrap(p) for p in e.parts)
-    if isinstance(e, OrExpr):
+    if isinstance(e, Or):
         return " OR ".join(_wrap(p) for p in e.parts)
-    if isinstance(e, NotExpr):
+    if isinstance(e, Not):
         return f"NOT {_wrap(e.part)}"
     raise TypeError(f"unknown expression {e!r}")
 
 
-def _wrap(e: Expr) -> str:
-    if isinstance(e, (AndExpr, OrExpr)):
+def _wrap(e: Predicate) -> str:
+    if isinstance(e, (And, Or)):
         return f"({_expr(e)})"
     return _expr(e)
 
 
-def _pair_cmp(c: ScalarPairCmp) -> str:
-    left = str(c.left)
+def _pair_cmp(c: ScalarPairPredicate) -> str:
+    left = str(c.left_column)
     if c.offset:
         left += f" + {_num(c.offset)}" if c.offset > 0 else f" - {_num(-c.offset)}"
-    return f"{left} {c.op} {c.right}"
+    return f"{left} {c.op} {c.right_column}"
 
 
 def _join(j: JoinClause) -> str:
@@ -105,7 +110,7 @@ def _join(j: JoinClause) -> str:
     return f"{j.kind} {_source(j.source)} ON {cond}"
 
 
-def _window(w: WindowClause) -> str:
+def _window(w: WindowSpec) -> str:
     return f"WINDOW({w.kind.name}, {_num(w.size)}, {_num(w.hop)})"
 
 

@@ -233,6 +233,7 @@ JOIN_EXTRA = ('SELECT AR1.oid, AR2.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
 DEEP_PARENS = "SELECT fid FROM R1 WHERE " + "(" * 400 + "fid = 1" + ")" * 400
 DEEP_NOTS = "SELECT fid FROM R1 WHERE " + "NOT " * 1000 + "fid = 1"
 CCT_GAP = "SELECT count(fid) FROM CCT(R2A(R1, R1.oid, R1.fid), first, {})"
+NINES = "9" * 400  # an integer literal beyond the float64 range
 NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv": [1.0]}\n'
 
 
@@ -267,6 +268,12 @@ NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv"
     ("run", CCT_GAP.format("0"), [], 2, "SYNTAX_ERROR"),
     ("run", CCT_GAP.format("-3"), [], 2, "SYNTAX_ERROR"),
     ("parse-check", CCT_GAP.format("2.5"), [], 2, "SYNTAX_ERROR"),
+    ("run", f"{Q2} WINDOW(TIME, {NINES}, 1)", [], 2, "SYNTAX_ERROR"),
+    ("run", f"SELECT fid FROM R1 WHERE [FV] SMATCH(0.5) [{NINES}, 1.0]", [], 2, "SYNTAX_ERROR"),
+    ("run", f"SELECT fid FROM R1 WHERE bb MATCHES [{NINES}, *, *, *]", [], 2, "SYNTAX_ERROR"),
+    ("run", JOIN_EXTRA + f"AR1.ts + {NINES} <= AR2.ts", [], 2, "SYNTAX_ERROR"),
+    ("run", f"SELECT fid FROM R1 WHERE fv SMATCH(0.0) [{NINES}.0, 1.0]", [], 2, "SYNTAX_ERROR"),
+    ("run", Q2, ["--engine-config", "rate.R1=5\nrate.r1=6\n"], 3, "CONFIG_ERROR"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
         "window-inf-hop", "missing-query", "config-value", "config-json", "quantum-zero",
         "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
@@ -274,7 +281,9 @@ NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv"
         "trace-not-utf8", "fps-zero", "fps-negative", "fps-nan", "deep-parens",
         "deep-parens-parse-check", "deep-nots", "deep-nots-parse-check",
         "fractional-tuple-window", "fractional-tuple-window-flag", "window-count",
-        "cct-gap-zero", "cct-gap-negative", "cct-gap-fraction"])
+        "cct-gap-zero", "cct-gap-negative", "cct-gap-fraction", "huge-window",
+        "huge-probe", "huge-bb", "huge-join-offset", "huge-decimal-probe",
+        "config-rate-casings"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -294,6 +303,15 @@ def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
     err = capsys.readouterr().err
     assert f"error [{error}]" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_run_and_parse_check_do_not_import_evaluation():
+    code = "import sys, vaquery.cli; print('vaquery.evaluation' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_equality_with_a_string_literal_counts_no_rows(tmp_path, trace_file, capsys):

@@ -55,6 +55,8 @@ def test_zero_quantum_is_a_config_error():
     assert exc.value.code == "CONFIG_ERROR"
     with pytest.raises(ConfigError):
         EngineConfig(rates={"R1": -1.0})
+    with pytest.raises(ConfigError):  # one source in two casings
+        EngineConfig(rates={"R1": 1.0, "r1": 2.0})
 
 
 def test_single_window_count_result():
@@ -182,6 +184,7 @@ def test_engine_config_from_key_value_file(tmp_path):
     assert cfg.quantum == 8
     assert cfg.rate_for("R1") == 100.0
     assert cfg.rate_for("R2") == 50.0
+    assert cfg.rate_for("r2") == 50.0
 
 
 def test_engine_config_from_json_file(tmp_path):
@@ -190,6 +193,7 @@ def test_engine_config_from_json_file(tmp_path):
     cfg = EngineConfig.from_file(path)
     assert cfg.quantum == 256
     assert cfg.rate_for("R1") == 10.0
+    assert cfg.rate_for("r1") == 10.0  # source names match in any casing
     assert cfg.rate_for("R9") == 0.0
 
 

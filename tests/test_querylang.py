@@ -1,16 +1,21 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaquery.errors import (IllegalColumnKind, QuerySyntaxError, SchemaMismatch,
                             UnknownIdentifier)
-from vaquery.model import TRACE_SCHEMA
-from vaquery.operators import CctOption
+from vaquery.model import TRACE_SCHEMA, FeatureVector
+from vaquery.operators import (And, BBoxTest, BBPattern, CctOption, Comparison,
+                               ScalarPairPredicate, SMatchProbe)
 from vaquery.querylang import (AggregateNode, CctNode, DirectionNode, JoinNode,
                                ProjectNode, R2ANode, SelectNode, SourceNode,
                                WindowNode, iter_nodes, nodes, parse, plan,
                                render)
 from vaquery.querylang.planner import EquiJoinNode
-from vaquery.similarity import MatchPolarity, Metric
-from vaquery.windows import WindowKind
+from vaquery.similarity import MatchCondition, MatchPolarity, Metric
+from vaquery.windows import WindowKind, WindowSpec
 
 Q2_TEXT = '''
 -- count distinct persons
@@ -56,8 +61,7 @@ def test_parse_q2_structure():
     assert isinstance(inner.source, nodes.R2ASource)
     assert inner.source.alias == "AR1"
     assert inner.source.gba == nodes.ColumnRef("R1", "oid")
-    assert isinstance(inner.where, nodes.CmpExpr)
-    assert inner.where.value == "person"
+    assert inner.where == Comparison(nodes.ColumnRef("R1", "label"), "=", "person")
 
 
 def test_parse_q3_structure():
@@ -81,28 +85,35 @@ def test_parse_q4_structure():
 
 def test_parse_window_clause():
     ast = parse("SELECT * FROM R1 WINDOW(TIME, 100, 50)")
-    assert ast.window == nodes.WindowClause(WindowKind.TIME, 100.0, 50.0)
+    assert ast.window == WindowSpec(WindowKind.TIME, 100.0, 50.0)
 
 
 def test_parse_smatch_metric_and_polarity():
     ast = parse("SELECT oid FROM R1 WHERE fv SMATCH(0.3, euclidean, distance_at_most) [1.0, 0.5]")
-    expr = ast.where
-    assert expr.args.metric is Metric.EUCLIDEAN
-    assert expr.args.polarity is MatchPolarity.DISTANCE_AT_MOST
-    assert expr.probe == (1.0, 0.5)
+    assert ast.where == SMatchProbe(nodes.ColumnRef(None, "fv"), FeatureVector([1.0, 0.5]),
+                                    MatchCondition(Metric.EUCLIDEAN, 0.3,
+                                                   MatchPolarity.DISTANCE_AT_MOST))
+
+
+def test_default_smatch_metric_and_polarity_parse_equal_and_render_short():
+    short = parse("SELECT oid FROM R1 WHERE fv SMATCH(0.9) [1.0, 0.5]")
+    long = parse("SELECT oid FROM R1 WHERE fv SMATCH(0.9, COSINE, SIMILARITY_AT_LEAST) [1.0, 0.5]")
+    assert short == long
+    assert render(long) == "SELECT oid FROM R1 WHERE fv SMATCH(0.9) [1.0, 0.5]"
 
 
 def test_parse_bb_pattern():
     ast = parse("SELECT oid FROM R1 WHERE bb MATCHES [0:100, *, 30, 10:20]")
-    assert ast.where.components == ((0.0, 100.0), None, 30.0, (10.0, 20.0))
+    assert ast.where == BBoxTest(nodes.ColumnRef(None, "bb"),
+                                 BBPattern((0.0, 100.0), None, 30.0, (10.0, 20.0)))
 
 
 def test_parse_join_time_frame_conjunct():
     ast = parse("SELECT A.oid, B.oid FROM (R2A(R1, oid, fid)) A "
                 "CJOIN (R2A(R2, oid, fid)) B "
                 "ON A.fv SMATCH(0.9) B.fv AND A.ts + 30 <= B.ts")
-    extra = ast.join.cond.extras[0]
-    assert extra.offset == 30.0 and extra.op == "<="
+    assert ast.join.cond.extras == (ScalarPairPredicate(nodes.ColumnRef("A", "ts"), "<=",
+                                                        nodes.ColumnRef("B", "ts"), 30.0),)
 
 
 def test_parse_keywords_case_insensitive():
@@ -122,6 +133,15 @@ def test_trailing_garbage_rejected():
         parse("SELECT oid FROM R1 42")
 
 
+def test_number_literals_must_fit_a_finite_float64():
+    head = "SELECT * FROM R1 WHERE ts > -"
+    with pytest.raises(QuerySyntaxError) as exc:
+        parse(head + "9" * 400)
+    assert (exc.value.line, exc.value.column) == (1, len(head) + 1)
+    # leading zeros do not count against int()'s digit limit
+    assert parse("SELECT * FROM R1 WHERE fid = " + "0" * 5000 + "1").where.value == 1
+
+
 def test_comments_are_ignored():
     ast = parse("SELECT oid -- trailing words\nFROM R1")
     assert isinstance(ast.source, nodes.TableSource)
@@ -131,11 +151,25 @@ def test_comments_are_ignored():
                                   "SELECT * FROM R1 WINDOW(TUPLE, 10, 5)",
                                   "SELECT oid FROM R1 WHERE bb MATCHES [*, *, 3, 1:2] AND label = \"car\"",
                                   "SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.label = R2.label",
-                                  "SELECT count(oid) FROM R1 WHERE NOT (fid < 5 OR fid > 10)"])
+                                  "SELECT count(oid) FROM R1 WHERE NOT (fid < 5 OR fid > 10)",
+                                  "SELECT * FROM R1 WHERE ts > 0.00000001",
+                                  "SELECT * FROM R1 WINDOW(TIME, 0.00001, 0.00001)",
+                                  "SELECT oid FROM R1 WHERE fv SMATCH(0.0000001) [1.0, 2.0]",
+                                  "SELECT A.oid, B.oid FROM (R2A(R1, oid, fid)) A CJOIN (R2A(R2, oid, fid)) B "
+                                  "ON A.fv SMATCH(0.9) B.fv AND A.ts - 0.00001 <= B.ts",
+                                  "SELECT * FROM R1 WHERE ts > 12345678901234567890.5"])
 def test_render_reparse_roundtrip(text):
     ast = parse(text)
     assert parse(render(ast)) == ast
 
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_render_reparse_roundtrip_any_finite_float(v):
+    where = And((Comparison(nodes.ColumnRef(None, "ts"), ">", v),
+                 BBoxTest(nodes.ColumnRef(None, "bb"), BBPattern(v, (v, v)))))
+    ast = replace(parse("SELECT * FROM R1"), where=where)
+    assert parse(render(ast)) == ast
 
 
 @pytest.mark.parametrize("gap_text, gap", [("", 1), (", 1", 1), (", 6", 6), (", 6.0", 6)])
@@ -231,11 +265,16 @@ def test_window_clause_becomes_leaf_window_spec():
 
 
 def test_default_window_used_without_clause():
-    from vaquery.windows import WindowSpec
     default = WindowSpec(WindowKind.TIME, 42.0, 42.0)
     p = plan(parse("SELECT * FROM R1"), ONE, default)
     win = next(n for n in iter_nodes(p.root) if isinstance(n, WindowNode))
     assert win.spec.size == 42.0
+
+
+def test_where_resolves_columns_to_the_schema_spelling():
+    p = plan(parse('SELECT * FROM R1 WHERE R1.LABEL = "person"'), ONE)
+    assert isinstance(p.root, SelectNode)
+    assert p.root.predicate == Comparison("label", "=", "person")
 
 
 def test_where_on_base_table_pushes_below_grouping():
