@@ -191,13 +191,11 @@ class SMatchProbe(Predicate):
     column: str
     probe: FeatureVector
     cond: MatchCondition
-    # the probe is a constant of the query, so it is normalized once;
-    # dataclasses.replace carries the normalized probe over
-    unit_probe: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # the probe is a constant of the query, so it is normalized once
+    unit_probe: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.unit_probe is None:
-            object.__setattr__(self, "unit_probe", normalized_matrix([self.probe]))
+        object.__setattr__(self, "unit_probe", normalized_matrix([self.probe]))
 
     def check(self, schema: Schema) -> None:
         kind_check("smatch", self.column, schema)

@@ -430,7 +430,13 @@ class _Parser:
 
 
 def parse(text: str) -> Query:
-    """Parse one query statement; raises :class:`QuerySyntaxError` with position."""
+    """Parse one query statement.
+
+    Raises :class:`QuerySyntaxError` (``PARSE_ERROR``) with a position for
+    malformed text. A well-formed WINDOW clause with a size or hop that is
+    not positive raises ``NONPOSITIVE_SIZE_OR_HOP``, and an all-zero SMATCH
+    probe raises ``ZERO_VECTOR``; neither of those carries a position.
+    """
     parser = _Parser(text)
     query = parser.parse_query()
     parser.accept_punct(";")

@@ -22,7 +22,8 @@ from typing import Union
 
 from ..errors import SchemaMismatch, UnknownIdentifier
 from ..model import Column, ColumnKind, Schema, kind_check
-from ..operators import (CctOption, Predicate, ScalarPairPredicate,
+from ..operators import (And, BBoxTest, CctOption, Comparison, Not, Or,
+                         Predicate, ScalarPairPredicate, SMatchProbe,
                          equi_join_schema, ordered_check)
 from ..similarity import MatchCondition
 from ..windows import WHOLE_STREAM, WindowSpec
@@ -209,20 +210,27 @@ class _Planned:
     r2a_at: R2ANode | None  # set when the source chain tops out at R2A/CCT
 
 
+def _mapped(p: Predicate, fn) -> Predicate:
+    """``p`` with each column reference ``r`` in it replaced by ``fn(r)``."""
+    if isinstance(p, (Comparison, BBoxTest, SMatchProbe)):
+        return replace(p, column=fn(p.column))
+    if isinstance(p, (And, Or)):
+        return replace(p, parts=tuple(_mapped(part, fn) for part in p.parts))
+    if isinstance(p, Not):
+        return replace(p, part=_mapped(p.part, fn))
+    raise TypeError(f"unknown predicate {p!r}")
+
+
 def _refs(p: Predicate) -> list[ast.ColumnRef]:
     """The column references of a parsed predicate, left to right."""
-    if hasattr(p, "column"):
-        return [p.column]
-    return [r for part in (p.parts if hasattr(p, "parts") else (p.part,)) for r in _refs(part)]
+    refs: list[ast.ColumnRef] = []
+    _mapped(p, lambda r: refs.append(r) or r)
+    return refs
 
 
 def _resolved(p: Predicate, schema: Schema) -> Predicate:
     """``p`` with each column reference replaced by the schema's name for it."""
-    if hasattr(p, "column"):
-        return replace(p, column=schema.resolve(p.column.name))
-    if hasattr(p, "parts"):
-        return replace(p, parts=tuple(_resolved(part, schema) for part in p.parts))
-    return replace(p, part=_resolved(p.part, schema))
+    return _mapped(p, lambda r: schema.resolve(r.name))
 
 
 #: the comparison that holds with its two sides swapped

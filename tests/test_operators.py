@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,15 @@ def test_zero_vector_in_a_decided_element_is_never_scored():
         assert counter.count == 1
     with pytest.raises(ZeroVector):
         select(rel, Or((Comparison("label", "=", "person"), probe)))
+
+
+def test_replacing_a_probe_normalizes_it_again():
+    probe = SMatchProbe("fv", FeatureVector([1.0, 0.0, 0.0, 0.0]), COS)
+    moved = replace(probe, column="FV", probe=FeatureVector([0.0, 3.0, 0.0, 4.0]))
+    assert moved.unit_probe.tolist() == [[0.0, 0.6, 0.0, 0.8]]
+    assert replace(probe, column="FV").unit_probe.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+    with pytest.raises(ZeroVector):
+        replace(probe, probe=FeatureVector([0.0, 0.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("cond", [MatchCondition(Metric.COSINE, 1.0),
