@@ -10,7 +10,8 @@ plan and the input traces only: feed rates and quantum sizes change timing,
 never output.
 
 Joins pair the windows of their two inputs by position, which is window
-index: window managers emit every index in order (gaps as empty windows).
+index: window managers emit every index in order (gaps as empty windows),
+and time windows count from one origin, the earliest first ``ts`` of any source.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -27,9 +28,8 @@ import numpy as np
 
 from .errors import ConfigError, SchemaMismatch
 from .model import Arrable, BoundingBox, FeatureVector, Relation
-from .operators import (ComparisonCounter, Direction8, aggregate, cct, cct_join,
-                        cjoin, count_star, direction, hash_equi_join, nl_join,
-                        project, select)
+from .operators import (Direction8, aggregate, cct, cct_join, cjoin, count_star, direction,
+                        hash_equi_join, nl_join, project, select)
 from .querylang.planner import (AggregateNode, CctNode, DirectionNode,
                                 EquiJoinNode, JoinNode, PlanNode, ProjectNode,
                                 QueryPlan, R2ANode, SelectNode, SourceNode,
@@ -122,12 +122,29 @@ class EngineConfig:
 
 @dataclass
 class StageStats:
+    """One plan node's stats; its operator adds its comparisons here."""
+
     name: str
     tuples_in: int = 0
     tuples_out: int = 0
     smatch_comparisons: int = 0
     wall_seconds: float = 0.0
     window_wall: dict[int, float] = field(default_factory=dict)
+
+    def add(self, n: int) -> None:
+        """Count ``n`` feature-vector comparisons, as a ``ComparisonCounter`` does."""
+        self.smatch_comparisons += n
+
+    def apply(self, fn: Callable[..., Any], idx: int, *payloads) -> Any:
+        """Transform window ``idx`` with ``fn``, timed, and record its stats."""
+        self.tuples_in += sum(p.element_count() for p in payloads)
+        started = time.monotonic()
+        result = fn(*payloads)
+        elapsed = time.monotonic() - started
+        self.wall_seconds += elapsed
+        self.window_wall[idx] = self.window_wall.get(idx, 0.0) + elapsed
+        self.tuples_out += result.element_count()
+        return result
 
     def to_dict(self) -> dict[str, Any]:
         return {"name": self.name, "tuples_in": self.tuples_in,
@@ -159,38 +176,15 @@ class OpStats:
                 "total_wall_seconds": self.total_wall_seconds}
 
 
-class _Stage:
-    """One plan node's name, stats and comparison counter."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.stats = StageStats(name)
-        self.counter: ComparisonCounter | None = None
-
-    def apply(self, fn: Callable[..., Any], idx: int, *payloads) -> Any:
-        """Transform window ``idx`` with ``fn``, timed, and record its stats."""
-        self.stats.tuples_in += sum(p.element_count() for p in payloads)
-        started = time.monotonic()
-        result = fn(*payloads)
-        elapsed = time.monotonic() - started
-        self.stats.wall_seconds += elapsed
-        self.stats.window_wall[idx] = self.stats.window_wall.get(idx, 0.0) + elapsed
-        if self.counter is not None:
-            self.stats.smatch_comparisons = self.counter.count
-        self.stats.tuples_out += result.element_count()
-        return result
-
-
 class Pipeline:
     """Instantiated plan: one generator per plan node, pulled from the root."""
 
     def __init__(self, plan: QueryPlan, config: EngineConfig):
         self.plan = plan
         self.config = config
-        self.stages: list[_Stage] = []
+        self.stages: list[StageStats] = []
         self._names_used: dict[str, int] = {}
         self._sources: Sequence[Relation] = ()
-        self._source_count = 0
         self._started = 0.0
         # generator bodies run only once run() pulls the root
         self._root = self._build(plan.root)
@@ -208,41 +202,20 @@ class Pipeline:
     # construction
 
     def _build(self, node: PlanNode) -> Iterator:
-        stage = _Stage(self._stage_name(node))
-        self.stages.append(stage)
+        stats = StageStats(self._stage_name(node))
+        self.stages.append(stats)
         if isinstance(node, SourceNode):
-            self._source_count += 1
-            return self._source(stage, node.ordinal, self.config.rate_for(node.name))
+            return self._source(stats, node.ordinal, self.config.rate_for(node.name))
         if isinstance(node, WindowNode):
-            return self._windows(stage, node.spec, self._build(node.child))
+            return self._windows(stats, node.spec, self._build(node.child))
+        fn = _operator(node, stats)
         if isinstance(node, (JoinNode, EquiJoinNode)):
-            stage.counter = ComparisonCounter()
-            children = (node.left, node.right)
-            if isinstance(node, JoinNode):
-                empty = tuple(Arrable.from_rows(_gba_of(c), "ts", c.schema) for c in children)
-            else:
-                empty = tuple(Relation.from_rows(c.schema, ()) for c in children)
-            return self._join(stage, _join_fn(node, stage.counter), empty,
-                              self._build(node.left), self._build(node.right))
+            empty = tuple(Arrable.from_rows(_gba_of(c), c.schema) if isinstance(node, JoinNode)
+                          else Relation.from_rows(c.schema, ()) for c in (node.left, node.right))
+            return self._join(stats, fn, empty, self._build(node.left), self._build(node.right))
+        return self._per_window(stats, fn, self._build(node.child))
 
-        if isinstance(node, SelectNode):
-            stage.counter = ComparisonCounter()
-            fn = lambda payload, n=node, c=stage.counter: select(payload, n.predicate, c)
-        elif isinstance(node, R2ANode):
-            fn = lambda payload, n=node: r2a_op(payload, n.gba, n.aoa)
-        elif isinstance(node, CctNode):
-            fn = lambda payload, n=node: cct(payload, n.option, n.gap_threshold)
-        elif isinstance(node, ProjectNode):
-            fn = lambda payload, n=node: project(payload, n.columns)
-        elif isinstance(node, AggregateNode):
-            fn = _aggregate_fn(node)
-        elif isinstance(node, DirectionNode):
-            fn = _direction_fn(node)
-        else:
-            raise ConfigError(f"unknown plan node {type(node).__name__}")
-        return self._per_window(stage, fn, self._build(node.child))
-
-    def _source(self, stage: _Stage, ordinal: int, rate: float) -> Iterator:
+    def _source(self, stats: StageStats, ordinal: int, rate: float) -> Iterator:
         """Release one trace as row ranges, at most ``rate`` rows per second when throttled."""
         relation = self._sources[ordinal]
         for lo in range(0, len(relation), self.config.quantum):
@@ -251,18 +224,20 @@ class Pipeline:
                 wait = self._started + hi / rate - time.monotonic()
                 if wait > 0:  # even sleep(0) takes tens of microseconds
                     time.sleep(wait)
-            stage.stats.tuples_in = stage.stats.tuples_out = hi
+            stats.tuples_in = stats.tuples_out = hi
             yield relation, lo, hi
 
-    @staticmethod
-    def _windows(stage: _Stage, spec: WindowSpec, ranges: Iterator) -> Iterator:
+    def _windows(self, stats: StageStats, spec: WindowSpec, ranges: Iterator) -> Iterator:
         """Assign released row ranges to windows; each closed window is a slice of the trace."""
-        manager = WindowManager(spec)
         by_time = spec.kind is WindowKind.TIME
+        if by_time and spec.origin is None:  # one time axis for every source of the query
+            spec = replace(spec, origin=min(
+                (r.column("ts")[0].item() for r in self._sources if len(r)), default=None))
+        manager = WindowManager(spec)
 
         def sliced(closed):
             for win, rows in closed:
-                stage.stats.tuples_out += len(rows)
+                stats.tuples_out += len(rows)
                 yield win.index, relation.take(slice(rows.start, rows.stop))
 
         for relation, lo, hi in ranges:
@@ -270,7 +245,7 @@ class Pipeline:
                 keys, last = relation.column("ts")[lo:hi], relation.column("ts")[-1].item()
             else:  # a tuple window's key is the row's ordinal, its position in the trace
                 keys, last = np.arange(lo, hi), len(relation) - 1
-            stage.stats.tuples_in += hi - lo
+            stats.tuples_in += hi - lo
             manager.add(keys)
             if lo == 0:  # the whole trace must fit in the window limit before a window closes
                 check_span(spec, manager.origin, last)
@@ -278,12 +253,12 @@ class Pipeline:
         yield from sliced(manager.flush())
 
     @staticmethod
-    def _per_window(stage: _Stage, fn: Callable[[Any], Any], windows: Iterator) -> Iterator:
+    def _per_window(stats: StageStats, fn: Callable[[Any], Any], windows: Iterator) -> Iterator:
         for idx, payload in windows:
-            yield idx, stage.apply(fn, idx, payload)
+            yield idx, stats.apply(fn, idx, payload)
 
     @staticmethod
-    def _join(stage: _Stage, fn: Callable[[Any, Any], Any], empty: tuple,
+    def _join(stats: StageStats, fn: Callable[[Any, Any], Any], empty: tuple,
               left: Iterator, right: Iterator) -> Iterator:
         """Join the two inputs' windows pairwise.
 
@@ -291,7 +266,7 @@ class Pipeline:
         window index; a side with fewer windows pairs the rest with empty.
         """
         for idx, (lwin, rwin) in enumerate(zip_longest(left, right)):
-            yield idx, stage.apply(fn, idx, lwin[1] if lwin else empty[0],
+            yield idx, stats.apply(fn, idx, lwin[1] if lwin else empty[0],
                                    rwin[1] if rwin else empty[1])
 
     # execution
@@ -301,9 +276,8 @@ class Pipeline:
         if self._ran:
             raise ConfigError("pipeline instances are single-use; instantiate again")
         self._ran = True
-        if len(sources) != self._source_count:
-            raise SchemaMismatch(
-                f"plan needs {self._source_count} sources, got {len(sources)}")
+        if len(sources) != len(self.plan.sources):
+            raise SchemaMismatch(f"plan needs {len(self.plan.sources)} sources, got {len(sources)}")
         self._sources = sources
         self._started = time.monotonic()
         # collect the root's windows as flat result rows
@@ -312,51 +286,62 @@ class Pipeline:
         return rows, self.stats()
 
     def stats(self) -> OpStats:
-        return OpStats([s.stats for s in self.stages])
+        return OpStats(self.stages)
 
 
-def _join_fn(node: JoinNode | EquiJoinNode, counter: ComparisonCounter):
-    def fn(left, right) -> Relation:
-        if isinstance(node, EquiJoinNode):
-            return hash_equi_join(left, right, node.on_left, node.on_right, node.prefixes)
-        on = (node.on_left, node.on_right)
-        if node.kind == "CJOIN":
-            pairs = cjoin(left, right, node.cond, on, node.extras, counter)
-        elif node.kind == "CCTJOIN":
-            pairs = cct_join(left, right, node.cond, on=on, extra=node.extras, counter=counter)
-        else:
-            pairs = nl_join(left, right, node.cond, on, node.extras, counter)
-        names = node.schema.names()
-        return Relation.from_columns(node.schema, {
-            names[0]: [p.left_oid for p in pairs], names[1]: [p.right_oid for p in pairs],
-            names[2]: [p.score for p in pairs]})
-    return fn
-
-
-def _aggregate_fn(node: AggregateNode):
-    def fn(payload):
-        if node.column is None:
-            value: Any = count_star(payload)
-        else:
-            try:
-                value = aggregate(payload, node.func, node.column)
-            except ValueError:
-                value = None  # empty window
-        return Relation.from_columns(node.schema, {node.label: [value]})
-    return fn
-
-
-def _direction_fn(node: DirectionNode):
-    def fn(payload):
-        results = direction(payload, bb_column=node.bb_column)
-        return Relation.from_columns(node.schema, {node.key_column: [k for k, _ in results],
-                                                   "direction": [d for _, d in results]})
-    return fn
+def _operator(node: PlanNode, stats: StageStats) -> Callable[..., Any]:
+    """Window function of a non-source, non-window node; operators resolve at call time."""
+    if isinstance(node, SelectNode):
+        return lambda payload: select(payload, node.predicate, stats)
+    if isinstance(node, R2ANode):
+        return lambda payload: r2a_op(payload, node.gba, node.aoa)
+    if isinstance(node, CctNode):
+        return lambda payload: cct(payload, node.option, node.gap_threshold)
+    if isinstance(node, ProjectNode):
+        return lambda payload: project(payload, node.columns)
+    if isinstance(node, EquiJoinNode):
+        return lambda left, right: hash_equi_join(left, right, node.on_left, node.on_right,
+                                                  node.prefixes)
+    if isinstance(node, JoinNode):
+        def joined(left, right) -> Relation:
+            on = (node.on_left, node.on_right)
+            if node.kind == "CCTJOIN":
+                pairs = cct_join(left, right, node.cond, on=on, extra=node.extras, counter=stats)
+            else:
+                pairs = (cjoin if node.kind == "CJOIN" else nl_join)(left, right, node.cond, on,
+                                                                    node.extras, stats)
+            names = node.schema.names()
+            return Relation.from_columns(node.schema, {
+                names[0]: [p.left_oid for p in pairs], names[1]: [p.right_oid for p in pairs],
+                names[2]: [p.score for p in pairs]})
+        return joined
+    if isinstance(node, AggregateNode):
+        def aggregated(payload) -> Relation:
+            if node.column is None:
+                value: Any = count_star(payload)
+            else:
+                try:
+                    value = aggregate(payload, node.func, node.column)
+                except ValueError:
+                    value = None  # empty window
+            return Relation.from_columns(node.schema, {node.label: [value]})
+        return aggregated
+    if isinstance(node, DirectionNode):
+        def directions(payload) -> Relation:
+            results = direction(payload, bb_column=node.bb_column)
+            return Relation.from_columns(node.schema, {node.key_column: [k for k, _ in results],
+                                                       "direction": [d for _, d in results]})
+        return directions
+    raise ConfigError(f"unknown plan node {type(node).__name__}")
 
 
 def instantiate(plan: QueryPlan, config: EngineConfig | None = None) -> Pipeline:
-    """Build a pipeline: one generator per plan node."""
-    return Pipeline(plan, config or EngineConfig())
+    """Build a pipeline: one generator per plan node; each feed rate must name a source."""
+    config = config or EngineConfig()
+    unread = [n for n in config.rates if n.lower() not in {s.lower() for s in plan.sources}]
+    if unread:
+        raise ConfigError(f"feed rates name sources the query does not read: {unread}")
+    return Pipeline(plan, config)
 
 
 # --- result serialization ------------------------------------------------------

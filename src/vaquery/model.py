@@ -195,7 +195,6 @@ OPERATOR_LEGALITY: dict[str, frozenset[ColumnKind]] = {
     "direction": frozenset({ColumnKind.BBOX_VECTOR}),
     "r2a_gba": _SCALARS,
     "r2a_aoa": _SCALARS,
-    "group_by": _SCALARS,
 }
 
 
@@ -361,7 +360,7 @@ class Arrable:
 
     A group's elements are rows of ``base``, a relation of the non-``gba``
     columns: element ``j`` is base row ``order[j]``, and the elements run
-    group after group, each group in ``aoa`` order. ``keys`` holds one key
+    group after group, each group in its R2A order. ``keys`` holds one key
     per group in first-appearance order and group ``i`` is elements
     ``offsets[i]`` to ``offsets[i + 1]``. Grouping, filtering and compressing
     only compute a new ``order``; no column is copied. An arrable projected
@@ -370,7 +369,6 @@ class Arrable:
     """
 
     gba: str
-    aoa: str
     schema: Schema
     keys: np.ndarray
     offsets: np.ndarray
@@ -378,8 +376,7 @@ class Arrable:
     order: np.ndarray
 
     @staticmethod
-    def from_rows(gba: str, aoa: str, schema: Schema,
-                  rows: Sequence[ArrableRow] = ()) -> "Arrable":
+    def from_rows(gba: str, schema: Schema, rows: Sequence[ArrableRow] = ()) -> "Arrable":
         """Arrable from groups given as rows; every row holds the same columns,
         by default every schema column but ``gba``."""
         keys = [r.key for r in rows]
@@ -388,7 +385,7 @@ class Arrable:
         names = list(rows[0].values) if rows else [n for n in schema.names() if n != gba]
         base = Relation.from_columns(
             schema.subset(names), {n: [v for r in rows for v in r.column(n)] for n in names})
-        return Arrable(gba, aoa, schema, _column(schema.kind_of(gba), keys),
+        return Arrable(gba, schema, _column(schema.kind_of(gba), keys),
                        offsets_of([len(r) for r in rows]), base, np.arange(len(base)))
 
     @property
@@ -437,7 +434,7 @@ class Arrable:
         keys = self.keys
         if drop_empty:
             keys, counts = keys[counts > 0], counts[counts > 0]
-        return Arrable(self.gba, self.aoa, self.schema, keys, offsets_of(counts),
+        return Arrable(self.gba, self.schema, keys, offsets_of(counts),
                        self.base, self.order[keep])
 
     def take(self, keep: np.ndarray) -> "Arrable":
@@ -448,7 +445,7 @@ class Arrable:
         names = [n for n in schema.names() if n != self.gba]
         order = self.order if names else self.order[:0]
         offsets = self.offsets if names else np.zeros_like(self.offsets)
-        return Arrable(self.gba, self.aoa, schema, self.keys, offsets,
+        return Arrable(self.gba, schema, self.keys, offsets,
                        self.base.subset(schema.subset(names)), order)
 
     def __len__(self) -> int:

@@ -275,7 +275,7 @@ def r2a(rel: Relation, gba: str, aoa: str) -> Arrable:
     fid = [rel.column("fid")] if "fid" in rel.columns else []
     order = np.lexsort((*fid, rel.column(aoa), rank))
     base = rel.subset(rel.schema.subset([n for n in rel.schema.names() if n != gba]))
-    return Arrable(gba, aoa, rel.schema, rel.column(gba)[np.sort(first)],
+    return Arrable(gba, rel.schema, rel.column(gba)[np.sort(first)],
                    offsets_of(np.bincount(rank, minlength=len(first))), base, order)
 
 

@@ -2,7 +2,8 @@
 
 WHERE predicates, join conditions and windows come out as the engine's own
 objects (see :mod:`nodes`), so an out-of-range window raises
-``NONPOSITIVE_SIZE_OR_HOP`` and an all-zero probe ``ZERO_VECTOR`` here.
+``NONPOSITIVE_SIZE_OR_HOP`` and an all-zero probe ``ZERO_VECTOR`` here, at
+the position of the ``WINDOW`` or the probe's ``[`` token.
 
 Grammar sketch (keywords case-insensitive, ``--`` line comments)::
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from ..errors import QuerySyntaxError
+from ..errors import InvalidWindowSpec, QuerySyntaxError, ZeroVector
 from ..model import FeatureVector
 from ..operators import (And, BBoxTest, BBPattern, CctOption, Comparison, Not, Or,
                          Predicate, ScalarPairPredicate, SMatchProbe)
@@ -98,6 +99,14 @@ class _Parser:
     def error(self, message: str, tok: Token | None = None) -> QuerySyntaxError:
         tok = tok or self.peek()
         return QuerySyntaxError(message, tok.line, tok.column)
+
+    @staticmethod
+    def located(tok: Token, build, *args):
+        """``build(*args)``; a window or probe error it raises gets ``tok``'s position."""
+        try:
+            return build(*args)
+        except (InvalidWindowSpec, ZeroVector) as exc:
+            raise type(exc)(f"{exc} (line {tok.line}, column {tok.column})") from None
 
     def at_keyword(self, *names: str) -> bool:
         return self.peek().keyword() in names
@@ -380,7 +389,8 @@ class _Parser:
         if self.at_keyword("SMATCH"):
             self.next()
             cond = self.parse_smatch_args()
-            return SMatchProbe(ref, FeatureVector(self.parse_vector_literal()), cond)
+            return self.located(self.peek(), SMatchProbe, ref,
+                                FeatureVector(self.parse_vector_literal()), cond)
         op = self.parse_cmp_op()
         tok = self.peek()
         if tok.type == "STRING":
@@ -412,7 +422,7 @@ class _Parser:
         return lo
 
     def parse_window(self) -> WindowSpec:
-        self.expect_keyword("WINDOW")
+        window = self.expect_keyword("WINDOW")
         self.expect_punct("(")
         tok = self.next()
         if tok.keyword() == "TIME":
@@ -426,16 +436,16 @@ class _Parser:
         self.expect_punct(",")
         hop = float(self.parse_number())
         self.expect_punct(")")
-        return WindowSpec(kind, size, hop)
+        return self.located(window, WindowSpec, kind, size, hop)
 
 
 def parse(text: str) -> Query:
     """Parse one query statement.
 
-    Raises :class:`QuerySyntaxError` (``PARSE_ERROR``) with a position for
-    malformed text. A well-formed WINDOW clause with a size or hop that is
-    not positive raises ``NONPOSITIVE_SIZE_OR_HOP``, and an all-zero SMATCH
-    probe raises ``ZERO_VECTOR``; neither of those carries a position.
+    Raises :class:`QuerySyntaxError` (``SYNTAX_ERROR``) with a position for
+    malformed text. A well-formed WINDOW clause that :class:`WindowSpec`
+    rejects raises ``NONPOSITIVE_SIZE_OR_HOP`` at the ``WINDOW`` token, and an
+    all-zero SMATCH probe raises ``ZERO_VECTOR`` at the probe's ``[``.
     """
     parser = _Parser(text)
     query = parser.parse_query()

@@ -89,7 +89,8 @@ _DIFF_ELEMENTS = 1 << 16
 
 
 def normalized_matrix(vectors: np.ndarray | list[FeatureVector]) -> np.ndarray:
-    """Row-normalized copy of an (n, d) block, or of a list of vectors stacked."""
+    """Row-normalized copy of an (n, d) block, or of a list of vectors stacked;
+    only an all-zero row is a :class:`ZeroVector`."""
     if not isinstance(vectors, np.ndarray):
         if not vectors:
             return np.zeros((0, 0))
@@ -97,9 +98,16 @@ def normalized_matrix(vectors: np.ndarray | list[FeatureVector]) -> np.ndarray:
         if len(dims) > 1:
             raise DimensionMismatch(f"mixed feature vector dimensions in one group: {sorted(dims)}")
         vectors = np.array([v.values for v in vectors])
-    norms = np.sqrt((vectors * vectors).sum(axis=1))  # np.linalg.norm's arithmetic, less overhead
-    if not norms.all():
-        raise ZeroVector("similarity is undefined for an all-zero vector")
+    with np.errstate(over="ignore"):  # an infinite norm is rescaled below
+        norms = np.sqrt((vectors * vectors).sum(axis=1))  # np.linalg.norm's arithmetic, less overhead
+    odd = ~((norms > 0) & (norms < np.inf))  # squares over- or underflowed, or all zero
+    if odd.any():  # so divide those rows by their largest magnitude first
+        peak = np.abs(vectors[odd]).max(axis=1, initial=0.0)
+        if not peak.all():
+            raise ZeroVector("similarity is undefined for an all-zero vector")
+        vectors = vectors.astype(float)  # a copy
+        vectors[odd] /= peak[:, None]
+        norms[odd] = np.sqrt((vectors[odd] * vectors[odd]).sum(axis=1))
     return vectors / norms[:, None]
 
 

@@ -30,7 +30,7 @@ class WindowSpec:
     kind: WindowKind
     size: float
     hop: float
-    origin: float | None = None  # None: first item's key per source
+    origin: float | None = None  # None: the first key (the engine sets its sources' earliest ts)
 
     def __post_init__(self) -> None:
         if not (self.size > 0 and self.hop > 0):  # written so that NaN fails too

@@ -29,7 +29,7 @@ def trace_relation(records, fps=30.0) -> Relation:
     return Relation.from_tuples(tuples)
 
 
-def arrable_of(groups: dict, aoa: str = "fid") -> Arrable:
+def arrable_of(groups: dict) -> Arrable:
     """Arrable from {key: {"fid": [...], "fv": [...], ...}} shorthand.
 
     Feature vectors given as plain tuples are wrapped; boxes given as
@@ -48,7 +48,7 @@ def arrable_of(groups: dict, aoa: str = "fid") -> Arrable:
             else:
                 values[name] = tuple(vec)
         rows.append(ArrableRow(key, values))
-    return Arrable.from_rows("oid", aoa, TRACE_SCHEMA, tuple(rows))
+    return Arrable.from_rows("oid", TRACE_SCHEMA, tuple(rows))
 
 
 @pytest.fixture

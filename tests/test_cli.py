@@ -460,6 +460,8 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
      "CONFIG_ERROR", "rate"),
     (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"rates": {"R1": true}}'}), 3,
      "CONFIG_ERROR", "R1"),
+    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"rates": {"R7": 5}}'}), 3,
+     "CONFIG_ERROR", "R7"),
     (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"quantum": "8"}'}), 3,
      "CONFIG_ERROR", "quantum"),
     ((RUN[:-1] + ["{tmp}"], {"q.vaq": Q2}), 3, "IO_ERROR", "directory"),
@@ -479,7 +481,7 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
         "eval-window-array", "eval-pair-array",
         "eval-pairs-gt-not-json", "eval-direction-missing", "config-quantum-fraction",
         "config-not-utf8", "rate-inf", "config-quantum-bool", "config-rate-bool",
-        "config-rates-bool", "config-quantum-string", "run-trace-dir",
+        "config-rates-bool", "config-rates-unread-source", "config-quantum-string", "run-trace-dir",
         "run-query-dir", "run-out-missing-dir", "run-query-not-utf8", "parse-check-dir",
         "parse-check-missing"])
 def test_every_subcommand_exits_with_a_code(tmp_path, trace_file, capsys, case, code, error,

@@ -176,6 +176,14 @@ def test_source_count_mismatch_rejected():
         instantiate(plan(parse(Q3), TWO)).run([small_trace()])
 
 
+def test_a_rate_must_name_a_source_of_the_query():
+    qplan = plan(parse("SELECT count(*) FROM r1"), ONE)
+    assert instantiate(qplan, EngineConfig(rates={"R1": 5.0})).config.rate_for("r1") == 5.0
+    with pytest.raises(ConfigError) as exc:
+        instantiate(qplan, EngineConfig(rates={"R1": 5.0, "R7": 5.0}))
+    assert exc.value.code == "CONFIG_ERROR" and "'R7'" in str(exc.value)
+
+
 def test_engine_config_from_key_value_file(tmp_path):
     path = tmp_path / "engine.cfg"
     path.write_text("# engine settings\nqueue_capacity=64\nquantum=8\n"
@@ -278,6 +286,23 @@ def test_direction_compares_by_name(op):
     expected = [r for r in everything if (r["direction"].value == "E") == (op == "=")]
     assert expected and len(expected) < len(everything)
     assert rows == expected
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_joined_time_windows_share_one_time_axis(swap):
+    # R1 sees oid 1 at 0 s and oid 2 at 10 s, R2 oid 7 at 10 s only: one
+    # origin for both inputs puts oids 2 and 7 in window 5, [10 s, 12 s)
+    def camera(*visits):
+        return generate(SynthSpec(frames=330, fps=30, fv_dim=4, objects=tuple(
+            ObjectSpec(oid, "person", (0, 0, 4, 8), (1, 0), base_fv=(1, 0, 0, 0),
+                       intervals=(visit,)) for oid, visit in visits)), 0)
+
+    traces = [camera((1, (0, 30)), (2, (300, 330))), camera((7, (300, 330)))]
+    text = ("SELECT A.oid, B.oid FROM (R2A(R1, R1.oid, R1.fid)) A JOIN "
+            "(R2A(R2, R2.oid, R2.fid)) B ON A.fv SMATCH(0.9) B.fv WINDOW(TIME, 2, 2)")
+    rows, _ = instantiate(plan(parse(text), TWO)).run(traces[::-1] if swap else traces)
+    oids = (7, 2) if swap else (2, 7)
+    assert rows == [{"window": 5, "A.oid": oids[0], "B.oid": oids[1]}]
 
 
 JOIN_TRACES = (

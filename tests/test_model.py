@@ -100,7 +100,7 @@ def test_arrable_row_vector_lengths_must_match():
 def test_arrable_rejects_duplicate_keys():
     row = ArrableRow(1, {"fid": (1,)})
     with pytest.raises(ValueError):
-        Arrable.from_rows("oid", "fid", TRACE_SCHEMA, (row, ArrableRow(1, {"fid": (2,)})))
+        Arrable.from_rows("oid", TRACE_SCHEMA, (row, ArrableRow(1, {"fid": (2,)})))
 
 
 def test_relation_to_arrable_flatten_is_permutation(two_person_trace):

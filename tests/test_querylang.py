@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaquery.errors import (IllegalColumnKind, QuerySyntaxError, SchemaMismatch,
-                            UnknownIdentifier)
+from vaquery.errors import (IllegalColumnKind, InvalidWindowSpec, QuerySyntaxError,
+                            SchemaMismatch, UnknownIdentifier, ZeroVector)
 from vaquery.model import TRACE_SCHEMA, FeatureVector
 from vaquery.operators import (And, BBoxTest, BBPattern, CctOption, Comparison,
                                ScalarPairPredicate, SMatchProbe)
@@ -126,6 +126,19 @@ def test_syntax_error_carries_position():
         parse("SELECT FROM")
     assert exc.value.code == "SYNTAX_ERROR"
     assert (exc.value.line, exc.value.column) == (1, 8)
+
+
+@pytest.mark.parametrize("text, error, line, column", [
+    ("SELECT count(*) FROM R1 WINDOW(TUPLE, 0.5, 0.5)", InvalidWindowSpec, 1, 25),
+    ("SELECT count(*)\nFROM R1\n  window(time, 0, 1)", InvalidWindowSpec, 3, 3),
+    ("SELECT oid FROM R1 WHERE fv SMATCH(0.5) [0.0, 0.0]", ZeroVector, 1, 41),
+    ("SELECT oid FROM R1\nWHERE ts > 1 AND fv SMATCH(0.5)\n [0.0]", ZeroVector, 3, 2),
+])
+def test_window_and_probe_errors_carry_their_position(text, error, line, column):
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert str(exc.value).endswith(f" (line {line}, column {column})")
+    assert exc.value.code == error.code
 
 
 def test_trailing_garbage_rejected():

@@ -190,3 +190,24 @@ def test_euclidean_blocks_match_the_per_row_loop_bit_for_bit(seed, n, m, dim):
     assert np.array_equal(got, euclidean_scores_oracle(left, right))
     if n and m:
         assert got[n // 2, m // 2] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 5e-324])
+def test_extreme_magnitudes_normalize_without_warnings(scale):
+    unit = normalized_matrix(np.array([[scale, 0.0, 0.0, 0.0], [scale, scale, 0.0, 0.0],
+                                       [3.0, 4.0, 0.0, 0.0]]))
+    assert unit[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert unit[1] == pytest.approx([math.sqrt(0.5)] * 2 + [0.0] * 2)
+    assert unit[2].tolist() == [0.6, 0.8, 0.0, 0.0]  # a finite positive norm: as before
+    probe = normalized_matrix([fv([scale, 0.0, 0.0, 0.0])])
+    assert scores_against(MatchCondition(th=0.5), probe, unit)[0, 0] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_only_an_all_zero_row_is_a_zero_vector():
+    with pytest.raises(ZeroVector):
+        normalized_matrix(np.array([[1e-200, 0.0], [0.0, 0.0]]))
+    rows = np.random.default_rng(3).normal(size=(20, 8))
+    assert np.array_equal(normalized_matrix(rows),
+                          rows / np.sqrt((rows * rows).sum(axis=1))[:, None])
