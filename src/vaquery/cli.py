@@ -28,7 +28,6 @@ from pathlib import Path
 from . import engine, ingest, querylang
 from .errors import (ConfigError, FormatMismatch, InvalidWindowSpec, QuerySyntaxError,
                      VaqueryError)
-from .model import TRACE_SCHEMA
 from .windows import WindowKind, WindowSpec
 
 EXIT_QUERY_ERROR = 2
@@ -69,32 +68,7 @@ def _load_plan(query_path: str, window_flag: str | None = None):
         lines = raw[:exc.start].split(b"\n")
         raise QuerySyntaxError(f"not UTF-8 text: {exc.reason}", len(lines), len(lines[-1]) + 1) \
             from None
-    ast = querylang.parse(text)
-    # every source in the query reads the trace schema
-    catalog = {name: TRACE_SCHEMA for name in _source_names(ast)}
-    return querylang.plan(ast, catalog, window)
-
-
-def _source_names(ast) -> list[str]:
-    names: list[str] = []
-
-    def walk_source(src) -> None:
-        if isinstance(src, querylang.nodes.TableSource):
-            names.append(src.name)
-        elif isinstance(src, querylang.nodes.R2ASource):
-            names.append(src.table)
-        elif isinstance(src, querylang.nodes.CctSource):
-            walk_source(src.inner)
-        elif isinstance(src, querylang.nodes.SubquerySource):
-            walk_query(src.query)
-
-    def walk_query(q) -> None:
-        walk_source(q.source)
-        if q.join is not None:
-            walk_source(q.join.source)
-
-    walk_query(ast)
-    return names
+    return querylang.plan(querylang.parse(text), default_window=window)
 
 
 def cmd_run(args) -> int:

@@ -63,12 +63,15 @@ class PairGroundTruth:
     def from_json(text: str | bytes, source: str = "pair ground truth") -> "PairGroundTruth":
         raw = _loads(text, source)
         try:
-            return PairGroundTruth(
-                frozenset(raw["left_universe"]),
-                frozenset(raw["right_universe"]),
-                frozenset((l, r) for l, r in raw["positives"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            left, right, positives = raw["left_universe"], raw["right_universe"], raw["positives"]
+        except (KeyError, TypeError) as exc:
             raise FormatMismatch(f"bad pair ground-truth file: {exc}") from None
+        for name, ids in (("left_universe", left), ("right_universe", right)):
+            if not _id_array(ids):
+                raise FormatMismatch(f"{source} {name} must be an array of strings or integers")
+        if type(positives) is not list or not all(_id_array(p) and len(p) == 2 for p in positives):
+            raise FormatMismatch(f"{source} positives must be an array of [left, right] arrays")
+        return PairGroundTruth(frozenset(left), frozenset(right), frozenset(map(tuple, positives)))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -76,6 +79,11 @@ class PairGroundTruth:
             "right_universe": sorted(self.right_universe),
             "positives": sorted([l, r] for l, r in self.positives),
         })
+
+
+def _id_array(value) -> bool:
+    """Whether a JSON value is an array of object ids: strings or integers."""
+    return type(value) is list and {type(v) for v in value} <= {str, int}
 
 
 def confusion_pairs(result: Iterable[JoinPair | tuple], gt: PairGroundTruth) -> ConfusionCounts:
@@ -218,4 +226,8 @@ def load_direction_gt(text: str | bytes, source: str = "direction ground truth")
     raw = _loads(text, source)
     if not isinstance(raw, dict):
         raise FormatMismatch("direction ground truth must be an object id -> direction map")
-    return {str(k): str(v) for k, v in raw.items()}
+    for oid, name in raw.items():
+        if type(name) is not str:
+            raise FormatMismatch(f"{source} direction of object {oid} must be a string, "
+                                 f"got {name!r}")
+    return raw

@@ -14,11 +14,15 @@ uses the fixed header ``fid,oid,label,ts,bb_x,bb_y,bb_w,bb_h,fv_0..fv_k``
 and parses each text field as a number. The file extension selects the
 format (.jsonl / .csv).
 
-Both formats, and :func:`generate`, feed one builder: it checks the rows
-in blocks with array operations and keeps each block's columns; the
-relation's columns are those blocks concatenated. The first offending line
-in file order decides the error, whatever its kind; a ``ts`` regression is
-reported once the whole file has been read.
+A CSV row parses into the record its JSONL line would decode to, and from
+there both formats, and :func:`generate`, feed one builder: it checks the
+records in blocks with array operations and keeps each block's columns; the
+relation's columns are those blocks concatenated. A block that fails any
+check is re-checked one line at a time, each line in this order: fields and
+types, values (:func:`validate_tuple`), feature-vector length, frame order,
+duplicate ``(fid, oid)``. So the first offending line in file order decides
+the error, whatever its kind; a ``ts`` regression is reported once the whole
+file has been read.
 """
 
 from __future__ import annotations
@@ -28,17 +32,16 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 from numpy.dtypes import StringDType
 
 from .errors import (ConfigError, DimensionMismatch, GeneratorSpecError,
-                     OutOfOrderFrame, SchemaMismatch, TraceParseError,
-                     TupleValidationError, VaqueryError)
+                     OutOfOrderFrame, SchemaMismatch, TraceParseError)
 from .model import (BoundingBox, FeatureVector, Relation, TRACE_SCHEMA, VTuple,
                     validate_tuple)
 
@@ -57,11 +60,6 @@ _NUMBER = {int, float}
 _INT64 = np.iinfo(np.int64)
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a number", bool: "a boolean", type(None): "null"}
-
-#: One chunk of parsed records as columns (fid, oid, label, bb, fv, ts), the
-#: file line of each record, and the error of the line that ended the chunk.
-_Chunk = tuple[list[int], Sequence[Sequence], VaqueryError | None]
-
 
 def _kind(value) -> str:
     return _JSON_KINDS.get(type(value), type(value).__name__)
@@ -123,8 +121,8 @@ def _decode(line: str, line_no: int) -> dict:
     return rec
 
 
-def _jsonl_record(rec: dict, line_no: int) -> tuple:
-    """Check one decoded line's fields and types; returns its record."""
+def _record(rec: dict, line_no: int) -> tuple:
+    """Check one record's fields and types; returns (fid, oid, label, bb, fv, ts)."""
     missing = set(_REQUIRED) - rec.keys()
     if missing:
         raise TraceParseError(f"missing fields {sorted(missing)}", line_no)
@@ -147,53 +145,33 @@ def _jsonl_record(rec: dict, line_no: int) -> tuple:
     return fid, oid, label, _floats("bb", bb, line_no), _floats("fv", fv, line_no), ts
 
 
-def _jsonl_chunk(lines: list[int], recs: list[dict], error: VaqueryError | None) -> _Chunk:
-    """Columns of decoded lines: checked per chunk, or per line to find a fault."""
-    if recs:
-        try:
-            cols = (*zip(*map(_fields, recs)), [rec.get("ts") for rec in recs])
-        except KeyError:
-            cols = None
-        if cols is not None:
-            fids, oids, labels, bbs, fvs, tss = cols
-            if (_ints_fit(fids) and _ints_fit(oids) and _types(labels) <= {str}
-                    and _types(bbs) <= {list} and set(map(len, bbs)) == {4}
-                    and _numbers_fit(bbs) and _types(fvs) <= {list} and _numbers_fit(fvs)
-                    and _numbers_fit([[t for t in tss if t is not None]])):
-                return lines, cols, error
-    records = []
-    for rec, line_no in zip(recs, lines):
-        try:
-            records.append(_jsonl_record(rec, line_no))
-        except TraceParseError as exc:
-            error = exc
-            break
-    return lines[:len(records)], list(zip(*records)), error
+def _columns(recs: Sequence[dict]) -> tuple | None:
+    """The columns (fid, oid, label, bb, fv, ts) of records, or None if a field
+    is missing or not of its JSON type."""
+    try:
+        cols = (*zip(*map(_fields, recs)), [rec.get("ts") for rec in recs])
+    except KeyError:
+        return None
+    fids, oids, labels, bbs, fvs, tss = cols
+    if (_ints_fit(fids) and _ints_fit(oids) and _types(labels) <= {str}
+            and _types(bbs) <= {list} and set(map(len, bbs)) == {4}
+            and _numbers_fit(bbs) and _types(fvs) <= {list} and _numbers_fit(fvs)
+            and _numbers_fit([[t for t in tss if t is not None]])):
+        return cols
+    return None
 
 
-def _jsonl_chunks(path: Path) -> Iterator[_Chunk]:
-    lines: list[int] = []
-    recs: list[dict] = []
-    error = None
-    with open(path, "rb") as fh:
-        try:
-            for line_no, line in enumerate(_text_lines(fh), start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                recs.append(_decode(line, line_no))
-                lines.append(line_no)
-                if len(recs) == CHUNK:
-                    yield _jsonl_chunk(lines, recs, None)
-                    lines, recs = [], []
-        except TraceParseError as exc:
-            error = exc
-    if recs or error is not None:
-        yield _jsonl_chunk(lines, recs, error)
+def _jsonl_lines(fh) -> Iterator[tuple[int, dict]]:
+    """(line number, decoded object) of each non-blank JSONL line."""
+    for line_no, line in enumerate(_text_lines(fh), start=1):
+        line = line.strip()
+        if line:
+            yield line_no, _decode(line, line_no)
 
 
-def _csv_record(rec: list[str], line_no: int) -> tuple:
-    """Parse one CSV row's text fields, in the order their errors are reported."""
+def _csv_record(rec: list[str], line_no: int) -> dict:
+    """Parse one CSV row's text fields, in the order their errors are reported,
+    into the record its JSONL line would decode to."""
     try:
         bb = [float(v) for v in rec[4:8]]
         fid, oid = int(rec[0]), int(rec[1])
@@ -203,39 +181,36 @@ def _csv_record(rec: list[str], line_no: int) -> tuple:
         raise TraceParseError(str(exc), line_no) from None
     _check_id("fid", fid, line_no)
     _check_id("oid", oid, line_no)
-    return fid, oid, rec[2], bb, fv, ts
+    return {"fid": fid, "oid": oid, "label": rec[2], "bb": bb, "fv": fv, "ts": ts}
 
 
-def _csv_chunks(path: Path) -> Iterator[_Chunk]:
-    lines: list[int] = []
-    records: list[tuple] = []
-    error = None
-    with open(path, "rb") as fh:
-        reader = csv.reader(_text_lines(fh))
-        try:
-            header = next(reader, None)
-            if header is None:
-                return
-            expected = ["fid", "oid", "label", "ts", "bb_x", "bb_y", "bb_w", "bb_h"]
-            if header[:8] != expected or not all(h.startswith("fv_") for h in header[8:]):
-                raise TraceParseError(f"unexpected CSV header {header[:8]}", 1)
-            for line_no, rec in enumerate(reader, start=2):
-                if not rec:
-                    continue
-                if len(rec) != len(header):
-                    raise TraceParseError(f"expected {len(header)} fields, got {len(rec)}",
-                                          line_no)
-                records.append(_csv_record(rec, line_no))
-                lines.append(line_no)
-                if len(records) == CHUNK:
-                    yield lines, list(zip(*records)), None
-                    lines, records = [], []
-        except csv.Error as exc:
-            error = TraceParseError(str(exc), reader.line_num)
-        except TraceParseError as exc:
-            error = exc
-    if records or error is not None:
-        yield lines, list(zip(*records)), error
+def _csv_lines(fh) -> Iterator[tuple[int, dict]]:
+    """(line number, parsed record) of each non-blank CSV row after the header."""
+    reader = csv.reader(_text_lines(fh))
+    try:
+        header = next(reader, None)
+        if header is None:
+            return
+        expected = ["fid", "oid", "label", "ts", "bb_x", "bb_y", "bb_w", "bb_h"]
+        if header[:8] != expected or not all(h.startswith("fv_") for h in header[8:]):
+            raise TraceParseError(f"unexpected CSV header {header[:8]}", 1)
+        for line_no, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != len(header):
+                raise TraceParseError(f"expected {len(header)} fields, got {len(rec)}", line_no)
+            yield line_no, _csv_record(rec, line_no)
+    except csv.Error as exc:
+        raise TraceParseError(str(exc), reader.line_num) from None
+
+
+def _until_fault(lines: Iterator[tuple[int, dict]]) -> Iterator[tuple[int, object]]:
+    """The (line number, record) pairs of a reader; a fault it raises becomes
+    its last pair, so that the checks reach it in file order."""
+    try:
+        yield from lines
+    except TraceParseError as exc:
+        yield exc.line, exc
 
 
 def _joined(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -243,12 +218,13 @@ def _joined(blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 
 class _TraceBuilder:
-    """Checks blocks of trace records and keeps them as column blocks.
+    """Checks batches of trace records and keeps them as column blocks.
 
-    Blocks arrive in file order. Each is checked with array operations for
-    what :func:`validate_tuple` demands of one tuple, for frame order and for
-    duplicate ``(fid, oid)`` keys; only the first flagged row is rebuilt as a
-    :class:`VTuple` to raise its exact error.
+    Batches arrive in file order. Each is checked with array operations for
+    what :func:`validate_tuple` demands of one tuple, for the trace's feature
+    dimension, for frame order and for duplicate ``(fid, oid)`` keys. Nothing
+    of a batch that fails a check is kept: :meth:`raise_first_fault` re-checks
+    it one line at a time and raises the first line's error.
     """
 
     def __init__(self, fps: float, flip_y: float | None):
@@ -258,76 +234,75 @@ class _TraceBuilder:
         self.blocks: list[tuple] = []  # (fid, oid, labels, bb, fv, ts) per block
         self.last_fid = -1
         self.frame_oids = np.empty(0, dtype=np.int64)  # oids seen so far in frame last_fid
-    def add_records(self, chunk: _Chunk) -> None:
-        """Add parsed records; then raise the error that ended their chunk, if any."""
-        lines, cols, error = chunk
-        k = len(lines)
-        if k:
-            fids, oids, labels, bbs, fvs, tss = cols
-            if self.dim is None:
-                self.dim = len(fvs[0])
-            lengths = list(map(len, fvs))
-            if self.dim == 0 or lengths.count(self.dim) != k:
-                k = next(i for i, n in enumerate(lengths) if n != self.dim or n == 0)
-                error = self._shape_error(lines[k], *(col[k] for col in cols))
-                fids, oids, labels, bbs, fvs, tss = (col[:k] for col in cols)
-        if k:
-            fid = np.array(fids, dtype=np.int64)
-            if None in tss:
-                missing = np.array([t is None for t in tss])
-                ts = np.array([0.0 if t is None else t for t in tss], dtype=np.float64)
-                ts[missing] = fid[missing] / self.fps
-            else:
-                ts = np.array(tss, dtype=np.float64)
-            self.add(fid, np.array(oids, dtype=np.int64), labels,
-                     np.array(bbs, dtype=np.float64), np.array(fvs, dtype=np.float64), ts)
-        if error is not None:
-            raise error
 
-    def _shape_error(self, line_no: int, fid, oid, label, bb, fv, ts) -> VaqueryError:
-        """The error of a record whose feature vector does not fit the trace's dimension."""
-        t = VTuple(fid=fid, oid=oid, label=label, bb=BoundingBox(*map(float, bb)),
-                   fv=FeatureVector(fv), ts=float(ts) if ts is not None else fid / self.fps)
-        try:
-            validate_tuple(t)
-        except TupleValidationError as exc:
-            return exc
-        return DimensionMismatch(f"feature vector has {len(fv)} components where the trace's "
-                                 f"first has {self.dim} (line {line_no})")
+    def add_lines(self, batch: list[tuple[int, object]]) -> None:
+        """Check and keep a batch of (line number, record) pairs."""
+        recs = [rec for _, rec in batch]
+        cols = None if isinstance(recs[-1], TraceParseError) else _columns(recs)
+        if cols is not None:
+            fids, oids, labels, bbs, fvs, tss = cols
+            dim = len(fvs[0]) if self.dim is None else self.dim
+            if dim and list(map(len, fvs)).count(dim) == len(fvs):
+                fid = np.array(fids, dtype=np.int64)
+                if None in tss:
+                    missing = np.array([t is None for t in tss])
+                    ts = np.array([0.0 if t is None else t for t in tss], dtype=np.float64)
+                    ts[missing] = fid[missing] / self.fps
+                else:
+                    ts = np.array(tss, dtype=np.float64)
+                if self.add(fid, np.array(oids, dtype=np.int64), labels,
+                            np.array(bbs, dtype=np.float64), np.array(fvs, dtype=np.float64), ts):
+                    self.dim = dim
+                    return
+        self.raise_first_fault(batch)
 
     def add(self, fid: np.ndarray, oid: np.ndarray, labels: Sequence[str], bb: np.ndarray,
-            fv: np.ndarray, ts: np.ndarray) -> None:
-        """Check a block of rows in file order and keep them; under ``flip_y``
-        ``bb`` is flipped in place."""
+            fv: np.ndarray, ts: np.ndarray) -> bool:
+        """Keep a block of rows in file order, or none of them if a check fails
+        (returns whether it kept them). Under ``flip_y`` ``bb`` is flipped in place."""
         bad = ((bb[:, 2] < 0) | (bb[:, 3] < 0) | ~np.isfinite(bb).all(axis=1)
                | ~np.isfinite(ts) | ~np.isfinite(fv).all(axis=1)
-               | (fid < 0) | (oid < 0) | (ts < 0))
-        prev = np.concatenate(([self.last_fid], fid[:-1]))
-        bad |= fid < prev
+               | (fid < 0) | (oid < 0) | (ts < 0)
+               | (fid < np.concatenate(([self.last_fid], fid[:-1]))))
         # duplicates: stable sort of this frame's earlier keys followed by the block
-        seen = len(self.frame_oids)
-        all_fid = np.concatenate((np.full(seen, self.last_fid), fid))
+        all_fid = np.concatenate((np.full(len(self.frame_oids), self.last_fid), fid))
         all_oid = np.concatenate((self.frame_oids, oid))
         order = np.lexsort((all_oid, all_fid))
         tie = ((all_fid[order[1:]] == all_fid[order[:-1]])
                & (all_oid[order[1:]] == all_oid[order[:-1]]))
-        bad[order[1:][tie] - seen] = True
-        flagged = np.flatnonzero(bad)
-        if flagged.size:
-            i = int(flagged[0])
-            validate_tuple(VTuple(fid=int(fid[i]), oid=int(oid[i]), label=labels[i],
-                                  bb=BoundingBox(*bb[i].tolist()), fv=FeatureVector(fv[i]),
-                                  ts=float(ts[i])))
-            if fid[i] < prev[i]:
-                raise OutOfOrderFrame(f"frame {int(fid[i])} arrives after frame {int(prev[i])}")
-            if np.any((all_fid[:seen + i] == fid[i]) & (all_oid[:seen + i] == oid[i])):
-                raise OutOfOrderFrame(f"duplicate (fid, oid) = ({int(fid[i])}, {int(oid[i])})")
-            raise AssertionError(f"row {i} of a block flagged but passes every check")
+        if bad.any() or tie.any():
+            return False
         if self.flip_y is not None:
             bb[:, 1] = self.flip_y - bb[:, 1] - bb[:, 3]
         self.blocks.append((fid, oid, labels, bb, fv, ts))
         self.last_fid = int(fid[-1])
         self.frame_oids = all_oid[all_fid == self.last_fid]
+        return True
+
+    def raise_first_fault(self, lines: Iterable[tuple[int, object]]) -> NoReturn:
+        """Re-check (line number, record) pairs one at a time after the kept
+        rows, in the order the tuple-at-a-time reader checks a line: fields and
+        types, :func:`validate_tuple`, feature dimension, frame order, then
+        duplicate keys. Raises the first fault."""
+        dim, last_fid, frame_oids = self.dim, self.last_fid, set(self.frame_oids.tolist())
+        for line_no, rec in lines:
+            if isinstance(rec, TraceParseError):
+                raise rec
+            fid, oid, label, bb, fv, ts = _record(rec, line_no)
+            validate_tuple(VTuple(fid=fid, oid=oid, label=label, bb=BoundingBox(*bb),
+                                  fv=FeatureVector(fv), ts=fid / self.fps if ts is None else ts))
+            dim = len(fv) if dim is None else dim
+            if len(fv) != dim:
+                raise DimensionMismatch(f"feature vector has {len(fv)} components where the "
+                                        f"trace's first has {dim} (line {line_no})")
+            if fid < last_fid:
+                raise OutOfOrderFrame(f"frame {fid} arrives after frame {last_fid}")
+            if fid > last_fid:
+                last_fid, frame_oids = fid, set()
+            elif oid in frame_oids:
+                raise OutOfOrderFrame(f"duplicate (fid, oid) = ({fid}, {oid})")
+            frame_oids.add(oid)
+        raise AssertionError("a batch fails its checks but none of its lines does")
 
     def relation(self) -> Relation:
         """The rows in canonical (fid, oid) order, once ``ts`` is checked in that order."""
@@ -365,10 +340,12 @@ def read_trace(path: str | Path, fps: float = 30.0, flip_y: float | None = None)
     if not (fps > 0 and math.isfinite(fps)):
         raise ConfigError(f"fps must be a positive finite number, got {fps}")
     path = Path(path)
-    chunks = _csv_chunks(path) if path.suffix.lower() == ".csv" else _jsonl_chunks(path)
     builder = _TraceBuilder(fps, flip_y)
-    for chunk in chunks:
-        builder.add_records(chunk)
+    with open(path, "rb") as fh:
+        lines = _until_fault(_csv_lines(fh) if path.suffix.lower() == ".csv"
+                             else _jsonl_lines(fh))
+        while batch := list(islice(lines, CHUNK)):
+            builder.add_lines(batch)
     return builder.relation()
 
 
@@ -498,20 +475,53 @@ class SynthSpec:
 
     @staticmethod
     def from_json(text: str | bytes) -> "SynthSpec":
+        """A spec from JSON text; every field keeps its JSON type."""
         try:
             raw = json.loads(text)
             objects = tuple(
-                ObjectSpec(oid=int(o["oid"]), label=o.get("label", "person"),
-                           start_bb=tuple(float(v) for v in o["bb"]),
-                           velocity=tuple(float(v) for v in o.get("velocity", (0, 0))),
-                           base_fv=tuple(float(v) for v in o["fv"]) if "fv" in o else None,
-                           noise=float(o.get("noise", 0.0)),
-                           intervals=tuple((int(lo), int(hi)) for lo, hi in o["intervals"]))
-                for o in raw["objects"])
-            return SynthSpec(frames=int(raw["frames"]), fps=float(raw.get("fps", 30.0)),
-                             fv_dim=int(raw.get("fv_dim", 8)), objects=objects)
+                ObjectSpec(oid=_spec_int("oid", o["oid"]), label=o.get("label", "person"),
+                           start_bb=_spec_floats("bb", o["bb"]),
+                           velocity=_spec_floats("velocity", o.get("velocity", [0, 0])),
+                           base_fv=_spec_floats("fv", o["fv"]) if "fv" in o else None,
+                           noise=_spec_float("noise", o.get("noise", 0.0)),
+                           intervals=tuple(map(_spec_interval,
+                                               _spec_list("intervals", o["intervals"]))))
+                for o in _spec_list("objects", raw["objects"]))
+            return SynthSpec(frames=_spec_int("frames", raw["frames"]),
+                             fps=_spec_float("fps", raw.get("fps", 30.0)),
+                             fv_dim=_spec_int("fv_dim", raw.get("fv_dim", 8)), objects=objects)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GeneratorSpecError(f"bad generator spec: {exc}") from None
+
+
+def _spec_int(name: str, value) -> int:
+    if type(value) is not int:  # bool is an int subclass
+        raise GeneratorSpecError(f"{name} must be an integer, got {_kind(value)}")
+    return value
+
+
+def _spec_float(name: str, value) -> float:
+    if type(value) not in _NUMBER:
+        raise GeneratorSpecError(f"{name} must be a number, got {_kind(value)}")
+    return float(value)
+
+
+def _spec_list(name: str, value) -> list:
+    if type(value) is not list:
+        raise GeneratorSpecError(f"{name} must be an array, got {_kind(value)}")
+    return value
+
+
+def _spec_floats(name: str, values) -> tuple[float, ...]:
+    if not _types(_spec_list(name, values)) <= _NUMBER:
+        raise GeneratorSpecError(f"{name} must be an array of numbers")
+    return tuple(map(float, values))
+
+
+def _spec_interval(value) -> tuple[int, int]:
+    if type(value) is not list or len(value) != 2 or not _types(value) <= {int}:
+        raise GeneratorSpecError(f"intervals must hold [lo, hi] integer pairs, got {value!r}")
+    return tuple(value)
 
 
 def generate(spec: SynthSpec, seed: int) -> Relation:
@@ -556,5 +566,8 @@ def generate(spec: SynthSpec, seed: int) -> Relation:
     labels = [labels[i] for i in order]
     fid, oid, ts = fid[order], oid[order], ts[order]
     builder = _TraceBuilder(spec.fps, None)
-    builder.add(fid, oid, labels, bb, fv, ts)
+    if not builder.add(fid, oid, labels, bb, fv, ts):
+        rows = zip(fid.tolist(), oid.tolist(), labels, bb.tolist(), fv.tolist(), ts.tolist())
+        builder.raise_first_fault((i, dict(zip((*_REQUIRED, "ts"), row)))
+                                  for i, row in enumerate(rows, start=1))
     return builder.relation()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from ..errors import SchemaMismatch, UnknownIdentifier
-from ..model import Column, ColumnKind, Schema, kind_check
+from ..model import TRACE_SCHEMA, Column, ColumnKind, Schema, kind_check
 from ..operators import (And, BBoxTest, CctOption, Comparison, Not, Or,
                          Predicate, ScalarPairPredicate, SMatchProbe,
                          equi_join_schema, ordered_check)
@@ -184,11 +184,13 @@ def iter_nodes(node: PlanNode):
 
 
 class _Catalog:
-    def __init__(self, schemas: dict[str, Schema]):
+    def __init__(self, schemas: dict[str, Schema] | None):
         self.schemas = schemas
         self.order: list[str] = []
 
     def lookup(self, name: str) -> Schema:
+        if self.schemas is None:
+            return TRACE_SCHEMA
         for key, schema in self.schemas.items():
             if key.lower() == name.lower():
                 return schema
@@ -474,9 +476,10 @@ def _replace_node(root: PlanNode, target: R2ANode, replacement: PlanNode) -> Pla
     return replace(root, child=_replace_node(root.child, target, replacement))
 
 
-def plan(query: ast.Query, catalog: dict[str, Schema],
+def plan(query: ast.Query, catalog: dict[str, Schema] | None = None,
          default_window: WindowSpec | None = None) -> QueryPlan:
-    """Plan a parsed query against the catalog of source schemas.
+    """Plan a parsed query against the catalog of source schemas; without
+    one, every source the query names reads :data:`TRACE_SCHEMA`.
 
     ``default_window`` applies to sources of queries without a WINDOW
     clause; the fallback is a single window spanning the whole stream.

@@ -98,9 +98,12 @@ def normalized_matrix(vectors: np.ndarray | list[FeatureVector]) -> np.ndarray:
         if len(dims) > 1:
             raise DimensionMismatch(f"mixed feature vector dimensions in one group: {sorted(dims)}")
         vectors = np.array([v.values for v in vectors])
-    with np.errstate(over="ignore"):  # an infinite norm is rescaled below
-        norms = np.sqrt((vectors * vectors).sum(axis=1))  # np.linalg.norm's arithmetic, less overhead
-    odd = ~((norms > 0) & (norms < np.inf))  # squares over- or underflowed, or all zero
+    with np.errstate(over="ignore"):  # an infinite sum is rescaled below
+        squares = (vectors * vectors).sum(axis=1)  # np.linalg.norm's arithmetic, less overhead
+    norms = np.sqrt(squares)
+    # a sum of squares that overflowed, or that fell below the normal floats and
+    # so lost bits, or an all-zero row
+    odd = ~((squares >= np.finfo(float).tiny) & (squares < np.inf))
     if odd.any():  # so divide those rows by their largest magnitude first
         peak = np.abs(vectors[odd]).max(axis=1, initial=0.0)
         if not peak.all():

@@ -470,6 +470,26 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
     ((RUN, {"q.vaq": b"SELECT \xff"}), 2, "SYNTAX_ERROR", "column 8"),
     ((["parse-check", "--query", "{tmp}"], {}), 3, "IO_ERROR", "directory"),
     ((["parse-check", "--query", "{tmp}/absent.vaq"], {}), 3, "NO_SUCH_FILE", "absent.vaq"),
+    (_spec(frames=5.7), 3, "SPEC_ERROR", "frames"),
+    (_spec(fv_dim=True), 3, "SPEC_ERROR", "fv_dim"),
+    (_spec({"oid": "3"}), 3, "SPEC_ERROR", "oid"),
+    (_spec({"intervals": [[0, 2.9]]}), 3, "SPEC_ERROR", "intervals"),
+    (_spec({"noise": False}), 3, "SPEC_ERROR", "noise"),
+    (_spec({"fv": [1, "2"]}), 3, "SPEC_ERROR", "fv"),
+    (_spec({"intervals": 5}), 3, "SPEC_ERROR", "intervals"),
+    (_eval("pairs", '{"a": 1, "b": 2}',
+           '{"left_universe": [1], "right_universe": "ab", "positives": []}'), 3,
+     "FORMAT_MISMATCH", "right_universe"),
+    (_eval("pairs", '{"a": 1, "b": 2}',
+           '{"left_universe": [1], "right_universe": {"2": 0}, "positives": []}'), 3,
+     "FORMAT_MISMATCH", "right_universe"),
+    (_eval("pairs", '{"a": "a", "b": "b"}',
+           '{"left_universe": ["a"], "right_universe": ["b"], "positives": ["ab"]}'), 3,
+     "FORMAT_MISMATCH", "positives"),
+    (_eval("direction", '{"oid": 1, "direction": "N"}', '{"1": 5}'), 3, "FORMAT_MISMATCH",
+     "direction"),
+    (_eval("direction", '{"oid": 1, "direction": "N"}', '{"1": null}'), 3, "FORMAT_MISMATCH",
+     "direction"),
 ], ids=["spec-noise", "spec-velocity", "spec-bb", "spec-fv-dim-negative", "spec-fv-dim-zero",
         "spec-fv-empty", "spec-label", "spec-fps-nan", "spec-fv-dim-huge", "spec-frames-huge",
         "spec-not-utf8", "gen-out-missing-dir",
@@ -483,7 +503,10 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
         "config-not-utf8", "rate-inf", "config-quantum-bool", "config-rate-bool",
         "config-rates-bool", "config-rates-unread-source", "config-quantum-string", "run-trace-dir",
         "run-query-dir", "run-out-missing-dir", "run-query-not-utf8", "parse-check-dir",
-        "parse-check-missing"])
+        "parse-check-missing", "spec-frames-fraction", "spec-fv-dim-bool", "spec-oid-string",
+        "spec-interval-fraction", "spec-noise-bool", "spec-fv-string", "spec-intervals-number",
+        "eval-universe-string", "eval-universe-object", "eval-positive-string",
+        "eval-direction-number", "eval-direction-null"])
 def test_every_subcommand_exits_with_a_code(tmp_path, trace_file, capsys, case, code, error,
                                             names):
     argv, files = case

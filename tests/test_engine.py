@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from oracles import select_oracle
 from vaquery import engine
 from vaquery.engine import EngineConfig, Pipeline, instantiate, row_to_json, write_results
 from vaquery.errors import ConfigError, SchemaMismatch
@@ -132,6 +133,23 @@ def test_join_determinism_across_configs():
         # a side with fewer windows pairs the rest with empty windows
         assert join["window_wall"] == ["0", "1", "2"]
         assert (join["tuples_out"] > 0) == (empty not in traces)
+
+
+def test_not_over_a_differently_cased_column_matches_the_oracle():
+    # the planner resolves the columns inside NOT (FID, [Fv]) to the schema's names
+    trace = small_trace()
+    e0 = [1.0 if d == 0 else 0.0 for d in range(8)]
+    p = plan(parse(f"SELECT fid, oid FROM R1 WHERE NOT (FID < 5 OR [Fv] SMATCH(0.9) {e0})"),
+             ONE)
+    rows, st = instantiate(p).run([trace])
+    tree = ("not", ("or", [("cmp", "fid", "<", 5),
+                           ("probe", "fv", "cosine", "similarity_at_least", 0.9, e0)]))
+    records = list(trace.rows)
+    kept, evaluations = select_oracle(
+        [{"fid": r["fid"], "fv": r["fv"].as_list()} for r in records], tree)
+    assert rows == [{"window": 0, "fid": records[i]["fid"], "oid": records[i]["oid"]}
+                    for i in kept]
+    assert st.of_kind("select")[0].smatch_comparisons == evaluations > 0
 
 
 def test_empty_source_join_terminates_cleanly():

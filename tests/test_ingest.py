@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaquery import ingest
 from vaquery.errors import (DimensionMismatch, GeneratorSpecError, OutOfOrderFrame,
                             SchemaMismatch, TraceParseError, TupleValidationError,
                             VaqueryError)
 from vaquery.ingest import (CHUNK, ObjectSpec, SynthSpec, concat_traces, generate,
                             read_trace, write_trace)
-from vaquery.model import Relation, TRACE_SCHEMA
+from vaquery.model import Relation, TRACE_SCHEMA, validate_tuple
 from vaquery.operators import CctOption, Direction8, cct, direction, r2a
 from oracles import read_trace_oracle, split_runs_oracle
 
@@ -370,6 +371,37 @@ def test_first_offending_line_decides(tmp_path, first, second, error):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(error):
         read_trace(path)
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_only_a_faulty_batch_calls_validate_tuple(tmp_path, monkeypatch, suffix):
+    # benchmarks/tracer.py counts model.validate_tuple calls by replacing this global
+    calls = []
+
+    def counting(t, *args):
+        calls.append(t)
+        return validate_tuple(t, *args)
+
+    monkeypatch.setattr(ingest, "validate_tuple", counting)
+    spec = SynthSpec(frames=65, fv_dim=3, objects=(
+        ObjectSpec(1, "person", (0, 0, 2, 2), intervals=((0, 65),)),
+        ObjectSpec(2, "car", (5, 5, 2, 2), intervals=((0, 65),))))
+    path = tmp_path / f"t{suffix}"
+    write_trace(generate(spec, 1), path)
+    assert len(read_trace(path).rows) == 130 and calls == []
+    lines = path.read_text().splitlines()
+    if suffix == ".csv":  # line 66 is the 65th row under the header
+        fields = lines[65].split(",")
+        lines[65] = ",".join(fields[:4] + ["nan"] + fields[5:])
+    else:
+        rec = json.loads(lines[65])
+        rec["bb"][0] = float("nan")
+        lines[65] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TupleValidationError) as exc:
+        read_trace(path)
+    assert (exc.value.code, str(exc.value)) == ("NON_FINITE_VALUE", "non-finite value nan")
+    assert calls
 
 
 def test_rows_view_read_only_feature_blocks(tmp_path):

@@ -170,7 +170,10 @@ def test_comments_are_ignored():
                                   "SELECT oid FROM R1 WHERE fv SMATCH(0.0000001) [1.0, 2.0]",
                                   "SELECT A.oid, B.oid FROM (R2A(R1, oid, fid)) A CJOIN (R2A(R2, oid, fid)) B "
                                   "ON A.fv SMATCH(0.9) B.fv AND A.ts - 0.00001 <= B.ts",
-                                  "SELECT * FROM R1 WHERE ts > 12345678901234567890.5"])
+                                  "SELECT * FROM R1 WHERE ts > 12345678901234567890.5",
+                                  "SELECT oid FROM R1 WHERE fv SMATCH(0.3, EUCLIDEAN) [1.0, 2.0]",
+                                  "SELECT oid FROM R1 WHERE fv "
+                                  "SMATCH(0.3, EUCLIDEAN, SIMILARITY_AT_LEAST) [1.0, 2.0]"])
 def test_render_reparse_roundtrip(text):
     ast = parse(text)
     assert parse(render(ast)) == ast
@@ -234,6 +237,13 @@ def test_planning_is_deterministic():
     assert plan(parse(Q3_TEXT), TWO) == plan(parse(Q3_TEXT), TWO)
 
 
+def test_join_condition_plans_the_same_in_either_order():
+    text = ("SELECT A.oid, B.oid FROM (R2A(R1, oid, fid)) A CJOIN (R2A(R2, oid, fid)) B "
+            "ON {} SMATCH(0.9) {} AND A.ts <= B.ts")
+    assert plan(parse(text.format("B.fv", "A.fv")), TWO) == \
+        plan(parse(text.format("A.fv", "B.fv")), TWO)
+
+
 def test_avg_over_feature_vector_rejected_at_plan_time():
     with pytest.raises(IllegalColumnKind):
         plan(parse("SELECT avg([FV]) FROM R1"), ONE)
@@ -253,6 +263,11 @@ def test_cjoin_requires_smatch_condition():
     with pytest.raises(SchemaMismatch):
         plan(parse("SELECT A.oid, B.oid FROM (R2A(R1, oid, fid)) A "
                    "CJOIN (R2A(R2, oid, fid)) B ON A.oid = B.oid"), TWO)
+
+
+def test_without_a_catalog_every_source_reads_the_trace_schema():
+    for text, catalog in ((Q2_TEXT, ONE), (Q3_TEXT, TWO), (Q4_TEXT, ONE)):
+        assert plan(parse(text)) == plan(parse(text), catalog)
 
 
 def test_unknown_source_rejected():

@@ -196,10 +196,14 @@ def test_euclidean_blocks_match_the_per_row_loop_bit_for_bit(seed, n, m, dim):
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 5e-324])
 def test_extreme_magnitudes_normalize_without_warnings(scale):
     unit = normalized_matrix(np.array([[scale, 0.0, 0.0, 0.0], [scale, scale, 0.0, 0.0],
-                                       [3.0, 4.0, 0.0, 0.0]]))
+                                       [3.0, 4.0, 0.0, 0.0], [1e-160, 1e-160, 0.0, 0.0]]))
     assert unit[0].tolist() == [1.0, 0.0, 0.0, 0.0]
     assert unit[1] == pytest.approx([math.sqrt(0.5)] * 2 + [0.0] * 2)
     assert unit[2].tolist() == [0.6, 0.8, 0.0, 0.0]  # a finite positive norm: as before
+    # squares below the smallest normal float lose bits unless the row is rescaled
+    ones = normalized_matrix(np.array([[1.0, 1.0, 0.0, 0.0]]))
+    assert unit[3].tolist() == ones[0].tolist()
+    assert scores_against(MatchCondition(Metric.EUCLIDEAN, 0.0), unit[3:], ones)[0, 0] == 0.0
     probe = normalized_matrix([fv([scale, 0.0, 0.0, 0.0])])
     assert scores_against(MatchCondition(th=0.5), probe, unit)[0, 0] == 1.0
 
