@@ -40,7 +40,7 @@ for row in directions:
 
 # A rate-limited feed produces identical results, just slower: the engine's
 # output depends only on the plan and the trace.
-cfg = EngineConfig(default_rate=800.0, quantum=16)
+cfg = EngineConfig(default_rate=800.0)
 throttled, stats = instantiate(plan(parse(count_query), {"R1": TRACE_SCHEMA}), cfg).run([trace])
 print("throttled run identical:", throttled == counts)
 print("per-stage input counts :",

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import engine, ingest, querylang
 from .errors import (ConfigError, FormatMismatch, InvalidWindowSpec, QuerySyntaxError,
-                     VaqueryError)
+                     SchemaMismatch, VaqueryError)
 from .windows import WindowKind, WindowSpec
 
 EXIT_QUERY_ERROR = 2
@@ -37,10 +37,10 @@ EXIT_RUNTIME_ERROR = 3
 def _parse_window_flag(text: str) -> WindowSpec:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
-        raise VaqueryError(f"--window expects 'kind,size,hop', got {text!r}")
+        raise InvalidWindowSpec(f"--window expects 'kind,size,hop', got {text!r}")
     kind = {"time": WindowKind.TIME, "tuple": WindowKind.TUPLE}.get(parts[0].lower())
     if kind is None:
-        raise VaqueryError(f"window kind must be time or tuple, got {parts[0]!r}")
+        raise InvalidWindowSpec(f"window kind must be time or tuple, got {parts[0]!r}")
     try:
         size, hop = float(parts[1]), float(parts[2])
     except ValueError:
@@ -49,13 +49,9 @@ def _parse_window_flag(text: str) -> WindowSpec:
 
 
 def _engine_config(args) -> engine.EngineConfig:
-    path = getattr(args, "engine_config", None)
-    cfg = engine.EngineConfig.from_file(path) if path else engine.EngineConfig()
-    if getattr(args, "rate", None) is not None:
-        cfg = dataclasses.replace(cfg, default_rate=float(args.rate))
-    if getattr(args, "quantum", None) is not None:
-        cfg = dataclasses.replace(cfg, quantum=int(args.quantum))
-    return cfg
+    cfg = engine.EngineConfig.from_file(args.engine_config) if args.engine_config \
+        else engine.EngineConfig()
+    return cfg if args.rate is None else dataclasses.replace(cfg, default_rate=args.rate)
 
 
 def _load_plan(query_path: str, window_flag: str | None = None):
@@ -74,8 +70,9 @@ def _load_plan(query_path: str, window_flag: str | None = None):
 def cmd_run(args) -> int:
     plan = _load_plan(args.query, args.window)
     if len(args.trace) != len(plan.sources):
-        raise VaqueryError(f"query reads {len(plan.sources)} sources ({', '.join(plan.sources)}), "
-                           f"got {len(args.trace)} --trace arguments")
+        raise SchemaMismatch(f"query reads {len(plan.sources)} sources "
+                             f"({', '.join(plan.sources)}), "
+                             f"got {len(args.trace)} --trace arguments")
     traces = [ingest.read_trace(p, fps=args.fps) for p in args.trace]
     rows, stats = engine.instantiate(plan, _engine_config(args)).run(traces)
 
@@ -104,7 +101,7 @@ def _result_pairs(rows: list[dict]) -> list[tuple]:
     """The first two non-window columns of each result row form the pair."""
     cols = [[k for k in row if k != "window"][:2] for row in rows]
     if any(len(c) < 2 for c in cols):
-        raise VaqueryError("pair evaluation needs at least two result columns")
+        raise FormatMismatch("pair evaluation needs at least two result columns")
     return [tuple(_ids(row, *c)) for row, c in zip(rows, cols)]
 
 
@@ -137,7 +134,11 @@ def cmd_eval(args) -> int:
         acc = evaluation.accuracy(counts)
     elif args.task == "count":
         truth = evaluation.load_count_gt(gt_text, args.gt)
-        by_window = dict(_ids(row, "window", "count") for row in rows)
+        by_window = {}
+        for row in rows:  # a count of a column is named count(<column>)
+            key = next((k for k in row if k.startswith("count(")), "count")
+            window, count = _ids(row, "window", key)
+            by_window[window] = count
         acc = evaluation.count_eval([by_window.get(i) for i in range(len(truth))], truth)
     else:
         truth = evaluation.load_direction_gt(gt_text, args.gt)
@@ -192,7 +193,7 @@ def cmd_bench(args) -> int:
     trace_size = sum(len(t.rows) for t in traces)
 
     def runner(query_path: str) -> int:
-        _, stats = engine.instantiate(_load_plan(query_path), _engine_config(args)).run(traces)
+        _, stats = engine.instantiate(_load_plan(query_path)).run(traces)
         return stats.total_smatch_comparisons
 
     variants = {name: functools.partial(runner, path) for name, path in queries.items()}
@@ -221,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--fps", type=float, default=30.0)
     run_p.add_argument("--window", help="default window as 'kind,size,hop'")
     run_p.add_argument("--rate", type=float, help="feed rate for all sources (tuples/s)")
-    run_p.add_argument("--quantum", type=int)
-    run_p.add_argument("--engine-config", help="engine config file (JSON or key=value)")
+    run_p.add_argument("--engine-config", help="JSON engine config file")
     run_p.add_argument("--out")
     run_p.add_argument("--format", choices=["jsonl", "table"], default="jsonl")
     run_p.add_argument("--no-header", action="store_true",

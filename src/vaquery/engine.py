@@ -1,13 +1,13 @@
 """Pipeline execution engine.
 
 A query plan is instantiated as one generator per plan node, pulled from
-the root. A source yields its trace as row ranges of at most ``quantum``
-rows, optionally throttled to a feed rate; a window node assigns each
-range to windows and yields every closed window as a zero-copy slice of the
-trace; per-window nodes transform whole window payloads. Windows flow one
-at a time from the sources to the root, so results are a function of the
-plan and the input traces only: feed rates and quantum sizes change timing,
-never output.
+the root. A source yields its trace as row ranges sized by its feed clock:
+the whole trace at once when unthrottled, else every row that its feed
+rate has made due; a window node assigns each range to windows and yields
+every closed window as a zero-copy slice of the trace; per-window nodes
+transform whole window payloads. Windows flow one at a time from the
+sources to the root, so results are a function of the plan and the input
+traces only: feed rates change timing and range sizes, never output.
 
 Joins pair the windows of their two inputs by position, which is window
 index: window managers emit every index in order (gaps as empty windows),
@@ -50,16 +50,13 @@ def _number(value: Any, key: str) -> float:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Rows per source range, and feed rates in tuples per second (0 = unthrottled):
-    ``rates`` per source name in any casing, ``default_rate`` for every other source."""
+    """Feed rates in tuples per second (0 = unthrottled): ``rates`` per source
+    name in any casing, ``default_rate`` for every other source."""
 
-    quantum: int = 256
     rates: Mapping[str, float] = field(default_factory=dict)
     default_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.quantum <= 0:
-            raise ConfigError(f"quantum must be positive, got {self.quantum}")
         for rate in (self.default_rate, *self.rates.values()):
             if not 0 <= rate < math.inf:
                 raise ConfigError(f"feed rate must be finite and >= 0, got {rate}")
@@ -72,52 +69,22 @@ class EngineConfig:
                     self.default_rate)
 
     @staticmethod
-    def from_mapping(raw: Mapping[str, Any]) -> "EngineConfig":
-        """Config from a JSON object: ``quantum``, ``rate`` and ``rates``, an
-        object of per-source rates, all numbers; other keys are ignored."""
+    def from_file(path: str | Path) -> "EngineConfig":
+        """Load a JSON config object: ``rate`` and ``rates``, an object of
+        per-source rates, all numbers; other keys are ignored."""
+        try:
+            raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"engine config {path} is not UTF-8 text: {exc.reason}") from None
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+            raise ConfigError(f"engine config is not valid JSON: {exc}") from None
+        if type(raw) is not dict:
+            raise ConfigError(f"engine config {path} must be a JSON object")
         rates = raw.get("rates", {})
         if type(rates) is not dict:
             raise ConfigError(f"engine config rates must map sources to numbers, got {rates!r}")
-        quantum = _number(raw.get("quantum", 256), "quantum")
-        if not quantum.is_integer():
-            raise ConfigError(f"engine config quantum must be a whole number, got {quantum!r}")
-        return EngineConfig(int(quantum),
-                            {name: _number(rate, f"rate.{name}") for name, rate in rates.items()},
+        return EngineConfig({name: _number(rate, f"rate.{name}") for name, rate in rates.items()},
                             _number(raw.get("rate", 0.0), "rate"))
-
-    @staticmethod
-    def from_file(path: str | Path) -> "EngineConfig":
-        """Load a config file: JSON, or flat ``key=value`` lines where
-        ``rate.<source>=`` sets a per-source feed rate."""
-        try:
-            text = Path(path).read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"engine config {path} is not UTF-8 text: {exc.reason}") from None
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            try:
-                return EngineConfig.from_mapping(json.loads(text))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"engine config is not valid JSON: {exc}") from None
-        raw: dict[str, Any] = {"rates": {}}
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected key=value on line {line_no}: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in ("quantum", "rate") and not key.startswith("rate."):
-                continue
-            try:
-                number = float(value)
-            except ValueError:
-                raise ConfigError(f"engine config {key} must be a number, got {value!r}") from None
-            if key.startswith("rate."):
-                raw["rates"][key[len("rate."):]] = number
-            else:
-                raw[key] = number
-        return EngineConfig.from_mapping(raw)
 
 
 @dataclass
@@ -216,16 +183,18 @@ class Pipeline:
         return self._per_window(stats, fn, self._build(node.child))
 
     def _source(self, stats: StageStats, ordinal: int, rate: float) -> Iterator:
-        """Release one trace as row ranges, at most ``rate`` rows per second when throttled."""
-        relation = self._sources[ordinal]
-        for lo in range(0, len(relation), self.config.quantum):
-            hi = min(lo + self.config.quantum, len(relation))
+        """Release one trace as row ranges: whole when unthrottled, else every row
+        due by ``started + rows / rate``, sleeping until the next one when none is."""
+        relation, lo = self._sources[ordinal], 0
+        while lo < len(relation):
+            hi = len(relation)
             if rate > 0:  # every source counts from the same start, so throttled sources overlap
-                wait = self._started + hi / rate - time.monotonic()
-                if wait > 0:  # even sleep(0) takes tens of microseconds
-                    time.sleep(wait)
+                while (due := int((time.monotonic() - self._started) * rate)) <= lo:
+                    time.sleep(max(0.0, self._started + (lo + 1) / rate - time.monotonic()))
+                hi = min(due, hi)
             stats.tuples_in = stats.tuples_out = hi
             yield relation, lo, hi
+            lo = hi
 
     def _windows(self, stats: StageStats, spec: WindowSpec, ranges: Iterator) -> Iterator:
         """Assign released row ranges to windows; each closed window is a slice of the trace."""

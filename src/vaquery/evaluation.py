@@ -75,10 +75,15 @@ class PairGroundTruth:
 
     def to_json(self) -> str:
         return json.dumps({
-            "left_universe": sorted(self.left_universe),
-            "right_universe": sorted(self.right_universe),
-            "positives": sorted([l, r] for l, r in self.positives),
+            "left_universe": sorted(self.left_universe, key=_id_order),
+            "right_universe": sorted(self.right_universe, key=_id_order),
+            "positives": sorted(map(list, self.positives), key=lambda p: [*map(_id_order, p)]),
         })
+
+
+def _id_order(value: str | int) -> tuple[bool, str | int]:
+    """Sort key for object ids: integers first, then strings, each in their own order."""
+    return isinstance(value, str), value
 
 
 def _id_array(value) -> bool:

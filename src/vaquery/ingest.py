@@ -552,16 +552,17 @@ def generate(spec: SynthSpec, seed: int) -> Relation:
     fv = np.empty((len(fid), dims[0]))
     bb = np.empty((len(fid), 4))
     start = 0
-    for obj, lo, hi in visits:
-        rows, frames = at[start:start + hi - lo], fid[start:start + hi - lo]
-        base = bases[obj.oid]
-        fv[rows] = base + (rng.normal(0.0, obj.noise, size=(hi - lo, base.size))
-                           if obj.noise else 0.0)
-        x0, y0, w, h = obj.start_bb
-        bb[rows, 0] = x0 + obj.velocity[0] * frames
-        bb[rows, 1] = y0 + obj.velocity[1] * frames
-        bb[rows, 2:] = (w, h)
-        start += hi - lo
+    with np.errstate(over="ignore", invalid="ignore"):  # the row checks word a non-finite value
+        for obj, lo, hi in visits:
+            rows, frames = at[start:start + hi - lo], fid[start:start + hi - lo]
+            base = bases[obj.oid]
+            fv[rows] = base + (rng.normal(0.0, obj.noise, size=(hi - lo, base.size))
+                               if obj.noise else 0.0)
+            x0, y0, w, h = obj.start_bb
+            bb[rows, 0] = x0 + obj.velocity[0] * frames
+            bb[rows, 1] = y0 + obj.velocity[1] * frames
+            bb[rows, 2:] = (w, h)
+            start += hi - lo
     labels = [obj.label for obj, lo, hi in visits for _ in range(lo, hi)]
     labels = [labels[i] for i in order]
     fid, oid, ts = fid[order], oid[order], ts[order]

@@ -140,6 +140,19 @@ def test_eval_count_task(tmp_path, capsys):
     assert "100%" in capsys.readouterr().out
 
 
+def test_eval_count_task_scores_a_count_column(tmp_path, trace_file, capsys):
+    # a count over a column names its result column count(<column>)
+    qpath = write_query(tmp_path, "SELECT count(fid) FROM (CCT(R2A(R1, R1.oid, R1.fid), first)) "
+                                  "AR1 WINDOW(TIME, 1, 1)")
+    results = tmp_path / "results.jsonl"
+    assert main(["run", "--query", str(qpath), "--trace", str(trace_file),
+                 "--out", str(results)]) == 0
+    gt = tmp_path / "gt.json"
+    gt.write_text("[3]")
+    assert main(["eval", "--results", str(results), "--gt", str(gt), "--task", "count"]) == 0
+    assert "100%" in capsys.readouterr().out
+
+
 def test_eval_direction_task(tmp_path, capsys):
     results = tmp_path / "results.jsonl"
     results.write_text(json.dumps({"window": 0, "oid": 1, "direction": "NE"}) + "\n")
@@ -237,6 +250,7 @@ NINES = "9" * 400  # an integer literal beyond the float64 range
 NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv": [1.0]}\n'
 
 
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
 @pytest.mark.parametrize("command, query, extra, code, error", [
     ("run", SMATCH_OUT_OF_RANGE, [], 2, "SYNTAX_ERROR"),
     ("parse-check", SMATCH_OUT_OF_RANGE, [], 2, "SYNTAX_ERROR"),
@@ -245,9 +259,8 @@ NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv"
     ("run", Q2, ["--window", "time,nan,1"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
     ("run", Q2, ["--window", "time,1,inf"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
     ("run", None, [], 3, "NO_SUCH_FILE"),
-    ("run", Q2, ["--engine-config", "quantum=abc\n"], 3, "CONFIG_ERROR"),
+    ("run", Q2, ["--engine-config", "rate=5\n"], 3, "CONFIG_ERROR"),
     ("run", Q2, ["--engine-config", '{"quantum": '], 3, "CONFIG_ERROR"),
-    ("run", Q2, ["--quantum", "0"], 3, "CONFIG_ERROR"),
     ("run", ORDERED_STRING, [], 2, "SCHEMA_MISMATCH"),
     ("parse-check", ORDERED_STRING.replace("<", ">="), [], 2, "SCHEMA_MISMATCH"),
     ("run", JOIN_EXTRA + "AR1.label < AR2.ts", [], 2, "SCHEMA_MISMATCH"),
@@ -273,9 +286,13 @@ NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv"
     ("run", f"SELECT fid FROM R1 WHERE bb MATCHES [{NINES}, *, *, *]", [], 2, "SYNTAX_ERROR"),
     ("run", JOIN_EXTRA + f"AR1.ts + {NINES} <= AR2.ts", [], 2, "SYNTAX_ERROR"),
     ("run", f"SELECT fid FROM R1 WHERE fv SMATCH(0.0) [{NINES}.0, 1.0]", [], 2, "SYNTAX_ERROR"),
-    ("run", Q2, ["--engine-config", "rate.R1=5\nrate.r1=6\n"], 3, "CONFIG_ERROR"),
+    ("run", Q2, ["--engine-config", '{"rates": {"R1": 5, "r1": 6}}'], 3, "CONFIG_ERROR"),
+    ("run", Q2, ["--window", "1,1"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", Q2, ["--window", "hour,1,1"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", Q3, [], 3, "SCHEMA_MISMATCH"),
+    ("run", Q2, ["--engine-config", "[" * 100_000], 3, "CONFIG_ERROR"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
-        "window-inf-hop", "missing-query", "config-value", "config-json", "quantum-zero",
+        "window-inf-hop", "missing-query", "config-value", "config-json",
         "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
         "join-extra-offset-on-label", "join-extra-ordered-label", "trace-non-object",
         "trace-not-utf8", "fps-zero", "fps-negative", "fps-nan", "deep-parens",
@@ -283,7 +300,8 @@ NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv"
         "fractional-tuple-window", "fractional-tuple-window-flag", "window-count",
         "cct-gap-zero", "cct-gap-negative", "cct-gap-fraction", "huge-window",
         "huge-probe", "huge-bb", "huge-join-offset", "huge-decimal-probe",
-        "config-rate-casings"])
+        "config-rate-casings", "window-two-parts", "window-kind", "trace-count",
+        "config-deep"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -335,13 +353,15 @@ def test_zero_vector_in_a_live_row_exits_3(tmp_path, capsys):
 
 
 def test_rate_zero_and_quantum_override_config_file(tmp_path):
-    cfg = tmp_path / "engine.cfg"
-    cfg.write_text("rate=100\nquantum=8\n")
+    # the --quantum flag and the config key of earlier engines are gone
+    cfg = tmp_path / "engine.json"
+    cfg.write_text('{"rate": 100, "quantum": 8}')
     args = build_parser().parse_args(["run", "--query", "q.vaq", "--trace", "t.jsonl",
-                                      "--engine-config", str(cfg), "--rate", "0",
-                                      "--quantum", "1"])
-    config = _engine_config(args)
-    assert config.default_rate == 0.0 and config.quantum == 1
+                                      "--engine-config", str(cfg), "--rate", "0"])
+    assert _engine_config(args).default_rate == 0.0
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--query", "q.vaq", "--trace", "t.jsonl",
+                                   "--quantum", "1"])
 
 
 def _traced_spans(tmp_path, trace_file, query, n_traces):
@@ -413,6 +433,7 @@ def _run(*extra, **files):
 PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
 
 
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
 @pytest.mark.parametrize("case, code, error, names", [
     (_spec({"noise": -1}), 3, "SPEC_ERROR", "noise"),
     (_spec({"velocity": [1]}), 3, "SPEC_ERROR", "velocity"),
@@ -449,21 +470,19 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
     (_eval("pairs", '{"a": [1], "b": 2}', PAIR_GT), 3, "FORMAT_MISMATCH", "'a'"),
     (_eval("pairs", '{"a": 1, "b": 2}', "[1"), 3, "FORMAT_MISMATCH", "gt.json"),
     (_eval("direction", '{"window": 0}', '{"1": "N"}'), 3, "FORMAT_MISMATCH", "direction"),
-    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"quantum": 1.5}'}), 3,
-     "CONFIG_ERROR", "1.5"),
     (_run("--engine-config", "{tmp}/e.cfg", **{"e.cfg": b"quantum=\xff\n"}), 3, "CONFIG_ERROR",
      "UTF-8"),
     (_run("--rate", "inf"), 3, "CONFIG_ERROR", "rate"),
-    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"quantum": true}'}), 3,
-     "CONFIG_ERROR", "quantum"),
+    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"quantum": true, "rate": true}'}),
+     3, "CONFIG_ERROR", "rate"),
     (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"rate": false}'}), 3,
      "CONFIG_ERROR", "rate"),
     (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"rates": {"R1": true}}'}), 3,
      "CONFIG_ERROR", "R1"),
     (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"rates": {"R7": 5}}'}), 3,
      "CONFIG_ERROR", "R7"),
-    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"quantum": "8"}'}), 3,
-     "CONFIG_ERROR", "quantum"),
+    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"quantum": "8", "rate": "8"}'}),
+     3, "CONFIG_ERROR", "rate"),
     ((RUN[:-1] + ["{tmp}"], {"q.vaq": Q2}), 3, "IO_ERROR", "directory"),
     ((["run", "--query", "{tmp}", "--trace", "{trace}"], {}), 3, "IO_ERROR", "directory"),
     (_run("--out", "{tmp}/absent/r.jsonl"), 3, "IO_ERROR", "absent"),
@@ -490,6 +509,8 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
      "direction"),
     (_eval("direction", '{"oid": 1, "direction": "N"}', '{"1": null}'), 3, "FORMAT_MISMATCH",
      "direction"),
+    (_eval("pairs", '{"window": 0, "a": 1}', PAIR_GT), 3, "FORMAT_MISMATCH", "two result"),
+    (_spec({"bb": [1e308, 0, 1, 1], "velocity": [1e308, 0]}), 3, "NON_FINITE_VALUE", "inf"),
 ], ids=["spec-noise", "spec-velocity", "spec-bb", "spec-fv-dim-negative", "spec-fv-dim-zero",
         "spec-fv-empty", "spec-label", "spec-fps-nan", "spec-fv-dim-huge", "spec-frames-huge",
         "spec-not-utf8", "gen-out-missing-dir",
@@ -499,14 +520,15 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
         "eval-gt-not-json", "eval-gt-count-text", "eval-gt-count-fraction",
         "eval-gt-count-string", "eval-gt-count-bool", "eval-gt-count-windows-float",
         "eval-window-array", "eval-pair-array",
-        "eval-pairs-gt-not-json", "eval-direction-missing", "config-quantum-fraction",
+        "eval-pairs-gt-not-json", "eval-direction-missing",
         "config-not-utf8", "rate-inf", "config-quantum-bool", "config-rate-bool",
         "config-rates-bool", "config-rates-unread-source", "config-quantum-string", "run-trace-dir",
         "run-query-dir", "run-out-missing-dir", "run-query-not-utf8", "parse-check-dir",
         "parse-check-missing", "spec-frames-fraction", "spec-fv-dim-bool", "spec-oid-string",
         "spec-interval-fraction", "spec-noise-bool", "spec-fv-string", "spec-intervals-number",
         "eval-universe-string", "eval-universe-object", "eval-positive-string",
-        "eval-direction-number", "eval-direction-null"])
+        "eval-direction-number", "eval-direction-null", "eval-pairs-one-column",
+        "spec-box-overflow"])
 def test_every_subcommand_exits_with_a_code(tmp_path, trace_file, capsys, case, code, error,
                                             names):
     argv, files = case
@@ -539,7 +561,7 @@ def test_only_io_and_vaquery_errors_become_exit_codes(tmp_path, monkeypatch):
 # it asks).
 _KEYS = st.sampled_from([
     "objects", "oid", "label", "bb", "velocity", "fv", "noise", "intervals", "fps", "fv_dim",
-    "traces", "queries", "repetitions", "quantum",
+    "traces", "queries", "repetitions",
     "left_universe", "right_universe", "positives", "windows", "window", "count",
     "direction", "0"]) | st.text(max_size=6)
 _JSON = st.recursive(

@@ -13,6 +13,7 @@ from vaquery.operators import (CctOption, ComparisonCounter, Direction8, ScalarP
                                cct, cjoin, hash_equi_join, nl_join, r2a)
 from vaquery.querylang import CctNode, parse, plan
 from vaquery.similarity import MatchCondition
+from vaquery.windows import WindowManager
 
 ONE = {"R1": TRACE_SCHEMA}
 TWO = {"R1": TRACE_SCHEMA, "R2": TRACE_SCHEMA}
@@ -50,12 +51,12 @@ def test_q3_pipeline_two_sources_one_join():
     assert sum(1 for n in names if n.startswith("join")) == 1
 
 
-def test_zero_quantum_is_a_config_error():
+def test_bad_feed_rates_are_config_errors():
     with pytest.raises(ConfigError) as exc:
-        EngineConfig(quantum=0)
+        EngineConfig(rates={"R1": -1.0})
     assert exc.value.code == "CONFIG_ERROR"
     with pytest.raises(ConfigError):
-        EngineConfig(rates={"R1": -1.0})
+        EngineConfig(default_rate=float("inf"))
     with pytest.raises(ConfigError):  # one source in two casings
         EngineConfig(rates={"R1": 1.0, "r1": 2.0})
 
@@ -87,14 +88,14 @@ def untimed(st) -> dict:
 
 
 def test_determinism_across_rates_and_quanta():
+    # a source's ranges follow its feed clock: one range unthrottled, and
+    # about one row per range throttled, since the engine keeps up with the feed
     trace = small_trace()
     p = plan(parse(Q2 + " WINDOW(TIME, 0.5, 0.25)"), ONE)
     outputs = []
-    for rate in (0.0, 400.0):
-        for quantum in (1, 256):
-            cfg = EngineConfig(quantum=quantum, default_rate=rate)
-            rows, st = instantiate(p, cfg).run([trace])
-            outputs.append(("\n".join(row_to_json(r) for r in rows), untimed(st)))
+    for rate in (0.0, 400.0, 2000.0):
+        rows, st = instantiate(p, EngineConfig(default_rate=rate)).run([trace])
+        outputs.append(("\n".join(row_to_json(r) for r in rows), untimed(st)))
     assert all(out == outputs[0] for out in outputs)
     assert outputs[0][1]["stages"][-1]["window_wall"] == ["0", "1", "2", "3", "4", "5"]
 
@@ -107,9 +108,8 @@ def test_probe_select_determinism_across_quanta():
     p = plan(parse(f"SELECT fid, oid FROM R1 WHERE [FV] SMATCH(0.9) {e0} "
                    f"OR [FV] SMATCH(0.9) {e2} WINDOW(TUPLE, 25, 25)"), ONE)
     outputs = []
-    for quantum in (1, 7, 256):
-        cfg = EngineConfig(quantum=quantum)
-        rows, st = instantiate(p, cfg).run([trace])
+    for rate in (0.0, 2000.0):
+        rows, st = instantiate(p, EngineConfig(default_rate=rate)).run([trace])
         outputs.append(("\n".join(row_to_json(r) for r in rows), untimed(st)))
     assert all(out == outputs[0] for out in outputs)
     select = next(s for s in outputs[0][1]["stages"] if s["name"] == "select")
@@ -124,9 +124,8 @@ def test_join_determinism_across_configs():
     p = plan(parse(Q3 + " WINDOW(TIME, 0.5, 0.5)"), TWO)
     for traces in ([left, right], [empty, right], [left, empty]):
         outputs = []
-        for quantum in (1, 7, 64):
-            cfg = EngineConfig(quantum=quantum)
-            rows, st = instantiate(p, cfg).run(traces)
+        for rate in (0.0, 2000.0):
+            rows, st = instantiate(p, EngineConfig(default_rate=rate)).run(traces)
             outputs.append(("\n".join(row_to_json(r) for r in rows), untimed(st)))
         assert all(out == outputs[0] for out in outputs)
         join = next(s for s in outputs[0][1]["stages"] if s["name"] == "join")
@@ -204,10 +203,14 @@ def test_a_rate_must_name_a_source_of_the_query():
 
 def test_engine_config_from_key_value_file(tmp_path):
     path = tmp_path / "engine.cfg"
-    path.write_text("# engine settings\nqueue_capacity=64\nquantum=8\n"
-                    "watchdog_seconds=2.5\nrate=100\nrate.R2=50\n")
+    path.write_text("rate=100\nrate.R2=50\n")
+    with pytest.raises(ConfigError) as exc:  # engine configs are JSON only
+        EngineConfig.from_file(path)
+    assert exc.value.code == "CONFIG_ERROR" and "JSON" in str(exc.value)
+    path.write_text('{"queue_capacity": 64, "quantum": 8, "watchdog_seconds": 2.5, '
+                    '"rate": 100, "rates": {"R2": 50}}')
     cfg = EngineConfig.from_file(path)  # keys of earlier engines are ignored
-    assert cfg.quantum == 8
+    assert cfg == EngineConfig({"R2": 50.0}, 100.0)
     assert cfg.rate_for("R1") == 100.0
     assert cfg.rate_for("R2") == 50.0
     assert cfg.rate_for("r2") == 50.0
@@ -217,7 +220,6 @@ def test_engine_config_from_json_file(tmp_path):
     path = tmp_path / "engine.json"
     path.write_text('{"queue_capacity": 32, "rates": {"R1": 10}}')
     cfg = EngineConfig.from_file(path)
-    assert cfg.quantum == 256
     assert cfg.rate_for("R1") == 10.0
     assert cfg.rate_for("r1") == 10.0  # source names match in any casing
     assert cfg.rate_for("R9") == 0.0
@@ -232,11 +234,27 @@ def test_throttled_run_matches_unthrottled(two=None):
     assert fast == slow == [{"window": 0, "count": 1}]
 
 
+def test_source_ranges_follow_the_feed_clock(monkeypatch):
+    # unthrottled, a source yields its whole trace as one range; throttled, the
+    # rows that are due, never an empty range
+    sizes = []
+    add = WindowManager.add
+    monkeypatch.setattr(WindowManager, "add",
+                        lambda manager, keys: add(manager, keys) or sizes.append(len(keys)))
+    trace = small_trace()
+    p = plan(parse(Q2 + " WINDOW(TUPLE, 25, 25)"), ONE)
+    instantiate(p).run([trace])
+    assert sizes == [len(trace)]
+    sizes.clear()
+    instantiate(p, EngineConfig(default_rate=400.0)).run([trace])
+    assert sum(sizes) == len(trace) and min(sizes) > 0 and len(sizes) > 1
+
+
 def test_throttled_join_inputs_are_fed_at_the_same_time():
     # 120 rows per side at 400 rows/s: 0.3 s when both sources count from
     # one start, 0.6 s if the right side began only after the left ended
     left, right = small_trace(1), small_trace(2)
-    cfg = EngineConfig(default_rate=400.0, quantum=16)
+    cfg = EngineConfig(default_rate=400.0)
     started = time.monotonic()
     rows, _ = instantiate(plan(parse(Q3), TWO), cfg).run([left, right])
     elapsed = time.monotonic() - started

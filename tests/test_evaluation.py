@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,12 @@ def test_pair_ground_truth_json_roundtrip():
     gt = PairGroundTruth(frozenset({1, 2}), frozenset({3}), frozenset({(1, 3)}))
     back = PairGroundTruth.from_json(gt.to_json())
     assert back.positives == {(1, 3)}
+    assert gt.to_json() == '{"left_universe": [1, 2], "right_universe": [3], "positives": [[1, 3]]}'
+    # ids may mix integers and strings
+    mixed = PairGroundTruth(frozenset({"a", 2, 1}), frozenset({"b", 3}),
+                            frozenset({(1, 3), ("a", "b"), ("a", 3)}))
+    assert PairGroundTruth.from_json(mixed.to_json()) == mixed
+    assert json.loads(mixed.to_json())["positives"] == [[1, 3], ["a", 3], ["a", "b"]]
 
 
 def test_pair_ground_truth_bad_json():
