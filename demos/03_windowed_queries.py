@@ -12,8 +12,8 @@ trace = generate(SynthSpec(frames=120, fps=30, fv_dim=4, objects=(
     ObjectSpec(2, "person", (50, 0, 4, 8), (0, 1), intervals=((0, 120),)),
     ObjectSpec(3, "car", (100, 40, 9, 5), (-1, 0), intervals=((30, 90),)),
 )), seed=42)
-print(f"trace: {len(trace.rows)} tuples over "
-      f"{trace.rows[-1]['ts'] - trace.rows[0]['ts']:.1f}s")
+ts = trace.column("ts")
+print(f"trace: {len(trace)} tuples over {ts[-1] - ts[0]:.1f}s")
 
 # Count distinct persons per disjoint one-second window.
 count_query = """

@@ -31,8 +31,9 @@ exit_ = generate(SynthSpec(frames=10, fps=30, fv_dim=8, objects=(
 )), seed=2)
 
 cond = MatchCondition(Metric.COSINE, 0.85)
-pairs = cjoin(r2a(entry, "oid", "fid"), r2a(exit_, "oid", "fid"), cond)
-print("emitted pairs:", sorted(p.key() for p in pairs))
+left_key, right_key, _, _, _ = cjoin(r2a(entry, "oid", "fid"), r2a(exit_, "oid", "fid"), cond)
+pairs = list(zip(left_key.tolist(), right_key.tolist()))
+print("emitted pairs:", sorted(pairs))
 
 gt = PairGroundTruth(frozenset({1, 2, 3, 5}), frozenset({1, 3}),
                      frozenset({(1, 1), (3, 3)}))
@@ -50,7 +51,8 @@ noise_b = generate(SynthSpec(frames=6, fps=30, fv_dim=8, objects=(
 entry2 = concat_traces(entry, noise_a, oid_offset=6)
 exit2 = concat_traces(exit_, noise_b, oid_offset=7)
 
-pairs2 = cjoin(r2a(entry2, "oid", "fid"), r2a(exit2, "oid", "fid"), cond)
+left_key, right_key, _, _, _ = cjoin(r2a(entry2, "oid", "fid"), r2a(exit2, "oid", "fid"), cond)
+pairs2 = zip(left_key.tolist(), right_key.tolist())
 gt2 = PairGroundTruth(gt.left_universe | {6}, gt.right_universe | {7}, gt.positives)
 counts2 = confusion_pairs(pairs2, gt2)
 print()

@@ -8,26 +8,21 @@ appearance compression, counting, and net direction of motion.
 """
 
 from .errors import VaqueryError
-from .model import (Arrable, ArrableRow, BoundingBox, Column, ColumnKind,
-                    FeatureVector, Relation, Schema, TRACE_SCHEMA, VTuple,
+from .model import (Arrable, Column, ColumnKind, Relation, Schema, TRACE_SCHEMA,
                     kind_check, validate_tuple)
-from .operators import (BBPattern, CctOption, ComparisonCounter, Direction8,
-                        JoinPair, cct, cct_join, cjoin, direction,
-                        group_count, hash_equi_join, nl_join, project, r2a,
-                        select)
-from .similarity import (MatchCondition, MatchPolarity, Metric,
-                         cosine_similarity, euclidean_distance_unit, smatch)
+from .operators import (BBPattern, CctOption, Direction8, cct, cct_join, cjoin,
+                        direction, group_count, hash_equi_join, nl_join, project,
+                        r2a, select)
+from .similarity import MatchCondition, MatchPolarity, Metric, smatch
 from .windows import WindowKind, WindowManager, WindowSpec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "VaqueryError", "BoundingBox", "FeatureVector", "VTuple", "ColumnKind",
-    "Column", "Schema", "TRACE_SCHEMA", "Relation", "Arrable", "ArrableRow",
-    "kind_check", "validate_tuple",
-    "Metric", "MatchPolarity", "MatchCondition", "cosine_similarity",
-    "euclidean_distance_unit", "smatch",
-    "CctOption", "Direction8", "BBPattern", "JoinPair", "ComparisonCounter",
+    "VaqueryError", "ColumnKind", "Column", "Schema", "TRACE_SCHEMA", "Relation",
+    "Arrable", "kind_check", "validate_tuple",
+    "Metric", "MatchPolarity", "MatchCondition", "smatch",
+    "CctOption", "Direction8", "BBPattern",
     "r2a", "cct", "select", "project", "nl_join", "cjoin", "cct_join",
     "hash_equi_join", "direction", "group_count",
     "WindowKind", "WindowSpec", "WindowManager",

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import engine, ingest, querylang
 from .errors import (ConfigError, FormatMismatch, InvalidWindowSpec, QuerySyntaxError,
-                     SchemaMismatch, VaqueryError)
+                     SchemaMismatch, VaqueryError, load_json)
 from .windows import WindowKind, WindowSpec
 
 EXIT_QUERY_ERROR = 2
@@ -111,10 +111,7 @@ def _read_results(path: str) -> list[dict]:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                raise FormatMismatch(f"{path} line {line_no} is not JSON: {exc}") from None
+            rec = load_json(line, FormatMismatch, f"{path} line {line_no}")
             if type(rec) is not dict:
                 raise FormatMismatch(f"{path} line {line_no} is not a JSON object")
             if "_meta" not in rec:
@@ -160,16 +157,13 @@ def cmd_gen(args) -> int:
     spec = ingest.SynthSpec.from_json(Path(args.spec).read_bytes())
     rel = ingest.generate(spec, args.seed)
     ingest.write_trace(rel, args.out)
-    print(f"wrote {len(rel.rows)} tuples to {args.out}")
+    print(f"wrote {len(rel)} tuples to {args.out}")
     return 0
 
 
 def _bench_config(path: str) -> tuple[list[str], dict[str, str], int, float]:
     """The traces, queries, repetitions and fps of a bench config file."""
-    try:
-        raw = json.loads(Path(path).read_bytes())
-    except ValueError as exc:
-        raise ConfigError(f"bench config {path} is not JSON: {exc}") from None
+    raw = load_json(Path(path).read_bytes(), ConfigError, f"bench config {path}")
     if type(raw) is not dict:
         raise ConfigError(f"bench config {path} must be a JSON object")
     traces, queries = raw.get("traces"), raw.get("queries")
@@ -190,7 +184,7 @@ def cmd_bench(args) -> int:
 
     trace_paths, queries, repetitions, fps = _bench_config(args.config)
     traces = [ingest.read_trace(p, fps=fps) for p in trace_paths]
-    trace_size = sum(len(t.rows) for t in traces)
+    trace_size = sum(map(len, traces))
 
     def runner(query_path: str) -> int:
         _, stats = engine.instantiate(_load_plan(query_path)).run(traces)

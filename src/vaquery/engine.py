@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -26,8 +27,8 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SchemaMismatch
-from .model import Arrable, BoundingBox, FeatureVector, Relation
+from .errors import ConfigError, SchemaMismatch, load_json
+from .model import Arrable, Relation, Schema, offsets_of
 from .operators import (Direction8, aggregate, cct, cct_join, cjoin, count_star, direction,
                         hash_equi_join, nl_join, project, select)
 from .querylang.planner import (AggregateNode, CctNode, DirectionNode,
@@ -51,7 +52,9 @@ def _number(value: Any, key: str) -> float:
 @dataclass(frozen=True)
 class EngineConfig:
     """Feed rates in tuples per second (0 = unthrottled): ``rates`` per source
-    name in any casing, ``default_rate`` for every other source."""
+    name in any casing, ``default_rate`` for every other source. A positive
+    rate is at least ``1 / threading.TIMEOUT_MAX``, so that a source's first
+    row falls due within the longest wait the platform can sleep."""
 
     rates: Mapping[str, float] = field(default_factory=dict)
     default_rate: float = 0.0
@@ -60,6 +63,9 @@ class EngineConfig:
         for rate in (self.default_rate, *self.rates.values()):
             if not 0 <= rate < math.inf:
                 raise ConfigError(f"feed rate must be finite and >= 0, got {rate}")
+            if 0 < rate < 1 / threading.TIMEOUT_MAX:
+                raise ConfigError(f"feed rate {rate} is too small: its first row would fall "
+                                  f"due after {threading.TIMEOUT_MAX:.0f} s")
         if len({name.lower() for name in self.rates}) < len(self.rates):
             raise ConfigError(f"feed rates name one source in two casings: {sorted(self.rates)}")
 
@@ -72,12 +78,7 @@ class EngineConfig:
     def from_file(path: str | Path) -> "EngineConfig":
         """Load a JSON config object: ``rate`` and ``rates``, an object of
         per-source rates, all numbers; other keys are ignored."""
-        try:
-            raw = json.loads(Path(path).read_bytes().decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"engine config {path} is not UTF-8 text: {exc.reason}") from None
-        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
-            raise ConfigError(f"engine config is not valid JSON: {exc}") from None
+        raw = load_json(Path(path).read_bytes(), ConfigError, f"engine config {path}")
         if type(raw) is not dict:
             raise ConfigError(f"engine config {path} must be a JSON object")
         rates = raw.get("rates", {})
@@ -99,7 +100,7 @@ class StageStats:
     window_wall: dict[int, float] = field(default_factory=dict)
 
     def add(self, n: int) -> None:
-        """Count ``n`` feature-vector comparisons, as a ``ComparisonCounter`` does."""
+        """Count ``n`` feature-vector comparisons; operators take this as their counter."""
         self.smatch_comparisons += n
 
     def apply(self, fn: Callable[..., Any], idx: int, *payloads) -> Any:
@@ -177,8 +178,8 @@ class Pipeline:
             return self._windows(stats, node.spec, self._build(node.child))
         fn = _operator(node, stats)
         if isinstance(node, (JoinNode, EquiJoinNode)):
-            empty = tuple(Arrable.from_rows(_gba_of(c), c.schema) if isinstance(node, JoinNode)
-                          else Relation.from_rows(c.schema, ()) for c in (node.left, node.right))
+            empty = tuple(_empty(c.schema, _gba_of(c) if isinstance(node, JoinNode) else None)
+                          for c in (node.left, node.right))
             return self._join(stats, fn, empty, self._build(node.left), self._build(node.right))
         return self._per_window(stats, fn, self._build(node.child))
 
@@ -279,10 +280,9 @@ def _operator(node: PlanNode, stats: StageStats) -> Callable[..., Any]:
             else:
                 pairs = (cjoin if node.kind == "CJOIN" else nl_join)(left, right, node.cond, on,
                                                                     node.extras, stats)
-            names = node.schema.names()
-            return Relation.from_columns(node.schema, {
-                names[0]: [p.left_oid for p in pairs], names[1]: [p.right_oid for p in pairs],
-                names[2]: [p.score for p in pairs]})
+            left_key, right_key, _, _, score = pairs
+            return Relation(node.schema, dict(zip(node.schema.names(),
+                                                  (left_key, right_key, score))))
         return joined
     if isinstance(node, AggregateNode):
         def aggregated(payload) -> Relation:
@@ -304,6 +304,16 @@ def _operator(node: PlanNode, stats: StageStats) -> Callable[..., Any]:
     raise ConfigError(f"unknown plan node {type(node).__name__}")
 
 
+def _empty(schema: Schema, gba: str | None = None) -> Relation | Arrable:
+    """An input without rows: a relation, or an arrable grouped on ``gba``."""
+    rel = Relation.from_columns(schema, dict.fromkeys(schema.names(), ()))
+    if gba is None:
+        return rel
+    return Arrable(gba, schema, rel.column(gba), offsets_of(()),
+                   rel.subset(schema.subset([n for n in schema.names() if n != gba])),
+                   np.arange(0))
+
+
 def instantiate(plan: QueryPlan, config: EngineConfig | None = None) -> Pipeline:
     """Build a pipeline: one generator per plan node; each feed rate must name a source."""
     config = config or EngineConfig()
@@ -317,10 +327,8 @@ def instantiate(plan: QueryPlan, config: EngineConfig | None = None) -> Pipeline
 
 
 def jsonable(value: Any) -> Any:
-    """A result value as JSON: boxes and vectors as lists, directions by name,
-    and non-finite floats as their ``repr``; row values are Python values."""
-    if isinstance(value, (BoundingBox, FeatureVector)):
-        return value.as_list()
+    """A result value as JSON: directions by name and non-finite floats as
+    their ``repr``; row values are Python values, boxes and vectors lists."""
     if isinstance(value, Direction8):
         return value.value
     if isinstance(value, dict):

@@ -1,10 +1,13 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one JSON decoder that words decode failures.
 
 Every error carries a stable ``code`` string so callers (and the CLI) can
 dispatch on the failure class without parsing messages.
 """
 
 from __future__ import annotations
+
+import json
+from typing import Any, Callable
 
 
 class VaqueryError(Exception):
@@ -119,3 +122,18 @@ class IndexMismatch(VaqueryError):
 
 class FormatMismatch(VaqueryError):
     code = "FORMAT_MISMATCH"
+
+
+def load_json(data: str | bytes, error: Callable[[str], VaqueryError], role: str) -> Any:
+    """The JSON value of ``data``. Text that is not UTF-8, not JSON, or nested
+    deeper than the decoder recurses raises ``error(message)``, the message
+    naming the input by its ``role``."""
+    try:
+        return json.loads(data)
+    except UnicodeDecodeError as exc:
+        message = f"{role} is not UTF-8 text: {exc.reason}"
+    except json.JSONDecodeError as exc:
+        message = f"{role} is not JSON: {exc.msg} at character {exc.pos}"
+    except RecursionError:
+        message = f"{role} is not JSON: it nests too deeply"
+    raise error(message)

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (EmptyConfusion, FormatMismatch, IndexMismatch,
-                     PairOutsideUniverse)
-from .operators import Direction8, JoinPair
+                     PairOutsideUniverse, load_json)
+from .operators import Direction8
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class PairGroundTruth:
 
     @staticmethod
     def from_json(text: str | bytes, source: str = "pair ground truth") -> "PairGroundTruth":
-        raw = _loads(text, source)
+        raw = load_json(text, FormatMismatch, source)
         try:
             left, right, positives = raw["left_universe"], raw["right_universe"], raw["positives"]
         except (KeyError, TypeError) as exc:
@@ -91,11 +91,11 @@ def _id_array(value) -> bool:
     return type(value) is list and {type(v) for v in value} <= {str, int}
 
 
-def confusion_pairs(result: Iterable[JoinPair | tuple], gt: PairGroundTruth) -> ConfusionCounts:
-    """Score emitted object pairs against the positive-pair ground truth."""
+def confusion_pairs(result: Iterable[tuple], gt: PairGroundTruth) -> ConfusionCounts:
+    """Score emitted (left, right) object pairs against the positive-pair ground truth."""
     emitted = set()
     for item in result:
-        pair = item.key() if isinstance(item, JoinPair) else (item[0], item[1])
+        pair = (item[0], item[1])
         if pair[0] not in gt.left_universe or pair[1] not in gt.right_universe:
             raise PairOutsideUniverse(f"result pair {pair!r} outside the universes")
         emitted.add(pair)
@@ -200,16 +200,9 @@ def bench_table(rows: Sequence[BenchRow]) -> str:
 # ground-truth file loaders; ``source`` names the file in their errors
 
 
-def _loads(text: str | bytes, source: str) -> Any:
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # also text that is not UTF-8
-        raise FormatMismatch(f"{source} is not JSON: {exc}") from None
-
-
 def load_count_gt(text: str | bytes, source: str = "count ground truth") -> list[int]:
     """Per-window expected counts as JSON integers: a list, or {"windows": {"0": n, ...}}."""
-    raw = _loads(text, source)
+    raw = load_json(text, FormatMismatch, source)
     if isinstance(raw, dict) and "windows" in raw:
         windows = raw["windows"]
         if not isinstance(windows, dict):
@@ -228,7 +221,7 @@ def load_count_gt(text: str | bytes, source: str = "count ground truth") -> list
 
 def load_direction_gt(text: str | bytes, source: str = "direction ground truth") -> dict[str, str]:
     """Per-object expected directions: JSON object id -> direction name."""
-    raw = _loads(text, source)
+    raw = load_json(text, FormatMismatch, source)
     if not isinstance(raw, dict):
         raise FormatMismatch("direction ground truth must be an object id -> direction map")
     for oid, name in raw.items():

@@ -32,6 +32,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
@@ -41,9 +42,8 @@ import numpy as np
 from numpy.dtypes import StringDType
 
 from .errors import (ConfigError, DimensionMismatch, GeneratorSpecError,
-                     OutOfOrderFrame, SchemaMismatch, TraceParseError)
-from .model import (BoundingBox, FeatureVector, Relation, TRACE_SCHEMA, VTuple,
-                    validate_tuple)
+                     OutOfOrderFrame, SchemaMismatch, TraceParseError, load_json)
+from .model import Relation, TRACE_SCHEMA, validate_tuple
 
 #: Lines decoded and checked together. Small blocks keep few decoded JSON
 #: values alive at once: larger ones raised the peak memory of a run.
@@ -109,20 +109,18 @@ def _decode(line: str, line_no: int) -> dict:
     """The object on one JSONL line, decoded once by the stdlib scanner."""
     try:
         rec, end = _scan(line, 0)
-    except (StopIteration, json.JSONDecodeError):
+    except (StopIteration, json.JSONDecodeError, RecursionError):
         end = -1
-    if end != len(line):
-        try:
-            rec = json.loads(line)  # raises here; it words the error exactly as loads does
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"invalid JSON: {exc.msg}", line_no) from None
+    if end != len(line):  # the line is not one JSON value: load_json raises its error
+        rec = load_json(line, partial(TraceParseError, line=line_no), "trace line")
     if type(rec) is not dict:
         raise TraceParseError(f"expected a JSON object, got {_kind(rec)}", line_no)
     return rec
 
 
-def _record(rec: dict, line_no: int) -> tuple:
-    """Check one record's fields and types; returns (fid, oid, label, bb, fv, ts)."""
+def _record(rec: dict, line_no: int, fps: float) -> tuple:
+    """Check one record's fields and types; returns (fid, oid, label, bb, fv, ts),
+    ``ts`` derived as ``fid / fps`` when absent."""
     missing = set(_REQUIRED) - rec.keys()
     if missing:
         raise TraceParseError(f"missing fields {sorted(missing)}", line_no)
@@ -142,6 +140,8 @@ def _record(rec: dict, line_no: int) -> tuple:
         if type(ts) not in _NUMBER:
             raise TraceParseError(f"ts must be a number, got {_kind(ts)}", line_no)
         ts = _floats("ts", [ts], line_no)[0]
+    else:
+        ts = fid / fps
     return fid, oid, label, _floats("bb", bb, line_no), _floats("fv", fv, line_no), ts
 
 
@@ -288,9 +288,9 @@ class _TraceBuilder:
         for line_no, rec in lines:
             if isinstance(rec, TraceParseError):
                 raise rec
-            fid, oid, label, bb, fv, ts = _record(rec, line_no)
-            validate_tuple(VTuple(fid=fid, oid=oid, label=label, bb=BoundingBox(*bb),
-                                  fv=FeatureVector(fv), ts=fid / self.fps if ts is None else ts))
+            record = _record(rec, line_no, self.fps)
+            validate_tuple(record)
+            fid, oid, _, _, fv, _ = record
             dim = len(fv) if dim is None else dim
             if len(fv) != dim:
                 raise DimensionMismatch(f"feature vector has {len(fv)} components where the "
@@ -307,7 +307,7 @@ class _TraceBuilder:
     def relation(self) -> Relation:
         """The rows in canonical (fid, oid) order, once ``ts`` is checked in that order."""
         if not self.blocks:
-            return Relation.from_rows(TRACE_SCHEMA, ())
+            return Relation.from_columns(TRACE_SCHEMA, dict.fromkeys(TRACE_SCHEMA.names(), ()))
         fid, oid, labels, bb, fv, ts = zip(*self.blocks)
         self.blocks = []
         # one block is kept as is: generate() passes its whole trace as one
@@ -476,8 +476,8 @@ class SynthSpec:
     @staticmethod
     def from_json(text: str | bytes) -> "SynthSpec":
         """A spec from JSON text; every field keeps its JSON type."""
+        raw = load_json(text, GeneratorSpecError, "generator spec")
         try:
-            raw = json.loads(text)
             objects = tuple(
                 ObjectSpec(oid=_spec_int("oid", o["oid"]), label=o.get("label", "person"),
                            start_bb=_spec_floats("bb", o["bb"]),
@@ -537,7 +537,7 @@ def generate(spec: SynthSpec, seed: int) -> Relation:
 
     visits = [(obj, lo, hi) for obj in spec.objects for lo, hi in obj.intervals]
     if not visits:
-        return Relation.from_rows(TRACE_SCHEMA, ())
+        return Relation.from_columns(TRACE_SCHEMA, dict.fromkeys(TRACE_SCHEMA.names(), ()))
     dims = sorted({bases[obj.oid].size for obj, _, _ in visits})
     if len(dims) > 1:
         raise DimensionMismatch(f"generated feature vectors differ in dimension: {dims}")

@@ -9,18 +9,16 @@ The grouped/ordered form of a relation is an :class:`Arrable`: one row per
 group key, with the remaining columns turned into parallel vectors ordered
 by an ordering attribute.
 
-Both are stored as numpy columns, one array per column; the row objects of
-the API (mappings, :class:`ArrableRow`, :class:`BoundingBox`,
-:class:`FeatureVector`) are built only when read.
+Both are stored as numpy columns, one array per column. Rows are read as
+mappings of Python values, a box or feature vector as a list of floats.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -36,68 +34,6 @@ class ColumnKind(Enum):
     BBOX_VECTOR = "bbox_vector"
     FEATURE_VECTOR = "feature_vector"
     DIRECTION_ENUM = "direction_enum"
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box: lower-left corner (x, y) plus width and height."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def as_list(self) -> list[float]:
-        return [self.x, self.y, self.w, self.h]
-
-
-class FeatureVector:
-    """Immutable real-valued vector of arbitrary dimension."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Iterable[float]):
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.float64)
-        arr = arr.reshape(-1)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
-
-    def as_list(self) -> list[float]:
-        return self.values.tolist()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureVector):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(np.all(self.values == other.values))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.values.tolist()))
-
-    def __repr__(self) -> str:
-        return f"FeatureVector({self.values.tolist()!r})"
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("FeatureVector is immutable")
-
-
-@dataclass(frozen=True)
-class VTuple:
-    """One detected object in one frame."""
-
-    fid: int
-    oid: int
-    label: str
-    bb: BoundingBox
-    fv: FeatureVector
-    ts: float
-
-    def as_row(self) -> dict[str, Any]:
-        return {"fid": self.fid, "oid": self.oid, "label": self.label,
-                "bb": self.bb, "fv": self.fv, "ts": self.ts}
 
 
 @dataclass(frozen=True)
@@ -154,25 +90,27 @@ TRACE_SCHEMA = Schema((
 ))
 
 
-def validate_tuple(t: VTuple, schema: Schema = TRACE_SCHEMA) -> None:
-    """Check the model invariants of one detection record.
+def validate_tuple(record: tuple) -> None:
+    """Check the model invariants of one decoded detection record, the tuple
+    ``(fid, oid, label, bb, fv, ts)`` with ``bb`` and ``fv`` lists of floats.
 
     Raises :class:`TupleValidationError` with code NEGATIVE_DIMENSION,
     NON_FINITE_VALUE, or EMPTY_FEATURE_VECTOR.
     """
-    if t.bb.w < 0 or t.bb.h < 0:
+    fid, oid, _, (x, y, w, h), fv, ts = record
+    if w < 0 or h < 0:
         raise TupleValidationError("NEGATIVE_DIMENSION",
-                                   f"bounding box has negative extent: w={t.bb.w}, h={t.bb.h}")
-    for v in (t.bb.x, t.bb.y, t.bb.w, t.bb.h, t.ts):
+                                   f"bounding box has negative extent: w={w}, h={h}")
+    for v in (x, y, w, h, ts):
         if not math.isfinite(v):
             raise TupleValidationError("NON_FINITE_VALUE", f"non-finite value {v!r}")
-    if t.fv.dim < 1:
+    if not fv:
         raise TupleValidationError("EMPTY_FEATURE_VECTOR", "feature vector has no components")
-    if not np.all(np.isfinite(t.fv.values)):
+    if not all(map(math.isfinite, fv)):
         raise TupleValidationError("NON_FINITE_VALUE", "feature vector contains non-finite values")
-    if t.fid < 0 or t.oid < 0 or t.ts < 0:
+    if fid < 0 or oid < 0 or ts < 0:
         raise TupleValidationError("NON_FINITE_VALUE",
-                                   f"fid, oid and ts must be non-negative (fid={t.fid}, oid={t.oid}, ts={t.ts})")
+                                   f"fid, oid and ts must be non-negative (fid={fid}, oid={oid}, ts={ts})")
 
 
 # Legality of operators per column kind. Keys are the operator identifiers
@@ -219,12 +157,12 @@ def _column(kind: ColumnKind, values: Sequence[Any]) -> np.ndarray:
     labels a string array, and anything else an object array.
     """
     if kind is ColumnKind.BBOX_VECTOR:
-        return np.array([b.as_list() for b in values], dtype=np.float64).reshape(-1, 4)
+        return np.array(values, dtype=np.float64).reshape(-1, 4)
     if kind is ColumnKind.FEATURE_VECTOR:
-        dims = sorted({v.dim for v in values})
+        dims = sorted(set(map(len, values)))
         if len(dims) > 1:
             raise DimensionMismatch(f"feature vectors of one column differ in dimension: {dims}")
-        return np.array([v.values for v in values] or np.zeros((0, 0)), dtype=np.float64)
+        return np.array(values, dtype=np.float64).reshape(len(values), dims[0] if dims else 0)
     types = set(map(type, values))
     if kind is ColumnKind.CATEGORICAL and types <= {str}:
         return np.array(values, dtype=StringDType())
@@ -235,15 +173,6 @@ def _column(kind: ColumnKind, values: Sequence[Any]) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values))
 
 
-def _values(kind: ColumnKind, column: np.ndarray) -> list:
-    """A column's values as the Python objects a row holds."""
-    if kind is ColumnKind.BBOX_VECTOR:
-        return [BoundingBox(*b) for b in column.tolist()]
-    if kind is ColumnKind.FEATURE_VECTOR:
-        return [FeatureVector(v) for v in column]  # read-only views of the block
-    return column.tolist()
-
-
 @dataclass(frozen=True, eq=False)
 class Relation:
     """An ordered relation stored as equal-length columns, one per schema column.
@@ -251,8 +180,7 @@ class Relation:
     ``fid`` and ``oid`` are int64, ``ts`` float64, ``label`` a string array,
     ``bb`` an (n, 4) and ``fv`` an (n, d) float block; other columns hold
     whatever their operator produced. Rows built from a trace are kept in
-    (ts, fid, oid) order, the canonical stream order. :attr:`rows` builds
-    one mapping per row on demand.
+    (ts, fid, oid) order, the canonical stream order.
     """
 
     schema: Schema
@@ -260,17 +188,9 @@ class Relation:
 
     @staticmethod
     def from_columns(schema: Schema, values: Mapping[str, Sequence[Any]]) -> "Relation":
-        """Relation from per-column sequences of Python values."""
+        """Relation from per-column sequences of Python values; a box or a
+        feature vector is a sequence of numbers."""
         return Relation(schema, {n: _column(schema.kind_of(n), values[n]) for n in schema.names()})
-
-    @staticmethod
-    def from_rows(schema: Schema, rows: Iterable[Mapping[str, Any]]) -> "Relation":
-        rows = list(rows)
-        return Relation.from_columns(schema, {n: [r[n] for r in rows] for n in schema.names()})
-
-    @staticmethod
-    def from_tuples(tuples: Iterable[VTuple]) -> "Relation":
-        return Relation.from_rows(TRACE_SCHEMA, (t.as_row() for t in tuples))
 
     @property
     def rows(self) -> "RowView":
@@ -279,8 +199,8 @@ class Relation:
     def row_dicts(self, lo: int = 0, hi: int | None = None) -> list[dict[str, Any]]:
         """Rows ``lo`` to ``hi`` as column->value mappings in schema order."""
         names = list(self.columns)
-        values = [_values(self.schema.kind_of(n), self.columns[n][lo:hi]) for n in names]
-        return [dict(zip(names, row)) for row in zip(*values)]
+        return [dict(zip(names, row))
+                for row in zip(*(self.columns[n][lo:hi].tolist() for n in names))]
 
     flatten = row_dicts
 
@@ -306,52 +226,15 @@ class Relation:
         return len(next(iter(self.columns.values()), ()))
 
 
-class RowView(SequenceABC):
-    """A relation's rows as mappings, built when read; ``len`` builds none."""
+class RowView:
+    """A relation's row count, for tools that take ``len(rel.rows)``; it
+    builds no row. Read rows with :meth:`Relation.row_dicts`."""
 
     def __init__(self, rel: Relation):
         self._rel = rel
 
     def __len__(self) -> int:
         return len(self._rel)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self._rel.row_dicts()[i]
-        i = range(len(self._rel))[i]  # a negative index counts from the end
-        return self._rel.row_dicts(i, i + 1)[0]
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self._rel.row_dicts())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SequenceABC):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-
-@dataclass(frozen=True)
-class ArrableRow:
-    """One group of an arrable: the key plus parallel ordered vectors."""
-
-    key: Any
-    values: Mapping[str, tuple]
-
-    def __post_init__(self) -> None:
-        lengths = {len(v) for v in self.values.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"arrable row vectors have unequal lengths: {sorted(lengths)}")
-
-    def __len__(self) -> int:
-        for v in self.values.values():
-            return len(v)
-        return 0
-
-    def column(self, name: str) -> tuple:
-        try:
-            return self.values[name]
-        except KeyError:
-            raise UnknownColumn(name) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,8 +247,7 @@ class Arrable:
     per group in first-appearance order and group ``i`` is elements
     ``offsets[i]`` to ``offsets[i + 1]``. Grouping, filtering and compressing
     only compute a new ``order``; no column is copied. An arrable projected
-    down to its key has no element columns and no elements. :attr:`rows`
-    builds one :class:`ArrableRow` per group on demand.
+    down to its key has no element columns and no elements.
     """
 
     gba: str
@@ -375,34 +257,9 @@ class Arrable:
     base: Relation
     order: np.ndarray
 
-    @staticmethod
-    def from_rows(gba: str, schema: Schema, rows: Sequence[ArrableRow] = ()) -> "Arrable":
-        """Arrable from groups given as rows; every row holds the same columns,
-        by default every schema column but ``gba``."""
-        keys = [r.key for r in rows]
-        if len(keys) != len(set(keys)):
-            raise ValueError("duplicate group keys in arrable")
-        names = list(rows[0].values) if rows else [n for n in schema.names() if n != gba]
-        base = Relation.from_columns(
-            schema.subset(names), {n: [v for r in rows for v in r.column(n)] for n in names})
-        return Arrable(gba, schema, _column(schema.kind_of(gba), keys),
-                       offsets_of([len(r) for r in rows]), base, np.arange(len(base)))
-
     @property
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    @property
-    def elements(self) -> Relation:
-        return self.base.take(self.order)
-
-    @property
-    def rows(self) -> tuple[ArrableRow, ...]:
-        elements = self.elements
-        values = {n: _values(elements.schema.kind_of(n), c) for n, c in elements.columns.items()}
-        bounds = self.offsets.tolist()
-        return tuple(ArrableRow(key, {n: tuple(v[lo:hi]) for n, v in values.items()})
-                     for key, lo, hi in zip(self.keys.tolist(), bounds, bounds[1:]))
 
     def flatten(self) -> list[dict[str, Any]]:
         """One mapping per element, the group key first (a permutation of the
@@ -412,7 +269,7 @@ class Arrable:
             return [{self.gba: k} for k in keys]
         return [{self.gba: k, **row}
                 for k, row in zip(np.repeat(self.keys, self.counts).tolist(),
-                                  self.elements.row_dicts())]
+                                  self.base.take(self.order).row_dicts())]
 
     def column(self, name: str) -> np.ndarray:
         """One value per element; the ``gba`` column repeats each group's key."""

@@ -6,8 +6,9 @@ grouping a relation into an arrable, compressing consecutive appearances of
 an object, similarity joins in three flavors, and net direction of motion.
 
 All operators are pure: they take immutable inputs for one window and return
-new values. Similarity joins accept a :class:`ComparisonCounter` so callers
-can observe how many feature-vector comparisons each variant performs.
+new values. Similarity search and joins accept a counter, a plan node's
+:class:`~vaquery.engine.StageStats`, so callers can observe how many
+feature-vector comparisons each variant performs.
 """
 
 from __future__ import annotations
@@ -17,28 +18,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from numbers import Real
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 from numpy.dtypes import StringDType
 
 from .errors import EmptyRow, IllegalColumnKind, SchemaMismatch, UnknownColumn
-from .model import (Arrable, BoundingBox, Column, ColumnKind, FeatureVector,
-                    Relation, Schema, kind_check, offsets_of)
+from .model import Arrable, Column, ColumnKind, Relation, Schema, kind_check, offsets_of
 # smatch stays a module attribute so that tracing tools can wrap it here
 from .similarity import MatchCondition, normalized_matrix, scores_against, smatch  # noqa: F401
 
-
-class ComparisonCounter:
-    """Monotone counter of feature-vector comparisons."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, n: int) -> None:
-        self.count += n
+if TYPE_CHECKING:
+    from .engine import StageStats
 
 
 class CctOption(Enum):
@@ -91,23 +82,6 @@ class BBPattern:
                 keep &= values == comp
         return keep
 
-    def matches(self, bb: BoundingBox) -> bool:
-        return bool(self.mask(np.array([bb.as_list()]))[0])
-
-
-@dataclass(frozen=True)
-class JoinPair:
-    """One matched object pair; witnesses index the matched vector elements."""
-
-    left_oid: Any
-    right_oid: Any
-    left_witness: int
-    right_witness: int
-    score: float
-
-    def key(self) -> tuple[Any, Any]:
-        return (self.left_oid, self.right_oid)
-
 
 # --- predicates -------------------------------------------------------------
 
@@ -138,7 +112,7 @@ class Predicate:
         raise NotImplementedError
 
     def mask(self, column: Callable[[str], np.ndarray], live: np.ndarray,
-             counter: ComparisonCounter | None) -> np.ndarray:
+             counter: StageStats | None) -> np.ndarray:
         """Truth value of the predicate per element, False outside ``live``.
 
         ``column(name)`` gives the window's column array in element order;
@@ -189,13 +163,14 @@ class SMatchProbe(Predicate):
     """``column sMatch(th) <probe vector>`` — similarity search against a probe."""
 
     column: str
-    probe: FeatureVector
+    probe: tuple[float, ...]
     cond: MatchCondition
     # the probe is a constant of the query, so it is normalized once
     unit_probe: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unit_probe", normalized_matrix([self.probe]))
+        object.__setattr__(self, "unit_probe",
+                           normalized_matrix(np.array([self.probe], dtype=np.float64)))
 
     def check(self, schema: Schema) -> None:
         kind_check("smatch", self.column, schema)
@@ -302,7 +277,7 @@ def cct(ar: Arrable, option: CctOption = CctOption.FIRST, gap_threshold: int = 1
 
 
 def select(data: Relation | Arrable, predicate: Predicate,
-           counter: ComparisonCounter | None = None) -> Relation | Arrable:
+           counter: StageStats | None = None) -> Relation | Arrable:
     """Filter rows (relation) or vector elements (arrable) by a predicate.
 
     The predicate is decided as one mask over the window's elements: a
@@ -347,14 +322,18 @@ class ScalarPairPredicate:
 
 def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
                  on: tuple[str, str], extra: tuple[ScalarPairPredicate, ...],
-                 counter: ComparisonCounter | None,
-                 first_match_only: bool) -> list[JoinPair]:
+                 counter: StageStats | None,
+                 first_match_only: bool) -> tuple[np.ndarray, ...]:
     """Shared core for the similarity joins.
 
     Scores each (left group, right group) pair as one block; the witness is
     the first matching element pair in (left element, right element) order.
     ``first_match_only`` counts comparisons as if the scan stopped at that
     witness; otherwise every element pair of the block counts.
+
+    Returns one entry per matched group pair, in scan order, as five
+    columns: left key, right key, left and right witness (each an element's
+    position in its group) and score.
     """
     kind_check("smatch", on[0], left.schema)
     kind_check("smatch", on[1], right.schema)
@@ -367,14 +346,15 @@ def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
     lbounds, rbounds = left.offsets.tolist(), right.offsets.tolist()
     # vectors are gathered and normalized one group at a time, which keeps
     # the peak memory of a join near one normalized side
-    rgroups = [(key, lo, hi, normalized_matrix(rvecs[right.order[lo:hi]]))
-               for key, lo, hi in zip(right.keys.tolist(), rbounds, rbounds[1:]) if lo < hi]
-    pairs: list[JoinPair] = []
-    for lkey, llo, lhi in zip(left.keys.tolist(), lbounds, lbounds[1:]):
+    rgroups = [(j, lo, hi, normalized_matrix(rvecs[right.order[lo:hi]]))
+               for j, (lo, hi) in enumerate(zip(rbounds, rbounds[1:])) if lo < hi]
+    pairs: list[tuple[int, int, int, int]] = []  # left group, right group, witnesses
+    score: list[float] = []
+    for i, (llo, lhi) in enumerate(zip(lbounds, lbounds[1:])):
         if llo == lhi:
             continue
         lmat = normalized_matrix(lvecs[left.order[llo:lhi]])
-        for rkey, rlo, rhi, rmat in rgroups:
+        for j, rlo, rhi, rmat in rgroups:
             scores = scores_against(cond, lmat, rmat)
             mask = cond.matched(scores)
             for pred, lvals, rvals in zip(extra, lextra, rextra):
@@ -385,19 +365,23 @@ def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
                 counter.add(flat + 1 if hit and first_match_only else mask.size)
             if hit:
                 li, ri = divmod(flat, mask.shape[1])
-                pairs.append(JoinPair(lkey, rkey, li, ri, float(scores[li, ri])))
-    return pairs
+                pairs.append((i, j, li, ri))
+                score.append(scores[li, ri])
+    lgroup, rgroup, lwitness, rwitness = np.array(pairs, dtype=np.int64).reshape(-1, 4).T
+    return (left.keys[lgroup], right.keys[rgroup], lwitness, rwitness,
+            np.array(score, dtype=np.float64))
 
 
 def nl_join(left: Arrable, right: Arrable, cond: MatchCondition,
             on: tuple[str, str] = ("fv", "fv"),
             extra: tuple[ScalarPairPredicate, ...] = (),
-            counter: ComparisonCounter | None = None) -> list[JoinPair]:
+            counter: StageStats | None = None) -> tuple[np.ndarray, ...]:
     """Exhaustive nested-loop similarity join.
 
     Every element pair of every group pair is compared (the comparison
     counter reflects all of them); one pair per matching (left, right) group
-    is emitted with the first match in scan order as witness.
+    is emitted with the first match in scan order as witness. The pairs come
+    as the five columns of :func:`_join_groups`.
     """
     return _join_groups(left, right, cond, on, extra, counter, first_match_only=False)
 
@@ -405,7 +389,7 @@ def nl_join(left: Arrable, right: Arrable, cond: MatchCondition,
 def cjoin(left: Arrable, right: Arrable, cond: MatchCondition,
           on: tuple[str, str] = ("fv", "fv"),
           extra: tuple[ScalarPairPredicate, ...] = (),
-          counter: ComparisonCounter | None = None) -> list[JoinPair]:
+          counter: StageStats | None = None) -> tuple[np.ndarray, ...]:
     """Similarity join that stops scanning a group pair at its first match.
 
     Emits exactly the same set of (left, right) group pairs as
@@ -419,8 +403,8 @@ def cct_join(left: Arrable, right: Arrable, cond: MatchCondition,
              option: CctOption = CctOption.BOTH,
              on: tuple[str, str] = ("fv", "fv"),
              extra: tuple[ScalarPairPredicate, ...] = (),
-             counter: ComparisonCounter | None = None,
-             gap_threshold: int = 1) -> list[JoinPair]:
+             counter: StageStats | None = None,
+             gap_threshold: int = 1) -> tuple[np.ndarray, ...]:
     """Compress both inputs per run, then join exhaustively.
 
     Retains at most two elements per run on each side, so the comparison

@@ -40,7 +40,6 @@ import math
 from dataclasses import replace
 
 from ..errors import InvalidWindowSpec, QuerySyntaxError, ZeroVector
-from ..model import FeatureVector
 from ..operators import (And, BBoxTest, BBPattern, CctOption, Comparison, Not, Or,
                          Predicate, ScalarPairPredicate, SMatchProbe)
 from ..similarity import MatchCondition, MatchPolarity, Metric
@@ -390,7 +389,7 @@ class _Parser:
             self.next()
             cond = self.parse_smatch_args()
             return self.located(self.peek(), SMatchProbe, ref,
-                                FeatureVector(self.parse_vector_literal()), cond)
+                                self.parse_vector_literal(), cond)
         op = self.parse_cmp_op()
         tok = self.peek()
         if tok.type == "STRING":

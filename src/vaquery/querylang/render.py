@@ -76,7 +76,7 @@ def _expr(e: Predicate) -> str:
                 comps.append(_num(c))
         return f"{e.column} MATCHES [{', '.join(comps)}]"
     if isinstance(e, SMatchProbe):
-        probe = ", ".join(_num(v) for v in e.probe.as_list())
+        probe = ", ".join(_num(v) for v in e.probe)
         return f"{e.column} {_smatch_args(e.cond)} [{probe}]"
     if isinstance(e, And):
         return " AND ".join(_wrap(p) for p in e.parts)

@@ -21,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVector
-from .model import FeatureVector
 
 
 class Metric(Enum):
@@ -61,19 +60,10 @@ class MatchCondition:
         return score <= self.th
 
 
-def cosine_similarity(a: FeatureVector, b: FeatureVector) -> float:
-    """Cosine of the angle between ``a`` and ``b``, clamped to [0, 1]."""
-    return smatch(MatchCondition(Metric.COSINE), a, b)[1]
-
-
-def euclidean_distance_unit(a: FeatureVector, b: FeatureVector) -> float:
-    """Euclidean distance between the L2-normalized inputs, scaled to [0, 1]."""
-    return smatch(MatchCondition(Metric.EUCLIDEAN), a, b)[1]
-
-
-def smatch(cond: MatchCondition, a: FeatureVector, b: FeatureVector) -> tuple[bool, float]:
-    """Evaluate the match condition; returns (matched, score)."""
-    score = float(scores_against(cond, normalized_matrix([a]), normalized_matrix([b]))[0, 0])
+def smatch(cond: MatchCondition, a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
+    """Evaluate the match condition on two 1-d vectors; returns (matched, score)."""
+    a, b = (normalized_matrix(np.asarray(v, dtype=np.float64).reshape(1, -1)) for v in (a, b))
+    score = float(scores_against(cond, a, b)[0, 0])
     return cond.matched(score), score
 
 
@@ -88,16 +78,9 @@ _EQUAL_GATE = 1e-6
 _DIFF_ELEMENTS = 1 << 16
 
 
-def normalized_matrix(vectors: np.ndarray | list[FeatureVector]) -> np.ndarray:
-    """Row-normalized copy of an (n, d) block, or of a list of vectors stacked;
-    only an all-zero row is a :class:`ZeroVector`."""
-    if not isinstance(vectors, np.ndarray):
-        if not vectors:
-            return np.zeros((0, 0))
-        dims = {v.dim for v in vectors}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"mixed feature vector dimensions in one group: {sorted(dims)}")
-        vectors = np.array([v.values for v in vectors])
+def normalized_matrix(vectors: np.ndarray) -> np.ndarray:
+    """Row-normalized copy of an (n, d) block; only an all-zero row is a
+    :class:`ZeroVector`."""
     with np.errstate(over="ignore"):  # an infinite sum is rescaled below
         squares = (vectors * vectors).sum(axis=1)  # np.linalg.norm's arithmetic, less overhead
     norms = np.sqrt(squares)

@@ -1,12 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from vaquery.model import (Arrable, ArrableRow, BoundingBox, FeatureVector,
-                           Relation, TRACE_SCHEMA, VTuple)
+from vaquery.model import Arrable, Relation, Schema, TRACE_SCHEMA, offsets_of
 from vaquery.operators import Direction8
 
 
@@ -16,39 +16,46 @@ def pytest_make_parametrize_id(config, val, argname):
     return str(val) if isinstance(val, Direction8) else None
 
 
-def make_tuple(fid=0, oid=0, label="person", bb=(10.0, 20.0, 30.0, 20.0),
-               fv=(1.0, 0.0, 0.0, 0.0), ts=None, fps=30.0) -> VTuple:
-    return VTuple(fid=fid, oid=oid, label=label, bb=BoundingBox(*bb),
-                  fv=FeatureVector(fv), ts=ts if ts is not None else fid / fps)
+def relation_of(rows, schema: Schema = TRACE_SCHEMA) -> Relation:
+    """A relation from row mappings of Python values (a box or feature vector
+    is a sequence of numbers), built through ``Relation.from_columns``."""
+    rows = list(rows)
+    return Relation.from_columns(schema, {n: [r[n] for r in rows] for n in schema.names()})
 
 
 def trace_relation(records, fps=30.0) -> Relation:
-    """Build a relation from (fid, oid, label, bb, fv) shorthand records."""
-    tuples = [make_tuple(*rec, fps=fps) for rec in records]
-    tuples.sort(key=lambda t: (t.ts, t.fid, t.oid))
-    return Relation.from_tuples(tuples)
+    """Build a relation from (fid, oid, label, bb, fv[, ts]) shorthand records,
+    in (ts, fid, oid) order; ``ts`` defaults to ``fid / fps``."""
+    rows = [dict(zip(("fid", "oid", "label", "bb", "fv", "ts"), (*rec, rec[0] / fps)))
+            for rec in records]
+    rows.sort(key=lambda r: (r["ts"], r["fid"], r["oid"]))
+    return relation_of(rows)
 
 
 def arrable_of(groups: dict) -> Arrable:
-    """Arrable from {key: {"fid": [...], "fv": [...], ...}} shorthand.
+    """Arrable grouped on ``oid`` from {key: {"fid": [...], "fv": [...], ...}}
+    shorthand; its element columns are those the first group names (every
+    trace column but ``oid`` when there is no group)."""
+    names = list(next(iter(groups.values()), [n for n in TRACE_SCHEMA.names() if n != "oid"]))
+    rows = [dict(zip(names, values))
+            for cols in groups.values() for values in zip(*(cols[n] for n in names))]
+    base = relation_of(rows, TRACE_SCHEMA.subset(names))
+    counts = [len(cols[names[0]]) if names else 0 for cols in groups.values()]
+    return Arrable("oid", TRACE_SCHEMA, np.array(list(groups), dtype=np.int64),
+                   offsets_of(counts), base, np.arange(len(base)))
 
-    Feature vectors given as plain tuples are wrapped; boxes given as
-    4-tuples become BoundingBox values.
-    """
-    rows = []
-    for key, cols in groups.items():
-        values = {}
-        for name, vec in cols.items():
-            if name == "fv":
-                values[name] = tuple(v if isinstance(v, FeatureVector) else FeatureVector(v)
-                                     for v in vec)
-            elif name == "bb":
-                values[name] = tuple(v if isinstance(v, BoundingBox) else BoundingBox(*v)
-                                     for v in vec)
-            else:
-                values[name] = tuple(vec)
-        rows.append(ArrableRow(key, values))
-    return Arrable.from_rows("oid", TRACE_SCHEMA, tuple(rows))
+
+def group_values(ar: Arrable, column: str) -> dict:
+    """{key: tuple of the group's ``column`` values}, read through ``flatten()``."""
+    out = {key: () for key in ar.keys.tolist()}
+    for row in ar.flatten():
+        out[row[ar.gba]] += (row[column],)
+    return out
+
+
+def pair_keys(pairs) -> list:
+    """The (left key, right key) of each pair a similarity join returns."""
+    return list(zip(pairs[0].tolist(), pairs[1].tolist()))
 
 
 @pytest.fixture

@@ -14,12 +14,12 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from vaquery.errors import OutOfOrderFrame, TraceParseError
-from vaquery.model import BoundingBox, FeatureVector, Relation, VTuple, validate_tuple
+from vaquery.model import Relation, TRACE_SCHEMA, validate_tuple
 
 
 def cosine_oracle(a: Sequence[float], b: Sequence[float]) -> float:
@@ -196,15 +196,25 @@ _JSON_KINDS = {list: "an array", str: "a string", int: "an integer", float: "a n
                bool: "a boolean", type(None): "null"}
 
 
-def _tuple_from_parts(fid, oid, label, bb, fv, ts, fps: float, line_no: int) -> VTuple:
+class _Detection(NamedTuple):
+    """One detection as the tuple-at-a-time reader holds it."""
+
+    fid: int
+    oid: int
+    label: str
+    bb: list[float]
+    fv: list[float]
+    ts: float
+
+
+def _tuple_from_parts(fid, oid, label, bb, fv, ts, fps: float, line_no: int) -> _Detection:
     try:
         bb_vals = [float(v) for v in bb]
         if len(bb_vals) != 4:
             raise ValueError(f"bounding box needs 4 components, got {len(bb_vals)}")
-        t = VTuple(fid=int(fid), oid=int(oid), label=str(label),
-                   bb=BoundingBox(*bb_vals),
-                   fv=FeatureVector([float(v) for v in fv]),
-                   ts=float(ts) if ts is not None else int(fid) / fps)
+        t = _Detection(fid=int(fid), oid=int(oid), label=str(label), bb=bb_vals,
+                       fv=[float(v) for v in fv],
+                       ts=float(ts) if ts is not None else int(fid) / fps)
     except (TypeError, ValueError) as exc:
         raise TraceParseError(str(exc), line_no) from None
     validate_tuple(t)
@@ -220,7 +230,8 @@ def _iter_jsonl(path: Path, fps: float):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise TraceParseError(f"invalid JSON: {exc.msg}", line_no) from None
+                raise TraceParseError(f"trace line is not JSON: {exc.msg} at character {exc.pos}",
+                                      line_no) from None
             if not isinstance(rec, dict):
                 raise TraceParseError(f"expected a JSON object, got {_JSON_KINDS[type(rec)]}",
                                       line_no)
@@ -259,11 +270,9 @@ def read_trace_oracle(path, fps: float = 30.0, flip_y: float | None = None) -> R
     path = Path(path)
     it = _iter_csv(path, fps) if path.suffix.lower() == ".csv" else _iter_jsonl(path, fps)
     if flip_y is not None:
-        it = (VTuple(fid=t.fid, oid=t.oid, label=t.label,
-                     bb=BoundingBox(t.bb.x, flip_y - t.bb.y - t.bb.h, t.bb.w, t.bb.h),
-                     fv=t.fv, ts=t.ts) for t in it)
-    tuples: list[VTuple] = []
-    frame: list[VTuple] = []
+        it = (t._replace(bb=[x, flip_y - y - h, w, h]) for t in it for x, y, w, h in [t.bb])
+    tuples: list[_Detection] = []
+    frame: list[_Detection] = []
     last_fid = -1
     seen: set[tuple[int, int]] = set()
     for t in it:
@@ -281,7 +290,8 @@ def read_trace_oracle(path, fps: float = 30.0, flip_y: float | None = None) -> R
     for prev, cur in zip(tuples, tuples[1:]):
         if cur.ts < prev.ts:
             raise OutOfOrderFrame(f"ts regresses from {prev.ts} to {cur.ts} at fid {cur.fid}")
-    return Relation.from_tuples(tuples)
+    return Relation.from_columns(TRACE_SCHEMA, {n: [getattr(t, n) for t in tuples]
+                                                for n in TRACE_SCHEMA.names()})
 
 
 def assign_oracle(size: float, hop: float, key: float, origin: float) -> range:

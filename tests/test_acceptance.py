@@ -10,16 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import arrable_of
+from conftest import arrable_of, group_values, pair_keys
 from oracles import split_runs_oracle
-from vaquery.engine import EngineConfig, instantiate, row_to_json, write_results
+from vaquery.engine import EngineConfig, StageStats, instantiate, row_to_json, write_results
 from vaquery.errors import IllegalColumnKind
 from vaquery.evaluation import (ConfusionCounts, PairGroundTruth, accuracy,
                                 confusion_pairs)
 from vaquery.ingest import ObjectSpec, SynthSpec, concat_traces, generate
 from vaquery.model import TRACE_SCHEMA
-from vaquery.operators import (CctOption, ComparisonCounter, Direction8, cct,
-                               cct_join, cjoin, direction, nl_join, r2a)
+from vaquery.operators import (CctOption, Direction8, cct, cct_join, cjoin, direction,
+                               nl_join, r2a)
 from vaquery.querylang import iter_nodes, parse, plan, render
 from vaquery.similarity import MatchCondition, Metric
 from vaquery.windows import WindowKind, WindowManager, WindowSpec, assign
@@ -55,14 +55,14 @@ def test_criterion_02_self_join_identity():
                    base_fv=one_hot(i), intervals=((0, frames),))
         for i in range(n_objects)))
     trace = generate(spec, seed=13)
-    assert len(trace.rows) == n_objects * frames
+    assert len(trace) == n_objects * frames
     ar = r2a(trace, "oid", "fid")
     cond = MatchCondition(Metric.COSINE, 0.95)
     gt = PairGroundTruth(frozenset(range(n_objects)), frozenset(range(n_objects)),
                          frozenset((i, i) for i in range(n_objects)))
     for join_fn in (cjoin, nl_join, cct_join):
         pairs = join_fn(ar, ar, cond)
-        assert accuracy(confusion_pairs(pairs, gt)) == 1
+        assert accuracy(confusion_pairs(pair_keys(pairs), gt)) == 1
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"self-join criterion took {elapsed:.2f}s"
     ok(2, f"cjoin/nl_join/cct_join self-join 100% accurate in {elapsed:.2f}s")
@@ -87,7 +87,7 @@ def _robustness_traces():
 def _join_pairs_all_variants(left_rel, right_rel, cond):
     left = r2a(left_rel, "oid", "fid")
     right = r2a(right_rel, "oid", "fid")
-    sets = [{p.key() for p in fn(left, right, cond)}
+    sets = [set(pair_keys(fn(left, right, cond)))
             for fn in (cjoin, nl_join, cct_join)]
     assert sets[0] == sets[1] == sets[2]
     return sets[0]
@@ -146,9 +146,9 @@ def test_criterion_04_join_equivalence_oracle():
         left, right = mk_side(), mk_side()
         metric = rng.choice([Metric.COSINE, Metric.EUCLIDEAN])
         cond = MatchCondition(metric, rng.random())
-        nl = {p.key() for p in nl_join(left, right, cond)}
-        cj = {p.key() for p in cjoin(left, right, cond)}
-        ccj = {p.key() for p in cct_join(left, right, cond)}
+        nl = set(pair_keys(nl_join(left, right, cond)))
+        cj = set(pair_keys(cjoin(left, right, cond)))
+        ccj = set(pair_keys(cct_join(left, right, cond)))
         assert cj == nl
         assert ccj <= cj
         if ccj < cj:
@@ -171,15 +171,15 @@ def test_criterion_05_comparison_dominance():
     left, right = side(0), side(1000)
     cond = MatchCondition(Metric.COSINE, 0.99)
 
-    counters = {name: ComparisonCounter() for name in ("nl", "cjoin", "cct")}
+    counters = {name: StageStats(name) for name in ("nl", "cjoin", "cct")}
     nl_pairs = nl_join(left, right, cond, counter=counters["nl"])
     cj_pairs = cjoin(left, right, cond, counter=counters["cjoin"])
     ccj_pairs = cct_join(left, right, cond, counter=counters["cct"])
-    assert len(nl_pairs) == len(cj_pairs) == len(ccj_pairs) == groups * groups
+    assert len(nl_pairs[0]) == len(cj_pairs[0]) == len(ccj_pairs[0]) == groups * groups
 
-    nl_count = counters["nl"].count
-    cj_count = counters["cjoin"].count
-    cct_count = counters["cct"].count
+    nl_count = counters["nl"].smatch_comparisons
+    cj_count = counters["cjoin"].smatch_comparisons
+    cct_count = counters["cct"].smatch_comparisons
     assert nl_count == groups * groups * elems * elems
     assert cj_count == groups * groups  # one comparison per group pair
     assert cj_count <= nl_count / 100
@@ -212,7 +212,7 @@ def test_criterion_06_scalability_linearity():
     """Doubling the trace doubles per-stage input counts; time stays near-linear."""
     single = _scalability_trace()
     double = concat_traces(single, single, oid_offset=100)
-    assert len(double.rows) == 2 * len(single.rows)
+    assert len(double) == 2 * len(single)
 
     for text in (Q1_TEXT, Q2_TEXT, Q4_TEXT):
         p = plan(parse(text), ONE)
@@ -241,16 +241,16 @@ def test_criterion_07_cct_golden():
         1: {"fid": list(range(1, 12))},
         2: {"fid": [2, 13]},
     })
-    both = cct(ar, CctOption.BOTH)
-    assert both.rows[0].column("fid") == (1, 11)
-    assert both.rows[1].column("fid") == (2, 13)
-    first = cct(ar, CctOption.FIRST)
-    assert first.rows[0].column("fid") == (1,)
-    assert first.rows[1].column("fid") == (2, 13)
+    both = group_values(cct(ar, CctOption.BOTH), "fid")
+    assert both[1] == (1, 11)
+    assert both[2] == (2, 13)
+    first = group_values(cct(ar, CctOption.FIRST), "fid")
+    assert first[1] == (1,)
+    assert first[2] == (2, 13)
     # brute-force oracle agreement on the same input
-    for row in ar.rows:
-        runs = split_runs_oracle(row.column("fid"))
-        assert len(runs) == (1 if row.key == 1 else 2)
+    for key, fids in group_values(ar, "fid").items():
+        runs = split_runs_oracle(fids)
+        assert len(runs) == (1 if key == 1 else 2)
     ok(7, "fids 1..11 -> both {1,11}, first {1}; fids {2,13} unchanged")
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import trace_relation
 from vaquery import querylang
 from vaquery.cli import _engine_config, build_parser, main
-from vaquery.ingest import ObjectSpec, SynthSpec, generate, write_trace
+from vaquery.ingest import ObjectSpec, SynthSpec, generate, read_trace, write_trace
 
 Q2 = ('SELECT count(*) FROM (SELECT AR1.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
       'WHERE (R1.label = "person"))')
@@ -402,6 +402,9 @@ def test_benchmark_tracer_finds_the_engine_operators(tmp_path, trace_file):
             "operators.aggregate"} <= {span["name"] for span in spans}
     assert {"windows.add", "windows.close"} <= {name for span in spans
                                                 for name in span["leaves"]}
+    # the tracer counts the rows read_trace returns with len(rel.rows)
+    assert [span["items"] for span in spans if span["name"] == "ingest.read_trace"] \
+        == [len(read_trace(trace_file))] == [90]
 
 
 # Each case: argv and the files it reads, written to tmp_path. "{tmp}" and
@@ -431,6 +434,7 @@ def _run(*extra, **files):
 
 
 PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
+DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
 
 
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
@@ -511,6 +515,15 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
      "direction"),
     (_eval("pairs", '{"window": 0, "a": 1}', PAIR_GT), 3, "FORMAT_MISMATCH", "two result"),
     (_spec({"bb": [1e308, 0, 1, 1], "velocity": [1e308, 0]}), 3, "NON_FINITE_VALUE", "inf"),
+    ((GEN, {"spec.json": DEEP_JSON}), 3, "SPEC_ERROR", "nests too deeply"),
+    ((BENCH, {"bench.json": DEEP_JSON}), 3, "CONFIG_ERROR", "bench.json"),
+    (_eval("count", '{"window": 0, "count": 1}', DEEP_JSON), 3, "FORMAT_MISMATCH", "gt.json"),
+    (_eval("count", DEEP_JSON, "[1]"), 3, "FORMAT_MISMATCH", "r.jsonl line 1"),
+    ((RUN[:-1] + ["{tmp}/t.jsonl"], {"q.vaq": Q2, "t.jsonl": DEEP_JSON}), 3, "PARSE_ERROR",
+     "(line 1)"),
+    (_run("--rate", "1e-300"), 3, "CONFIG_ERROR", "too small"),
+    (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"rates": {"R1": 1e-300}}'}), 3,
+     "CONFIG_ERROR", "too small"),
 ], ids=["spec-noise", "spec-velocity", "spec-bb", "spec-fv-dim-negative", "spec-fv-dim-zero",
         "spec-fv-empty", "spec-label", "spec-fps-nan", "spec-fv-dim-huge", "spec-frames-huge",
         "spec-not-utf8", "gen-out-missing-dir",
@@ -528,7 +541,8 @@ PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
         "spec-interval-fraction", "spec-noise-bool", "spec-fv-string", "spec-intervals-number",
         "eval-universe-string", "eval-universe-object", "eval-positive-string",
         "eval-direction-number", "eval-direction-null", "eval-pairs-one-column",
-        "spec-box-overflow"])
+        "spec-box-overflow", "spec-deep", "bench-deep", "eval-gt-deep", "eval-results-deep",
+        "run-trace-deep", "rate-tiny", "config-rates-tiny"])
 def test_every_subcommand_exits_with_a_code(tmp_path, trace_file, capsys, case, code, error,
                                             names):
     argv, files = case

@@ -1,15 +1,18 @@
 import json
+import threading
 import time
 
 import pytest
 
+from conftest import pair_keys, relation_of
 from oracles import select_oracle
 from vaquery import engine
-from vaquery.engine import EngineConfig, Pipeline, instantiate, row_to_json, write_results
+from vaquery.engine import (EngineConfig, Pipeline, StageStats, instantiate, row_to_json,
+                            write_results)
 from vaquery.errors import ConfigError, SchemaMismatch
 from vaquery.ingest import ObjectSpec, SynthSpec, generate
-from vaquery.model import BoundingBox, FeatureVector, Relation, TRACE_SCHEMA
-from vaquery.operators import (CctOption, ComparisonCounter, Direction8, ScalarPairPredicate,
+from vaquery.model import TRACE_SCHEMA
+from vaquery.operators import (CctOption, Direction8, ScalarPairPredicate,
                                cct, cjoin, hash_equi_join, nl_join, r2a)
 from vaquery.querylang import CctNode, parse, plan
 from vaquery.similarity import MatchCondition
@@ -59,6 +62,18 @@ def test_bad_feed_rates_are_config_errors():
         EngineConfig(default_rate=float("inf"))
     with pytest.raises(ConfigError):  # one source in two casings
         EngineConfig(rates={"R1": 1.0, "r1": 2.0})
+
+
+def test_the_smallest_feed_rate_makes_its_first_row_due_within_the_longest_sleep():
+    # built, never run: at this rate the first row falls due after ~292 years
+    bound = 1 / threading.TIMEOUT_MAX
+    assert EngineConfig(default_rate=bound).rate_for("R1") == bound
+    assert EngineConfig(rates={"R1": bound}).rate_for("r1") == bound
+    for past in (bound / 2, 1e-300, 5e-324):
+        with pytest.raises(ConfigError, match="too small"):
+            EngineConfig(default_rate=past)
+        with pytest.raises(ConfigError, match="too small"):
+            EngineConfig(rates={"R1": past})
 
 
 def test_single_window_count_result():
@@ -120,7 +135,7 @@ def test_probe_select_determinism_across_quanta():
 
 def test_join_determinism_across_configs():
     left, right = small_trace(1), small_trace(2)
-    empty = Relation.from_rows(TRACE_SCHEMA, ())
+    empty = relation_of([])
     p = plan(parse(Q3 + " WINDOW(TIME, 0.5, 0.5)"), TWO)
     for traces in ([left, right], [empty, right], [left, empty]):
         outputs = []
@@ -143,16 +158,16 @@ def test_not_over_a_differently_cased_column_matches_the_oracle():
     rows, st = instantiate(p).run([trace])
     tree = ("not", ("or", [("cmp", "fid", "<", 5),
                            ("probe", "fv", "cosine", "similarity_at_least", 0.9, e0)]))
-    records = list(trace.rows)
+    records = trace.row_dicts()
     kept, evaluations = select_oracle(
-        [{"fid": r["fid"], "fv": r["fv"].as_list()} for r in records], tree)
+        [{"fid": r["fid"], "fv": r["fv"]} for r in records], tree)
     assert rows == [{"window": 0, "fid": records[i]["fid"], "oid": records[i]["oid"]}
                     for i in kept]
     assert st.of_kind("select")[0].smatch_comparisons == evaluations > 0
 
 
 def test_empty_source_join_terminates_cleanly():
-    empty = Relation.from_rows(TRACE_SCHEMA, ())
+    empty = relation_of([])
     rows, st = instantiate(plan(parse(Q3), TWO)).run([small_trace(), empty])
     assert rows == []
     assert st.of_kind("join")[0].smatch_comparisons == 0
@@ -167,7 +182,7 @@ def test_counters_zero_before_any_input():
 def test_source_tuples_in_equals_trace_size():
     trace = small_trace()
     _, st = instantiate(plan(parse(Q2), ONE)).run([trace])
-    assert st.of_kind("source")[0].tuples_in == len(trace.rows)
+    assert st.of_kind("source")[0].tuples_in == len(trace)
 
 
 def test_cjoin_comparisons_bounded_by_regular_join():
@@ -365,21 +380,21 @@ def test_join_extra_from_query_text_matches_the_operator(monkeypatch, kind, join
 
     monkeypatch.setattr(engine, join.__name__, recording)
     rows, st = instantiate(qplan).run([left, right])
-    counter = ComparisonCounter()
+    counter = StageStats("test")
     pairs = join(r2a(left, "oid", "fid"), r2a(right, "oid", "fid"), MatchCondition(th=0.9),
                  ("fv", "fv"), (predicate,), counter)
-    assert [p.key() for p in pairs] == [(1, 7)]  # (2, 8) matches only without the extra
-    assert made == [pairs]
-    assert rows == [{"window": 0, "AR1.oid": p.left_oid, "AR2.oid": p.right_oid,
-                     "score": p.score} for p in pairs]
-    assert st.of_kind("join")[0].smatch_comparisons == counter.count
+    assert pair_keys(pairs) == [(1, 7)]  # (2, 8) matches only without the extra
+    assert [[c.tolist() for c in m] for m in made] == [[c.tolist() for c in pairs]]
+    assert rows == [{"window": 0, "AR1.oid": lk, "AR2.oid": rk, "score": score}
+                    for lk, rk, score in zip(*(pairs[i].tolist() for i in (0, 1, 4)))]
+    assert st.of_kind("join")[0].smatch_comparisons == counter.smatch_comparisons
 
 
 @pytest.mark.parametrize("empty_side", [None, 0, 1])
 def test_equi_join_from_query_text_matches_the_operator(empty_side):
     traces = [small_trace(1), small_trace(2, persons=1)]
     if empty_side is not None:
-        traces[empty_side] = Relation.from_rows(TRACE_SCHEMA, ())
+        traces[empty_side] = relation_of([])
     text = "SELECT * FROM R1 JOIN R2 ON R1.oid = R2.oid"
     rows, _ = instantiate(plan(parse(text), TWO)).run(traces)
     expected = hash_equi_join(*traces, "oid", "oid", ("R1", "R2")).row_dicts()
@@ -409,9 +424,7 @@ def test_written_results_read_back_as_the_rows(tmp_path, text, sources):
     read = [json.loads(line) for line in path.read_text().splitlines()]
 
     def plain(value):
-        if isinstance(value, Direction8):
-            return value.value
-        return value.as_list() if isinstance(value, (BoundingBox, FeatureVector)) else value
+        return value.value if isinstance(value, Direction8) else value
 
     assert rows and read == [{k: plain(v) for k, v in row.items()} for row in rows]
     if "avg" in text:  # the windows between the two visits are empty

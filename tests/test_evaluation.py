@@ -10,11 +10,11 @@ from vaquery.evaluation import (AccuracyReport, BenchRow, ConfusionCounts,
                                 PairGroundTruth, accuracy, bench, bench_table,
                                 confusion_pairs, count_eval, direction_eval,
                                 load_count_gt, load_direction_gt)
-from vaquery.operators import Direction8, JoinPair
+from vaquery.operators import Direction8
 
 
 def pair(l, r):
-    return JoinPair(l, r, 0, 0, 1.0)
+    return (l, r)
 
 
 def test_accuracy_golden_robustness_values():

@@ -11,8 +11,9 @@ from vaquery.errors import (DimensionMismatch, GeneratorSpecError, OutOfOrderFra
                             VaqueryError)
 from vaquery.ingest import (CHUNK, ObjectSpec, SynthSpec, concat_traces, generate,
                             read_trace, write_trace)
-from vaquery.model import Relation, TRACE_SCHEMA, validate_tuple
+from vaquery.model import TRACE_SCHEMA, validate_tuple
 from vaquery.operators import CctOption, Direction8, cct, direction, r2a
+from conftest import group_values, relation_of
 from oracles import read_trace_oracle, split_runs_oracle
 
 
@@ -28,11 +29,11 @@ def test_read_jsonl_derives_ts_from_fps(tmp_path):
         {"fid": 2, "oid": 1, "label": "person", "bb": [11, 20.5, 30, 20], "fv": [0.1, 0.9]},
     ])
     rel = read_trace(path, fps=30.0)
-    assert len(rel.rows) == 1
-    row = rel.rows[0]
+    assert len(rel) == 1
+    row = rel.row_dicts()[0]
     assert row["ts"] == 2 / 30.0
-    assert row["bb"].y == 20.5
-    assert row["fv"].as_list() == [0.1, 0.9]
+    assert row["bb"][1] == 20.5
+    assert row["fv"] == [0.1, 0.9]
 
 
 def test_explicit_ts_overrides_fps(tmp_path):
@@ -40,7 +41,7 @@ def test_explicit_ts_overrides_fps(tmp_path):
     write_jsonl(path, [
         {"fid": 2, "oid": 1, "label": "person", "bb": [1, 1, 1, 1], "fv": [1], "ts": 77.5},
     ])
-    assert read_trace(path, fps=30.0).rows[0]["ts"] == 77.5
+    assert read_trace(path, fps=30.0).row_dicts()[0]["ts"] == 77.5
 
 
 def test_csv_and_jsonl_yield_the_same_stream(tmp_path):
@@ -55,7 +56,7 @@ def test_csv_and_jsonl_yield_the_same_stream(tmp_path):
         fh.write("2,1,person,,2,2,3,4,0.5,0.3\n")
     jrel = read_trace(jpath, fps=10.0)
     crel = read_trace(cpath, fps=10.0)
-    assert jrel.rows == crel.rows
+    assert jrel.row_dicts() == crel.row_dicts()
 
 
 def test_three_element_bb_is_a_parse_error(tmp_path):
@@ -101,7 +102,7 @@ def test_rows_sorted_by_oid_within_frame(tmp_path):
         {"fid": 1, "oid": 9, "label": "x", "bb": [1, 1, 1, 1], "fv": [1]},
         {"fid": 1, "oid": 2, "label": "x", "bb": [1, 1, 1, 1], "fv": [1]},
     ])
-    assert [r["oid"] for r in read_trace(path).rows] == [2, 9]
+    assert [r["oid"] for r in read_trace(path).row_dicts()] == [2, 9]
 
 
 @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
@@ -115,7 +116,7 @@ def test_write_read_roundtrip_full_precision(tmp_path, suffix):
     path = tmp_path / f"trace{suffix}"
     write_trace(rel, path)
     back = read_trace(path, fps=29.97)
-    assert back.rows == rel.rows
+    assert back.row_dicts() == rel.row_dicts()
 
 
 def test_concat_shifts_frames_and_oids():
@@ -124,9 +125,9 @@ def test_concat_shifts_frames_and_oids():
     b = generate(SynthSpec(frames=3, fps=10, objects=(
         ObjectSpec(0, "person", (5, 5, 1, 1), intervals=((0, 3),)),)), 2)
     out = concat_traces(a, b, oid_offset=1)
-    assert len(out.rows) == len(a.rows) + len(b.rows)
-    a_last = a.rows[-1]
-    b_first_shifted = out.rows[len(a.rows)]
+    assert len(out) == len(a) + len(b)
+    a_last = a.row_dicts()[-1]
+    b_first_shifted = out.row_dicts()[len(a)]
     assert b_first_shifted["fid"] == a_last["fid"] + 1
     assert b_first_shifted["oid"] == 1
     assert b_first_shifted["ts"] > a_last["ts"]
@@ -139,13 +140,13 @@ def test_concat_requires_clearing_oid_offset():
         ObjectSpec(0, "person", (0, 0, 1, 1), intervals=((0, 2),)),)), 1)
     with pytest.raises(SchemaMismatch):
         concat_traces(a, b, oid_offset=3)
-    assert len(concat_traces(a, b, oid_offset=4).rows) == 4
+    assert len(concat_traces(a, b, oid_offset=4)) == 4
 
 
 def test_concat_with_empty_is_identity():
     a = generate(SynthSpec(frames=2, fps=10, objects=(
         ObjectSpec(0, "person", (0, 0, 1, 1), intervals=((0, 2),)),)), 1)
-    empty = Relation.from_rows(TRACE_SCHEMA, ())
+    empty = relation_of([])
     assert concat_traces(a, empty, oid_offset=1) is a
     assert concat_traces(empty, a, oid_offset=0) is a
 
@@ -163,9 +164,9 @@ def test_generate_is_deterministic():
     spec = SynthSpec(frames=20, fps=30, objects=(
         ObjectSpec(1, "person", (0, 0, 2, 2), (1, 0), noise=0.05, intervals=((0, 20),)),))
     r1, r2 = generate(spec, 7), generate(spec, 7)
-    assert r1.rows == r2.rows
+    assert r1.row_dicts() == r2.row_dicts()
     r3 = generate(spec, 8)
-    assert r1.rows != r3.rows
+    assert r1.row_dicts() != r3.row_dicts()
 
 
 def test_generate_tuple_count_matches_intervals():
@@ -174,17 +175,17 @@ def test_generate_tuple_count_matches_intervals():
         ObjectSpec(2, "car", (9, 9, 2, 2), intervals=((5, 15),)),
     ))
     rel = generate(spec, 0)
-    assert len(rel.rows) == 10 + 10 + 10
+    assert len(rel) == 10 + 10 + 10
 
 
 def test_generate_gaps_become_disjoint_runs():
     spec = SynthSpec(frames=30, fps=30, objects=(
         ObjectSpec(1, "person", (0, 0, 1, 1), intervals=((0, 10), (20, 30))),))
     ar = r2a(generate(spec, 0), "oid", "fid")
-    fids = list(ar.rows[0].column("fid"))
+    fids = list(group_values(ar, "fid")[1])
     assert len(split_runs_oracle(fids)) == 2
     compressed = cct(ar, CctOption.FIRST)
-    assert len(compressed.rows[0]) == 2
+    assert compressed.counts[0] == 2
 
 
 def test_generate_moving_object_direction():
@@ -213,7 +214,7 @@ def test_synth_spec_rejects_overlapping_intervals():
     # touching half-open intervals do not overlap
     spec = SynthSpec(frames=100, objects=(
         ObjectSpec(4, "person", (0, 0, 1, 1), intervals=((12, 55), (55, 90))),))
-    assert len(generate(spec, 0).rows) == 78
+    assert len(generate(spec, 0)) == 78
 
 
 def test_synth_spec_from_json_roundtrip():
@@ -224,7 +225,7 @@ def test_synth_spec_from_json_roundtrip():
     })
     spec = SynthSpec.from_json(text)
     assert spec.frames == 12 and spec.objects[0].velocity == (1.0, 1.0)
-    assert len(generate(spec, 3).rows) == 12
+    assert len(generate(spec, 3)) == 12
 
 
 def test_synth_spec_bad_json():
@@ -286,8 +287,8 @@ def test_flip_y_converts_screen_coordinates(tmp_path):
         {"fid": 1, "oid": 1, "label": "x", "bb": [10, 20, 30, 40], "fv": [1]},
     ])
     rel = read_trace(path, flip_y=480.0)
-    bb = rel.rows[0]["bb"]
-    assert (bb.x, bb.y, bb.w, bb.h) == (10, 480 - 20 - 40, 30, 40)
+    bb = rel.row_dicts()[0]["bb"]
+    assert tuple(bb) == (10, 480 - 20 - 40, 30, 40)
 
 
 def test_flip_y_reverses_vertical_direction(tmp_path):
@@ -332,7 +333,7 @@ def test_null_ts_counts_as_absent(tmp_path):
     path = tmp_path / "t.jsonl"
     write_jsonl(path, [{"fid": 3, "oid": 1, "label": "x", "bb": [1, 1, 1, 1], "fv": [1],
                         "ts": None}])
-    assert read_trace(path, fps=8.0).rows[0]["ts"] == 3 / 8.0
+    assert read_trace(path, fps=8.0).row_dicts()[0]["ts"] == 3 / 8.0
 
 
 def test_feature_dimension_must_not_change(tmp_path):
@@ -388,7 +389,7 @@ def test_only_a_faulty_batch_calls_validate_tuple(tmp_path, monkeypatch, suffix)
         ObjectSpec(2, "car", (5, 5, 2, 2), intervals=((0, 65),))))
     path = tmp_path / f"t{suffix}"
     write_trace(generate(spec, 1), path)
-    assert len(read_trace(path).rows) == 130 and calls == []
+    assert len(read_trace(path)) == 130 and calls == []
     lines = path.read_text().splitlines()
     if suffix == ".csv":  # line 66 is the 65th row under the header
         fields = lines[65].split(",")
@@ -408,12 +409,11 @@ def test_rows_view_read_only_feature_blocks(tmp_path):
     path = tmp_path / "t.jsonl"
     write_jsonl(path, [{"fid": i, "oid": 1, "label": "x", "bb": [1, 1, 1, 1], "fv": [i, 1.5]}
                        for i in range(3)])
-    rows = read_trace(path).rows
-    values = [r["fv"].values for r in rows]
-    assert not any(v.flags.writeable for v in values)
-    assert values[0].base is values[2].base
-    assert rows[2]["fv"].as_list() == [2.0, 1.5]
-    assert all(type(v) is float for v in rows[2]["fv"].as_list())
+    rel = read_trace(path)
+    assert not rel.column("fv").flags.writeable
+    rows = rel.row_dicts()
+    assert rows[2]["fv"] == [2.0, 1.5]
+    assert all(type(v) is float for v in rows[2]["fv"])
 
 
 def test_generate_draws_the_same_noise_as_one_draw_per_frame():
@@ -425,10 +425,10 @@ def test_generate_draws_the_same_noise_as_one_draw_per_frame():
     bases = {o.oid: rng.uniform(0.1, 1.0, size=6) for o in spec.objects}
     expected = {(fid, o.oid): bases[o.oid] + rng.normal(0.0, o.noise, size=6)
                 for o in spec.objects for lo, hi in o.intervals for fid in range(lo, hi)}
-    rows = generate(spec, 11).rows
+    rows = generate(spec, 11).row_dicts()
     assert len(rows) == len(expected)
     for r in rows:
-        assert np.array_equal(r["fv"].values, expected[(r["fid"], r["oid"])])
+        assert np.array_equal(r["fv"], expected[(r["fid"], r["oid"])])
 
 
 # --- differential test against the tuple-at-a-time reader -------------------
@@ -512,8 +512,8 @@ def _outcome(read, path, flip_y):
         rel = read(path, fps=8.0, flip_y=flip_y)
     except VaqueryError as exc:
         return ("error", type(exc), exc.code, str(exc), getattr(exc, "line", None))
-    return ("rows", [repr((r["fid"], r["oid"], r["label"], r["bb"].as_list(),
-                           r["fv"].as_list(), r["ts"])) for r in rel.rows])
+    return ("rows", [repr((r["fid"], r["oid"], r["label"], r["bb"], r["fv"], r["ts"]))
+                     for r in rel.row_dicts()])
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,16 +1,21 @@
 import pytest
 
-from conftest import make_tuple, trace_relation
+from conftest import group_values, trace_relation
 from vaquery.errors import (DimensionMismatch, IllegalColumnKind, TupleValidationError,
                             UnknownColumn)
-from vaquery.model import (Arrable, ArrableRow, ColumnKind, FeatureVector,
-                           OPERATOR_LEGALITY, TRACE_SCHEMA, kind_check,
-                           validate_tuple)
+from vaquery.model import ColumnKind, OPERATOR_LEGALITY, TRACE_SCHEMA, kind_check, validate_tuple
 from vaquery.operators import r2a
 
 
+def make_record(fid=0, oid=0, label="person", bb=(10.0, 20.0, 30.0, 20.0),
+                fv=(1.0, 0.0, 0.0, 0.0), ts=None, fps=30.0) -> tuple:
+    """A decoded detection record, as ``validate_tuple`` takes it."""
+    return (fid, oid, label, [float(v) for v in bb], [float(v) for v in fv],
+            ts if ts is not None else fid / fps)
+
+
 def test_validate_tuple_well_formed():
-    validate_tuple(make_tuple(bb=(10, 20, 30, 20), fv=(1, 2, 3, 4)))
+    validate_tuple(make_record(bb=(10, 20, 30, 20), fv=(1, 2, 3, 4)))
 
 
 def test_a_column_of_mixed_feature_dimensions_is_refused():
@@ -21,22 +26,22 @@ def test_a_column_of_mixed_feature_dimensions_is_refused():
 
 def test_validate_tuple_negative_width():
     with pytest.raises(TupleValidationError) as exc:
-        validate_tuple(make_tuple(bb=(10, 20, -1, 20)))
+        validate_tuple(make_record(bb=(10, 20, -1, 20)))
     assert exc.value.code == "NEGATIVE_DIMENSION"
 
 
 def test_validate_tuple_empty_feature_vector():
     with pytest.raises(TupleValidationError) as exc:
-        validate_tuple(make_tuple(fv=()))
+        validate_tuple(make_record(fv=()))
     assert exc.value.code == "EMPTY_FEATURE_VECTOR"
 
 
 def test_validate_tuple_non_finite():
     with pytest.raises(TupleValidationError) as exc:
-        validate_tuple(make_tuple(bb=(float("nan"), 0, 1, 1)))
+        validate_tuple(make_record(bb=(float("nan"), 0, 1, 1)))
     assert exc.value.code == "NON_FINITE_VALUE"
     with pytest.raises(TupleValidationError):
-        validate_tuple(make_tuple(fv=(1.0, float("inf"))))
+        validate_tuple(make_record(fv=(1.0, float("inf"))))
 
 
 def test_kind_check_smatch_on_feature_vector_ok():
@@ -81,43 +86,20 @@ def test_schema_resolution_is_case_insensitive():
     assert TRACE_SCHEMA.kind_of("Bb") is ColumnKind.BBOX_VECTOR
 
 
-def test_feature_vector_immutable_and_comparable():
-    v = FeatureVector([1.0, 2.0])
-    assert v.dim == 2
-    assert v == FeatureVector([1.0, 2.0])
-    assert v != FeatureVector([1.0, 2.0, 3.0])
-    with pytest.raises(AttributeError):
-        v.values = None
-    with pytest.raises(ValueError):
-        v.values[0] = 9.0  # numpy read-only array
-
-
-def test_arrable_row_vector_lengths_must_match():
-    with pytest.raises(ValueError):
-        ArrableRow(1, {"fid": (1, 2), "ts": (0.1,)})
-
-
-def test_arrable_rejects_duplicate_keys():
-    row = ArrableRow(1, {"fid": (1,)})
-    with pytest.raises(ValueError):
-        Arrable.from_rows("oid", TRACE_SCHEMA, (row, ArrableRow(1, {"fid": (2,)})))
-
-
 def test_relation_to_arrable_flatten_is_permutation(two_person_trace):
     ar = r2a(two_person_trace, "oid", "ts")
     flattened = ar.flatten()
-    assert len(flattened) == len(two_person_trace.rows)
+    assert len(flattened) == len(two_person_trace)
     key = lambda r: (r["ts"], r["fid"], r["oid"])
-    assert sorted(flattened, key=key) == sorted(
-        [dict(r) for r in two_person_trace.rows], key=key)
+    assert sorted(flattened, key=key) == sorted(two_person_trace.row_dicts(), key=key)
 
 
 def test_arrable_vectors_ordered_by_aoa(two_person_trace):
     ar = r2a(two_person_trace, "oid", "ts")
-    for row in ar.rows:
-        tss = row.column("ts")
+    columns = {n: group_values(ar, n) for n in ("fid", "label", "bb", "fv", "ts")}
+    for key, tss in columns["ts"].items():
         assert all(a <= b for a, b in zip(tss, tss[1:]))
-        lengths = {len(v) for v in row.values.values()}
+        lengths = {len(values[key]) for values in columns.values()}
         assert len(lengths) == 1
 
 
@@ -138,4 +120,4 @@ def test_permutation_roundtrip_on_random_traces():
         rel = trace_relation(records)
         ar = r2a(rel, "oid", "fid")
         key = lambda r: (r["fid"], r["oid"])
-        assert sorted(ar.flatten(), key=key) == sorted([dict(r) for r in rel.rows], key=key)
+        assert sorted(ar.flatten(), key=key) == sorted(rel.row_dicts(), key=key)

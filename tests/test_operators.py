@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import arrable_of, make_tuple, trace_relation
+from conftest import arrable_of, group_values, pair_keys, relation_of, trace_relation
 from oracles import (cct_oracle, confusion_oracle, first_witness_oracle,
                      join_pairs_oracle, score_oracle, select_oracle, split_runs_oracle)
 from vaquery.errors import EmptyRow, IllegalColumnKind, SchemaMismatch, UnknownColumn, ZeroVector
-from vaquery.model import BoundingBox, FeatureVector, Relation, TRACE_SCHEMA
+from vaquery.engine import StageStats
+from vaquery.model import Relation
 from vaquery.operators import (And, BBoxTest, BBPattern, CctOption, Comparison,
-                               ComparisonCounter, Direction8, Not, Or, ScalarPairPredicate,
+                               Direction8, Not, Or, ScalarPairPredicate,
                                SMatchProbe, aggregate, cct, cct_join, cjoin,
                                count_star, direction, element_count,
                                group_count, hash_equi_join, nl_join, project,
@@ -31,9 +32,9 @@ def test_r2a_groups_and_orders():
         (2, 2, "person", (0, 0, 1, 1), (0, 1)),
     ])
     ar = r2a(rel, "oid", "fid")
-    by_key = {row.key: row for row in ar.rows}
-    assert by_key[1].column("fid") == (1, 2)
-    assert by_key[2].column("fid") == (2,)
+    by_key = group_values(ar, "fid")
+    assert by_key[1] == (1, 2)
+    assert by_key[2] == (2,)
 
 
 def test_r2a_fig_shape_group_on_oid_order_on_ts():
@@ -41,14 +42,14 @@ def test_r2a_fig_shape_group_on_oid_order_on_ts():
     records = [(f, 1, "person", (0, 0, 1, 1), (1, 0)) for f in range(1, 6)]
     records.append((2, 2, "person", (5, 5, 1, 1), (0, 1)))
     ar = r2a(trace_relation(records), "oid", "ts")
-    assert [row.key for row in ar.rows] == [1, 2]
-    assert ar.rows[0].column("fid") == (1, 2, 3, 4, 5)
-    assert ar.rows[1].column("fid") == (2,)
+    assert ar.keys.tolist() == [1, 2]
+    assert group_values(ar, "fid")[1] == (1, 2, 3, 4, 5)
+    assert group_values(ar, "fid")[2] == (2,)
 
 
 def test_r2a_empty_relation():
-    ar = r2a(Relation.from_rows(TRACE_SCHEMA, ()), "oid", "fid")
-    assert len(ar.rows) == 0
+    ar = r2a(relation_of([]), "oid", "fid")
+    assert len(ar) == 0
     assert group_count(ar) == 0
 
 
@@ -67,8 +68,8 @@ def test_split_runs_matches_oracle():
     for fids in [(1, 2, 3), (2, 13), (1,), (1, 2, 5, 6, 7, 20), ()]:
         ar = arrable_of({1: {"fid": list(fids)}})
         runs = split_runs_oracle(fids)
-        assert cct(ar, CctOption.FIRST).rows[0].column("fid") == tuple(fids[r[0]] for r in runs)
-        assert cct(ar, CctOption.LAST).rows[0].column("fid") == tuple(fids[r[-1]] for r in runs)
+        assert group_values(cct(ar, CctOption.FIRST), "fid")[1] == tuple(fids[r[0]] for r in runs)
+        assert group_values(cct(ar, CctOption.LAST), "fid")[1] == tuple(fids[r[-1]] for r in runs)
 
 
 def test_cct_appendix_example_both():
@@ -78,12 +79,13 @@ def test_cct_appendix_example_both():
         2: {"fid": [2, 13], "ts": [2.0, 13.0]},
     })
     out = cct(ar, CctOption.BOTH)
-    assert out.rows[0].column("fid") == (1, 11)
-    assert out.rows[1].column("fid") == (2, 13)
+    assert group_values(out, "fid")[1] == (1, 11)
+    assert group_values(out, "fid")[2] == (2, 13)
     # oracle agreement
-    for row, original in zip(out.rows, ar.rows):
-        keep = cct_oracle(original.column("fid"), "both")
-        assert row.column("fid") == tuple(original.column("fid")[i] for i in keep)
+    for fids, original in zip(group_values(out, "fid").values(),
+                              group_values(ar, "fid").values()):
+        keep = cct_oracle(original, "both")
+        assert fids == tuple(original[i] for i in keep)
 
 
 def test_cct_appendix_example_first():
@@ -92,30 +94,30 @@ def test_cct_appendix_example_first():
         2: {"fid": [2, 13]},
     })
     out = cct(ar, CctOption.FIRST)
-    assert out.rows[0].column("fid") == (1,)
-    assert out.rows[1].column("fid") == (2, 13)
+    assert group_values(out, "fid")[1] == (1,)
+    assert group_values(out, "fid")[2] == (2, 13)
 
 
 def test_cct_last():
     ar = arrable_of({1: {"fid": [1, 2, 3, 9, 10]}})
-    assert cct(ar, CctOption.LAST).rows[0].column("fid") == (3, 10)
+    assert group_values(cct(ar, CctOption.LAST), "fid")[1] == (3, 10)
 
 
 def test_cct_singleton_run_unchanged():
     ar = arrable_of({1: {"fid": [5], "ts": [5.0]}})
     for option in CctOption:
-        assert cct(ar, option).rows[0].column("fid") == (5,)
+        assert group_values(cct(ar, option), "fid")[1] == (5,)
 
 
 def test_cct_both_does_not_duplicate_singletons():
     ar = arrable_of({2: {"fid": [2, 13]}})
-    assert cct(ar, CctOption.BOTH).rows[0].column("fid") == (2, 13)
+    assert group_values(cct(ar, CctOption.BOTH), "fid")[2] == (2, 13)
 
 
 def test_cct_gap_threshold():
     ar = arrable_of({1: {"fid": [1, 3, 5, 10]}})
-    assert cct(ar, CctOption.FIRST, gap_threshold=2).rows[0].column("fid") == (1, 10)
-    assert cct(ar, CctOption.FIRST, gap_threshold=1).rows[0].column("fid") == (1, 3, 5, 10)
+    assert group_values(cct(ar, CctOption.FIRST, gap_threshold=2), "fid")[1] == (1, 10)
+    assert group_values(cct(ar, CctOption.FIRST, gap_threshold=1), "fid")[1] == (1, 3, 5, 10)
 
 
 def test_cct_idempotent():
@@ -126,7 +128,7 @@ def test_cct_idempotent():
         for option in CctOption:
             once = cct(ar, option)
             twice = cct(once, option)
-            assert twice.rows[0].column("fid") == once.rows[0].column("fid")
+            assert group_values(twice, "fid") == group_values(once, "fid")
 
 
 def test_cct_never_grows_and_first_keeps_one_per_run():
@@ -135,9 +137,9 @@ def test_cct_never_grows_and_first_keeps_one_per_run():
         fids = sorted(rng.sample(range(60), rng.randint(1, 20)))
         ar = arrable_of({1: {"fid": fids}})
         runs = split_runs_oracle(fids)
-        assert len(cct(ar, CctOption.FIRST).rows[0]) == len(runs)
+        assert cct(ar, CctOption.FIRST).counts.tolist() == [len(runs)]
         for option in CctOption:
-            assert len(cct(ar, option).rows[0]) <= len(fids)
+            assert cct(ar, option).counts[0] <= len(fids)
 
 
 def test_cct_requires_fid_column():
@@ -150,8 +152,8 @@ def test_cct_requires_fid_column():
 
 def test_select_label_on_relation(two_person_trace):
     out = select(two_person_trace, Comparison("label", "=", "person"))
-    assert all(r["label"] == "person" for r in out.rows)
-    assert len(out.rows) == 4
+    assert all(r["label"] == "person" for r in out.row_dicts())
+    assert len(out) == 4
 
 
 def test_select_bb_pattern_range():
@@ -161,14 +163,14 @@ def test_select_bb_pattern_range():
         (1, 2, "person", (500, 20, 30, 20), (1, 0)),
     ])
     out = select(rel, BBoxTest("bb", pattern))
-    assert [r["oid"] for r in out.rows] == [1]
+    assert [r["oid"] for r in out.row_dicts()] == [1]
 
 
 def test_bb_pattern_exact_and_wildcard():
     p = BBPattern(x=10.0, y=None, w=(25, 35), h=None)
-    assert p.matches(BoundingBox(10, 99, 30, 7))
-    assert not p.matches(BoundingBox(11, 99, 30, 7))
-    assert not p.matches(BoundingBox(10, 99, 36, 7))
+    assert p.mask(np.array([[10.0, 99.0, 30.0, 7.0]]))[0]
+    assert not p.mask(np.array([[11.0, 99.0, 30.0, 7.0]]))[0]
+    assert not p.mask(np.array([[10.0, 99.0, 36.0, 7.0]]))[0]
 
 
 def test_bb_pattern_bad_range():
@@ -177,12 +179,12 @@ def test_bb_pattern_bad_range():
 
 
 def test_select_smatch_probe_retains_similar(two_person_trace):
-    probe = FeatureVector([1.0, 0.0, 0.0, 0.0])
-    counter = ComparisonCounter()
+    probe = (1.0, 0.0, 0.0, 0.0)
+    counter = StageStats("test")
     out = select(two_person_trace, SMatchProbe("fv", probe, MatchCondition(Metric.COSINE, 0.85)),
                  counter)
-    assert sorted({r["oid"] for r in out.rows}) == [1]
-    assert counter.count == len(two_person_trace.rows)
+    assert sorted({r["oid"] for r in out.row_dicts()}) == [1]
+    assert counter.smatch_comparisons == len(two_person_trace)
 
 
 def test_select_elementwise_on_arrable_drops_empty_rows():
@@ -191,8 +193,8 @@ def test_select_elementwise_on_arrable_drops_empty_rows():
         2: {"fid": [2], "label": ["car"]},
     })
     out = select(ar, Comparison("label", "=", "person"))
-    assert [row.key for row in out.rows] == [1]
-    assert out.rows[0].column("fid") == (1, 2)
+    assert out.keys.tolist() == [1]
+    assert group_values(out, "fid")[1] == (1, 2)
 
 
 def test_select_kind_violation_raised_before_filtering(two_person_trace):
@@ -206,8 +208,8 @@ def test_ordered_comparison_with_a_non_numeric_literal_rejected(two_person_trace
     for op in ("<", "<=", ">", ">="):
         with pytest.raises(SchemaMismatch):
             select(two_person_trace, Comparison("oid", op, "abc"))
-    assert select(two_person_trace, Comparison("oid", "=", "x")).rows == ()
-    assert len(select(two_person_trace, Comparison("oid", "!=", "x")).rows) == 5
+    assert select(two_person_trace, Comparison("oid", "=", "x")).row_dicts() == []
+    assert len(select(two_person_trace, Comparison("oid", "!=", "x"))) == 5
 
 
 def test_zero_vector_in_a_decided_element_is_never_scored():
@@ -215,37 +217,36 @@ def test_zero_vector_in_a_decided_element_is_never_scored():
         (1, 1, "car", (0, 0, 1, 1), (0.0, 0.0, 0.0, 0.0)),
         (1, 2, "person", (0, 0, 1, 1), (1.0, 0.0, 0.0, 0.0)),
     ])
-    probe = SMatchProbe("fv", FeatureVector([1.0, 0.0, 0.0, 0.0]), COS)
+    probe = SMatchProbe("fv", (1.0, 0.0, 0.0, 0.0), COS)
     for pred, kept in ((And((Comparison("label", "=", "person"), probe)), [2]),
                        (Or((Comparison("label", "=", "car"), probe)), [1, 2]),
                        (Not(Or((Comparison("oid", "=", 1), probe))), [])):
-        counter = ComparisonCounter()
-        assert [r["oid"] for r in select(rel, pred, counter).rows] == kept
-        assert counter.count == 1
+        counter = StageStats("test")
+        assert [r["oid"] for r in select(rel, pred, counter).row_dicts()] == kept
+        assert counter.smatch_comparisons == 1
     with pytest.raises(ZeroVector):
         select(rel, Or((Comparison("label", "=", "person"), probe)))
 
 
 def test_replacing_a_probe_normalizes_it_again():
-    probe = SMatchProbe("fv", FeatureVector([1.0, 0.0, 0.0, 0.0]), COS)
-    moved = replace(probe, column="FV", probe=FeatureVector([0.0, 3.0, 0.0, 4.0]))
+    probe = SMatchProbe("fv", (1.0, 0.0, 0.0, 0.0), COS)
+    moved = replace(probe, column="FV", probe=(0.0, 3.0, 0.0, 4.0))
     assert moved.unit_probe.tolist() == [[0.0, 0.6, 0.0, 0.8]]
     assert replace(probe, column="FV").unit_probe.tolist() == [[1.0, 0.0, 0.0, 0.0]]
     with pytest.raises(ZeroVector):
-        replace(probe, probe=FeatureVector([0.0, 0.0, 0.0, 0.0]))
+        replace(probe, probe=(0.0, 0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("cond", [MatchCondition(Metric.COSINE, 1.0),
                                   MatchCondition(Metric.EUCLIDEAN, 0.0)])
 def test_probe_keeps_its_equal_row_at_the_exact_threshold_in_a_large_window(cond):
     vecs = np.random.default_rng(7).normal(size=(2000, 128))
-    rel = Relation.from_rows(TRACE_SCHEMA, tuple(
-        {"fid": i, "oid": i, "label": "person", "bb": BoundingBox(0, 0, 1, 1),
-         "fv": FeatureVector(v), "ts": i / 30} for i, v in enumerate(vecs)))
-    counter = ComparisonCounter()
-    out = select(rel, SMatchProbe("fv", FeatureVector(vecs[1234]), cond), counter)
-    assert [r["oid"] for r in out.rows] == [1234]
-    assert counter.count == 2000
+    rel = relation_of({"fid": i, "oid": i, "label": "person", "bb": (0, 0, 1, 1),
+                       "fv": v, "ts": i / 30} for i, v in enumerate(vecs))
+    counter = StageStats("test")
+    out = select(rel, SMatchProbe("fv", tuple(vecs[1234]), cond), counter)
+    assert [r["oid"] for r in out.row_dicts()] == [1234]
+    assert counter.smatch_comparisons == 2000
 
 
 # --- select against the per-element oracle ---------------------------------------
@@ -295,7 +296,7 @@ def _predicate(tree):
     if kind == "bb":
         return BBoxTest(tree[1], BBPattern(*tree[2]))
     _, column, metric, polarity, th, probe = tree
-    return SMatchProbe(column, FeatureVector(probe),
+    return SMatchProbe(column, probe,
                        MatchCondition(Metric(metric), th, MatchPolarity(polarity)))
 
 
@@ -308,10 +309,7 @@ def _probes(tree):
 
 
 def _plain(rec: dict) -> dict:
-    out = dict(rec)
-    out["bb"] = tuple(rec["bb"].as_list())
-    out["fv"] = rec["fv"].as_list()
-    return out
+    return dict(rec, bb=tuple(rec["bb"]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -321,30 +319,29 @@ def test_select_matches_per_element_oracle(elements, tree):
     assume(all(abs(score_oracle(p[2], el["fv"], p[5]) - p[4]) > 1e-9
                for p in _probes(tree) for el in elements))
     pred = _predicate(tree)
-    rel = Relation.from_rows(TRACE_SCHEMA, tuple(
-        dict(e, bb=BoundingBox(*e["bb"]), fv=FeatureVector(e["fv"])) for e in elements))
+    rel = relation_of(elements)
     groups = {}
     for e in elements:
         g = groups.setdefault(e["oid"], {c: [] for c in ("fid", "label", "bb", "fv", "ts")})
         for c in g:
             g[c].append(e[c])
     ar = arrable_of(groups)
-    empty = Relation.from_rows(TRACE_SCHEMA, ())
-    for data, records in ((rel, list(rel.rows)), (ar, ar.flatten()), (empty, []),
+    empty = relation_of([])
+    for data, records in ((rel, rel.row_dicts()), (ar, ar.flatten()), (empty, []),
                           (arrable_of({}), [])):
         kept, evaluations = select_oracle([_plain(r) for r in records], tree)
-        counter = ComparisonCounter()
+        counter = StageStats("test")
         out = select(data, pred, counter)
-        got = list(out.rows) if isinstance(out, Relation) else out.flatten()
+        got = out.row_dicts() if isinstance(out, Relation) else out.flatten()
         assert got == [records[i] for i in kept]
-        assert counter.count == evaluations
+        assert counter.smatch_comparisons == evaluations
 
 
 def test_project_subset_and_identity(two_person_trace):
     out = project(two_person_trace, ["oid"])
-    assert [set(r) for r in out.rows] == [{"oid"}] * len(two_person_trace.rows)
+    assert [set(r) for r in out.row_dicts()] == [{"oid"}] * len(two_person_trace)
     same = project(two_person_trace, list(two_person_trace.schema.names()))
-    assert same.rows == two_person_trace.rows
+    assert same.row_dicts() == two_person_trace.row_dicts()
 
 
 def test_project_unknown_column(two_person_trace):
@@ -364,15 +361,15 @@ def test_nl_join_self_diagonal():
     groups = {i: [e[i]] * 3 for i in range(4)}
     ar = _arrables_from_vec_groups(groups)
     pairs = nl_join(ar, ar, COS)
-    assert {p.key() for p in pairs} == {(i, i) for i in range(4)}
+    assert set(pair_keys(pairs)) == {(i, i) for i in range(4)}
     expected = join_pairs_oracle(groups, groups, "cosine", "similarity_at_least", 0.9)
-    assert {p.key() for p in pairs} == expected
+    assert set(pair_keys(pairs)) == expected
 
 
 def test_nl_join_orthogonal_empty():
     left = _arrables_from_vec_groups({1: [(1, 0)]})
     right = _arrables_from_vec_groups({9: [(0, 1)]})
-    assert nl_join(left, right, MatchCondition(Metric.COSINE, 0.5)) == []
+    assert pair_keys(nl_join(left, right, MatchCondition(Metric.COSINE, 0.5))) == []
 
 
 def test_nl_join_witness_is_first_match():
@@ -380,30 +377,30 @@ def test_nl_join_witness_is_first_match():
     a, b, c = (1, 0, 0), (0, 1, 0), (0, 1, 0.01)
     left = _arrables_from_vec_groups({1: [a, b]})
     right = _arrables_from_vec_groups({2: [c]})
-    pairs = nl_join(left, right, COS)
-    assert len(pairs) == 1
+    _, _, left_witness, right_witness, _ = nl_join(left, right, COS)
+    assert len(left_witness) == 1
     expected = first_witness_oracle([a, b], [c], "cosine", "similarity_at_least", 0.9)
-    assert (pairs[0].left_witness, pairs[0].right_witness) == expected == (1, 0)
+    assert (left_witness[0], right_witness[0]) == expected == (1, 0)
 
 
 def test_nl_join_counts_every_pair():
     left = _arrables_from_vec_groups({1: [(1, 0)] * 4, 2: [(0, 1)] * 5})
     right = _arrables_from_vec_groups({3: [(1, 0)] * 6})
-    counter = ComparisonCounter()
+    counter = StageStats("test")
     nl_join(left, right, COS, counter=counter)
-    assert counter.count == 4 * 6 + 5 * 6
+    assert counter.smatch_comparisons == 4 * 6 + 5 * 6
 
 
 def test_cjoin_short_circuits_comparisons():
     v = (0.5, 0.5)
     left = _arrables_from_vec_groups({1: [v] * 100})
     right = _arrables_from_vec_groups({2: [v] * 100})
-    nl_counter, c_counter = ComparisonCounter(), ComparisonCounter()
+    nl_counter, c_counter = StageStats("test"), StageStats("test")
     nl_pairs = nl_join(left, right, COS, counter=nl_counter)
     c_pairs = cjoin(left, right, COS, counter=c_counter)
-    assert {p.key() for p in nl_pairs} == {p.key() for p in c_pairs} == {(1, 2)}
-    assert nl_counter.count == 10_000
-    assert c_counter.count == 1
+    assert set(pair_keys(nl_pairs)) == set(pair_keys(c_pairs)) == {(1, 2)}
+    assert nl_counter.smatch_comparisons == 10_000
+    assert c_counter.smatch_comparisons == 1
 
 
 def test_cjoin_pair_set_equals_nl_join_randomized():
@@ -433,11 +430,11 @@ def test_cjoin_pair_set_equals_nl_join_randomized():
         left, right = (arrable_of({k: {"fid": list(range(len(vs))), "fv": vs, "ts": ts[k],
                                        "label": lab[k]} for k, vs in g.items()})
                        for g, ts, lab in ((lg, lts, llab), (rg, rts, rlab)))
-        nl_counter, c_counter = ComparisonCounter(), ComparisonCounter()
+        nl_counter, c_counter = StageStats("test"), StageStats("test")
         nl_pairs = nl_join(left, right, cond, extra=extra, counter=nl_counter)
         cj_pairs = cjoin(left, right, cond, extra=extra, counter=c_counter)
-        nl = {p.key() for p in nl_pairs}
-        assert nl == {p.key() for p in cj_pairs}
+        nl = set(pair_keys(nl_pairs))
+        assert nl == set(pair_keys(cj_pairs))
         oracle = join_pairs_oracle(lg, rg, metric.value, cond.polarity.value, th,
                                    oracle_extras)
         assert nl == oracle
@@ -454,8 +451,9 @@ def test_cjoin_pair_set_equals_nl_join_randomized():
                 if w is not None:
                     witnesses[(lk, rk)] = w
         for pairs in (nl_pairs, cj_pairs):
-            assert {p.key(): (p.left_witness, p.right_witness) for p in pairs} == witnesses
-        assert (nl_counter.count, c_counter.count) == (expected_nl, expected_cj)
+            assert dict(zip(pair_keys(pairs), zip(pairs[2].tolist(), pairs[3].tolist()))) \
+                == witnesses
+        assert (nl_counter.smatch_comparisons, c_counter.smatch_comparisons) == (expected_nl, expected_cj)
 
 
 @pytest.mark.parametrize("dim", [3, 128, 4096])
@@ -468,15 +466,15 @@ def test_self_join_pairs_every_object_with_itself(dim):
     ar = _arrables_from_vec_groups(groups)
     for cond in (MatchCondition(Metric.COSINE, 1.0), MatchCondition(Metric.EUCLIDEAN, 0.0)):
         for join in (nl_join, cjoin, cct_join):
-            assert {p.key() for p in join(ar, ar, cond)} == {(k, k) for k in groups}
+            assert set(pair_keys(join(ar, ar, cond))) == {(k, k) for k in groups}
 
 
 def test_cct_join_equals_cjoin_when_first_elements_match():
     e1, e2 = (1, 0, 0), (0, 1, 0)
     left = _arrables_from_vec_groups({1: [e1, e1, e1], 2: [e2, e2]})
     right = _arrables_from_vec_groups({7: [e1, e1], 8: [e2, e2, e2]})
-    cj = {p.key() for p in cjoin(left, right, COS)}
-    ccj = {p.key() for p in cct_join(left, right, COS)}
+    cj = set(pair_keys(cjoin(left, right, COS)))
+    ccj = set(pair_keys(cct_join(left, right, COS)))
     assert ccj == cj == {(1, 7), (2, 8)}
 
 
@@ -486,8 +484,8 @@ def test_cct_join_misses_mid_run_only_match():
     off = (0.0, 1.0, 0.0)
     left = arrable_of({1: {"fid": [1, 2, 3], "fv": [off, probe, off]}})
     right = arrable_of({2: {"fid": [1], "fv": [probe]}})
-    cj = {p.key() for p in cjoin(left, right, COS)}
-    ccj = {p.key() for p in cct_join(left, right, COS, CctOption.BOTH)}
+    cj = set(pair_keys(cjoin(left, right, COS)))
+    ccj = set(pair_keys(cct_join(left, right, COS, CctOption.BOTH)))
     assert cj == {(1, 2)}
     assert ccj == set()
     assert ccj <= cj
@@ -502,8 +500,8 @@ def test_cct_join_subset_of_cjoin_randomized():
                     for k in range(rng.randint(1, 4))}
         left, right = arrable_of(mk()), arrable_of(mk())
         cond = MatchCondition(Metric.COSINE, rng.uniform(0.7, 1.0))
-        cj = {p.key() for p in cjoin(left, right, cond)}
-        ccj = {p.key() for p in cct_join(left, right, cond)}
+        cj = set(pair_keys(cjoin(left, right, cond)))
+        ccj = set(pair_keys(cct_join(left, right, cond)))
         assert ccj <= cj
 
 
@@ -511,11 +509,11 @@ def test_cct_join_comparison_bound():
     # 3 runs left, 2 runs right, BOTH keeps <= 2 elements per run
     left = arrable_of({1: {"fid": [1, 2, 10, 11, 20], "fv": [(1, 0)] * 5}})
     right = arrable_of({2: {"fid": [1, 2, 3, 30], "fv": [(1, 0)] * 4}})
-    counter = ComparisonCounter()
+    counter = StageStats("test")
     cct_join(left, right, COS, counter=counter)
     runs_l = len(split_runs_oracle([1, 2, 10, 11, 20]))
     runs_r = len(split_runs_oracle([1, 2, 3, 30]))
-    assert counter.count <= 4 * runs_l * runs_r
+    assert counter.smatch_comparisons <= 4 * runs_l * runs_r
 
 
 def test_join_rejects_non_fv_columns():
@@ -530,7 +528,7 @@ def test_join_extra_scalar_predicate():
     right = arrable_of({2: {"fid": [0], "fv": [(1.0, 0.0)], "ts": [3.0]},
                         3: {"fid": [1], "fv": [(1.0, 0.0)], "ts": [9.0]}})
     extra = (ScalarPairPredicate("ts", "<=", "ts", offset=5.0),)
-    pairs = {p.key() for p in cjoin(left, right, COS, extra=extra)}
+    pairs = set(pair_keys(cjoin(left, right, COS, extra=extra)))
     assert pairs == {(1, 3)}
 
 
@@ -541,14 +539,14 @@ def test_hash_equi_join_label():
                             (2, 6, "person", (0, 0, 1, 1), (1, 0)),
                             (3, 7, "person", (0, 0, 1, 1), (1, 0))])
     out = hash_equi_join(left, right, "label")
-    assert len(out.rows) == 6
-    assert out.rows[0]["left.oid"] == 1 and out.rows[0]["right.oid"] == 5
+    assert len(out) == 6
+    assert out.row_dicts()[0]["left.oid"] == 1 and out.row_dicts()[0]["right.oid"] == 5
 
 
 def test_hash_equi_join_disjoint_keys():
     left = trace_relation([(1, 1, "person", (0, 0, 1, 1), (1, 0))])
     right = trace_relation([(1, 5, "car", (0, 0, 1, 1), (1, 0))])
-    assert hash_equi_join(left, right, "label").rows == ()
+    assert hash_equi_join(left, right, "label").row_dicts() == []
 
 
 def test_hash_equi_join_rejects_feature_vectors(two_person_trace):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from vaquery.errors import (IllegalColumnKind, InvalidWindowSpec, QuerySyntaxError,
                             SchemaMismatch, UnknownIdentifier, ZeroVector)
-from vaquery.model import TRACE_SCHEMA, FeatureVector
+from vaquery.model import TRACE_SCHEMA
 from vaquery.operators import (And, BBoxTest, BBPattern, CctOption, Comparison,
                                ScalarPairPredicate, SMatchProbe)
 from vaquery.querylang import (AggregateNode, CctNode, DirectionNode, JoinNode,
@@ -90,7 +90,7 @@ def test_parse_window_clause():
 
 def test_parse_smatch_metric_and_polarity():
     ast = parse("SELECT oid FROM R1 WHERE fv SMATCH(0.3, euclidean, distance_at_most) [1.0, 0.5]")
-    assert ast.where == SMatchProbe(nodes.ColumnRef(None, "fv"), FeatureVector([1.0, 0.5]),
+    assert ast.where == SMatchProbe(nodes.ColumnRef(None, "fv"), (1.0, 0.5),
                                     MatchCondition(Metric.EUCLIDEAN, 0.3,
                                                    MatchPolarity.DISTANCE_AT_MOST))
 

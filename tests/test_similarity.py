@@ -7,64 +7,72 @@ from hypothesis import strategies as st
 
 from oracles import cosine_oracle, euclidean_scores_oracle, euclidean_unit_oracle
 from vaquery.errors import DimensionMismatch, ZeroVector
-from vaquery.model import FeatureVector
 from vaquery.similarity import (MatchCondition, MatchPolarity, Metric,
-                                cosine_similarity, euclidean_distance_unit,
                                 normalized_matrix, scores_against, smatch)
 
-fv = FeatureVector
+
+def fv(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
+
+
+def cosine(a, b) -> float:
+    return smatch(MatchCondition(Metric.COSINE), a, b)[1]
+
+
+def euclidean_unit(a, b) -> float:
+    return smatch(MatchCondition(Metric.EUCLIDEAN), a, b)[1]
 
 
 def test_cosine_identical_vectors():
-    assert cosine_similarity(fv([3, 4]), fv([3, 4])) == pytest.approx(1.0)
+    assert cosine(fv([3, 4]), fv([3, 4])) == pytest.approx(1.0)
 
 
 def test_cosine_orthogonal_vectors():
-    assert cosine_similarity(fv([1, 0]), fv([0, 1])) == 0.0
+    assert cosine(fv([1, 0]), fv([0, 1])) == 0.0
 
 
 def test_cosine_45_degrees():
     # oracle: direct dot-product evaluation gives 1/sqrt(2) = 0.7071067811865475
     expected = cosine_oracle([1, 0], [1, 1])
     assert expected == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-    got = cosine_similarity(fv([1, 0]), fv([1, 1]))
+    got = cosine(fv([1, 0]), fv([1, 1]))
     assert got == pytest.approx(expected, abs=1e-9)
     assert round(got, 8) == 0.70710678
 
 
 def test_cosine_clamps_negative_to_zero():
-    assert cosine_similarity(fv([1, 0]), fv([-1, 0])) == 0.0
+    assert cosine(fv([1, 0]), fv([-1, 0])) == 0.0
 
 
 def test_euclidean_identical_vectors():
-    assert euclidean_distance_unit(fv([5, 5, 5]), fv([5, 5, 5])) == 0.0
+    assert euclidean_unit(fv([5, 5, 5]), fv([5, 5, 5])) == 0.0
 
 
 def test_euclidean_orthogonal_unit_vectors():
     # oracle: sqrt(2)/2 = 0.7071067811865476 on unit vectors
     expected = euclidean_unit_oracle([1, 0], [0, 1])
     assert expected == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-    got = euclidean_distance_unit(fv([1, 0]), fv([0, 1]))
+    got = euclidean_unit(fv([1, 0]), fv([0, 1]))
     assert got == pytest.approx(expected, abs=1e-9)
     assert round(got, 8) == 0.70710678
 
 
 def test_euclidean_antipodal_is_max():
-    assert euclidean_distance_unit(fv([2, 0]), fv([-1, 0])) == pytest.approx(1.0)
+    assert euclidean_unit(fv([2, 0]), fv([-1, 0])) == pytest.approx(1.0)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        cosine_similarity(fv([1, 2]), fv([1, 2, 3]))
+        cosine(fv([1, 2]), fv([1, 2, 3]))
     with pytest.raises(DimensionMismatch):
-        euclidean_distance_unit(fv([1]), fv([1, 2]))
+        euclidean_unit(fv([1]), fv([1, 2]))
 
 
 def test_zero_vector_is_an_error():
     with pytest.raises(ZeroVector):
-        cosine_similarity(fv([0, 0]), fv([1, 0]))
+        cosine(fv([0, 0]), fv([1, 0]))
     with pytest.raises(ZeroVector):
-        euclidean_distance_unit(fv([1, 0]), fv([0, 0]))
+        euclidean_unit(fv([1, 0]), fv([0, 0]))
 
 
 def test_smatch_self_match_cosine():
@@ -127,14 +135,14 @@ def test_symmetry_and_range(pair, metric):
 def test_scale_invariance(vec, factor):
     a = fv(vec)
     scaled = fv([factor * x for x in vec])
-    assert cosine_similarity(a, scaled) == pytest.approx(1.0, abs=1e-9)
+    assert cosine(a, scaled) == pytest.approx(1.0, abs=1e-9)
     # the shifted vector must itself be nonzero (all -1.0 shifts to zero)
     assume(any(x + 1.0 != 0 for x in vec))
     other = fv([x + 1.0 for x in vec])
-    assert cosine_similarity(a, other) == pytest.approx(
-        cosine_similarity(scaled, other), abs=1e-9)
-    assert euclidean_distance_unit(a, other) == pytest.approx(
-        euclidean_distance_unit(scaled, other), abs=1e-9)
+    assert cosine(a, other) == pytest.approx(
+        cosine(scaled, other), abs=1e-9)
+    assert euclidean_unit(a, other) == pytest.approx(
+        euclidean_unit(scaled, other), abs=1e-9)
 
 
 @given(nonzero_vec, nonzero_vec.filter(lambda v: True),
@@ -154,8 +162,8 @@ def test_threshold_monotonicity(a, b, th1, th2):
 
 
 def test_batched_scores_match_oracle():
-    vectors = [fv([1, 0]), fv([1, 1]), fv([0.3, 0.7])]
-    probes = [fv([0.5, 0.5]), fv([2, -1]), fv([0, 3])]
+    vectors = fv([[1, 0], [1, 1], [0.3, 0.7]])
+    probes = fv([[0.5, 0.5], [2, -1], [0, 3]])
     mat = normalized_matrix(vectors)
     probe_mat = normalized_matrix(probes)
     for metric in Metric:
@@ -164,15 +172,15 @@ def test_batched_scores_match_oracle():
         assert scores.shape == (len(probes), len(vectors))
         for p, probe in enumerate(probes):
             for i, v in enumerate(vectors):
-                expected = (cosine_oracle(probe.as_list(), v.as_list())
+                expected = (cosine_oracle(probe.tolist(), v.tolist())
                             if metric is Metric.COSINE
-                            else euclidean_unit_oracle(probe.as_list(), v.as_list()))
+                            else euclidean_unit_oracle(probe.tolist(), v.tolist()))
                 assert scores[p, i] == pytest.approx(expected, abs=1e-9)
 
 
 def test_batched_zero_vector_rejected():
     with pytest.raises(ZeroVector):
-        normalized_matrix([fv([0.0, 0.0])])
+        normalized_matrix(fv([[0.0, 0.0]]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -181,7 +189,7 @@ def test_batched_zero_vector_rejected():
 def test_euclidean_blocks_match_the_per_row_loop_bit_for_bit(seed, n, m, dim):
     # 2000-d rows put one left row per block; small ones many
     rng = np.random.default_rng(seed)
-    left, right = (normalized_matrix([fv(v) for v in rng.normal(size=(k, dim))]) if k
+    left, right = (normalized_matrix(rng.normal(size=(k, dim))) if k
                    else np.zeros((0, dim)) for k in (n, m))
     if n and m:
         right[m // 2] = left[n // 2]
@@ -204,7 +212,7 @@ def test_extreme_magnitudes_normalize_without_warnings(scale):
     ones = normalized_matrix(np.array([[1.0, 1.0, 0.0, 0.0]]))
     assert unit[3].tolist() == ones[0].tolist()
     assert scores_against(MatchCondition(Metric.EUCLIDEAN, 0.0), unit[3:], ones)[0, 0] == 0.0
-    probe = normalized_matrix([fv([scale, 0.0, 0.0, 0.0])])
+    probe = normalized_matrix(fv([[scale, 0.0, 0.0, 0.0]]))
     assert scores_against(MatchCondition(th=0.5), probe, unit)[0, 0] == 1.0
 
 
