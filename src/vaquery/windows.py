@@ -1,13 +1,15 @@
 """Window specification and assignment.
 
-Windows are half-open intervals [start, end) over either time (seconds) or
-tuple ordinals. ``hop == size`` gives disjoint/tumbling windows; ``hop <
-size`` gives rolling windows where an item may land in up to
-``ceil(size / hop)`` windows.
+One rule bounds every window, over time (seconds) or tuple ordinals: with
+``at(x) = origin + x * hop``, window ``i`` holds the keys in ``[at(i), at(i +
+size / hop))``. ``hop == size`` gives tumbling windows, which partition the
+keys, since window ``i`` ends exactly where ``i + 1`` starts; ``hop < size``
+gives rolling ones. Tuple windows round ``x * hop`` to a whole ordinal.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,6 +20,7 @@ from .errors import InvalidWindowSpec, TooManyWindows
 #: Most windows one stream may span, from its first window through the last
 #: that holds a key, empty gap windows included.
 MAX_WINDOWS = 1_000_000
+_FAR = 2 ** 62  # past any window limit: a window index is not refined beyond it
 
 
 class WindowKind(Enum):
@@ -50,45 +53,47 @@ class WindowInstance:
     end: float
 
 
+def _at(spec: WindowSpec, origin: float, x: float) -> float:
+    offset = x * spec.hop
+    return origin + (round(offset) if spec.kind is WindowKind.TUPLE else offset)
+
+
+def _first_above(spec: WindowSpec, origin: float, key: float, shift: float) -> int:
+    """Least ``i >= 0`` with ``at(i + shift) > key``: the floor estimate, corrected
+    against the non-decreasing ``at`` by galloping to a bracket and bisecting it."""
+    def above(i: int) -> bool:
+        return _at(spec, origin, i + shift) > key
+
+    hi = max(0, math.floor(min((key - origin) / spec.hop - shift, _FAR)) + 1)
+    lo, step = hi - 1, 1
+    while lo >= 0 and above(lo):
+        lo, hi, step = lo - step, lo, 2 * step
+    while hi < _FAR and not above(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    return bisect.bisect_left(range(_FAR), True, max(lo, 0), min(hi, _FAR), key=above)
+
+
 def instance(spec: WindowSpec, index: int, origin: float) -> WindowInstance:
     if math.isinf(spec.size):
         return WindowInstance(0, origin, math.inf)
-    start = origin + index * spec.hop
-    return WindowInstance(index, start, start + spec.size)
+    return WindowInstance(index, _at(spec, origin, index),
+                          _at(spec, origin, index + spec.size / spec.hop))
 
 
 def assign(spec: WindowSpec, key: float, origin: float) -> range:
     """Indices of every window containing ``key`` (ts or tuple ordinal)."""
-    if key < origin:
-        raise ValueError(f"key {key} precedes window origin {origin}")
-    lo, hi = assign_block(spec, np.array([key]), origin)
-    return range(max(0, int(lo[0])), int(hi[0]) + 1)
+    if math.isinf(spec.size):
+        return range(0, 1)
+    return range(_first_above(spec, origin, key, spec.size / spec.hop),
+                 _first_above(spec, origin, key, 0.0))
 
 
 def check_span(spec: WindowSpec, origin: float, last_key: float) -> None:
     """Raise :class:`TooManyWindows` when the keys from ``origin`` through
     ``last_key`` span more than :data:`MAX_WINDOWS` windows."""
-    if not math.isinf(spec.size) and not (last_key - origin) / spec.hop < MAX_WINDOWS:
+    if assign(spec, last_key, origin).stop > MAX_WINDOWS:
         raise TooManyWindows(f"keys from {origin} to {last_key} span more than {MAX_WINDOWS} "
                              f"windows of hop {spec.hop}")
-
-
-def assign_block(spec: WindowSpec, keys: np.ndarray,
-                 origin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest and highest index of the windows containing each key.
-
-    For non-decreasing keys both are non-decreasing, so each window holds a
-    contiguous run of the keys.
-    """
-    if math.isinf(spec.size):
-        zeros = np.zeros(len(keys), dtype=np.int64)
-        return zeros, zeros
-    hi = np.floor((keys - origin) / spec.hop)
-    lo = np.floor((keys - origin - spec.size) / spec.hop) + 1
-    # floor() lands one too low when (key - origin - size) is an exact hop
-    # multiple: the window starting there no longer contains key (half-open).
-    lo += origin + lo * spec.hop + spec.size <= keys
-    return lo.astype(np.int64), hi.astype(np.int64)
 
 
 class WindowManager:
@@ -106,17 +111,17 @@ class WindowManager:
         self.spec = spec
         self.origin: float | None = spec.origin
         self._next_to_close = 0
-        self._max_seen = -1
+        self._last = -1  # the last window starting at or before the last key
         self._watermark = -math.inf
-        # window bounds of the keys that may still belong to an open window,
-        # the first of them at position _base
+        # keys that may still belong to an open window, the first of them at
+        # position _base; blocks added since the last emit wait in _pending
         self._base = 0
-        self._lo = np.zeros(0, dtype=np.int64)
-        self._hi = np.zeros(0, dtype=np.int64)
+        self._keys = np.zeros(0)
+        self._pending: list[np.ndarray] = []
 
     def add(self, keys: np.ndarray) -> None:
         """Add the next block of keys, non-decreasing and not below the last one."""
-        keys = np.asarray(keys)
+        keys = np.asarray(keys, dtype=np.float64)
         if not len(keys):
             return
         if self.origin is None:
@@ -124,41 +129,35 @@ class WindowManager:
         if keys[0] < self.origin:
             raise ValueError(f"key {keys[0]} precedes window origin {self.origin}")
         check_span(self.spec, self.origin, keys[-1].item())
-        lo, hi = assign_block(self.spec, keys, self.origin)
-        self._lo = np.concatenate((self._lo, lo))
-        self._hi = np.concatenate((self._hi, hi))
-        self._max_seen = max(self._max_seen, int(hi[-1]))
+        self._pending.append(keys)
+        self._last = assign(self.spec, keys[-1].item(), self.origin).stop - 1
 
-    def _emit(self, windows: list[tuple[WindowInstance, range]], index: int) -> None:
-        start = int(np.searchsorted(self._hi, index))
-        end = int(np.searchsorted(self._lo, index, side="right"))
-        windows.append((instance(self.spec, index, self.origin),
-                        range(self._base + start, self._base + end)))
-        self._next_to_close = index + 1
+    def _emit_through(self, last: int) -> list[tuple[WindowInstance, range]]:
+        if last < self._next_to_close:
+            return []
+        keys, self._pending = np.concatenate((self._keys, *self._pending)), []
+        windows = []
+        for index in range(self._next_to_close, last + 1):
+            win = instance(self.spec, index, self.origin)
+            start, end = np.searchsorted(keys, (win.start, win.end)).tolist()
+            windows.append((win, range(self._base + start, self._base + end)))
+        self._next_to_close = last + 1
         # keys below the next window's start only belonged to closed windows
-        done = int(np.searchsorted(self._hi, index + 1))
-        self._base += done
-        self._lo, self._hi = self._lo[done:], self._hi[done:]
+        done = int(np.searchsorted(keys, instance(self.spec, last + 1, self.origin).start))
+        self._base, self._keys = self._base + done, keys[done:]
+        return windows
 
     def close_windows(self, watermark: float) -> list[tuple[WindowInstance, range]]:
-        """Emit every not-yet-closed window whose end <= watermark, with its range.
-
-        A regressing watermark is ignored (nothing re-emits).
-        """
+        """Emit every not-yet-closed window whose end <= watermark, with its range;
+        a regressing watermark is ignored (nothing re-emits)."""
         if watermark <= self._watermark or self.origin is None:
             return []
         self._watermark = watermark
-        closed: list[tuple[WindowInstance, range]] = []
-        while instance(self.spec, self._next_to_close, self.origin).end <= watermark:
-            self._emit(closed, self._next_to_close)
-        return closed
+        return self._emit_through(assign(self.spec, watermark, self.origin).start - 1)
 
     def flush(self) -> list[tuple[WindowInstance, range]]:
         """End of stream: emit all remaining windows up to the last that saw data."""
-        flushed: list[tuple[WindowInstance, range]] = []
-        while self._next_to_close <= self._max_seen:
-            self._emit(flushed, self._next_to_close)
-        return flushed
+        return self._emit_through(self._last)
 
 
 #: Degenerate spec used when a query has no window clause: one window

@@ -1,11 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 Most oracles here are deliberately naive pure Python (math module only, no
-numpy) so they share no code path with the package. Three keep an earlier
+numpy) so they share no code path with the package. Two keep an earlier
 per-row implementation as the reference for the block version that replaced
-it: :func:`euclidean_scores_oracle` (the per-row euclidean loop),
-:func:`read_trace_oracle` (the tuple-at-a-time trace reader) and
-:class:`WindowManagerOracle` (per-item window assignment).
+it: :func:`euclidean_scores_oracle` (the per-row euclidean loop) and
+:func:`read_trace_oracle` (the tuple-at-a-time trace reader). The window
+oracles scan windows in index order and test each against the stated bound
+rule, with no index arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -175,13 +176,14 @@ def confusion_oracle(emitted: set, positives: set, left_universe: set,
 
 def windows_containing_oracle(key: float, origin: float, size: float,
                               hop: float, max_index: int = 10_000) -> list[int]:
-    """Scan all candidate windows for containment of the key."""
+    """Scan all candidate windows for containment of the key: window ``i`` is
+    ``[at(i), at(i + size / hop))`` with ``at(x) = origin + x * hop``."""
     out = []
     for i in range(max_index):
         start = origin + i * hop
         if start > key:
             break
-        if start <= key < start + size:
+        if start <= key < origin + (i + size / hop) * hop:
             out.append(i)
     return out
 
@@ -294,62 +296,59 @@ def read_trace_oracle(path, fps: float = 30.0, flip_y: float | None = None) -> R
                                                 for n in TRACE_SCHEMA.names()})
 
 
-def assign_oracle(size: float, hop: float, key: float, origin: float) -> range:
-    """Indices of every window containing ``key``, one key at a time."""
-    if math.isinf(size):
-        return range(0, 1)
-    hi = math.floor((key - origin) / hop)
-    lo = math.floor((key - origin - size) / hop) + 1
-    if origin + lo * hop + size <= key:
-        lo += 1
-    return range(max(0, lo), hi + 1)
-
-
 class WindowManagerOracle:
     """Per-item window manager: each added item goes to every window holding
-    its key; windows close in index order, gaps included, as ``(index,
-    start, end, items)``."""
+    its key, found by scanning the windows in index order; windows close in
+    index order, gaps included, as ``(index, start, end, items)``.
 
-    def __init__(self, size: float, hop: float, origin: float | None = None):
-        self.size, self.hop, self.origin = size, hop, origin
-        self._open: dict[int, list] = {}
+    Window ``i`` is ``[at(i), at(i + size / hop))`` with ``at(x) = origin +
+    x * hop``; with ``whole`` (tuple windows) it is exactly ``[origin + i *
+    hop, origin + i * hop + size)``.
+    """
+
+    def __init__(self, size: float, hop: float, origin: float | None = None,
+                 whole: bool = False):
+        self.size, self.hop, self.origin, self.whole = size, hop, origin, whole
+        self._items: list[list] = []  # one list per window starting at or before the last key
         self._next_to_close = 0
-        self._max_seen = -1
         self._watermark = -math.inf
 
     def _window(self, index: int) -> tuple:
         if math.isinf(self.size):
             return (0, self.origin, math.inf)
         start = self.origin + index * self.hop
-        return (index, start, start + self.size)
+        if self.whole:
+            return (index, start, start + self.size)
+        return (index, start, self.origin + (index + self.size / self.hop) * self.hop)
 
     def add(self, key: float, item) -> None:
         if self.origin is None:
             self.origin = key
-        for idx in assign_oracle(self.size, self.hop, key, self.origin):
-            if idx >= self._next_to_close:
-                self._open.setdefault(idx, []).append(item)
-                self._max_seen = max(self._max_seen, idx)
+        most = 1 if math.isinf(self.size) else math.inf
+        while len(self._items) < most and self._window(len(self._items))[1] <= key:
+            self._items.append([])
+        for index in range(self._next_to_close, len(self._items)):
+            _, start, end = self._window(index)
+            if start <= key < end:
+                self._items[index].append(item)
+
+    def _emit(self, out: list) -> None:
+        index = self._next_to_close
+        items = self._items[index] if index < len(self._items) else []
+        out.append((*self._window(index), items))
+        self._next_to_close += 1
 
     def close_windows(self, watermark: float) -> list[tuple]:
         if watermark <= self._watermark or self.origin is None:
             return []
         self._watermark = watermark
         closed = []
-        while True:
-            index, start, end = self._window(self._next_to_close)
-            if end > watermark:
-                break
-            closed.append((index, start, end, self._open.pop(index, [])))
-            self._next_to_close += 1
+        while self._window(self._next_to_close)[2] <= watermark:
+            self._emit(closed)
         return closed
 
     def flush(self) -> list[tuple]:
-        if self.origin is None:
-            return []
         flushed = []
-        while self._next_to_close <= self._max_seen:
-            index, start, end = self._window(self._next_to_close)
-            flushed.append((index, start, end, self._open.pop(index, [])))
-            self._next_to_close += 1
+        while self._next_to_close < len(self._items):
+            self._emit(flushed)
         return flushed

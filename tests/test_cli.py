@@ -400,8 +400,8 @@ def test_benchmark_tracer_finds_the_engine_operators(tmp_path, trace_file):
     assert {"engine.run", "engine.instantiate", "engine.write_results", "ingest.read_trace",
             "operators.r2a", "operators.select", "operators.cct",
             "operators.aggregate"} <= {span["name"] for span in spans}
-    assert {"windows.add", "windows.close"} <= {name for span in spans
-                                                for name in span["leaves"]}
+    leaves = {name for span in spans for name in span["leaves"]}
+    assert {"windows.add", "windows.close", "windows.flush"} <= leaves
     # the tracer counts the rows read_trace returns with len(rel.rows)
     assert [span["items"] for span in spans if span["name"] == "ingest.read_trace"] \
         == [len(read_trace(trace_file))] == [90]

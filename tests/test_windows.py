@@ -33,6 +33,25 @@ def test_boundary_is_half_open():
     assert list(assign(spec(100, 50), 100, origin=0)) == [1, 2]
 
 
+def test_a_key_beside_a_non_dyadic_window_start_lies_in_that_window_only():
+    # 0.1 + 275 * 0.7 rounds to 193.29999999999995: the key is window 275's start
+    key = 193.29999999999995
+    assert list(assign(spec(0.7, 0.7), key, origin=0.1)) == [275]
+    mgr = WindowManager(WindowSpec(WindowKind.TIME, 0.7, 0.7, origin=0.1))
+    mgr.add([key])
+    assert [(w.index, list(rows)) for w, rows in mgr.flush() if len(rows)] == [(275, [0])]
+
+
+def test_tuple_windows_hold_exactly_size_ordinals():
+    # 0.28 * 25 evaluates to 7.000000000000001: without rounding to a whole
+    # ordinal, window 0 would also hold ordinal 7
+    assert list(assign(spec(7, 25, WindowKind.TUPLE), 7, origin=0)) == []
+    mgr = WindowManager(spec(7, 25, WindowKind.TUPLE))
+    mgr.add(np.arange(100))
+    assert [(w.index, rows) for w, rows in mgr.flush()] == [
+        (i, range(25 * i, 25 * i + 7)) for i in range(4)]
+
+
 def test_nonpositive_size_or_hop_rejected():
     for size, hop in [(0, 1), (1, 0), (-5, 5), (5, -5), (1, math.inf)]:
         with pytest.raises(InvalidWindowSpec) as exc:
@@ -153,6 +172,26 @@ def test_a_stream_past_the_window_limit_is_refused():
         mgr.add([MAX_WINDOWS])
 
 
+def test_a_hop_below_the_keys_resolution_is_too_many_windows():
+    # 1e9 + i * 1e-16 rounds to 1e9 for every i up to about 6e8, so that many
+    # windows start at the one key: refused at once, not enumerated
+    mgr = WindowManager(WindowSpec(WindowKind.TIME, 1e-16, 1e-16))
+    with pytest.raises(TooManyWindows):
+        mgr.add([1e9])
+
+
+def _run(spec: WindowSpec, keys: list, cuts) -> list:
+    """(index, start, end, positions) of each window a manager emits when the
+    keys arrive in blocks cut at ``cuts``."""
+    by_time = spec.kind is WindowKind.TIME
+    mgr, got = WindowManager(spec), []
+    bounds = sorted({0, len(keys), *(c for c in cuts if c < len(keys))})
+    for lo, hi in zip(bounds, bounds[1:]):
+        mgr.add(np.array(keys[lo:hi]))
+        got += mgr.close_windows(keys[hi - 1] if by_time else hi)
+    return [(w.index, w.start, w.end, list(rows)) for w, rows in got + mgr.flush()]
+
+
 _TIME_SPECS = st.one_of(st.sampled_from([(20.0, 5.0), (0.3, 0.1), (1 / 3, 1 / 30), (0.7, 0.7),
                                          (math.inf, math.inf)]),
                         st.tuples(st.floats(0.01, 3.0), st.floats(0.01, 3.0))
@@ -175,18 +214,40 @@ def test_block_ranges_match_the_per_item_oracle(kind, fids, fps, time_spec, tupl
     by_time = kind is WindowKind.TIME
     keys = [fid / fps for fid in fids] if by_time else list(range(len(fids)))
     size, hop = time_spec if by_time else tuple_spec
-    oracle = WindowManagerOracle(size, hop)
+    oracle = WindowManagerOracle(size, hop, whole=not by_time)
     expected = []
     for pos, key in enumerate(keys):
         oracle.add(key, pos)
         expected += oracle.close_windows(key if by_time else pos + 1)
     expected += oracle.flush()
+    assert _run(WindowSpec(kind, size, hop), keys, cuts) == expected
 
-    mgr = WindowManager(WindowSpec(kind, size, hop))
-    got = []
-    bounds = sorted({0, len(keys), *(c for c in cuts if c < len(keys))})
-    for lo, hi in zip(bounds, bounds[1:]):
-        mgr.add(np.array(keys[lo:hi]))
-        got += mgr.close_windows(keys[hi - 1] if by_time else hi)
-    got += mgr.flush()
-    assert [(w.index, w.start, w.end, list(rows)) for w, rows in got] == expected
+
+_SECONDS = [0.1, 0.3, 0.7, 1.1, 1 / 3, 2.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(WindowKind),
+       first=st.integers(0, 40), steps=st.lists(st.integers(0, 4), max_size=300),
+       fps=st.sampled_from([10.0, 25.0, 29.97, 30.0]),
+       time_spec=st.tuples(st.sampled_from(_SECONDS), st.sampled_from(_SECONDS)),
+       tuple_spec=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+       tumbling=st.booleans(), cuts=st.lists(st.integers(1, 300), max_size=8))
+@example(kind=WindowKind.TIME, first=1, steps=[1] * 3998, fps=10.0, time_spec=(0.7, 0.7),
+         tuple_spec=(1, 1), tumbling=True, cuts=[])
+def test_windows_partition_agree_with_assign_and_ignore_block_cuts(
+        kind, first, steps, fps, time_spec, tuple_spec, tumbling, cuts):
+    by_time = kind is WindowKind.TIME
+    fids = np.cumsum([first, *steps])
+    keys = (fids / fps).tolist() if by_time else list(range(len(fids)))
+    size, hop = time_spec if by_time else tuple_spec
+    spec = WindowSpec(kind, size, size if tumbling else hop)
+    got = _run(spec, keys, cuts)
+    assert got == _run(spec, keys, [])
+    holding = [[] for _ in keys]
+    for index, _, _, rows in got:
+        for pos in rows:
+            holding[pos].append(index)
+    assert holding == [list(assign(spec, key, keys[0])) for key in keys]
+    if tumbling:
+        assert all(len(h) == 1 for h in holding)
