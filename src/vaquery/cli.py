@@ -26,8 +26,9 @@ import traceback
 from pathlib import Path
 
 from . import engine, ingest, querylang
-from .errors import (ConfigError, FormatMismatch, InvalidWindowSpec, QuerySyntaxError,
-                     SchemaMismatch, VaqueryError, load_json)
+from .errors import (ConfigError, FormatMismatch, IndexMismatch, InvalidWindowSpec,
+                     QuerySyntaxError, SchemaMismatch, VaqueryError, json_field, json_type,
+                     load_json)
 from .windows import WindowKind, WindowSpec
 
 EXIT_QUERY_ERROR = 2
@@ -111,9 +112,7 @@ def _read_results(path: str) -> list[dict]:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = load_json(line, FormatMismatch, f"{path} line {line_no}")
-            if type(rec) is not dict:
-                raise FormatMismatch(f"{path} line {line_no} is not a JSON object")
+            rec = load_json(line, FormatMismatch, f"{path} line {line_no}", "object")
             if "_meta" not in rec:
                 rows.append(rec)
     return rows
@@ -131,12 +130,18 @@ def cmd_eval(args) -> int:
         acc = evaluation.accuracy(counts)
     elif args.task == "count":
         truth = evaluation.load_count_gt(gt_text, args.gt)
-        by_window = {}
+        predicted, seen = dict.fromkeys(range(len(truth))), set()
         for row in rows:  # a count of a column is named count(<column>)
             key = next((k for k in row if k.startswith("count(")), "count")
             window, count = _ids(row, "window", key)
-            by_window[window] = count
-        acc = evaluation.count_eval([by_window.get(i) for i in range(len(truth))], truth)
+            if window not in predicted:
+                raise IndexMismatch(f"result window {window!r} is not one of the "
+                                    f"{len(truth)} ground-truth windows")
+            if window in seen:
+                raise IndexMismatch(f"result window {window!r} is listed twice")
+            seen.add(window)
+            predicted[window] = count
+        acc = evaluation.count_eval(list(predicted.values()), truth)
     else:
         truth = evaluation.load_direction_gt(gt_text, args.gt)
         predicted = {}
@@ -163,20 +168,18 @@ def cmd_gen(args) -> int:
 
 def _bench_config(path: str) -> tuple[list[str], dict[str, str], int, float]:
     """The traces, queries, repetitions and fps of a bench config file."""
-    raw = load_json(Path(path).read_bytes(), ConfigError, f"bench config {path}")
-    if type(raw) is not dict:
-        raise ConfigError(f"bench config {path} must be a JSON object")
-    traces, queries = raw.get("traces"), raw.get("queries")
-    repetitions, fps = raw.get("repetitions", 3), raw.get("fps", 30.0)
-    if type(traces) is not list or not all(type(p) is str for p in traces):
-        raise ConfigError(f"bench traces must be a list of path strings, got {traces!r}")
-    if type(queries) is not dict or not all(type(p) is str for p in queries.values()):
-        raise ConfigError(f"bench queries must map names to path strings, got {queries!r}")
-    if type(repetitions) not in (int, float) or repetitions < 1 or repetitions % 1:
-        raise ConfigError(f"bench repetitions must be a whole number >= 1, got {repetitions!r}")
-    if type(fps) not in (int, float) or not 0 < fps <= sys.float_info.max:
-        raise ConfigError(f"bench fps must be a positive finite number, got {fps!r}")
-    return traces, queries, int(repetitions), float(fps)
+    role = f"bench config {path}"
+    raw = load_json(Path(path).read_bytes(), ConfigError, role, "object")
+    traces = json_field(raw, "traces", "array of string", ConfigError, role)
+    queries = {name: json_type(p, "string", ConfigError, f"{role} queries.{name}")
+               for name, p in json_field(raw, "queries", "object", ConfigError, role).items()}
+    repetitions = json_field(raw, "repetitions", "number", ConfigError, role, 3)
+    fps = json_field(raw, "fps", "number", ConfigError, role, 30.0)
+    if repetitions < 1 or repetitions % 1:
+        raise ConfigError(f"{role} repetitions must be a whole number >= 1, got {repetitions!r}")
+    if not 0 < fps <= sys.float_info.max:
+        raise ConfigError(f"{role} fps must be positive and finite, got {fps!r}")
+    return traces, queries, int(repetitions), fps
 
 
 def cmd_bench(args) -> int:

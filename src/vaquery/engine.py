@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SchemaMismatch, load_json
+from .errors import ConfigError, SchemaMismatch, json_field, json_type, load_json
 from .model import Arrable, Relation, Schema, offsets_of
 from .operators import (Direction8, aggregate, cct, cct_join, cjoin, count_star, direction,
                         hash_equi_join, nl_join, project, select)
@@ -37,16 +37,6 @@ from .querylang.planner import (AggregateNode, CctNode, DirectionNode,
                                 WindowNode, _gba_of)
 from .operators import r2a as r2a_op
 from .windows import WindowKind, WindowManager, WindowSpec, check_span
-
-
-def _number(value: Any, key: str) -> float:
-    """A config value that must be a JSON number, not a boolean or a string."""
-    if type(value) not in (int, float):  # bool is an int subclass
-        raise ConfigError(f"engine config {key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"engine config {key} is out of range: {value}") from None
 
 
 @dataclass(frozen=True)
@@ -78,14 +68,12 @@ class EngineConfig:
     def from_file(path: str | Path) -> "EngineConfig":
         """Load a JSON config object: ``rate`` and ``rates``, an object of
         per-source rates, all numbers; other keys are ignored."""
-        raw = load_json(Path(path).read_bytes(), ConfigError, f"engine config {path}")
-        if type(raw) is not dict:
-            raise ConfigError(f"engine config {path} must be a JSON object")
-        rates = raw.get("rates", {})
-        if type(rates) is not dict:
-            raise ConfigError(f"engine config rates must map sources to numbers, got {rates!r}")
-        return EngineConfig({name: _number(rate, f"rate.{name}") for name, rate in rates.items()},
-                            _number(raw.get("rate", 0.0), "rate"))
+        role = f"engine config {path}"
+        raw = load_json(Path(path).read_bytes(), ConfigError, role, "object")
+        rates = json_field(raw, "rates", "object", ConfigError, role, {})
+        return EngineConfig({name: json_type(rate, "number", ConfigError, f"{role} rates.{name}")
+                             for name, rate in rates.items()},
+                            json_field(raw, "rate", "number", ConfigError, role, 0.0))
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Exception hierarchy, and the one JSON decoder that words decode failures.
+"""Exception hierarchy, the one JSON decoder, and the one reader of JSON
+field types; both word their refusals with the caller's error class.
 
 Every error carries a stable ``code`` string so callers (and the CLI) can
 dispatch on the failure class without parsing messages.
@@ -7,6 +8,7 @@ dispatch on the failure class without parsing messages.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Callable
 
 
@@ -124,16 +126,61 @@ class FormatMismatch(VaqueryError):
     code = "FORMAT_MISMATCH"
 
 
-def load_json(data: str | bytes, error: Callable[[str], VaqueryError], role: str) -> Any:
-    """The JSON value of ``data``. Text that is not UTF-8, not JSON, or nested
-    deeper than the decoder recurses raises ``error(message)``, the message
-    naming the input by its ``role``."""
+def load_json(data: str | bytes, error: Callable[[str], VaqueryError], role: str,
+              kind: str | None = None) -> Any:
+    """The JSON value of ``data``, checked by :func:`json_type` when a ``kind``
+    is given. Text that is not UTF-8, not JSON, or nested deeper than the
+    decoder recurses raises ``error(message)``, the message naming the input
+    by its ``role``."""
     try:
-        return json.loads(data)
+        value = json.loads(data)
     except UnicodeDecodeError as exc:
         message = f"{role} is not UTF-8 text: {exc.reason}"
     except json.JSONDecodeError as exc:
         message = f"{role} is not JSON: {exc.msg} at character {exc.pos}"
     except RecursionError:
         message = f"{role} is not JSON: it nests too deeply"
+    else:
+        return value if kind is None else json_type(value, kind, error, role)
     raise error(message)
+
+
+#: The Python types that ``json.loads`` gives each JSON type; a boolean is
+#: neither an integer nor a number.
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "array": (list,),
+               "object": (dict,)}
+_PHRASES = {int: "an integer", float: "a number", str: "a string", list: "an array",
+            dict: "an object", bool: "a boolean", type(None): "null"}
+_REQUIRED = object()
+
+
+def json_type(value: Any, kind: str, error: Callable[[str], VaqueryError], name: str) -> Any:
+    """``value`` if its JSON type is ``kind``: "integer", "number", "string",
+    "array" or "object", several of them joined by " or ", or "array of
+    <kind>", whose elements are checked as ``<name>[<position>]``. A number
+    comes back as a float, and an integer beyond the largest float, which
+    ``float()`` would round or refuse, is refused. A refusal is
+    ``error("<name> must be <kind>, got <the value's type>")``."""
+    if kind.startswith("array of "):
+        return [json_type(v, kind[9:], error, f"{name}[{i}]")
+                for i, v in enumerate(json_type(value, "array", error, name))]
+    kinds = kind.split(" or ")
+    if not any(type(value) in _JSON_TYPES[k] for k in kinds):
+        wanted = " or ".join(_PHRASES[_JSON_TYPES[k][-1]] for k in kinds)
+        got = _PHRASES.get(type(value), type(value).__name__)
+        raise error(f"{name} must be {wanted}, got {got}")
+    if kind == "number" and type(value) is int and abs(value) > sys.float_info.max:
+        raise error(f"{name} must be a number, got an integer too large for a float")
+    return float(value) if kind == "number" else value
+
+
+def json_field(obj: dict, key: str, kind: str, error: Callable[[str], VaqueryError], role: str,
+               default: Any = _REQUIRED) -> Any:
+    """Field ``key`` of a decoded JSON object, checked by :func:`json_type` as
+    ``<role> <key>``. A missing field is ``default``, unchecked; without one
+    it is refused by name."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise error(f"{role} is missing {key}")
+        return default
+    return json_type(obj[key], kind, error, f"{role} {key}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import (EmptyConfusion, FormatMismatch, IndexMismatch,
-                     PairOutsideUniverse, load_json)
+from .errors import (EmptyConfusion, FormatMismatch, IndexMismatch, PairOutsideUniverse,
+                     json_field, json_type, load_json)
 from .operators import Direction8
 
 
@@ -48,6 +48,9 @@ def accuracy(c: ConfusionCounts) -> Fraction:
     return Fraction(c.tp + c.tn, c.total)
 
 
+_IDS = "array of string or integer"  # the JSON type of a list of object ids
+
+
 @dataclass(frozen=True)
 class PairGroundTruth:
     left_universe: frozenset
@@ -61,16 +64,14 @@ class PairGroundTruth:
 
     @staticmethod
     def from_json(text: str | bytes, source: str = "pair ground truth") -> "PairGroundTruth":
-        raw = load_json(text, FormatMismatch, source)
-        try:
-            left, right, positives = raw["left_universe"], raw["right_universe"], raw["positives"]
-        except (KeyError, TypeError) as exc:
-            raise FormatMismatch(f"bad pair ground-truth file: {exc}") from None
-        for name, ids in (("left_universe", left), ("right_universe", right)):
-            if not _id_array(ids):
-                raise FormatMismatch(f"{source} {name} must be an array of strings or integers")
-        if type(positives) is not list or not all(_id_array(p) and len(p) == 2 for p in positives):
-            raise FormatMismatch(f"{source} positives must be an array of [left, right] arrays")
+        raw = load_json(text, FormatMismatch, source, "object")
+        left, right = (json_field(raw, key, _IDS, FormatMismatch, source)
+                       for key in ("left_universe", "right_universe"))
+        positives = json_field(raw, "positives", f"array of {_IDS}", FormatMismatch, source)
+        for i, pair in enumerate(positives):
+            if len(pair) != 2:
+                raise FormatMismatch(f"{source} positives[{i}] must be a [left, right] pair, "
+                                     f"got {pair}")
         return PairGroundTruth(frozenset(left), frozenset(right), frozenset(map(tuple, positives)))
 
     def to_json(self) -> str:
@@ -84,11 +85,6 @@ class PairGroundTruth:
 def _id_order(value: str | int) -> tuple[bool, str | int]:
     """Sort key for object ids: integers first, then strings, each in their own order."""
     return isinstance(value, str), value
-
-
-def _id_array(value) -> bool:
-    """Whether a JSON value is an array of object ids: strings or integers."""
-    return type(value) is list and {type(v) for v in value} <= {str, int}
 
 
 def confusion_pairs(result: Iterable[tuple], gt: PairGroundTruth) -> ConfusionCounts:
@@ -202,30 +198,17 @@ def bench_table(rows: Sequence[BenchRow]) -> str:
 
 def load_count_gt(text: str | bytes, source: str = "count ground truth") -> list[int]:
     """Per-window expected counts as JSON integers: a list, or {"windows": {"0": n, ...}}."""
-    raw = load_json(text, FormatMismatch, source)
-    if isinstance(raw, dict) and "windows" in raw:
-        windows = raw["windows"]
-        if not isinstance(windows, dict):
-            raise FormatMismatch(f"{source} windows must map window indices to counts")
-        try:
-            raw = [windows[str(i)] for i in range(len(windows))]
-        except KeyError as exc:
-            raise FormatMismatch(f"window indices must be contiguous from 0: missing {exc}") from None
-    if not isinstance(raw, list):
-        raise FormatMismatch("count ground truth must be a list or {'windows': {...}}")
-    for value in raw:
-        if type(value) is not int:  # bool is an int subclass
-            raise FormatMismatch(f"{source} must hold integer counts, got {value!r}")
-    return raw
+    raw = load_json(text, FormatMismatch, source, "array or object")
+    if type(raw) is dict:
+        windows = json_field(raw, "windows", "object", FormatMismatch, source)
+        return [json_field(windows, str(i), "integer", FormatMismatch, f"{source} windows")
+                for i in range(len(windows))]
+    return json_type(raw, "array of integer", FormatMismatch, source)
 
 
 def load_direction_gt(text: str | bytes, source: str = "direction ground truth") -> dict[str, str]:
     """Per-object expected directions: JSON object id -> direction name."""
-    raw = load_json(text, FormatMismatch, source)
-    if not isinstance(raw, dict):
-        raise FormatMismatch("direction ground truth must be an object id -> direction map")
+    raw = load_json(text, FormatMismatch, source, "object")
     for oid, name in raw.items():
-        if type(name) is not str:
-            raise FormatMismatch(f"{source} direction of object {oid} must be a string, "
-                                 f"got {name!r}")
+        json_type(name, "string", FormatMismatch, f"{source} direction of object {oid}")
     return raw

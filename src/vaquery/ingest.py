@@ -41,8 +41,8 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 import numpy as np
 from numpy.dtypes import StringDType
 
-from .errors import (ConfigError, DimensionMismatch, GeneratorSpecError,
-                     OutOfOrderFrame, SchemaMismatch, TraceParseError, load_json)
+from .errors import (ConfigError, DimensionMismatch, GeneratorSpecError, OutOfOrderFrame,
+                     SchemaMismatch, TraceParseError, json_field, json_type, load_json)
 from .model import Relation, TRACE_SCHEMA, validate_tuple
 
 #: Lines decoded and checked together. Small blocks keep few decoded JSON
@@ -53,16 +53,13 @@ CHUNK = 64
 #: vectors, boxes and timestamps); larger specs are a ``SPEC_ERROR``.
 MAX_GENERATED_VALUES = 2 ** 24
 
-_REQUIRED = ("fid", "oid", "label", "bb", "fv")
+#: The required fields of a trace line, each with its JSON type.
+_REQUIRED = {"fid": "integer", "oid": "integer", "label": "string", "bb": "array of number",
+             "fv": "array of number"}
 _fields = itemgetter(*_REQUIRED)
 _scan = json.JSONDecoder().scan_once
 _NUMBER = {int, float}
 _INT64 = np.iinfo(np.int64)
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-               float: "a number", bool: "a boolean", type(None): "null"}
-
-def _kind(value) -> str:
-    return _JSON_KINDS.get(type(value), type(value).__name__)
 
 
 def _types(values) -> set:
@@ -80,20 +77,9 @@ def _numbers_fit(rows) -> bool:
         int not in kinds or max(map(abs, chain.from_iterable(rows))) <= sys.float_info.max)
 
 
-def _check_id(name: str, value, line_no: int) -> None:
-    if type(value) is not int:
-        raise TraceParseError(f"{name} must be an integer, got {_kind(value)}", line_no)
+def _check_id(name: str, value: int, line_no: int) -> None:
     if not _INT64.min <= value <= _INT64.max:
         raise TraceParseError(f"{name} {value} is outside the 64-bit integer range", line_no)
-
-
-def _floats(name: str, values: list, line_no: int) -> list[float]:
-    if not _types(values) <= _NUMBER:
-        raise TraceParseError(f"{name} must be an array of numbers", line_no)
-    try:
-        return [float(v) for v in values]
-    except OverflowError:
-        raise TraceParseError(f"{name} holds a number too large for a float", line_no) from None
 
 
 def _text_lines(fh) -> Iterator[str]:
@@ -113,36 +99,24 @@ def _decode(line: str, line_no: int) -> dict:
         end = -1
     if end != len(line):  # the line is not one JSON value: load_json raises its error
         rec = load_json(line, partial(TraceParseError, line=line_no), "trace line")
-    if type(rec) is not dict:
-        raise TraceParseError(f"expected a JSON object, got {_kind(rec)}", line_no)
+    if type(rec) is not dict:  # the helper only words the refusal
+        json_type(rec, "object", partial(TraceParseError, line=line_no), "trace line")
     return rec
 
 
 def _record(rec: dict, line_no: int, fps: float) -> tuple:
     """Check one record's fields and types; returns (fid, oid, label, bb, fv, ts),
     ``ts`` derived as ``fid / fps`` when absent."""
-    missing = set(_REQUIRED) - rec.keys()
-    if missing:
-        raise TraceParseError(f"missing fields {sorted(missing)}", line_no)
-    fid, oid, label, bb, fv = _fields(rec)
-    ts = rec.get("ts")
+    error = partial(TraceParseError, line=line_no)
+    fid, oid, label, bb, fv = (json_field(rec, key, kind, error, "trace line")
+                               for key, kind in _REQUIRED.items())
     _check_id("fid", fid, line_no)
     _check_id("oid", oid, line_no)
-    if type(label) is not str:
-        raise TraceParseError(f"label must be a string, got {_kind(label)}", line_no)
-    if type(bb) is not list:
-        raise TraceParseError(f"bb must be an array of 4 numbers, got {_kind(bb)}", line_no)
     if len(bb) != 4:
         raise TraceParseError(f"bounding box needs 4 components, got {len(bb)}", line_no)
-    if type(fv) is not list:
-        raise TraceParseError(f"fv must be an array of numbers, got {_kind(fv)}", line_no)
-    if ts is not None:
-        if type(ts) not in _NUMBER:
-            raise TraceParseError(f"ts must be a number, got {_kind(ts)}", line_no)
-        ts = _floats("ts", [ts], line_no)[0]
-    else:
-        ts = fid / fps
-    return fid, oid, label, _floats("bb", bb, line_no), _floats("fv", fv, line_no), ts
+    ts = rec.get("ts")
+    ts = fid / fps if ts is None else json_type(ts, "number", error, "trace line ts")
+    return fid, oid, label, bb, fv, ts
 
 
 def _columns(recs: Sequence[dict]) -> tuple | None:
@@ -424,9 +398,8 @@ class ObjectSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.oid <= _INT64.max:
             raise GeneratorSpecError(f"oid must be a non-negative 64-bit integer, got {self.oid}")
-        if not isinstance(self.label, str):
-            raise GeneratorSpecError(f"label of oid {self.oid} must be a string, "
-                                     f"got {_kind(self.label)}")
+        if not isinstance(self.label, str):  # the helper only words the refusal
+            json_type(self.label, "string", GeneratorSpecError, f"label of oid {self.oid}")
         if len(self.start_bb) != 4 or len(self.velocity) != 2 \
                 or not all(map(math.isfinite, (*self.start_bb, *self.velocity))):
             raise GeneratorSpecError(f"oid {self.oid} needs a bb of 4 finite numbers and a "
@@ -476,52 +449,30 @@ class SynthSpec:
     @staticmethod
     def from_json(text: str | bytes) -> "SynthSpec":
         """A spec from JSON text; every field keeps its JSON type."""
-        raw = load_json(text, GeneratorSpecError, "generator spec")
-        try:
-            objects = tuple(
-                ObjectSpec(oid=_spec_int("oid", o["oid"]), label=o.get("label", "person"),
-                           start_bb=_spec_floats("bb", o["bb"]),
-                           velocity=_spec_floats("velocity", o.get("velocity", [0, 0])),
-                           base_fv=_spec_floats("fv", o["fv"]) if "fv" in o else None,
-                           noise=_spec_float("noise", o.get("noise", 0.0)),
-                           intervals=tuple(map(_spec_interval,
-                                               _spec_list("intervals", o["intervals"]))))
-                for o in _spec_list("objects", raw["objects"]))
-            return SynthSpec(frames=_spec_int("frames", raw["frames"]),
-                             fps=_spec_float("fps", raw.get("fps", 30.0)),
-                             fv_dim=_spec_int("fv_dim", raw.get("fv_dim", 8)), objects=objects)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise GeneratorSpecError(f"bad generator spec: {exc}") from None
+        def field(obj: dict, role: str, key: str, kind: str, *default):
+            return json_field(obj, key, kind, GeneratorSpecError, role, *default)
 
-
-def _spec_int(name: str, value) -> int:
-    if type(value) is not int:  # bool is an int subclass
-        raise GeneratorSpecError(f"{name} must be an integer, got {_kind(value)}")
-    return value
-
-
-def _spec_float(name: str, value) -> float:
-    if type(value) not in _NUMBER:
-        raise GeneratorSpecError(f"{name} must be a number, got {_kind(value)}")
-    return float(value)
-
-
-def _spec_list(name: str, value) -> list:
-    if type(value) is not list:
-        raise GeneratorSpecError(f"{name} must be an array, got {_kind(value)}")
-    return value
-
-
-def _spec_floats(name: str, values) -> tuple[float, ...]:
-    if not _types(_spec_list(name, values)) <= _NUMBER:
-        raise GeneratorSpecError(f"{name} must be an array of numbers")
-    return tuple(map(float, values))
-
-
-def _spec_interval(value) -> tuple[int, int]:
-    if type(value) is not list or len(value) != 2 or not _types(value) <= {int}:
-        raise GeneratorSpecError(f"intervals must hold [lo, hi] integer pairs, got {value!r}")
-    return tuple(value)
+        raw = load_json(text, GeneratorSpecError, "generator spec", "object")
+        objects = []
+        for i, o in enumerate(field(raw, "generator spec", "objects", "array of object")):
+            role = f"generator spec objects[{i}]"
+            intervals = field(o, role, "intervals", "array of array of integer")
+            for j, interval in enumerate(intervals):
+                if len(interval) != 2:
+                    raise GeneratorSpecError(f"{role} intervals[{j}] must be a [lo, hi] pair, "
+                                             f"got {interval}")
+            fv = field(o, role, "fv", "array of number", None)
+            objects.append(ObjectSpec(
+                oid=field(o, role, "oid", "integer"), label=o.get("label", "person"),
+                start_bb=tuple(field(o, role, "bb", "array of number")),
+                velocity=tuple(field(o, role, "velocity", "array of number", (0.0, 0.0))),
+                base_fv=None if fv is None else tuple(fv),
+                noise=field(o, role, "noise", "number", 0.0),
+                intervals=tuple(map(tuple, intervals))))
+        return SynthSpec(frames=field(raw, "generator spec", "frames", "integer"),
+                         fps=field(raw, "generator spec", "fps", "number", 30.0),
+                         fv_dim=field(raw, "generator spec", "fv_dim", "integer", 8),
+                         objects=tuple(objects))
 
 
 def generate(spec: SynthSpec, seed: int) -> Relation:

@@ -38,8 +38,9 @@ class WindowSpec:
     def __post_init__(self) -> None:
         if not (self.size > 0 and self.hop > 0):  # written so that NaN fails too
             raise InvalidWindowSpec(f"window size and hop must be positive, got size={self.size} hop={self.hop}")
-        if math.isinf(self.hop) and not math.isinf(self.size):  # no window after the first
-            raise InvalidWindowSpec(f"a finite window size needs a finite hop, got hop={self.hop}")
+        if math.isinf(self.hop) != math.isinf(self.size):  # only WHOLE_STREAM is infinite
+            raise InvalidWindowSpec(f"window size and hop must both be finite or both infinite, "
+                                    f"got size={self.size} hop={self.hop}")
         if self.kind is WindowKind.TUPLE and not all(
                 math.isinf(v) or float(v).is_integer() for v in (self.size, self.hop)):
             raise InvalidWindowSpec(f"tuple window size and hop must be whole numbers, "

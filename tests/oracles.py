@@ -235,11 +235,11 @@ def _iter_jsonl(path: Path, fps: float):
                 raise TraceParseError(f"trace line is not JSON: {exc.msg} at character {exc.pos}",
                                       line_no) from None
             if not isinstance(rec, dict):
-                raise TraceParseError(f"expected a JSON object, got {_JSON_KINDS[type(rec)]}",
-                                      line_no)
-            missing = {"fid", "oid", "label", "bb", "fv"} - rec.keys()
-            if missing:
-                raise TraceParseError(f"missing fields {sorted(missing)}", line_no)
+                raise TraceParseError(f"trace line must be an object, got "
+                                      f"{_JSON_KINDS[type(rec)]}", line_no)
+            for key in ("fid", "oid", "label", "bb", "fv"):
+                if key not in rec:
+                    raise TraceParseError(f"trace line is missing {key}", line_no)
             yield _tuple_from_parts(rec["fid"], rec["oid"], rec["label"],
                                     rec["bb"], rec["fv"], rec.get("ts"), fps, line_no)
 

@@ -291,6 +291,8 @@ NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv"
     ("run", Q2, ["--window", "hour,1,1"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
     ("run", Q3, [], 3, "SCHEMA_MISMATCH"),
     ("run", Q2, ["--engine-config", "[" * 100_000], 3, "CONFIG_ERROR"),
+    ("run", Q2, ["--window", "time,inf,1"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", Q2, ["--window", "tuple,inf,10"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
         "window-inf-hop", "missing-query", "config-value", "config-json",
         "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
@@ -301,7 +303,7 @@ NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv"
         "cct-gap-zero", "cct-gap-negative", "cct-gap-fraction", "huge-window",
         "huge-probe", "huge-bb", "huge-join-offset", "huge-decimal-probe",
         "config-rate-casings", "window-two-parts", "window-kind", "trace-count",
-        "config-deep"])
+        "config-deep", "window-inf-size", "tuple-window-inf-size"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -434,6 +436,7 @@ def _run(*extra, **files):
 
 
 PAIR_GT = '{"left_universe": [1], "right_universe": [2], "positives": []}'
+COUNTS = '{{"window": {}, "count": {}}}\n'  # one count result row
 DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
 
 
@@ -524,6 +527,20 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
     (_run("--rate", "1e-300"), 3, "CONFIG_ERROR", "too small"),
     (_run("--engine-config", "{tmp}/e.json", **{"e.json": '{"rates": {"R1": 1e-300}}'}), 3,
      "CONFIG_ERROR", "too small"),
+    (_eval("count", COUNTS.format(0, 5) + COUNTS.format(1, 5) + COUNTS.format(9, 5), "[5]"), 3,
+     "INDEX_MISMATCH", "window 1"),
+    (_eval("count", COUNTS.format(0, 5) + COUNTS.format(0, 7), "[5]"), 3, "INDEX_MISMATCH",
+     "window 0 is listed twice"),
+    ((GEN, {"spec.json": "[1]"}), 3, "SPEC_ERROR", "generator spec must be an object"),
+    ((GEN, {"spec.json": '{"frames": 5, "objects": [5]}'}), 3, "SPEC_ERROR",
+     "generator spec objects[0] must be an object"),
+    ((GEN, {"spec.json": '{"frames": 5, "objects": [{"oid": 1, "bb": [0, 0, 1, 1]}]}'}), 3,
+     "SPEC_ERROR", "generator spec objects[0] is missing intervals"),
+    (_eval("pairs", '{"a": 1, "b": 2}', "[1]"), 3, "FORMAT_MISMATCH", "gt.json must be an object"),
+    (_eval("count", COUNTS.format(0, 1), '{"a": 1}'), 3, "FORMAT_MISMATCH",
+     "gt.json is missing windows"),
+    (_eval("direction", '{"oid": 1, "direction": "N"}', "[[1]]"), 3, "FORMAT_MISMATCH",
+     "gt.json must be an object"),
 ], ids=["spec-noise", "spec-velocity", "spec-bb", "spec-fv-dim-negative", "spec-fv-dim-zero",
         "spec-fv-empty", "spec-label", "spec-fps-nan", "spec-fv-dim-huge", "spec-frames-huge",
         "spec-not-utf8", "gen-out-missing-dir",
@@ -542,7 +559,9 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
         "eval-universe-string", "eval-universe-object", "eval-positive-string",
         "eval-direction-number", "eval-direction-null", "eval-pairs-one-column",
         "spec-box-overflow", "spec-deep", "bench-deep", "eval-gt-deep", "eval-results-deep",
-        "run-trace-deep", "rate-tiny", "config-rates-tiny"])
+        "run-trace-deep", "rate-tiny", "config-rates-tiny", "eval-count-window-outside-truth",
+        "eval-count-window-twice", "spec-array", "spec-object-number", "spec-intervals-missing",
+        "eval-pairs-gt-array", "eval-count-gt-object", "eval-direction-gt-array"])
 def test_every_subcommand_exits_with_a_code(tmp_path, trace_file, capsys, case, code, error,
                                             names):
     argv, files = case
@@ -609,6 +628,11 @@ _TARGETS += [["eval", "--results", "{file}", "--gt", f"{{dir}}/{task}.json", "--
              for task in ("pairs", "count", "direction")]
 
 
+#: Python's own exception text, which no refusal may pass on as its message.
+_PYTHON_WORDING = ("subscriptable", "indices must be", "NoneType", "has no attribute",
+                   "not supported between")
+
+
 @settings(max_examples=300, deadline=10_000, derandomize=True)
 @given(target=st.sampled_from(_TARGETS), content=_CONTENT)
 def test_any_input_file_exits_0_2_or_3(fuzz_dir, target, content):
@@ -620,3 +644,4 @@ def test_any_input_file_exits_0_2_or_3(fuzz_dir, target, content):
         code = main(argv)
     assert code in (0, 2, 3)
     assert code == 0 or "error [" in err.getvalue()
+    assert not any(words in err.getvalue() for words in _PYTHON_WORDING)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -311,13 +312,14 @@ def test_non_object_line_is_a_parse_error(tmp_path, line):
     with pytest.raises(TraceParseError) as exc:
         read_trace(path)
     assert exc.value.code == "PARSE_ERROR" and exc.value.line == 2
-    assert "expected a JSON object" in str(exc.value)
+    assert "trace line must be an object" in str(exc.value)
 
 
 @pytest.mark.parametrize("field, value", [
     ("fv", "12"), ("fv", [1, True]), ("bb", "1234"), ("bb", [1, 2, "3", 4]),
     ("label", None), ("label", 5), ("fid", 1.7), ("fid", "1"), ("oid", True),
     ("ts", "0.5"), ("ts", False), ("fid", 2 ** 63), ("fv", [1, 10 ** 400]),
+    ("fv", [1, int(sys.float_info.max) + 1]),  # float() would round it down to the largest float
 ])
 def test_json_fields_keep_their_types(tmp_path, field, value):
     good = {"fid": 1, "oid": 1, "label": "x", "bb": [1, 1, 1, 1], "fv": [1, 2]}
