@@ -26,9 +26,8 @@ import traceback
 from pathlib import Path
 
 from . import engine, ingest, querylang
-from .errors import (ConfigError, FormatMismatch, IndexMismatch, InvalidWindowSpec,
-                     QuerySyntaxError, SchemaMismatch, VaqueryError, json_field, json_type,
-                     load_json)
+from .errors import (ConfigError, FormatMismatch, InvalidWindowSpec, QuerySyntaxError,
+                     SchemaMismatch, VaqueryError, json_field, json_type, load_json)
 from .windows import WindowKind, WindowSpec
 
 EXIT_QUERY_ERROR = 2
@@ -91,67 +90,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _ids(row: dict, *names: str) -> list:
-    """The values of result columns that eval keys on: present, and not arrays or objects."""
-    if not all(name in row and not isinstance(row[name], (list, dict)) for name in names):
-        raise FormatMismatch(f"result row needs id columns {list(names)}, has {list(row)}")
-    return [row[name] for name in names]
-
-
-def _result_pairs(rows: list[dict]) -> list[tuple]:
-    """The first two non-window columns of each result row form the pair."""
-    cols = [[k for k in row if k != "window"][:2] for row in rows]
-    if any(len(c) < 2 for c in cols):
-        raise FormatMismatch("pair evaluation needs at least two result columns")
-    return [tuple(_ids(row, *c)) for row, c in zip(rows, cols)]
-
-
-def _read_results(path: str) -> list[dict]:
-    rows = []
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = load_json(line, FormatMismatch, f"{path} line {line_no}", "object")
-            if "_meta" not in rec:
-                rows.append(rec)
-    return rows
-
-
 def cmd_eval(args) -> int:
     from . import evaluation  # only eval and bench need it and its imports
 
-    rows = _read_results(args.results)
-    gt_text = Path(args.gt).read_bytes()
-    counts = None
-    if args.task == "pairs":
-        gt = evaluation.PairGroundTruth.from_json(gt_text, args.gt)
-        counts = evaluation.confusion_pairs(_result_pairs(rows), gt)
-        acc = evaluation.accuracy(counts)
-    elif args.task == "count":
-        truth = evaluation.load_count_gt(gt_text, args.gt)
-        predicted, seen = dict.fromkeys(range(len(truth))), set()
-        for row in rows:  # a count of a column is named count(<column>)
-            key = next((k for k in row if k.startswith("count(")), "count")
-            window, count = _ids(row, "window", key)
-            if window not in predicted:
-                raise IndexMismatch(f"result window {window!r} is not one of the "
-                                    f"{len(truth)} ground-truth windows")
-            if window in seen:
-                raise IndexMismatch(f"result window {window!r} is listed twice")
-            seen.add(window)
-            predicted[window] = count
-        acc = evaluation.count_eval(list(predicted.values()), truth)
-    else:
-        truth = evaluation.load_direction_gt(gt_text, args.gt)
-        predicted = {}
-        for row in rows:
-            key = next((k for k in row if k not in ("window", "direction")), "oid")
-            oid, direction = _ids(row, key, "direction")
-            predicted[str(oid)] = direction
-        acc = evaluation.direction_eval(predicted, truth)
-    report = evaluation.AccuracyReport(args.task, counts, acc, args.variant)
-
+    with open(args.results, "rb") as fh:  # result rows: each non-blank line but _meta
+        rows = [load_json(line, FormatMismatch, f"{args.results} line {line_no}", "object")
+                for line_no, line in enumerate(fh, start=1) if line.strip()]
+    report = evaluation.evaluate(args.task, [row for row in rows if "_meta" not in row],
+                                 Path(args.gt).read_bytes(), args.gt, args.variant)
     print(report.to_text())
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")

@@ -327,8 +327,9 @@ def jsonable(value: Any) -> Any:
 
 
 def row_to_json(row: Mapping[str, Any]) -> str:
-    """Canonical one-line JSON for a result row (stable key order)."""
-    return json.dumps(jsonable(dict(row)), sort_keys=True)
+    """One-line JSON for a result row, its keys in the row's column order:
+    ``window`` first, then the plan's output columns."""
+    return json.dumps(jsonable(dict(row)))
 
 
 def write_results(rows: Sequence[Mapping[str, Any]], path: str | Path,

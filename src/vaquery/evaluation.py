@@ -1,10 +1,10 @@
 """Accuracy, robustness, and efficiency evaluation.
 
-Query results are scored against ground-truth files with the standard
-confusion-matrix accuracy (TP+TN)/(TP+TN+FP+FN), computed in exact rational
-arithmetic. For pair tasks (joins) the universe is the full cross product of
-the two object sets, so unmatched-and-unreported pairs count as true
-negatives; appending noise objects that neither match nor get reported
+Query results are scored against ground-truth files by one rule, :func:`evaluate`,
+with the standard confusion-matrix accuracy (TP+TN)/(TP+TN+FP+FN) in exact
+rational arithmetic. For pair tasks (joins) the universe is the full cross
+product of the two object sets, so unmatched-and-unreported pairs count as
+true negatives; appending noise objects that neither match nor get reported
 raises accuracy purely through TN growth.
 
 Efficiency comparisons rely on the engine's comparison counters and on wall
@@ -22,7 +22,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (EmptyConfusion, FormatMismatch, IndexMismatch, PairOutsideUniverse,
                      json_field, json_type, load_json)
-from .operators import Direction8
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,10 @@ def _id_order(value: str | int) -> tuple[bool, str | int]:
 def confusion_pairs(result: Iterable[tuple], gt: PairGroundTruth) -> ConfusionCounts:
     """Score emitted (left, right) object pairs against the positive-pair ground truth."""
     emitted = set()
-    for item in result:
-        pair = (item[0], item[1])
-        if pair[0] not in gt.left_universe or pair[1] not in gt.right_universe:
-            raise PairOutsideUniverse(f"result pair {pair!r} outside the universes")
-        emitted.add(pair)
+    for left, right in result:
+        if left not in gt.left_universe or right not in gt.right_universe:
+            raise PairOutsideUniverse(f"result pair {(left, right)!r} outside the universes")
+        emitted.add((left, right))
     tp = len(emitted & gt.positives)
     fp = len(emitted - gt.positives)
     fn = len(gt.positives - emitted)
@@ -102,29 +100,16 @@ def confusion_pairs(result: Iterable[tuple], gt: PairGroundTruth) -> ConfusionCo
     return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
-def count_eval(predicted: Sequence[int], truth: Sequence[int]) -> Fraction:
-    """Per-window exact-match accuracy of predicted counts."""
-    if len(predicted) != len(truth):
-        raise IndexMismatch(f"{len(predicted)} predicted windows vs {len(truth)} truth windows")
+def exact_match(predicted: Mapping, truth: Mapping, noun: str = "key") -> Fraction:
+    """Share of the truth's keys whose result value equals the truth's. A result key
+    that the truth lacks is an ``INDEX_MISMATCH``; a truth key without a result
+    scores as a miss. ``noun`` names a key in errors."""
+    for key in predicted:
+        if key not in truth:
+            raise IndexMismatch(f"result {noun} {key!r} is not in the ground truth")
     if not truth:
-        raise EmptyConfusion("no windows to score")
-    hits = sum(1 for p, t in zip(predicted, truth) if p == t)
-    return Fraction(hits, len(truth))
-
-
-def direction_eval(predicted: Mapping[Any, Direction8 | str],
-                   truth: Mapping[Any, Direction8 | str]) -> Fraction:
-    """Per-object exact-match accuracy of predicted directions."""
-    if set(predicted) != set(truth):
-        missing = set(truth) ^ set(predicted)
-        raise IndexMismatch(f"object ids differ between prediction and truth: {sorted(missing)}")
-    if not truth:
-        raise EmptyConfusion("no objects to score")
-
-    def norm(v) -> str:
-        return v.value if isinstance(v, Direction8) else str(v)
-
-    hits = sum(1 for k in truth if norm(predicted[k]) == norm(truth[k]))
+        raise EmptyConfusion(f"no {noun}s to score")
+    hits = sum(1 for key, value in truth.items() if key in predicted and predicted[key] == value)
     return Fraction(hits, len(truth))
 
 
@@ -196,19 +181,71 @@ def bench_table(rows: Sequence[BenchRow]) -> str:
 # ground-truth file loaders; ``source`` names the file in their errors
 
 
-def load_count_gt(text: str | bytes, source: str = "count ground truth") -> list[int]:
+def load_count_gt(text: str | bytes, source: str = "count ground truth") -> dict[int, int]:
     """Per-window expected counts as JSON integers: a list, or {"windows": {"0": n, ...}}."""
     raw = load_json(text, FormatMismatch, source, "array or object")
     if type(raw) is dict:
         windows = json_field(raw, "windows", "object", FormatMismatch, source)
-        return [json_field(windows, str(i), "integer", FormatMismatch, f"{source} windows")
-                for i in range(len(windows))]
-    return json_type(raw, "array of integer", FormatMismatch, source)
+        return {i: json_field(windows, str(i), "integer", FormatMismatch, f"{source} windows")
+                for i in range(len(windows))}
+    return dict(enumerate(json_type(raw, "array of integer", FormatMismatch, source)))
 
 
 def load_direction_gt(text: str | bytes, source: str = "direction ground truth") -> dict[str, str]:
-    """Per-object expected directions: JSON object id -> direction name."""
+    """Expected direction per object over the whole stream: JSON object id -> direction name."""
     raw = load_json(text, FormatMismatch, source, "object")
     for oid, name in raw.items():
         json_type(name, "string", FormatMismatch, f"{source} direction of object {oid}")
     return raw
+
+
+#: Per task: the number of id columns, the value column, and how a refusal words them.
+_COLUMNS = {"pairs": (2, None, "a window and two result columns as ids"),
+            "count": (0, "count", "a window and a count or count(<column>) column"),
+            "direction": (1, "direction", "a window, one result column as id, and direction")}
+
+
+def keyed_results(rows: Iterable[Mapping[str, Any]], task: str) -> dict[tuple, Any]:
+    """Result rows as a mapping from ``(window, *ids)`` to each row's value. The ids
+    are a row's first columns, in its own order, other than ``window`` and the
+    value column. A key listed twice is an ``INDEX_MISMATCH``."""
+    n_ids, value_column, wording = _COLUMNS[task]
+    keyed: dict[tuple, Any] = {}
+    for row in rows:
+        value = value_column
+        if value == "count":  # a count of a column is named count(<column>)
+            value = next((k for k in row if k.startswith("count(")), value)
+        key = ["window", *[k for k in row if k not in ("window", value)][:n_ids]]
+        if len(key) <= n_ids or not all(k in row and not isinstance(row[k], (list, dict))
+                                        for k in [*key, value] if k is not None):
+            raise FormatMismatch(f"a {task} result row needs {wording}, none of them an "
+                                 f"array or object; it has {list(row)}")
+        window, *ids = key = tuple(row[k] for k in key)
+        if key in keyed:
+            listed = f" with ids {', '.join(map(repr, ids))}" if ids else ""
+            raise IndexMismatch(f"result window {window!r}{listed} is listed twice")
+        keyed[key] = row.get(value)
+    return keyed
+
+
+def evaluate(task: str, rows: Iterable[Mapping[str, Any]], gt_text: str | bytes,
+             source: str, variant: str = "vce") -> AccuracyReport:
+    """Score result rows against the text of a ``task`` ground truth. A ``count`` truth
+    is per window and meets the keys as they are; whole-stream ``pairs`` take the
+    union over windows, and a ``direction`` object may have one window only."""
+    truth = {"pairs": PairGroundTruth.from_json, "count": load_count_gt,
+             "direction": load_direction_gt}[task](gt_text, source)
+    keyed = keyed_results(rows, task)
+    if task == "pairs":
+        counts = confusion_pairs([key[1:] for key in keyed], truth)
+        return AccuracyReport(task, counts, accuracy(counts), variant)
+    if task == "count":
+        acc = exact_match({window: value for (window,), value in keyed.items()}, truth, "window")
+        return AccuracyReport(task, None, acc, variant)
+    predicted, windows = {}, {}  # by object id text: its value, its window
+    for (window, oid), value in keyed.items():
+        if str(oid) in predicted:
+            raise IndexMismatch(f"object {str(oid)!r} has result rows in windows "
+                                f"{windows[str(oid)]!r} and {window!r}")
+        predicted[str(oid)], windows[str(oid)] = value, window
+    return AccuracyReport(task, None, exact_match(predicted, truth, "object"), variant)

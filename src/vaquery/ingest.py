@@ -151,11 +151,26 @@ def _csv_record(rec: list[str], line_no: int) -> dict:
         fid, oid = int(rec[0]), int(rec[1])
         fv = [float(v) for v in rec[8:]]
         ts = float(rec[3]) if rec[3] != "" else None
-    except ValueError as exc:
-        raise TraceParseError(str(exc), line_no) from None
+    except ValueError:
+        raise _csv_refusal(rec, line_no) from None
     _check_id("fid", fid, line_no)
     _check_id("oid", oid, line_no)
     return {"fid": fid, "oid": oid, "label": rec[2], "bb": bb, "fv": fv, "ts": ts}
+
+
+def _csv_refusal(rec: list[str], line_no: int) -> TraceParseError:
+    """The error of a CSV row's first field, in :func:`_csv_record`'s order, that
+    is not a number (an integer for fid and oid), with at most 20 characters of it."""
+    for name, text in [*((f"bb[{i}]", v) for i, v in enumerate(rec[4:8])), ("fid", rec[0]),
+                       ("oid", rec[1]), *((f"fv[{i}]", v) for i, v in enumerate(rec[8:])),
+                       ("ts", rec[3])]:
+        convert, kind = (int, "an integer") if name in ("fid", "oid") else (float, "a number")
+        try:
+            convert(text)
+        except ValueError:
+            shown = repr(text[:20]) + ("..." if len(text) > 20 else "")
+            return TraceParseError(f"trace line {name} must be {kind}, got {shown}", line_no)
+    raise AssertionError("a CSV row that failed to parse has no failing field")
 
 
 def _csv_lines(fh) -> Iterator[tuple[int, dict]]:

@@ -244,6 +244,17 @@ def _iter_jsonl(path: Path, fps: float):
                                     rec["bb"], rec["fv"], rec.get("ts"), fps, line_no)
 
 
+def _csv_value(text: str, convert, name: str, line_no: int):
+    """A CSV field as int or float; a refusal names the field and shows its
+    text, cut after 20 characters."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        shown = f"{text[:20]!r}..." if len(text) > 20 else repr(text)
+        raise TraceParseError(f"trace line {name} must be {kind}, got {shown}", line_no) from None
+
+
 def _iter_csv(path: Path, fps: float):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -259,8 +270,12 @@ def _iter_csv(path: Path, fps: float):
                 continue
             if len(rec) != len(header):
                 raise TraceParseError(f"expected {len(header)} fields, got {len(rec)}", line_no)
-            ts = rec[3] if rec[3] != "" else None
-            yield _tuple_from_parts(rec[0], rec[1], rec[2], rec[4:8], rec[8:], ts, fps, line_no)
+            bb = [_csv_value(v, float, f"bb[{i}]", line_no) for i, v in enumerate(rec[4:8])]
+            fid = _csv_value(rec[0], int, "fid", line_no)
+            oid = _csv_value(rec[1], int, "oid", line_no)
+            fv = [_csv_value(v, float, f"fv[{i}]", line_no) for i, v in enumerate(rec[8:])]
+            ts = _csv_value(rec[3], float, "ts", line_no) if rec[3] != "" else None
+            yield _tuple_from_parts(fid, oid, rec[2], bb, fv, ts, fps, line_no)
 
 
 def read_trace_oracle(path, fps: float = 30.0, flip_y: float | None = None) -> Relation:

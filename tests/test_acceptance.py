@@ -209,7 +209,7 @@ Q4_TEXT = ('SELECT AR1.oid, DIRECTION(AR1.[BB]) '
 
 
 def test_criterion_06_scalability_linearity():
-    """Doubling the trace doubles per-stage input counts; time stays near-linear."""
+    """Doubling the trace doubles per-stage input counts; CPU time stays near-linear."""
     single = _scalability_trace()
     double = concat_traces(single, single, oid_offset=100)
     assert len(double) == 2 * len(single)
@@ -217,22 +217,22 @@ def test_criterion_06_scalability_linearity():
     for text in (Q1_TEXT, Q2_TEXT, Q4_TEXT):
         p = plan(parse(text), ONE)
 
-        def median_run(trace):
-            times, stats = [], None
-            for _ in range(5):
+        # CPU time of this process, the least of five runs of each trace taken
+        # in turn: preemption and GC pauses only ever add time, and a slow
+        # spell of the machine then slows both traces alike
+        times, stats = ([], []), [None, None]
+        for _ in range(5):
+            for i, trace in enumerate((single, double)):
                 pipeline = instantiate(p)
-                t0 = time.perf_counter()
-                _, stats = pipeline.run([trace])
-                times.append(time.perf_counter() - t0)
-            return sorted(times)[2], stats
-
-        t1, s1 = median_run(single)
-        t2, s2 = median_run(double)
+                t0 = time.process_time()
+                _, stats[i] = pipeline.run([trace])
+                times[i].append(time.process_time() - t0)
+        (t1, t2), (s1, s2) = map(min, times), stats
         for st1, st2 in zip(s1.stages, s2.stages):
             assert st2.tuples_in == 2 * st1.tuples_in, \
                 f"{st1.name}: {st1.tuples_in} -> {st2.tuples_in}"
         assert t2 <= 3.0 * t1, f"{text[:20]}: {t1:.4f}s -> {t2:.4f}s"
-    ok(6, "Q1/Q2/Q4: per-stage tuples_in doubles exactly, wall-time factor <= 3")
+    ok(6, "Q1/Q2/Q4: per-stage tuples_in doubles exactly, CPU-time factor <= 3")
 
 
 def test_criterion_07_cct_golden():

@@ -163,6 +163,42 @@ def test_eval_direction_task(tmp_path, capsys):
     assert "100%" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("left, right, join", [("CAM2", "CAM1", "JOIN"), ("B", "A", "CJOIN"),
+                                               ("x", "y", "CJOIN")])
+def test_run_then_eval_scores_a_join_as_left_right_pairs(tmp_path, capsys, left, right, join):
+    # left object 1 and right object 2 share a feature vector; a result line keeps the
+    # query's column order, so the pair is (left, right) whatever the aliases sort as
+    traces = []
+    for cam, fvs in (("left", ((1, 0, 0, 0), (0, 1, 0, 0))),
+                     ("right", ((0, 0, 1, 0), (1, 0, 0, 0)))):
+        traces.append(tmp_path / f"{cam}.jsonl")
+        write_trace(trace_relation([(fid, oid, "person", (0, 0, 1, 1), fv) for fid in range(3)
+                                    for oid, fv in enumerate(fvs, start=1)]), traces[-1])
+    qpath = write_query(tmp_path, f"SELECT * FROM (R2A(R1, R1.oid, R1.fid)) {left} {join} "
+                                  f"(R2A(R2, R2.oid, R2.fid)) {right} "
+                                  f"ON {left}.[FV] sMatch(0.9) {right}.[FV]")
+    results, gt = tmp_path / "r.jsonl", tmp_path / "gt.json"
+    assert main(["run", "--query", str(qpath), "--trace", str(traces[0]), "--trace",
+                 str(traces[1]), "--out", str(results)]) == 0
+    gt.write_text('{"left_universe": [1, 2], "right_universe": [1, 2], "positives": [[1, 2]]}')
+    capsys.readouterr()
+    assert main(["eval", "--results", str(results), "--gt", str(gt), "--task", "pairs"]) == 0
+    out = capsys.readouterr().out
+    assert "accuracy  100%" in out and "TP=1 FP=0 FN=0" in out
+
+
+def test_run_then_eval_refuses_a_direction_object_in_two_windows(tmp_path, trace_file, capsys):
+    qpath = write_query(tmp_path, "SELECT AR1.oid, DIRECTION(AR1.bb) FROM "
+                                  "(R2A(R1, R1.oid, R1.fid)) AR1 WINDOW(TIME, 0.5, 0.5)")
+    results, gt = tmp_path / "r.jsonl", tmp_path / "gt.json"
+    assert main(["run", "--query", str(qpath), "--trace", str(trace_file),
+                 "--out", str(results)]) == 0
+    gt.write_text('{"1": "E", "2": "N", "3": "W"}')
+    assert main(["eval", "--results", str(results), "--gt", str(gt), "--task", "direction"]) == 3
+    err = capsys.readouterr().err
+    assert "error [INDEX_MISMATCH]" in err and "object '1'" in err and "windows 0 and 1" in err
+
+
 def test_gen_deterministic_output(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -248,6 +284,7 @@ DEEP_NOTS = "SELECT fid FROM R1 WHERE " + "NOT " * 1000 + "fid = 1"
 CCT_GAP = "SELECT count(fid) FROM CCT(R2A(R1, R1.oid, R1.fid), first, {})"
 NINES = "9" * 400  # an integer literal beyond the float64 range
 NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv": [1.0]}\n'
+CSV_ROW = "fid,oid,label,ts,bb_x,bb_y,bb_w,bb_h,fv_0\n{}\n"  # a CSV trace of one row
 
 
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
@@ -293,6 +330,10 @@ NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv"
     ("run", Q2, ["--engine-config", "[" * 100_000], 3, "CONFIG_ERROR"),
     ("run", Q2, ["--window", "time,inf,1"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
     ("run", Q2, ["--window", "tuple,inf,10"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", Q2, ["--trace", CSV_ROW.format("1,x,p,,0,0,1,1,1")], 3,
+     "PARSE_ERROR: trace line oid must be an integer, got 'x' (line 2)"),
+    ("run", Q2, ["--trace", CSV_ROW.format("1,1,p,,0,0,1,1,nan?")], 3,
+     "PARSE_ERROR: trace line fv[0] must be a number, got 'nan?' (line 2)"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
         "window-inf-hop", "missing-query", "config-value", "config-json",
         "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
@@ -303,7 +344,8 @@ NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv"
         "cct-gap-zero", "cct-gap-negative", "cct-gap-fraction", "huge-window",
         "huge-probe", "huge-bb", "huge-join-offset", "huge-decimal-probe",
         "config-rate-casings", "window-two-parts", "window-kind", "trace-count",
-        "config-deep", "window-inf-size", "tuple-window-inf-size"])
+        "config-deep", "window-inf-size", "tuple-window-inf-size", "csv-oid-text",
+        "csv-fv-text"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -312,16 +354,17 @@ def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
         cfg.write_text(extra[1])
         extra = ["--engine-config", str(cfg)]
     if extra[:1] == ["--trace"]:  # a trace file with the given text
-        trace_file = tmp_path / "bad.jsonl"
-        text = extra[1]
-        trace_file.write_bytes(text if isinstance(text, bytes) else text.encode())
+        text = extra[1] if isinstance(extra[1], bytes) else extra[1].encode()
+        trace_file = tmp_path / ("bad.csv" if text.startswith(b"fid,") else "bad.jsonl")
+        trace_file.write_bytes(text)
         extra = []
     args = [command, "--query", str(qpath)]
     if command == "run":
         args += ["--trace", str(trace_file)] + extra
     assert main(args) == code
     err = capsys.readouterr().err
-    assert f"error [{error}]" in err
+    error, _, message = error.partition(": ")  # a code, or a code and its whole message
+    assert f"error [{error}]: {message}" in err
     assert "Traceback" not in err and "Warning" not in err
 
 
@@ -541,6 +584,11 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
      "gt.json is missing windows"),
     (_eval("direction", '{"oid": 1, "direction": "N"}', "[[1]]"), 3, "FORMAT_MISMATCH",
      "gt.json must be an object"),
+    (_eval("direction", '{"window": 0, "oid": 1, "direction": "N"}\n'
+                        '{"window": 1, "oid": 1, "direction": "S"}\n', '{"1": "N"}'), 3,
+     "INDEX_MISMATCH", "object '1' has result rows in windows 0 and 1"),
+    (_eval("pairs", '{"window": 0, "a": 1, "b": 2}\n' * 2, PAIR_GT), 3, "INDEX_MISMATCH",
+     "window 0 with ids 1, 2 is listed twice"),
 ], ids=["spec-noise", "spec-velocity", "spec-bb", "spec-fv-dim-negative", "spec-fv-dim-zero",
         "spec-fv-empty", "spec-label", "spec-fps-nan", "spec-fv-dim-huge", "spec-frames-huge",
         "spec-not-utf8", "gen-out-missing-dir",
@@ -561,7 +609,8 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
         "spec-box-overflow", "spec-deep", "bench-deep", "eval-gt-deep", "eval-results-deep",
         "run-trace-deep", "rate-tiny", "config-rates-tiny", "eval-count-window-outside-truth",
         "eval-count-window-twice", "spec-array", "spec-object-number", "spec-intervals-missing",
-        "eval-pairs-gt-array", "eval-count-gt-object", "eval-direction-gt-array"])
+        "eval-pairs-gt-array", "eval-count-gt-object", "eval-direction-gt-array",
+        "eval-direction-object-in-two-windows", "eval-pair-twice-in-a-window"])
 def test_every_subcommand_exits_with_a_code(tmp_path, trace_file, capsys, case, code, error,
                                             names):
     argv, files = case

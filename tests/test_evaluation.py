@@ -2,13 +2,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import confusion_oracle
 from vaquery.errors import (EmptyConfusion, FormatMismatch, IndexMismatch,
-                            PairOutsideUniverse)
+                            PairOutsideUniverse, VaqueryError)
 from vaquery.evaluation import (AccuracyReport, BenchRow, ConfusionCounts,
                                 PairGroundTruth, accuracy, bench, bench_table,
-                                confusion_pairs, count_eval, direction_eval,
+                                confusion_pairs, evaluate, exact_match,
                                 load_count_gt, load_direction_gt)
 from vaquery.operators import Direction8
 
@@ -117,20 +119,27 @@ def test_pair_ground_truth_bad_json():
         PairGroundTruth.from_json('{"left_universe": [1]}')
 
 
+def by_window(counts):
+    return dict(enumerate(counts))
+
+
 def test_count_eval():
-    assert count_eval([3, 2], [3, 2]) == 1
-    assert count_eval([3, 2], [3, 1]) == Fraction(1, 2)
+    assert exact_match(by_window([3, 2]), by_window([3, 2])) == 1
+    assert exact_match(by_window([3, 2]), by_window([3, 1])) == Fraction(1, 2)
+    # a truth window without a result is a miss; a result window the truth lacks is refused
+    assert exact_match(by_window([3]), by_window([3, 1])) == Fraction(1, 2)
     with pytest.raises(IndexMismatch):
-        count_eval([3], [3, 1])
+        exact_match(by_window([3, 1]), by_window([3]))
     with pytest.raises(EmptyConfusion):
-        count_eval([], [])
+        exact_match(by_window([]), by_window([]))
 
 
 def test_direction_eval():
-    assert direction_eval({1: Direction8.NE}, {1: "NE"}) == 1
-    assert direction_eval({1: "NE", 2: "S"}, {1: "NE", 2: "N"}) == Fraction(1, 2)
+    assert exact_match({1: Direction8.NE}, {1: "NE"}) == 1
+    assert exact_match({1: "NE", 2: "S"}, {1: "NE", 2: "N"}) == Fraction(1, 2)
+    assert exact_match({1: "NE"}, {1: "NE", 2: "N"}) == Fraction(1, 2)
     with pytest.raises(IndexMismatch):
-        direction_eval({1: "NE"}, {2: "NE"})
+        exact_match({1: "NE"}, {2: "NE"})
 
 
 def test_accuracy_report_outputs():
@@ -158,8 +167,8 @@ def test_bench_rows_and_table():
 
 
 def test_count_gt_loader():
-    assert load_count_gt("[3, 2, 1]") == [3, 2, 1]
-    assert load_count_gt('{"windows": {"0": 5, "1": 6}}') == [5, 6]
+    assert load_count_gt("[3, 2, 1]") == {0: 3, 1: 2, 2: 1}
+    assert load_count_gt('{"windows": {"0": 5, "1": 6}}') == {0: 5, 1: 6}
     with pytest.raises(FormatMismatch):
         load_count_gt('{"windows": {"1": 5}}')
     with pytest.raises(FormatMismatch):
@@ -170,3 +179,54 @@ def test_direction_gt_loader():
     assert load_direction_gt('{"1": "NE"}') == {"1": "NE"}
     with pytest.raises(FormatMismatch):
         load_direction_gt("[1]")
+
+
+# Result rows and ground truths of every task, over a few windows and ids.
+_IDS = st.sampled_from([0, 1, 2, "a"])
+_WINDOWS = st.integers(0, 3)
+_DIRECTIONS = st.sampled_from(["N", "S", "E"])
+
+
+@st.composite
+def _results_and_truth(draw):
+    task = draw(st.sampled_from(["pairs", "count", "direction"]))
+    if task == "pairs":
+        keys = draw(st.lists(st.tuples(_WINDOWS, _IDS, _IDS), unique=True, max_size=8))
+        rows = [{"window": w, "x.oid": l, "y.oid": r, "score": 1.0} for w, l, r in keys]
+        truth = {"left_universe": [0, 1, 2, "a"], "right_universe": [0, 1, 2, "a"],
+                 "positives": draw(st.lists(st.tuples(_IDS, _IDS), unique=True, max_size=4))}
+    elif task == "count":
+        rows = [{"window": w, "count": draw(st.integers(0, 2))}
+                for w in draw(st.lists(_WINDOWS, unique=True, max_size=4))]
+        truth = draw(st.lists(st.integers(0, 2), max_size=4))
+    else:
+        rows = [{"window": w, "oid": oid, "direction": draw(_DIRECTIONS)}
+                for w, oid in draw(st.lists(st.tuples(_WINDOWS, _IDS), unique=True, max_size=6))]
+        truth = draw(st.dictionaries(st.sampled_from(["0", "1", "2", "a"]), _DIRECTIONS,
+                                     max_size=4))
+    return task, rows, json.dumps(truth)
+
+
+def _report(task, rows, truth):
+    try:
+        return evaluate(task, rows, truth, "gt.json").to_dict()
+    except VaqueryError as exc:
+        return exc.code
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_results_and_truth(), data=st.data())
+def test_the_report_depends_on_result_keys_only(case, data):
+    task, rows, truth = case
+    report = _report(task, rows, truth)
+    assert _report(task, data.draw(st.permutations(rows)), truth) == report
+    if task == "pairs" and rows:
+        # one window's rows spread over fresh windows: pairs take the union over windows
+        spread = rows[0]["window"]
+        moved = [dict(row, window=10 + data.draw(st.integers(0, 2)))
+                 if row["window"] == spread else row for row in rows]
+        assert _report(task, moved, truth) == report
+    if rows:
+        twice = data.draw(st.sampled_from(rows))
+        at = data.draw(st.integers(0, len(rows)))
+        assert _report(task, rows[:at] + [twice] + rows[at:], truth) == "INDEX_MISMATCH"
