@@ -4,14 +4,18 @@ A query plan is instantiated as one generator per plan node, pulled from
 the root. A source yields its trace as row ranges sized by its feed clock:
 the whole trace at once when unthrottled, else every row that its feed
 rate has made due; a window node assigns each range to windows and yields
-every closed window as a zero-copy slice of the trace; per-window nodes
-transform whole window payloads. Windows flow one at a time from the
-sources to the root, so results are a function of the plan and the input
-traces only: feed rates change timing and range sizes, never output.
+every closed window as a zero-copy slice of the trace; every other node is
+one per-window stage that transforms the windows of its inputs. Windows
+flow one at a time from the sources to the root, so results are a function
+of the plan and the input traces only: feed rates change timing and range
+sizes, never output.
 
-Joins pair the windows of their two inputs by position, which is window
-index: window managers emit every index in order (gaps as empty windows),
-and time windows count from one origin, the earliest first ``ts`` of any source.
+A query has one window axis, fixed before the first window closes: time
+windows count from the earliest first ``ts`` of any source, tuple windows
+from ordinal 0, and the axis runs through the last window that holds a row
+of any source. Every window node emits exactly those indices, as empty
+slices of its own trace where it has no rows, so the inputs of a join meet
+window by window.
 """
 
 from __future__ import annotations
@@ -21,22 +25,21 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, SchemaMismatch, json_field, json_type, load_json
-from .model import Arrable, Relation, Schema, offsets_of
+from .model import Relation
 from .operators import (Direction8, aggregate, cct, cct_join, cjoin, count_star, direction,
                         hash_equi_join, nl_join, project, select)
 from .querylang.planner import (AggregateNode, CctNode, DirectionNode,
                                 EquiJoinNode, JoinNode, PlanNode, ProjectNode,
                                 QueryPlan, R2ANode, SelectNode, SourceNode,
-                                WindowNode, _gba_of)
+                                WindowNode, iter_nodes)
 from .operators import r2a as r2a_op
-from .windows import WindowKind, WindowManager, WindowSpec, check_span
+from .windows import WindowKind, WindowManager, WindowSpec, assign, check_span
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,7 @@ class Pipeline:
         self.stages: list[StageStats] = []
         self._names_used: dict[str, int] = {}
         self._sources: Sequence[Relation] = ()
+        self._origin, self._window_count = 0.0, 0  # the query's window axis, set by run()
         self._started = 0.0
         # generator bodies run only once run() pulls the root
         self._root = self._build(plan.root)
@@ -163,71 +167,68 @@ class Pipeline:
         if isinstance(node, SourceNode):
             return self._source(stats, node.ordinal, self.config.rate_for(node.name))
         if isinstance(node, WindowNode):
-            return self._windows(stats, node.spec, self._build(node.child))
-        fn = _operator(node, stats)
-        if isinstance(node, (JoinNode, EquiJoinNode)):
-            empty = tuple(_empty(c.schema, _gba_of(c) if isinstance(node, JoinNode) else None)
-                          for c in (node.left, node.right))
-            return self._join(stats, fn, empty, self._build(node.left), self._build(node.right))
-        return self._per_window(stats, fn, self._build(node.child))
+            return self._windows(stats, node.spec, node.child.ordinal, self._build(node.child))
+        return self._stage(stats, _operator(node, stats), [self._build(c) for c in node.children])
 
     def _source(self, stats: StageStats, ordinal: int, rate: float) -> Iterator:
         """Release one trace as row ranges: whole when unthrottled, else every row
         due by ``started + rows / rate``, sleeping until the next one when none is."""
-        relation, lo = self._sources[ordinal], 0
-        while lo < len(relation):
-            hi = len(relation)
+        lo, end = 0, len(self._sources[ordinal])
+        while lo < end:
+            hi = end
             if rate > 0:  # every source counts from the same start, so throttled sources overlap
                 while (due := int((time.monotonic() - self._started) * rate)) <= lo:
                     time.sleep(max(0.0, self._started + (lo + 1) / rate - time.monotonic()))
                 hi = min(due, hi)
             stats.tuples_in = stats.tuples_out = hi
-            yield relation, lo, hi
+            yield lo, hi
             lo = hi
 
-    def _windows(self, stats: StageStats, spec: WindowSpec, ranges: Iterator) -> Iterator:
-        """Assign released row ranges to windows; each closed window is a slice of the trace."""
-        by_time = spec.kind is WindowKind.TIME
-        if by_time and spec.origin is None:  # one time axis for every source of the query
-            spec = replace(spec, origin=min(
-                (r.column("ts")[0].item() for r in self._sources if len(r)), default=None))
-        manager = WindowManager(spec)
+    def _windows(self, stats: StageStats, spec: WindowSpec, ordinal: int,
+                 ranges: Iterator) -> Iterator:
+        """Cut released row ranges into the query's windows, each a slice of the trace;
+        past the trace's last row, the axis's remaining windows are empty slices."""
+        relation, by_time = self._sources[ordinal], spec.kind is WindowKind.TIME
+        manager = WindowManager(replace(spec, origin=self._origin))
 
-        def sliced(closed):
-            for win, rows in closed:
-                stats.tuples_out += len(rows)
-                yield win.index, relation.take(slice(rows.start, rows.stop))
+        def closed():
+            for lo, hi in ranges:
+                # a tuple window's key is the row's ordinal, its position in the trace
+                keys = relation.column("ts")[lo:hi] if by_time else np.arange(lo, hi)
+                stats.tuples_in += hi - lo
+                manager.add(keys)
+                yield from manager.close_windows(keys[-1].item() if by_time else hi)
+            yield from manager.flush()
 
-        for relation, lo, hi in ranges:
-            if by_time:
-                keys, last = relation.column("ts")[lo:hi], relation.column("ts")[-1].item()
-            else:  # a tuple window's key is the row's ordinal, its position in the trace
-                keys, last = np.arange(lo, hi), len(relation) - 1
-            stats.tuples_in += hi - lo
-            manager.add(keys)
-            if lo == 0:  # the whole trace must fit in the window limit before a window closes
-                check_span(spec, manager.origin, last)
-            yield from sliced(manager.close_windows(keys[-1].item() if by_time else hi))
-        yield from sliced(manager.flush())
+        emitted = 0
+        for emitted, (win, rows) in enumerate(closed(), start=1):
+            stats.tuples_out += len(rows)
+            yield win.index, relation.take(slice(rows.start, rows.stop))
+        for idx in range(emitted, self._window_count):
+            yield idx, relation.take(slice(len(relation), None))
 
     @staticmethod
-    def _per_window(stats: StageStats, fn: Callable[[Any], Any], windows: Iterator) -> Iterator:
-        for idx, payload in windows:
-            yield idx, stats.apply(fn, idx, payload)
-
-    @staticmethod
-    def _join(stats: StageStats, fn: Callable[[Any, Any], Any], empty: tuple,
-              left: Iterator, right: Iterator) -> Iterator:
-        """Join the two inputs' windows pairwise.
-
-        Window managers emit every index from 0 in order, so position is
-        window index; a side with fewer windows pairs the rest with empty.
-        """
-        for idx, (lwin, rwin) in enumerate(zip_longest(left, right)):
-            yield idx, stats.apply(fn, idx, lwin[1] if lwin else empty[0],
-                                   rwin[1] if rwin else empty[1])
+    def _stage(stats: StageStats, fn: Callable[..., Any], inputs: list[Iterator]) -> Iterator:
+        """Apply ``fn`` to each window of the inputs; every window node emits the
+        query's window indices in order, so the inputs meet window by window."""
+        for windows in zip(*inputs, strict=True):
+            idx = windows[0][0]
+            yield idx, stats.apply(fn, idx, *(payload for _, payload in windows))
 
     # execution
+
+    def _axis(self) -> tuple[float, int]:
+        """The query's window axis: its origin, and how many windows it spans
+        from the first through the last that holds a row of any source."""
+        (spec,) = {n.spec for n in iter_nodes(self.plan.root) if isinstance(n, WindowNode)}
+        filled = [r for r in self._sources if len(r)]
+        if not filled:
+            return 0.0, 0
+        by_time = spec.kind is WindowKind.TIME  # else the keys are row ordinals
+        origin = min(r.column("ts")[0].item() for r in filled) if by_time else 0.0
+        last = max(r.column("ts")[-1].item() if by_time else len(r) - 1 for r in filled)
+        check_span(spec, origin, last)
+        return origin, assign(spec, last, origin).stop
 
     def run(self, sources: Sequence[Relation]) -> tuple[list[dict[str, Any]], OpStats]:
         """Feed the given traces (in plan source order) through the pipeline."""
@@ -237,6 +238,7 @@ class Pipeline:
         if len(sources) != len(self.plan.sources):
             raise SchemaMismatch(f"plan needs {len(self.plan.sources)} sources, got {len(sources)}")
         self._sources = sources
+        self._origin, self._window_count = self._axis()
         self._started = time.monotonic()
         # collect the root's windows as flat result rows
         rows = [{"window": idx, **row} for idx, payload in self._root
@@ -290,16 +292,6 @@ def _operator(node: PlanNode, stats: StageStats) -> Callable[..., Any]:
                                                        "direction": [d for _, d in results]})
         return directions
     raise ConfigError(f"unknown plan node {type(node).__name__}")
-
-
-def _empty(schema: Schema, gba: str | None = None) -> Relation | Arrable:
-    """An input without rows: a relation, or an arrable grouped on ``gba``."""
-    rel = Relation.from_columns(schema, dict.fromkeys(schema.names(), ()))
-    if gba is None:
-        return rel
-    return Arrable(gba, schema, rel.column(gba), offsets_of(()),
-                   rel.subset(schema.subset([n for n in schema.names() if n != gba])),
-                   np.arange(0))
 
 
 def instantiate(plan: QueryPlan, config: EngineConfig | None = None) -> Pipeline:

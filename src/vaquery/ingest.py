@@ -492,6 +492,8 @@ class SynthSpec:
 
 def generate(spec: SynthSpec, seed: int) -> Relation:
     """Generate a trace: same spec and seed always produce the same relation."""
+    if seed < 0:
+        raise GeneratorSpecError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     bases: dict[int, np.ndarray] = {}
     for obj in spec.objects:

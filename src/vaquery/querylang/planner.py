@@ -1,8 +1,9 @@
 """Query planner: validated AST -> executable operator tree.
 
-The plan is a deterministic function of (AST, catalog): windows sit directly
-above each source leaf, grouping sits directly above its source, and no
-reordering is attempted beyond two faithful simplifications:
+The plan is a deterministic function of (AST, catalog): the query's one
+window sits directly above each source leaf, grouping sits directly above
+its source, and no reordering is attempted beyond two faithful
+simplifications:
 
 * a WHERE clause that references the base table of a grouped source filters
   the relation before grouping (that is what the qualifier says);
@@ -28,13 +29,10 @@ from ..operators import (And, BBoxTest, CctOption, Comparison, Not, Or,
 from ..similarity import MatchCondition
 from ..windows import WHOLE_STREAM, WindowSpec
 from . import nodes as ast
+from .render import render_window
 
 
 # --- plan nodes ---------------------------------------------------------------
-
-#: payload type flowing out of a node, per window
-RELATION = "relation"
-ARRABLE = "arrable"
 
 
 class _Node:
@@ -43,13 +41,22 @@ class _Node:
         """The nodes this one reads, left before right."""
         return tuple(getattr(self, n) for n in ("child", "left", "right") if hasattr(self, n))
 
+    @property
+    def group_key(self) -> str | None:
+        """The column a grouped (arrable) output is keyed on, None for a relation:
+        R2A sets it, and the nodes that work element by element keep their input's."""
+        if isinstance(self, R2ANode):
+            return self.gba
+        if isinstance(self, (WindowNode, SelectNode, CctNode, ProjectNode)):
+            return self.child.group_key
+        return None
+
 
 @dataclass(frozen=True)
 class SourceNode(_Node):
     name: str
     ordinal: int
     schema: Schema
-    payload: str = RELATION
 
 
 @dataclass(frozen=True)
@@ -61,10 +68,6 @@ class WindowNode(_Node):
     def schema(self) -> Schema:
         return self.child.schema
 
-    @property
-    def payload(self) -> str:
-        return self.child.payload
-
 
 @dataclass(frozen=True)
 class SelectNode(_Node):
@@ -75,17 +78,12 @@ class SelectNode(_Node):
     def schema(self) -> Schema:
         return self.child.schema
 
-    @property
-    def payload(self) -> str:
-        return self.child.payload
-
 
 @dataclass(frozen=True)
 class R2ANode(_Node):
     child: "PlanNode"
     gba: str
     aoa: str
-    payload: str = ARRABLE
 
     @property
     def schema(self) -> Schema:
@@ -102,18 +100,12 @@ class CctNode(_Node):
     def schema(self) -> Schema:
         return self.child.schema
 
-    payload = ARRABLE
-
 
 @dataclass(frozen=True)
 class ProjectNode(_Node):
     child: "PlanNode"
     columns: tuple[str, ...]
     schema: Schema
-
-    @property
-    def payload(self) -> str:
-        return self.child.payload
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,6 @@ class JoinNode(_Node):
     cond: MatchCondition
     extras: tuple[ScalarPairPredicate, ...]
     schema: Schema
-    payload: str = RELATION
 
 
 @dataclass(frozen=True)
@@ -137,7 +128,6 @@ class EquiJoinNode(_Node):
     on_right: str
     prefixes: tuple[str, str]
     schema: Schema
-    payload: str = RELATION
 
 
 @dataclass(frozen=True)
@@ -146,7 +136,6 @@ class AggregateNode(_Node):
     func: str  # count | sum | avg | min | max
     column: str | None  # None: count(*)
     label: str
-    payload: str = RELATION
 
     @property
     def schema(self) -> Schema:
@@ -159,7 +148,6 @@ class DirectionNode(_Node):
     bb_column: str
     key_column: str
     schema: Schema
-    payload: str = RELATION
 
 
 PlanNode = Union[SourceNode, WindowNode, SelectNode, R2ANode, CctNode,
@@ -240,18 +228,18 @@ _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 
 class _Planner:
-    def __init__(self, catalog: _Catalog):
+    def __init__(self, catalog: _Catalog, window: WindowSpec):
         self.catalog = catalog
+        self.window = window  # the query's one window: it cuts every source
 
-    def plan_query(self, q: ast.Query, inherited_window: WindowSpec) -> PlanNode:
+    def plan_query(self, q: ast.Query) -> PlanNode:
         if q.join is not None and q.where is not None:
             raise SchemaMismatch("WHERE alongside a join condition is not supported; "
                                  "put extra conjuncts in the ON clause")
-        window = q.window or inherited_window
-        planned = self.plan_source(q.source, window)
+        planned = self.plan_source(q.source)
 
         if q.join is not None:
-            node = self.plan_join(q, planned, window)
+            node = self.plan_join(q, planned)
             planned = _Planned(node, None, None, None, None)
         elif q.where is not None:
             node = self.place_where(q.where, planned)
@@ -262,31 +250,31 @@ class _Planner:
 
     # sources
 
-    def plan_source(self, src: ast.Source, window: WindowSpec) -> _Planned:
+    def plan_source(self, src: ast.Source) -> _Planned:
         if isinstance(src, ast.TableSource):
             schema = self.catalog.lookup(src.name)
             node = WindowNode(SourceNode(src.name, self.catalog.ordinal(src.name), schema),
-                              window)
+                              self.window)
             return _Planned(node, src.alias or src.name, src.name, schema, None)
         if isinstance(src, ast.R2ASource):
             schema = self.catalog.lookup(src.table)
             self._check_qualifier(src.gba.qualifier, {src.table})
             self._check_qualifier(src.aoa.qualifier, {src.table})
             base = WindowNode(SourceNode(src.table, self.catalog.ordinal(src.table), schema),
-                              window)
+                              self.window)
             kind_check("r2a_gba", src.gba.name, schema)
             kind_check("r2a_aoa", src.aoa.name, schema)
             node = R2ANode(base, schema.resolve(src.gba.name), schema.resolve(src.aoa.name))
             return _Planned(node, src.alias, src.table, schema, node)
         if isinstance(src, ast.CctSource):
-            inner = self.plan_source(src.inner, window)
-            if inner.node.payload != ARRABLE:
+            inner = self.plan_source(src.inner)
+            if inner.node.group_key is None:
                 raise SchemaMismatch("CCT requires a grouped (arrable) input")
             node = CctNode(inner.node, src.option, src.gap_threshold)
             return _Planned(node, src.alias or inner.alias, inner.base_name,
                             inner.base_schema, inner.r2a_at)
         if isinstance(src, ast.SubquerySource):
-            node = self.plan_query(src.query, window)
+            node = self.plan_query(src.query)
             return _Planned(node, src.alias, None, None, None)
         raise TypeError(f"unknown source {src!r}")
 
@@ -319,9 +307,9 @@ class _Planner:
 
     # joins
 
-    def plan_join(self, q: ast.Query, left: _Planned, window: WindowSpec) -> PlanNode:
+    def plan_join(self, q: ast.Query, left: _Planned) -> PlanNode:
         clause = q.join
-        right = self.plan_source(clause.source, window)
+        right = self.plan_source(clause.source)
 
         left_names = {n.lower() for n in (left.alias, left.base_name) if n}
         right_names = {n.lower() for n in (right.alias, right.base_name) if n}
@@ -349,7 +337,7 @@ class _Planner:
                 raise SchemaMismatch(f"{clause.kind} requires an SMATCH condition")
             if clause.cond.extras:
                 raise SchemaMismatch("extra conjuncts are not supported with equality joins")
-            if left.node.payload != RELATION or right.node.payload != RELATION:
+            if left.node.group_key is not None or right.node.group_key is not None:
                 raise SchemaMismatch("equality joins operate on ungrouped relations")
             kind_check("equality_join", lref.name, left.node.schema)
             kind_check("equality_join", rref.name, right.node.schema)
@@ -359,7 +347,7 @@ class _Planner:
                                 right.node.schema.resolve(rref.name),
                                 (llabel, rlabel), schema)
 
-        if left.node.payload != ARRABLE or right.node.payload != ARRABLE:
+        if left.node.group_key is None or right.node.group_key is None:
             raise SchemaMismatch("similarity joins require grouped (arrable) inputs")
         kind_check("smatch", lref.name, left.node.schema)
         kind_check("smatch", rref.name, right.node.schema)
@@ -383,11 +371,9 @@ class _Planner:
             extras.append(replace(pc, left_column=left.node.schema.resolve(pl.name),
                                   right_column=right.node.schema.resolve(pr.name)))
 
-        lgba = _gba_of(left.node)
-        rgba = _gba_of(right.node)
         schema = Schema((
-            Column(f"{llabel}.{lgba}", ColumnKind.SCALAR_NUMERIC),
-            Column(f"{rlabel}.{rgba}", ColumnKind.SCALAR_NUMERIC),
+            Column(f"{llabel}.{left.node.group_key}", ColumnKind.SCALAR_NUMERIC),
+            Column(f"{rlabel}.{right.node.group_key}", ColumnKind.SCALAR_NUMERIC),
             Column("score", ColumnKind.SCALAR_NUMERIC),
         ))
         return JoinNode(left.node, right.node, clause.kind,
@@ -425,12 +411,12 @@ class _Planner:
                 raise SchemaMismatch("direction can only be combined with the group key")
             if len(dirs) != 1:
                 raise SchemaMismatch("only one direction item is supported")
-            if node.payload != ARRABLE:
+            gba = node.group_key
+            if gba is None:
                 raise SchemaMismatch("direction requires a grouped (arrable) input")
             ref = dirs[0].ref
             self._check_ref_scope(ref, planned)
             kind_check("direction", ref.name, node.schema)
-            gba = _gba_of(node)
             schema = Schema((
                 Column(gba, node.schema.kind_of(gba)),
                 Column("direction", ColumnKind.DIRECTION_ENUM),
@@ -450,8 +436,8 @@ class _Planner:
         self._check_qualifier(ref.qualifier, allowed)
 
     def _is_gba_ref(self, ref: ast.ColumnRef, planned: _Planned) -> bool:
-        node = planned.node
-        return node.payload == ARRABLE and ref.name.lower() == _gba_of(node).lower()
+        key = planned.node.group_key
+        return key is not None and ref.name.lower() == key.lower()
 
     def _resolve_output(self, ref: ast.ColumnRef, planned: _Planned) -> str:
         schema = planned.node.schema
@@ -462,13 +448,6 @@ class _Planner:
         return schema.resolve(ref.name)
 
 
-def _gba_of(node: PlanNode) -> str:
-    """The group key of a grouped node: its R2ANode's, below single-child nodes."""
-    while not isinstance(node, R2ANode):
-        node = node.child
-    return node.gba
-
-
 def _replace_node(root: PlanNode, target: R2ANode, replacement: PlanNode) -> PlanNode:
     """``root`` with ``target`` swapped for ``replacement``; only CctNodes lie between."""
     if root is target:
@@ -476,15 +455,34 @@ def _replace_node(root: PlanNode, target: R2ANode, replacement: PlanNode) -> Pla
     return replace(root, child=_replace_node(root.child, target, replacement))
 
 
+def _window_clauses(q: ast.Query) -> list[WindowSpec]:
+    """The WINDOW clauses of ``q`` and of every subquery in it, outermost first."""
+    found = [q.window] if q.window else []
+    for src in (q.source, q.join.source if q.join else None):
+        while isinstance(src, ast.CctSource):
+            src = src.inner
+        if isinstance(src, ast.SubquerySource):
+            found += _window_clauses(src.query)
+    return found
+
+
 def plan(query: ast.Query, catalog: dict[str, Schema] | None = None,
          default_window: WindowSpec | None = None) -> QueryPlan:
     """Plan a parsed query against the catalog of source schemas; without
     one, every source the query names reads :data:`TRACE_SCHEMA`.
 
-    ``default_window`` applies to sources of queries without a WINDOW
-    clause; the fallback is a single window spanning the whole stream.
+    A query has one window, which cuts every source: the WINDOW clause of the
+    query or of any subquery, all of which must be equal, else
+    ``default_window``, else a single window spanning the whole stream.
     """
+    clauses = _window_clauses(query)
+    for clause in clauses[1:]:
+        if clause != clauses[0]:
+            raise SchemaMismatch(f"a query has one window, but it has the clauses "
+                                 f"{render_window(clauses[0])} and {render_window(clause)}")
     cat = _Catalog(catalog)
-    planner = _Planner(cat)
-    root = planner.plan_query(query, default_window or WHOLE_STREAM)
-    return QueryPlan(root, tuple(cat.order), root.schema.names())
+    root = _Planner(cat, next(iter(clauses), default_window or WHOLE_STREAM)).plan_query(query)
+    names = root.schema.names()
+    if root.group_key is not None:  # a grouped row leads with its key
+        names = (root.group_key, *(n for n in names if n != root.group_key))
+    return QueryPlan(root, tuple(cat.order), names)

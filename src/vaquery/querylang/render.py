@@ -110,7 +110,7 @@ def _join(j: JoinClause) -> str:
     return f"{j.kind} {_source(j.source)} ON {cond}"
 
 
-def _window(w: WindowSpec) -> str:
+def render_window(w: WindowSpec) -> str:
     return f"WINDOW({w.kind.name}, {_num(w.size)}, {_num(w.hop)})"
 
 
@@ -122,5 +122,5 @@ def render(q: Query) -> str:
     if q.where is not None:
         parts.append("WHERE " + _expr(q.where))
     if q.window is not None:
-        parts.append(_window(q.window))
+        parts.append(render_window(q.window))
     return " ".join(parts)

@@ -41,6 +41,9 @@ class WindowSpec:
         if math.isinf(self.hop) != math.isinf(self.size):  # only WHOLE_STREAM is infinite
             raise InvalidWindowSpec(f"window size and hop must both be finite or both infinite, "
                                     f"got size={self.size} hop={self.hop}")
+        if math.isfinite(self.size) and math.isinf(self.size / self.hop):
+            raise InvalidWindowSpec(f"window size / hop must be finite, "
+                                    f"got size={self.size} hop={self.hop}")
         if self.kind is WindowKind.TUPLE and not all(
                 math.isinf(v) or float(v).is_integer() for v in (self.size, self.hop)):
             raise InvalidWindowSpec(f"tuple window size and hop must be whole numbers, "
@@ -103,9 +106,11 @@ class WindowManager:
     One manager per stream input. Keys arrive in non-decreasing order and
     are numbered from 0 in arrival order; a window is the range of those
     positions it holds. Windows close in index order, each exactly once;
-    every index from 0 through the highest index that received a key is
-    eventually emitted (gaps emit as empty ranges so that two inputs of a
-    join stay aligned by index).
+    every index from 0 through the last window that starts at or before the
+    last key is eventually emitted, gaps as empty ranges. Given the query's
+    origin, a manager's indices are thus a prefix of the query's window axis;
+    the engine emits the rest of the axis as empty windows, so the inputs of
+    a join meet window by window.
     """
 
     def __init__(self, spec: WindowSpec):

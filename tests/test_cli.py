@@ -19,6 +19,7 @@ Q2 = ('SELECT count(*) FROM (SELECT AR1.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
       'WHERE (R1.label = "person"))')
 Q3 = ('SELECT AR1.oid, AR2.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
       'CJOIN (R2A(R2, R2.oid, R2.fid)) AR2 ON AR1.[FV] sMatch(0.9) AR2.[FV]')
+SIDES = ("(R2A(R1, R1.oid, R1.fid)) A", "(R2A(R2, R2.oid, R2.fid)) B")
 
 
 @pytest.fixture
@@ -252,6 +253,59 @@ def test_parse_check_ok(tmp_path, capsys):
     assert "ok:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("select, columns", [
+    ("AR1.fid", "oid, fid"),
+    ("*", "oid, fid, label, bb, fv, ts"),
+    ("AR1.oid, DIRECTION(AR1.bb)", "oid, direction"),
+])
+def test_parse_check_names_the_columns_of_the_rows(tmp_path, trace_file, capsys,
+                                                   select, columns):
+    # a grouped row leads with its key, whatever the select list's order
+    qpath = write_query(tmp_path, f"SELECT {select} FROM (R2A(R1, R1.oid, R1.fid)) AR1")
+    assert main(["parse-check", "--query", str(qpath)]) == 0
+    assert capsys.readouterr().out == f"ok: 1 source(s), output columns: {columns}\n"
+    assert main(["run", "--query", str(qpath), "--trace", str(trace_file)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows and all(", ".join(list(row)[1:]) == columns for row in rows)
+
+
+def _camera(tmp_path, name, *objects):
+    """A 10 fps, 4-d trace file of (oid, unit fv dimension, whole seconds) objects."""
+    rows = [(f, oid, "person", (0, 0, 1, 1), tuple(float(d == dim) for d in range(4)))
+            for oid, dim, seconds in objects for s in seconds for f in range(10 * s, 10 * s + 10)]
+    path = tmp_path / name
+    write_trace(trace_relation(rows, fps=10), path)
+    return path
+
+
+@pytest.mark.parametrize("left, right, clause", [
+    (*SIDES, " WINDOW(TIME, 1, 1)"),
+    (f"(SELECT * FROM {SIDES[0]} WINDOW(TIME, 1, 1)) A", SIDES[1], ""),
+    (SIDES[0], f"(SELECT * FROM {SIDES[1]} WINDOW(TIME, 1, 1)) B", ""),
+], ids=["outer", "left-subquery", "right-subquery"])
+def test_run_cuts_both_join_sides_by_the_one_clause(tmp_path, capsys, left, right, clause):
+    cam1 = _camera(tmp_path, "cam1.jsonl", (1, 0, [0]), (2, 1, [3]))
+    cam2 = _camera(tmp_path, "cam2.jsonl", (11, 0, [3]), (12, 1, [3]))
+    qpath = write_query(tmp_path, f"SELECT * FROM {left} CJOIN {right} "
+                                  f"ON A.fv SMATCH(0.9) B.fv{clause}")
+    assert main(["run", "--query", str(qpath), "--trace", str(cam1), "--trace", str(cam2),
+                 "--fps", "10"]) == 0
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == \
+        [{"window": 3, "A.oid": 2, "B.oid": 12, "score": 1.0}]
+
+
+def test_run_count_join_keeps_the_windows_after_an_input_ends(tmp_path, capsys):
+    r1 = _camera(tmp_path, "r1.jsonl", (1, 0, [0, 2]))
+    r2 = _camera(tmp_path, "r2.jsonl", (5, 0, [0]))
+    qpath = write_query(tmp_path, "SELECT * FROM (SELECT count(*) FROM R1) A JOIN "
+                                  "(SELECT count(*) FROM R2) B ON A.count = B.count "
+                                  "WINDOW(TIME, 1, 1)")
+    assert main(["run", "--query", str(qpath), "--trace", str(r1), "--trace", str(r2),
+                 "--fps", "10"]) == 0
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == \
+        [{"window": 0, "A.count": 10, "B.count": 10}, {"window": 1, "A.count": 0, "B.count": 0}]
+
+
 def test_parse_check_plan_error(tmp_path, capsys):
     qpath = write_query(tmp_path, "SELECT avg([FV]) FROM R1")
     assert main(["parse-check", "--query", str(qpath)]) == 2
@@ -285,6 +339,10 @@ CCT_GAP = "SELECT count(fid) FROM CCT(R2A(R1, R1.oid, R1.fid), first, {})"
 NINES = "9" * 400  # an integer literal beyond the float64 range
 NOT_UTF8 = b'{"fid": 0, "oid": 1, "label": "p\xffrson", "bb": [0, 0, 1, 1], "fv": [1.0]}\n'
 CSV_ROW = "fid,oid,label,ts,bb_x,bb_y,bb_w,bb_h,fv_0\n{}\n"  # a CSV trace of one row
+# a query has one window: each of these has two different WINDOW clauses
+TWO_CLAUSES_JOIN = (f"SELECT * FROM (SELECT * FROM {SIDES[0]} WINDOW(TIME, 1, 1)) A "
+                    f"CJOIN {SIDES[1]} ON A.fv SMATCH(0.9) B.fv WINDOW(TIME, 2, 2)")
+TWO_CLAUSES = "SELECT count(*) FROM (SELECT * FROM R1 WINDOW(TIME, 1, 1)) X WINDOW(TIME, 4, 4)"
 
 
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
@@ -334,6 +392,14 @@ CSV_ROW = "fid,oid,label,ts,bb_x,bb_y,bb_w,bb_h,fv_0\n{}\n"  # a CSV trace of on
      "PARSE_ERROR: trace line oid must be an integer, got 'x' (line 2)"),
     ("run", Q2, ["--trace", CSV_ROW.format("1,1,p,,0,0,1,1,nan?")], 3,
      "PARSE_ERROR: trace line fv[0] must be a number, got 'nan?' (line 2)"),
+    ("run", Q2, ["--window", "time,1e308,1e-308"], 2, "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", f"{Q2} WINDOW(TIME, {'9' * 301}, 0.{'0' * 300}1)", [], 2,
+     "NONPOSITIVE_SIZE_OR_HOP"),
+    ("run", TWO_CLAUSES_JOIN, [], 2, "SCHEMA_MISMATCH"),
+    ("parse-check", TWO_CLAUSES_JOIN, [], 2, "SCHEMA_MISMATCH"),
+    ("run", TWO_CLAUSES, [], 2, "SCHEMA_MISMATCH: a query has one window, but it has the "
+                                "clauses WINDOW(TIME, 4.0, 4.0) and WINDOW(TIME, 1.0, 1.0)"),
+    ("parse-check", TWO_CLAUSES, [], 2, "SCHEMA_MISMATCH"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
         "window-inf-hop", "missing-query", "config-value", "config-json",
         "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
@@ -345,7 +411,9 @@ CSV_ROW = "fid,oid,label,ts,bb_x,bb_y,bb_w,bb_h,fv_0\n{}\n"  # a CSV trace of on
         "huge-probe", "huge-bb", "huge-join-offset", "huge-decimal-probe",
         "config-rate-casings", "window-two-parts", "window-kind", "trace-count",
         "config-deep", "window-inf-size", "tuple-window-inf-size", "csv-oid-text",
-        "csv-fv-text"])
+        "csv-fv-text", "window-ratio-overflow", "window-clause-ratio-overflow",
+        "two-windows-join", "two-windows-join-parse-check", "two-windows",
+        "two-windows-parse-check"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -486,6 +554,7 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
 @pytest.mark.parametrize("case, code, error, names", [
     (_spec({"noise": -1}), 3, "SPEC_ERROR", "noise"),
+    ((GEN + ["--seed", "-1"], _spec()[1]), 3, "SPEC_ERROR", "seed"),
     (_spec({"velocity": [1]}), 3, "SPEC_ERROR", "velocity"),
     (_spec({"bb": [0, 0, 1]}), 3, "SPEC_ERROR", "bb"),
     (_spec(fv_dim=-2), 3, "SPEC_ERROR", "fv_dim"),
@@ -589,7 +658,7 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
      "INDEX_MISMATCH", "object '1' has result rows in windows 0 and 1"),
     (_eval("pairs", '{"window": 0, "a": 1, "b": 2}\n' * 2, PAIR_GT), 3, "INDEX_MISMATCH",
      "window 0 with ids 1, 2 is listed twice"),
-], ids=["spec-noise", "spec-velocity", "spec-bb", "spec-fv-dim-negative", "spec-fv-dim-zero",
+], ids=["spec-noise", "gen-seed-negative", "spec-velocity", "spec-bb", "spec-fv-dim-negative", "spec-fv-dim-zero",
         "spec-fv-empty", "spec-label", "spec-fps-nan", "spec-fv-dim-huge", "spec-frames-huge",
         "spec-not-utf8", "gen-out-missing-dir",
         "bench-repetitions-text", "bench-repetitions-fraction", "bench-traces-string",

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import pair_keys, relation_of
+from conftest import pair_keys, relation_of, trace_relation
 from oracles import select_oracle
 from vaquery import engine
 from vaquery.engine import (EngineConfig, Pipeline, StageStats, instantiate, row_to_json,
@@ -429,3 +429,73 @@ def test_written_results_read_back_as_the_rows(tmp_path, text, sources):
     assert rows and read == [{k: plain(v) for k, v in row.items()} for row in rows]
     if "avg" in text:  # the windows between the two visits are empty
         assert None in [row["avg(ts)"] for row in read]
+
+
+def _seconds(oid, dim, seconds):
+    """Rows of one object at 10 fps, one per frame of the given whole seconds, its
+    feature vector the ``dim``-th unit vector of 4."""
+    fv = tuple(1.0 if d == dim else 0.0 for d in range(4))
+    return [(f, oid, "person", (0, 0, 1, 1), fv) for s in seconds for f in range(10 * s, 10 * s + 10)]
+
+
+# camera 1: object 1 in second 0, object 2 in second 3; camera 2: objects 11 and
+# 12, each like one of them, both in second 3
+CAMERAS = (trace_relation(_seconds(1, 0, [0]) + _seconds(2, 1, [3]), fps=10),
+           trace_relation(_seconds(11, 0, [3]) + _seconds(12, 1, [3]), fps=10))
+SIDES = ("(R2A(R1, R1.oid, R1.fid)) A", "(R2A(R2, R2.oid, R2.fid)) B")
+
+
+@pytest.mark.parametrize("left, right, clause", [
+    (*SIDES, " WINDOW(TIME, 1, 1)"),
+    (f"(SELECT * FROM {SIDES[0]} WINDOW(TIME, 1, 1)) A", SIDES[1], ""),
+    (SIDES[0], f"(SELECT * FROM {SIDES[1]} WINDOW(TIME, 1, 1)) B", ""),
+], ids=["outer", "left-subquery", "right-subquery"])
+def test_one_window_clause_cuts_both_sides_of_a_join(left, right, clause):
+    # objects 1 and 11 never share a second; 2 and 12 share second 3
+    text = f"SELECT * FROM {left} CJOIN {right} ON A.fv SMATCH(0.9) B.fv{clause}"
+    rows, _ = instantiate(plan(parse(text), TWO)).run(CAMERAS)
+    assert [(r["window"], r["A.oid"], r["B.oid"]) for r in rows] == [(3, 2, 12)]
+
+
+@pytest.mark.parametrize("seconds, windows", [([2], [1, 2]), ([0], [0, 1])],
+                         ids=["starts-late", "ends-early"])
+def test_an_equi_join_of_counts_sees_every_window_of_the_axis(seconds, windows):
+    # R1 has rows in seconds 0 and 2, R2 in one of them; window 1 is empty on
+    # both sides, so both counts are 0 there, whichever side R2's visit lies on
+    r1 = trace_relation(_seconds(1, 0, [0, 2]), fps=10)
+    r2 = trace_relation(_seconds(5, 0, seconds), fps=10)
+    text = ("SELECT * FROM (SELECT count(*) FROM R1) A JOIN (SELECT count(*) FROM R2) B "
+            "ON A.count = B.count WINDOW(TIME, 1, 1)")
+    rows, _ = instantiate(plan(parse(text), TWO)).run([r1, r2])
+    assert {"window": 1, "A.count": 0, "B.count": 0} in rows
+    assert [r["window"] for r in rows] == windows
+
+
+def test_every_operator_stage_of_a_join_lists_the_axis_windows():
+    # the right trace ends two windows before the left one; window stages time
+    # no operator, so only sources and windows list no window
+    left = trace_relation(_seconds(1, 0, [0, 4]), fps=10)
+    right = trace_relation(_seconds(11, 0, [0, 1]), fps=10)
+    text = (f"SELECT * FROM {SIDES[0]} CJOIN (SELECT * FROM {SIDES[1]} WHERE B.fid >= 0) B "
+            "ON A.fv SMATCH(0.9) B.fv WINDOW(TIME, 1, 1)")
+    _, st = instantiate(plan(parse(text), TWO)).run([left, right])
+    listed = {s.name: sorted(s.window_wall) for s in st.stages
+              if not s.name.startswith(("source", "window"))}
+    assert set(listed) == {"r2a", "r2a#2", "select", "join"}
+    assert all(keys == [0, 1, 2, 3, 4] for keys in listed.values()), listed
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT AR1.fid FROM (R2A(R1, R1.oid, R1.fid)) AR1",
+    "SELECT AR1.fid, AR1.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1",
+    "SELECT * FROM (R2A(R1, R1.oid, R1.fid)) AR1",
+    "SELECT * FROM CCT(R2A(R1, R1.oid, R1.fid), FIRST) WINDOW(TIME, 0.5, 0.5)",
+    'SELECT AR1.label, AR1.ts FROM (R2A(R1, R1.oid, R1.fid)) AR1 WHERE AR1.label = "car"',
+    "SELECT AR1.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1",
+    "SELECT fid, oid FROM R1",
+    "SELECT AR1.oid, DIRECTION(AR1.bb) FROM (R2A(R1, R1.oid, R1.fid)) AR1",
+])
+def test_output_names_are_the_columns_of_every_row(text):
+    qplan = plan(parse(text), ONE)
+    rows, _ = instantiate(qplan).run([small_trace()])
+    assert rows and all(tuple(r)[1:] == qplan.output_names for r in rows)

@@ -93,3 +93,23 @@ def test_join_variants_agree_in_every_window(left, right, clause, th):
     join = pairs("JOIN")
     assert pairs("CJOIN") == join
     assert pairs("CCTJOIN") <= join
+
+
+@SETTINGS
+@given(left=traces(), right=traces(), clause=WINDOWS,
+       kind=st.sampled_from(["JOIN", "CJOIN", "CCTJOIN"]))
+def test_a_window_clause_cuts_the_same_windows_from_any_level_of_a_join(left, right, clause,
+                                                                        kind):
+    # a query has one window: moving its clause into either side's subquery
+    # still cuts both sides
+    sides = ["(R2A(R1, R1.oid, R1.fid)) AR1", "(R2A(R2, R2.oid, R2.fid)) AR2"]
+
+    def joined(sides, outer) -> list[dict]:
+        return rows(f"SELECT * FROM {sides[0]} {kind} {sides[1]} "
+                    f"ON AR1.[FV] sMatch(0.9) AR2.[FV] {outer}", left, right)
+
+    expected = joined(sides, clause)
+    for i, alias in enumerate(("AR1", "AR2")):
+        moved = list(sides)
+        moved[i] = f"(SELECT * FROM {sides[i]} {clause}) {alias}"
+        assert joined(moved, "") == expected

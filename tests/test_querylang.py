@@ -299,6 +299,45 @@ def test_default_window_used_without_clause():
     assert win.spec.size == 42.0
 
 
+JOIN_SIDES = ("SELECT * FROM {} CJOIN {} ON A.fv SMATCH(0.9) B.fv{}",
+              "(R2A(R1, R1.oid, R1.fid)) A", "(R2A(R2, R2.oid, R2.fid)) B")
+
+
+def window_specs(p) -> set:
+    return {n.spec for n in iter_nodes(p.root) if isinstance(n, WindowNode)}
+
+
+def test_a_subquery_window_clause_cuts_every_source():
+    query, left, right = JOIN_SIDES
+    one_second = WindowSpec(WindowKind.TIME, 1.0, 1.0)
+    moved = query.format(f"(SELECT * FROM {left} WINDOW(TIME, 1, 1)) A", right, "")
+    # the flag gives way to the query's own clause
+    assert window_specs(plan(parse(moved), TWO, WindowSpec(WindowKind.TUPLE, 5, 5))) \
+        == {one_second}
+    outer = query.format(left, right, " WINDOW(TIME, 1, 1)")
+    assert window_specs(plan(parse(outer), TWO)) == {one_second}
+    equal = query.format(f"(SELECT * FROM {left} WINDOW(TIME, 1.0, 1)) A", right,
+                         " WINDOW(TIME, 1, 1)")
+    assert plan(parse(equal), TWO) == plan(parse(outer), TWO)
+
+
+@pytest.mark.parametrize("text", [
+    JOIN_SIDES[0].format(f"(SELECT * FROM {JOIN_SIDES[1]} WINDOW(TIME, 1, 1)) A",
+                         JOIN_SIDES[2], " WINDOW(TIME, 2, 2)"),
+    JOIN_SIDES[0].format(JOIN_SIDES[1],
+                         f"(SELECT * FROM {JOIN_SIDES[2]} WINDOW(TUPLE, 1, 1)) B",
+                         " WINDOW(TIME, 1, 1)"),
+    "SELECT count(*) FROM (SELECT * FROM R1 WINDOW(TIME, 1, 1)) X WINDOW(TIME, 4, 4)",
+    "SELECT count(*) FROM CCT((SELECT * FROM (R2A(R1, R1.oid, R1.fid)) A "
+    "WINDOW(TIME, 1, 2)), FIRST) WINDOW(TIME, 2, 2)",
+], ids=["left-subquery", "right-subquery", "nested", "under-cct"])
+def test_two_different_window_clauses_are_refused_by_name(text):
+    with pytest.raises(SchemaMismatch) as exc:
+        plan(parse(text), TWO)
+    message = str(exc.value)
+    assert message.count("WINDOW(") == 2 and "one window" in message
+
+
 def test_where_resolves_columns_to_the_schema_spelling():
     p = plan(parse('SELECT * FROM R1 WHERE R1.LABEL = "person"'), ONE)
     assert isinstance(p.root, SelectNode)

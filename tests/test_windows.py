@@ -53,7 +53,8 @@ def test_tuple_windows_hold_exactly_size_ordinals():
 
 
 def test_nonpositive_size_or_hop_rejected():
-    for size, hop in [(0, 1), (1, 0), (-5, 5), (5, -5), (1, math.inf), (math.inf, 1)]:
+    for size, hop in [(0, 1), (1, 0), (-5, 5), (5, -5), (1, math.inf), (math.inf, 1),
+                      (1e308, 1e-308), (1.0, 5e-324)]:  # the last two: size / hop overflows
         with pytest.raises(InvalidWindowSpec) as exc:
             WindowSpec(WindowKind.TIME, size, hop)
         assert exc.value.code == "NONPOSITIVE_SIZE_OR_HOP"
