@@ -10,12 +10,12 @@ flow one at a time from the sources to the root, so results are a function
 of the plan and the input traces only: feed rates change timing and range
 sizes, never output.
 
-A query has one window axis, fixed before the first window closes: time
-windows count from the earliest first ``ts`` of any source, tuple windows
-from ordinal 0, and the axis runs through the last window that holds a row
-of any source. Every window node emits exactly those indices, as empty
-slices of its own trace where it has no rows, so the inputs of a join meet
-window by window.
+A query has one window axis, fixed by ``windows.axis`` from its sources'
+first and last keys before the first window closes. Every window node emits
+exactly that axis through its ``WindowManager``, as empty slices of its own
+trace where it has no rows, so the inputs of a join meet window by window.
+Every node records its windows in its stats: a window node the time it
+spent cutting each, an operator node the time its operator took on each.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -39,7 +41,7 @@ from .querylang.planner import (AggregateNode, CctNode, DirectionNode,
                                 QueryPlan, R2ANode, SelectNode, SourceNode,
                                 WindowNode, iter_nodes)
 from .operators import r2a as r2a_op
-from .windows import WindowKind, WindowManager, WindowSpec, assign, check_span
+from .windows import WindowKind, WindowManager, WindowSpec, axis
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,14 @@ class StageStats:
         self.tuples_in += sum(p.element_count() for p in payloads)
         started = time.monotonic()
         result = fn(*payloads)
-        elapsed = time.monotonic() - started
+        self.record(idx, time.monotonic() - started, result)
+        return result
+
+    def record(self, idx: int, elapsed: float, payload) -> None:
+        """Record window ``idx``'s output ``payload`` and the ``elapsed`` seconds spent on it."""
         self.wall_seconds += elapsed
         self.window_wall[idx] = self.window_wall.get(idx, 0.0) + elapsed
-        self.tuples_out += result.element_count()
-        return result
+        self.tuples_out += payload.element_count()
 
     def to_dict(self) -> dict[str, Any]:
         return {"name": self.name, "tuples_in": self.tuples_in,
@@ -144,7 +149,7 @@ class Pipeline:
         self.stages: list[StageStats] = []
         self._names_used: dict[str, int] = {}
         self._sources: Sequence[Relation] = ()
-        self._origin, self._window_count = 0.0, 0  # the query's window axis, set by run()
+        self._axis = (0.0, 0)  # the query's window axis, (origin, count), set by run()
         self._started = 0.0
         # generator bodies run only once run() pulls the root
         self._root = self._build(plan.root)
@@ -186,26 +191,29 @@ class Pipeline:
 
     def _windows(self, stats: StageStats, spec: WindowSpec, ordinal: int,
                  ranges: Iterator) -> Iterator:
-        """Cut released row ranges into the query's windows, each a slice of the trace;
-        past the trace's last row, the axis's remaining windows are empty slices."""
+        """Cut released row ranges into the query's windows, each a slice of the trace.
+        A window's time is this node's own since it emitted the previous window:
+        its manager calls and slicing, not the pulls from its source."""
         relation, by_time = self._sources[ordinal], spec.kind is WindowKind.TIME
-        manager = WindowManager(replace(spec, origin=self._origin))
+        manager = WindowManager(spec, *self._axis)
 
-        def closed():
-            for lo, hi in ranges:
-                # a tuple window's key is the row's ordinal, its position in the trace
-                keys = relation.column("ts")[lo:hi] if by_time else np.arange(lo, hi)
-                stats.tuples_in += hi - lo
-                manager.add(keys)
-                yield from manager.close_windows(keys[-1].item() if by_time else hi)
-            yield from manager.flush()
+        def cut(lo: int, hi: int) -> list:
+            # a tuple window's key is the row's ordinal, its position in the trace
+            keys = relation.column("ts")[lo:hi] if by_time else np.arange(lo, hi)
+            stats.tuples_in += hi - lo
+            manager.add(keys)
+            return manager.close_windows(keys[-1].item() if by_time else hi)
 
-        emitted = 0
-        for emitted, (win, rows) in enumerate(closed(), start=1):
-            stats.tuples_out += len(rows)
-            yield win.index, relation.take(slice(rows.start, rows.stop))
-        for idx in range(emitted, self._window_count):
-            yield idx, relation.take(slice(len(relation), None))
+        spent = 0.0
+        for closed in chain((partial(cut, lo, hi) for lo, hi in ranges), [manager.flush]):
+            started = time.monotonic()
+            windows = [(win.index, relation.take(slice(rows.start, rows.stop)))
+                       for win, rows in closed()]
+            spent += time.monotonic() - started
+            for idx, payload in windows:
+                stats.record(idx, spent, payload)
+                spent = 0.0
+                yield idx, payload
 
     @staticmethod
     def _stage(stats: StageStats, fn: Callable[..., Any], inputs: list[Iterator]) -> Iterator:
@@ -217,19 +225,6 @@ class Pipeline:
 
     # execution
 
-    def _axis(self) -> tuple[float, int]:
-        """The query's window axis: its origin, and how many windows it spans
-        from the first through the last that holds a row of any source."""
-        (spec,) = {n.spec for n in iter_nodes(self.plan.root) if isinstance(n, WindowNode)}
-        filled = [r for r in self._sources if len(r)]
-        if not filled:
-            return 0.0, 0
-        by_time = spec.kind is WindowKind.TIME  # else the keys are row ordinals
-        origin = min(r.column("ts")[0].item() for r in filled) if by_time else 0.0
-        last = max(r.column("ts")[-1].item() if by_time else len(r) - 1 for r in filled)
-        check_span(spec, origin, last)
-        return origin, assign(spec, last, origin).stop
-
     def run(self, sources: Sequence[Relation]) -> tuple[list[dict[str, Any]], OpStats]:
         """Feed the given traces (in plan source order) through the pipeline."""
         if self._ran:
@@ -238,7 +233,11 @@ class Pipeline:
         if len(sources) != len(self.plan.sources):
             raise SchemaMismatch(f"plan needs {len(self.plan.sources)} sources, got {len(sources)}")
         self._sources = sources
-        self._origin, self._window_count = self._axis()
+        (spec,) = {n.spec for n in iter_nodes(self.plan.root) if isinstance(n, WindowNode)}
+        by_time = spec.kind is WindowKind.TIME  # else the keys are row ordinals
+        self._axis = axis(spec, [
+            (r.column("ts")[0].item(), r.column("ts")[-1].item()) if by_time else (0, len(r) - 1)
+            for r in sources if len(r)])
         self._started = time.monotonic()
         # collect the root's windows as flat result rows
         rows = [{"window": idx, **row} for idx, payload in self._root

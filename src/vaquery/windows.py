@@ -5,6 +5,9 @@ One rule bounds every window, over time (seconds) or tuple ordinals: with
 size / hop))``. ``hop == size`` gives tumbling windows, which partition the
 keys, since window ``i`` ends exactly where ``i + 1`` starts; ``hop < size``
 gives rolling ones. Tuple windows round ``x * hop`` to a whole ordinal.
+
+A query has one window axis, computed once by :func:`axis`; each of its
+stream inputs' :class:`WindowManager` emits exactly that axis.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 import numpy as np
 
 from .errors import InvalidWindowSpec, TooManyWindows
 
-#: Most windows one stream may span, from its first window through the last
-#: that holds a key, empty gap windows included.
+#: Most windows one query's axis may span, from its first window through the
+#: last that holds a key, empty gap windows included.
 MAX_WINDOWS = 1_000_000
 _FAR = 2 ** 62  # past any window limit: a window index is not refined beyond it
 
@@ -33,7 +37,6 @@ class WindowSpec:
     kind: WindowKind
     size: float
     hop: float
-    origin: float | None = None  # None: the first key (the engine sets its sources' earliest ts)
 
     def __post_init__(self) -> None:
         if not (self.size > 0 and self.hop > 0):  # written so that NaN fails too
@@ -92,32 +95,36 @@ def assign(spec: WindowSpec, key: float, origin: float) -> range:
                  _first_above(spec, origin, key, 0.0))
 
 
-def check_span(spec: WindowSpec, origin: float, last_key: float) -> None:
-    """Raise :class:`TooManyWindows` when the keys from ``origin`` through
-    ``last_key`` span more than :data:`MAX_WINDOWS` windows."""
-    if assign(spec, last_key, origin).stop > MAX_WINDOWS:
-        raise TooManyWindows(f"keys from {origin} to {last_key} span more than {MAX_WINDOWS} "
+def axis(spec: WindowSpec, spans: Sequence[tuple[float, float]]) -> tuple[float, int]:
+    """The window axis of streams with these ``(first, last)`` keys, one pair per
+    non-empty stream: its origin (the earliest first key for time windows, else 0)
+    and its count, the windows through the last that holds a key; more than
+    :data:`MAX_WINDOWS` windows is :class:`TooManyWindows`."""
+    if not spans:
+        return 0.0, 0
+    origin = min(first for first, _ in spans) if spec.kind is WindowKind.TIME else 0.0
+    last = max(last for _, last in spans)
+    if (count := assign(spec, last, origin).stop) > MAX_WINDOWS:
+        raise TooManyWindows(f"keys from {origin} to {last} span more than {MAX_WINDOWS} "
                              f"windows of hop {spec.hop}")
+    return origin, count
 
 
 class WindowManager:
     """Assigns blocks of keys to windows and closes windows as the watermark advances.
 
-    One manager per stream input. Keys arrive in non-decreasing order and
-    are numbered from 0 in arrival order; a window is the range of those
-    positions it holds. Windows close in index order, each exactly once;
-    every index from 0 through the last window that starts at or before the
-    last key is eventually emitted, gaps as empty ranges. Given the query's
-    origin, a manager's indices are thus a prefix of the query's window axis;
-    the engine emits the rest of the axis as empty windows, so the inputs of
-    a join meet window by window.
+    One manager per stream input, on the query's :func:`axis`. Keys arrive in
+    non-decreasing order, lie on the axis (none below ``origin`` nor past
+    window ``count - 1``) and are numbered from 0 in arrival order; a window
+    is the range of those positions it holds. Windows close in index order,
+    each exactly once, and :meth:`flush` emits the rest of the axis, gaps and
+    trailing windows as empty ranges: every manager of a query emits exactly
+    windows ``0 .. count - 1``, so the inputs of a join meet window by window.
     """
 
-    def __init__(self, spec: WindowSpec):
-        self.spec = spec
-        self.origin: float | None = spec.origin
+    def __init__(self, spec: WindowSpec, origin: float, count: int):
+        self.spec, self.origin, self.count = spec, origin, count
         self._next_to_close = 0
-        self._last = -1  # the last window starting at or before the last key
         self._watermark = -math.inf
         # keys that may still belong to an open window, the first of them at
         # position _base; blocks added since the last emit wait in _pending
@@ -127,16 +134,7 @@ class WindowManager:
 
     def add(self, keys: np.ndarray) -> None:
         """Add the next block of keys, non-decreasing and not below the last one."""
-        keys = np.asarray(keys, dtype=np.float64)
-        if not len(keys):
-            return
-        if self.origin is None:
-            self.origin = keys[0].item()
-        if keys[0] < self.origin:
-            raise ValueError(f"key {keys[0]} precedes window origin {self.origin}")
-        check_span(self.spec, self.origin, keys[-1].item())
-        self._pending.append(keys)
-        self._last = assign(self.spec, keys[-1].item(), self.origin).stop - 1
+        self._pending.append(np.asarray(keys, dtype=np.float64))
 
     def _emit_through(self, last: int) -> list[tuple[WindowInstance, range]]:
         if last < self._next_to_close:
@@ -156,14 +154,14 @@ class WindowManager:
     def close_windows(self, watermark: float) -> list[tuple[WindowInstance, range]]:
         """Emit every not-yet-closed window whose end <= watermark, with its range;
         a regressing watermark is ignored (nothing re-emits)."""
-        if watermark <= self._watermark or self.origin is None:
+        if watermark <= self._watermark:
             return []
         self._watermark = watermark
         return self._emit_through(assign(self.spec, watermark, self.origin).start - 1)
 
     def flush(self) -> list[tuple[WindowInstance, range]]:
-        """End of stream: emit all remaining windows up to the last that saw data."""
-        return self._emit_through(self._last)
+        """End of stream: emit every remaining window of the axis."""
+        return self._emit_through(self.count - 1)
 
 
 #: Degenerate spec used when a query has no window clause: one window

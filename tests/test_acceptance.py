@@ -22,7 +22,7 @@ from vaquery.operators import (CctOption, Direction8, cct, cct_join, cjoin, dire
                                nl_join, r2a)
 from vaquery.querylang import iter_nodes, parse, plan, render
 from vaquery.similarity import MatchCondition, Metric
-from vaquery.windows import WindowKind, WindowManager, WindowSpec, assign
+from vaquery.windows import WindowKind, WindowManager, WindowSpec, assign, axis
 
 ONE = {"R1": TRACE_SCHEMA}
 TWO = {"R1": TRACE_SCHEMA, "R2": TRACE_SCHEMA}
@@ -333,7 +333,8 @@ def test_criterion_11_window_accounting():
     """Window closing and multiplicity over a [0, 300) second stream."""
     keys = [float(t) for t in range(0, 300, 3)]
 
-    mgr = WindowManager(WindowSpec(WindowKind.TIME, 100, 100, origin=0.0))
+    spec = WindowSpec(WindowKind.TIME, 100, 100)
+    mgr = WindowManager(spec, *axis(spec, [(keys[0], keys[-1])]))
     closed = []
     for ts in keys:
         mgr.add([ts])
@@ -342,8 +343,8 @@ def test_criterion_11_window_accounting():
     assert [w.index for w, _ in closed] == [0, 1, 2]
     assert sum(len(items) for _, items in closed) == len(keys)
 
-    spec = WindowSpec(WindowKind.TIME, 100, 50, origin=0.0)
-    mgr = WindowManager(spec)
+    spec = WindowSpec(WindowKind.TIME, 100, 50)
+    mgr = WindowManager(spec, *axis(spec, [(keys[0], keys[-1])]))
     emitted = []
     for ts in keys:
         assert len(assign(spec, ts, 0.0)) <= 2

@@ -471,17 +471,31 @@ def test_an_equi_join_of_counts_sees_every_window_of_the_axis(seconds, windows):
     assert [r["window"] for r in rows] == windows
 
 
+def test_a_window_stage_lists_every_window_it_emits():
+    # 2 s at 8 fps in 0.5 s windows: the window stage is the root, and its
+    # stats time each of the four windows it emits
+    trace = generate(SynthSpec(frames=16, fps=8, fv_dim=4, objects=(
+        ObjectSpec(1, "person", (0, 0, 4, 8), (1, 0), intervals=((0, 16),)),)), 0)
+    rows, st = instantiate(plan(parse("SELECT * FROM R1 WINDOW(TIME, 0.5, 0.5)"), ONE)).run([trace])
+    window = st.stages[-1]
+    assert window.name == "window"
+    assert sorted({r["window"] for r in rows}) == sorted(window.window_wall) == [0, 1, 2, 3]
+    assert window.wall_seconds == pytest.approx(sum(window.window_wall.values()))
+    assert window.wall_seconds > 0
+    assert (window.tuples_in, window.tuples_out) == (16, 16)
+
+
 def test_every_operator_stage_of_a_join_lists_the_axis_windows():
-    # the right trace ends two windows before the left one; window stages time
-    # no operator, so only sources and windows list no window
+    # the right trace ends two windows before the left one; only sources,
+    # which release rows rather than windows, list no window
     left = trace_relation(_seconds(1, 0, [0, 4]), fps=10)
     right = trace_relation(_seconds(11, 0, [0, 1]), fps=10)
     text = (f"SELECT * FROM {SIDES[0]} CJOIN (SELECT * FROM {SIDES[1]} WHERE B.fid >= 0) B "
             "ON A.fv SMATCH(0.9) B.fv WINDOW(TIME, 1, 1)")
     _, st = instantiate(plan(parse(text), TWO)).run([left, right])
     listed = {s.name: sorted(s.window_wall) for s in st.stages
-              if not s.name.startswith(("source", "window"))}
-    assert set(listed) == {"r2a", "r2a#2", "select", "join"}
+              if not s.name.startswith("source")}
+    assert set(listed) == {"window", "window#2", "r2a", "r2a#2", "select", "join"}
     assert all(keys == [0, 1, 2, 3, 4] for keys in listed.values()), listed
 
 

@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 from oracles import WindowManagerOracle, windows_containing_oracle
 from vaquery.errors import InvalidWindowSpec, TooManyWindows
 from vaquery.windows import (MAX_WINDOWS, WHOLE_STREAM, WindowKind, WindowManager,
-                             WindowSpec, assign)
+                             WindowSpec, assign, axis)
 
 
 def spec(size, hop, kind=WindowKind.TIME):
     return WindowSpec(kind, size, hop)
+
+
+def manager(window: WindowSpec, *spans) -> WindowManager:
+    """A manager on the axis of streams with these (first, last) keys."""
+    return WindowManager(window, *axis(window, spans))
 
 
 def test_disjoint_assignment():
@@ -37,7 +42,8 @@ def test_a_key_beside_a_non_dyadic_window_start_lies_in_that_window_only():
     # 0.1 + 275 * 0.7 rounds to 193.29999999999995: the key is window 275's start
     key = 193.29999999999995
     assert list(assign(spec(0.7, 0.7), key, origin=0.1)) == [275]
-    mgr = WindowManager(WindowSpec(WindowKind.TIME, 0.7, 0.7, origin=0.1))
+    # another stream starts at 0.1 s, this one at the key
+    mgr = manager(spec(0.7, 0.7), (0.1, 0.1), (key, key))
     mgr.add([key])
     assert [(w.index, list(rows)) for w, rows in mgr.flush() if len(rows)] == [(275, [0])]
 
@@ -46,7 +52,7 @@ def test_tuple_windows_hold_exactly_size_ordinals():
     # 0.28 * 25 evaluates to 7.000000000000001: without rounding to a whole
     # ordinal, window 0 would also hold ordinal 7
     assert list(assign(spec(7, 25, WindowKind.TUPLE), 7, origin=0)) == []
-    mgr = WindowManager(spec(7, 25, WindowKind.TUPLE))
+    mgr = manager(spec(7, 25, WindowKind.TUPLE), (0, 99))
     mgr.add(np.arange(100))
     assert [(w.index, rows) for w, rows in mgr.flush()] == [
         (i, range(25 * i, 25 * i + 7)) for i in range(4)]
@@ -75,7 +81,7 @@ def test_disjoint_windows_are_a_partition(key, size):
 
 def test_close_windows_on_watermark_advance():
     # keys at positions 0, 1, 2: a window's rows are the positions it holds
-    mgr = WindowManager(spec(100, 100))
+    mgr = manager(spec(100, 100), (50, 250))
     mgr.add([50])
     assert mgr.close_windows(50) == []
     mgr.add([150])
@@ -87,7 +93,7 @@ def test_close_windows_on_watermark_advance():
 
 
 def test_watermark_regression_is_ignored():
-    mgr = WindowManager(WindowSpec(WindowKind.TIME, 100, 100, origin=0.0))
+    mgr = manager(spec(100, 100), (0.0, 0.0), (150.0, 150.0))
     mgr.add([150])
     assert len(mgr.close_windows(250)) == 2
     assert mgr.close_windows(100) == []
@@ -95,7 +101,7 @@ def test_watermark_regression_is_ignored():
 
 
 def test_stream_over_300_closes_exactly_three_windows():
-    mgr = WindowManager(spec(100, 100))
+    mgr = manager(spec(100, 100), (0.0, 290.0))
     emitted = []
     for ts in range(0, 300, 10):
         mgr.add([float(ts)])
@@ -106,7 +112,7 @@ def test_stream_over_300_closes_exactly_three_windows():
 
 
 def test_rolling_windows_with_flush():
-    mgr = WindowManager(spec(100, 50))
+    mgr = manager(spec(100, 50), (0.0, 290.0))
     per_item_windows = []
     emitted = []
     for ts in range(0, 300, 10):
@@ -122,22 +128,38 @@ def test_rolling_windows_with_flush():
 
 
 def test_gap_windows_emit_empty():
-    mgr = WindowManager(spec(10, 10))
+    mgr = manager(spec(10, 10), (5, 35))
     mgr.add([5, 35])  # nothing in [10,20) or [20,30)
     closed = mgr.close_windows(35)
     assert [(w.index, list(rows)) for w, rows in closed] == [(0, [0]), (1, []), (2, [])]
 
 
 def test_origin_defaults_to_first_key():
-    mgr = WindowManager(spec(10, 10))
+    # time windows count from the earliest first key of any stream, tuple
+    # windows from ordinal 0; the axis runs through the last window with a key
+    spans = [(1003.0, 1010.0), (1000.0, 1004.0), (1007.0, 1031.0)]
+    assert axis(spec(10, 10), spans) == (1000.0, 4)
+    assert axis(spec(5, 5, WindowKind.TUPLE), [(0, 9), (0, 3)]) == (0.0, 2)
+    assert axis(spec(10, 10), []) == (0.0, 0)
+    mgr = manager(spec(10, 10), (1000.0, 1010.0))
     mgr.add([1000.0, 1009.0, 1010.0])
     closed = mgr.close_windows(1010.0)
     assert [(w.index, w.start, w.end) for w, _ in closed] == [(0, 1000.0, 1010.0)]
     assert closed[0][1] == range(0, 2)
 
 
+def test_flush_emits_the_axis_past_the_streams_last_key_as_empty_ranges():
+    # this stream's last key lies in window 2; another's runs the axis to window 5
+    mgr = manager(spec(10, 10), (1, 25), (0, 55))
+    mgr.add([1, 15, 25])
+    assert [(w.index, rows) for w, rows in mgr.close_windows(25)] == [
+        (0, range(0, 1)), (1, range(1, 2))]
+    assert [(w.index, rows) for w, rows in mgr.flush()] == [
+        (2, range(2, 3)), (3, range(3, 3)), (4, range(3, 3)), (5, range(3, 3))]
+
+
 def test_whole_stream_window_only_flushes():
-    mgr = WindowManager(WHOLE_STREAM)
+    mgr = manager(WHOLE_STREAM, (0.0, 1e6))
     for ts in (0.0, 5.0, 1e6):
         mgr.add([ts])
         assert mgr.close_windows(ts) == []
@@ -146,7 +168,7 @@ def test_whole_stream_window_only_flushes():
 
 
 def test_windows_close_in_index_order_exactly_once():
-    mgr = WindowManager(spec(7, 3))
+    mgr = manager(spec(7, 3), (0.0, 98.0))
     seen = []
     for ts in range(0, 100, 2):
         mgr.add([float(ts)])
@@ -164,28 +186,25 @@ def test_tuple_windows_need_whole_sizes_and_hops():
 
 
 def test_a_stream_past_the_window_limit_is_refused():
-    mgr = WindowManager(WindowSpec(WindowKind.TIME, 1e-300, 1e-300))
     with pytest.raises(TooManyWindows):
-        mgr.add([0.0, 0.125])
-    mgr = WindowManager(WindowSpec(WindowKind.TUPLE, 1, 1))
-    mgr.add(np.arange(MAX_WINDOWS))
+        axis(spec(1e-300, 1e-300), [(0.0, 0.125)])
+    assert axis(spec(1, 1, WindowKind.TUPLE), [(0, MAX_WINDOWS - 1)]) == (0.0, MAX_WINDOWS)
     with pytest.raises(TooManyWindows):
-        mgr.add([MAX_WINDOWS])
+        axis(spec(1, 1, WindowKind.TUPLE), [(0, MAX_WINDOWS - 1), (0, MAX_WINDOWS)])
 
 
 def test_a_hop_below_the_keys_resolution_is_too_many_windows():
     # 1e9 + i * 1e-16 rounds to 1e9 for every i up to about 6e8, so that many
     # windows start at the one key: refused at once, not enumerated
-    mgr = WindowManager(WindowSpec(WindowKind.TIME, 1e-16, 1e-16))
     with pytest.raises(TooManyWindows):
-        mgr.add([1e9])
+        axis(spec(1e-16, 1e-16), [(1e9, 1e9)])
 
 
 def _run(spec: WindowSpec, keys: list, cuts) -> list:
     """(index, start, end, positions) of each window a manager emits when the
     keys arrive in blocks cut at ``cuts``."""
     by_time = spec.kind is WindowKind.TIME
-    mgr, got = WindowManager(spec), []
+    mgr, got = manager(spec, (keys[0], keys[-1])), []
     bounds = sorted({0, len(keys), *(c for c in cuts if c < len(keys))})
     for lo, hi in zip(bounds, bounds[1:]):
         mgr.add(np.array(keys[lo:hi]))
