@@ -1,11 +1,13 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaquery.errors import (IllegalColumnKind, InvalidWindowSpec, QuerySyntaxError,
-                            SchemaMismatch, UnknownIdentifier, ZeroVector)
+                            SchemaMismatch, UnknownIdentifier, VaqueryError, ZeroVector)
 from vaquery.model import TRACE_SCHEMA
 from vaquery.operators import (And, BBoxTest, BBPattern, CctOption, Comparison,
                                ScalarPairPredicate, SMatchProbe)
@@ -376,3 +378,60 @@ def test_bracketed_column_names_resolve_case_insensitively():
 def test_aggregate_mixed_with_columns_rejected():
     with pytest.raises(SchemaMismatch):
         plan(parse("SELECT oid, count(*) FROM R1"), ONE)
+
+
+# --- one row per refusal and per valid form -----------------------------------
+
+README_SQL = re.findall(r"```sql\n(.*?)```",
+                        (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
+                        re.S)
+GROUPED = "SELECT * FROM R2A(R1, oid, fid) A {} R2A(R2, oid, fid) B ON {}"
+UNGROUPED = "SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.label = R2.label{}"
+
+
+@pytest.mark.parametrize("text, outcome", [
+    # planner refusals: the error code
+    (UNGROUPED.format(" WHERE R1.fid > 1"), "SCHEMA_MISMATCH"),
+    ("SELECT * FROM CCT(R1, FIRST)", "SCHEMA_MISMATCH"),
+    (GROUPED.format("CJOIN", "fv SMATCH(0.9) B.fv"), "UNKNOWN_IDENTIFIER"),
+    (GROUPED.format("CJOIN", "A.fv SMATCH(0.9) Z.fv"), "UNKNOWN_IDENTIFIER"),
+    (UNGROUPED.format(" AND R1.fid < R2.fid"), "SCHEMA_MISMATCH"),
+    (GROUPED.format("JOIN", "A.label = B.label"), "SCHEMA_MISMATCH"),
+    ("SELECT * FROM R1 A CJOIN R2 B ON A.fv SMATCH(0.9) B.fv", "SCHEMA_MISMATCH"),
+    ("SELECT DIRECTION(bb), DIRECTION(bb) FROM R2A(R1, oid, fid) A", "SCHEMA_MISMATCH"),
+    ("SELECT DIRECTION(bb) FROM R1", "SCHEMA_MISMATCH"),
+    # parser refusals: the error code and its (line, column)
+    ("SELECT oid R1", ("SYNTAX_ERROR", 1, 12)),
+    ("SELECT * FROM R2A(R1 oid, fid)", ("SYNTAX_ERROR", 1, 22)),
+    ("SELECT * FROM R1 WHERE fid > x", ("SYNTAX_ERROR", 1, 30)),
+    ("SELECT sum(*) FROM R1", ("SYNTAX_ERROR", 1, 15)),
+    ("SELECT * FROM CCT(R2A(R1, oid, fid), MIDDLE)", ("SYNTAX_ERROR", 1, 38)),
+    ("SELECT oid FROM R1 WHERE fv SMATCH(0.5, manhattan) [1.0]", ("SYNTAX_ERROR", 1, 41)),
+    ("SELECT oid FROM R1 WHERE fv SMATCH(0.5, cosine, nearest) [1.0]", ("SYNTAX_ERROR", 1, 49)),
+    (GROUPED.format("CJOIN", "A.fv < B.fv"), ("SYNTAX_ERROR", 1, 69)),
+    ("SELECT oid FROM R1 WHERE bb MATCHES [*, *, 3]", ("SYNTAX_ERROR", 1, 46)),
+    ("SELECT * FROM R1 WINDOW(ROWS, 10, 10)", ("SYNTAX_ERROR", 1, 25)),
+    ('SELECT oid FROM R1 WHERE label = "car', ("SYNTAX_ERROR", 1, 34)),
+    ("SELECT oid FROM R1 WHERE fid = #", ("SYNTAX_ERROR", 1, 32)),
+    # valid forms: the plan's node kinds, or None where it only has to plan
+    ("SELECT X.oid FROM R1 AS X", ["ProjectNode", "WindowNode", "SourceNode"]),
+    ("SELECT fid, oid, label, bb, fv, ts FROM R1", ["WindowNode", "SourceNode"]),
+    *((text, None) for text in README_SQL),
+], ids=["where-beside-join", "cct-ungrouped", "join-unqualified", "join-unknown-qualifier",
+        "equality-join-extras", "equality-join-grouped", "similarity-join-ungrouped",
+        "two-directions", "direction-ungrouped", "missing-from", "missing-comma",
+        "missing-number", "sum-star", "cct-option", "metric", "polarity", "join-less-than",
+        "box-three-components", "window-rows", "unterminated-string", "unexpected-character",
+        "table-alias", "every-column-in-order",
+        *(f"readme-{i}" for i in range(len(README_SQL)))])
+def test_each_query_plans_or_is_refused_with_its_code(text, outcome):
+    if outcome is None or isinstance(outcome, list):
+        p = plan(parse(text), TWO)
+        assert outcome is None or node_kinds(p) == outcome
+        return
+    code, *position = (outcome,) if isinstance(outcome, str) else outcome
+    with pytest.raises(VaqueryError) as exc:
+        plan(parse(text), TWO)
+    assert exc.value.code == code
+    if position:
+        assert [exc.value.line, exc.value.column] == position
