@@ -91,6 +91,8 @@ _CMP_FUNCS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 _ORDERED_OPS = {"<", "<=", ">", ">="}
+#: the comparison that holds with its two sides swapped
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 
 def ordered_check(op: str, column: str, schema: Schema) -> None:
@@ -311,6 +313,29 @@ class ScalarPairPredicate:
     op: str
     right_column: str
     offset: float = 0.0
+
+    def check(self, left: Schema, right: Schema) -> None:
+        """Reject a pair whose columns differ in kind or do not compare with ``op``.
+
+        Checked as parsed: each column is a reference whose ``name`` lies in
+        its side's schema, and which the messages quote as written.
+        """
+        lname, rname = self.left_column.name, self.right_column.name
+        kind_check("compare", lname, left)
+        kind_check("compare", rname, right)
+        lkind, rkind = left.kind_of(lname), right.kind_of(rname)
+        if lkind is not rkind:
+            raise SchemaMismatch(f"join condition compares {self.left_column} ({lkind.name}) "
+                                 f"with {self.right_column} ({rkind.name})")
+        if self.offset and lkind is not ColumnKind.SCALAR_NUMERIC:
+            raise SchemaMismatch(f"join condition adds an offset to {self.left_column} "
+                                 f"({lkind.name})")
+        ordered_check(self.op, lname, left)
+
+    def flipped(self) -> ScalarPairPredicate:
+        """The same comparison with its two sides swapped."""
+        return ScalarPairPredicate(self.right_column, _FLIPPED[self.op], self.left_column,
+                                   -self.offset)
 
     def mask(self, left_values: Sequence[Any], right_values: Sequence[Any]) -> np.ndarray:
         """(n, m) truth table of the comparison over every element pair."""

@@ -5,27 +5,28 @@ window sits directly above each source leaf, grouping sits directly above
 its source, and no reordering is attempted beyond two faithful
 simplifications:
 
-* a WHERE clause that references the base table of a grouped source filters
-  the relation before grouping (that is what the qualifier says);
+* a WHERE clause whose qualifiers all name the table of a grouped source
+  filters that table before grouping (that is what the qualifier says);
 * a projection feeding ``count(*)`` is dropped, since row counts ignore
   columns.
 
 The parser's predicates, join conditions and windows are already the
 engine's objects; planning resolves each :class:`~.nodes.ColumnRef` in them
-to the schema's spelling of the column. Column-kind violations surface
-here, before any data flows.
+to the schema's spelling of the column. One scope rule binds every
+qualifier: it names a source in scope by the source's alias or by the table
+it reads, and must name exactly one (:func:`_source_of`). Column-kind
+violations surface here, before any data flows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Sequence, Union
 
 from ..errors import SchemaMismatch, UnknownIdentifier
 from ..model import TRACE_SCHEMA, Column, ColumnKind, Schema, kind_check
 from ..operators import (And, BBoxTest, CctOption, Comparison, Not, Or,
-                         Predicate, ScalarPairPredicate, SMatchProbe,
-                         equi_join_schema, ordered_check)
+                         Predicate, ScalarPairPredicate, SMatchProbe, equi_join_schema)
 from ..similarity import MatchCondition
 from ..windows import WHOLE_STREAM, WindowSpec
 from . import nodes as ast
@@ -189,15 +190,37 @@ class _Catalog:
         return len(self.order) - 1
 
 
-@dataclass
+@dataclass(eq=False)
 class _Planned:
-    """A planned source: its node plus the names WHERE/SELECT may qualify with."""
+    """A planned source: its node and the two names a qualifier may give it."""
 
     node: PlanNode
-    alias: str | None  # alias of the produced value
-    base_name: str | None  # underlying table name for grouped sources
-    base_schema: Schema | None
-    r2a_at: R2ANode | None  # set when the source chain tops out at R2A/CCT
+    alias: str | None
+    table: str | None  # the table it reads; None for a join or a subquery
+
+
+def _source_of(ref: ast.ColumnRef, scope: Sequence[_Planned]) -> _Planned:
+    """The one source in ``scope`` whose alias or table ``ref``'s qualifier names;
+    an unqualified reference names the only source in scope."""
+    if ref.qualifier is None:
+        if len(scope) > 1:
+            raise UnknownIdentifier(f"join condition column {ref.name!r} must be qualified")
+        return scope[0]
+    qualifier = ref.qualifier.lower()
+    named = [s for s in scope if qualifier in {n.lower() for n in (s.alias, s.table) if n}]
+    if len(named) != 1:
+        why = "ambiguous" if named else "unknown"
+        raise UnknownIdentifier(f"{why} qualifier {ref.qualifier!r}")
+    return named[0]
+
+
+def _crossed(a: ast.ColumnRef, b: ast.ColumnRef, left: _Planned, right: _Planned) -> bool:
+    """Whether ``a`` names the right side and ``b`` the left; a comparison of
+    two columns of one side is refused."""
+    sides = (_source_of(a, (left, right)), _source_of(b, (left, right)))
+    if sides not in ((left, right), (right, left)):
+        raise SchemaMismatch("join condition must compare one column from each side")
+    return sides[0] is right
 
 
 def _mapped(p: Predicate, fn) -> Predicate:
@@ -218,13 +241,11 @@ def _refs(p: Predicate) -> list[ast.ColumnRef]:
     return refs
 
 
-def _resolved(p: Predicate, schema: Schema) -> Predicate:
-    """``p`` with each column reference replaced by the schema's name for it."""
-    return _mapped(p, lambda r: schema.resolve(r.name))
-
-
-#: the comparison that holds with its two sides swapped
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+def _grouped_table(src: ast.Source) -> str | None:
+    """The table that R2A groups in ``src``, under any CCTs; None for other sources."""
+    while isinstance(src, ast.CctSource):
+        src = src.inner
+    return src.table if isinstance(src, ast.R2ASource) else None
 
 
 class _Planner:
@@ -236,102 +257,70 @@ class _Planner:
         if q.join is not None and q.where is not None:
             raise SchemaMismatch("WHERE alongside a join condition is not supported; "
                                  "put extra conjuncts in the ON clause")
-        planned = self.plan_source(q.source)
+        # a WHERE whose qualifiers all name the grouped table filters before grouping
+        table = _grouped_table(q.source)
+        quals = {r.qualifier.lower() for r in _refs(q.where) if r.qualifier} if q.where else set()
+        below = q.where if table is not None and quals == {table.lower()} else None
+        source = self.plan_source(q.source, below)
 
         if q.join is not None:
-            node = self.plan_join(q, planned)
-            planned = _Planned(node, None, None, None, None)
-        elif q.where is not None:
-            node = self.place_where(q.where, planned)
-            planned = _Planned(node, planned.alias, planned.base_name,
-                               planned.base_schema, planned.r2a_at)
+            source = _Planned(self.plan_join(q.join, source), None, None)
+        elif q.where is not None and below is None:
+            node = SelectNode(source.node, self.predicate(q.where, source))
+            source = _Planned(node, source.alias, source.table)
+        return self.plan_select_list(q.select, source)
 
-        return self.plan_select_list(q.select, planned)
+    def predicate(self, p: Predicate, source: _Planned) -> Predicate:
+        """``p`` over ``source``: its qualifiers checked, then its columns resolved."""
+        for ref in _refs(p):
+            _source_of(ref, [source])
+        p = _mapped(p, lambda r: source.node.schema.resolve(r.name))
+        p.check(source.node.schema)
+        return p
 
     # sources
 
-    def plan_source(self, src: ast.Source) -> _Planned:
+    def leaf(self, name: str) -> WindowNode:
+        """The query's window over the source ``name``."""
+        schema = self.catalog.lookup(name)
+        return WindowNode(SourceNode(name, self.catalog.ordinal(name), schema), self.window)
+
+    def plan_source(self, src: ast.Source, where: Predicate | None = None) -> _Planned:
+        """``src`` planned, with ``where`` filtering the table that it groups."""
         if isinstance(src, ast.TableSource):
-            schema = self.catalog.lookup(src.name)
-            node = WindowNode(SourceNode(src.name, self.catalog.ordinal(src.name), schema),
-                              self.window)
-            return _Planned(node, src.alias or src.name, src.name, schema, None)
+            return _Planned(self.leaf(src.name), src.alias or src.name, src.name)
         if isinstance(src, ast.R2ASource):
-            schema = self.catalog.lookup(src.table)
-            self._check_qualifier(src.gba.qualifier, {src.table})
-            self._check_qualifier(src.aoa.qualifier, {src.table})
-            base = WindowNode(SourceNode(src.table, self.catalog.ordinal(src.table), schema),
-                              self.window)
+            base = _Planned(self.leaf(src.table), None, src.table)
+            for ref in (src.gba, src.aoa):
+                _source_of(ref, [base])
+            schema = base.node.schema
             kind_check("r2a_gba", src.gba.name, schema)
             kind_check("r2a_aoa", src.aoa.name, schema)
-            node = R2ANode(base, schema.resolve(src.gba.name), schema.resolve(src.aoa.name))
-            return _Planned(node, src.alias, src.table, schema, node)
+            child = base.node if where is None else \
+                SelectNode(base.node, self.predicate(where, base))
+            node = R2ANode(child, schema.resolve(src.gba.name), schema.resolve(src.aoa.name))
+            return _Planned(node, src.alias, src.table)
         if isinstance(src, ast.CctSource):
-            inner = self.plan_source(src.inner)
+            inner = self.plan_source(src.inner, where)
             if inner.node.group_key is None:
                 raise SchemaMismatch("CCT requires a grouped (arrable) input")
             node = CctNode(inner.node, src.option, src.gap_threshold)
-            return _Planned(node, src.alias or inner.alias, inner.base_name,
-                            inner.base_schema, inner.r2a_at)
+            return _Planned(node, src.alias or inner.alias, inner.table)
         if isinstance(src, ast.SubquerySource):
-            node = self.plan_query(src.query)
-            return _Planned(node, src.alias, None, None, None)
+            return _Planned(self.plan_query(src.query), src.alias, None)
         raise TypeError(f"unknown source {src!r}")
-
-    @staticmethod
-    def _check_qualifier(qualifier: str | None, allowed: set[str]) -> None:
-        if qualifier is not None and qualifier.lower() not in {a.lower() for a in allowed}:
-            raise UnknownIdentifier(f"unknown qualifier {qualifier!r}")
-
-    # where placement
-
-    def place_where(self, where: Predicate, planned: _Planned) -> PlanNode:
-        refs = _refs(where)
-        base_names = {planned.base_name.lower()} if planned.base_name else set()
-        quals = {r.qualifier.lower() for r in refs if r.qualifier is not None}
-
-        if planned.r2a_at is not None and quals and quals <= base_names:
-            # the filter speaks about the pre-grouping relation: apply it below
-            pred = _resolved(where, planned.base_schema)
-            pred.check(planned.base_schema)
-            r2a = planned.r2a_at
-            filtered = R2ANode(SelectNode(r2a.child, pred), r2a.gba, r2a.aoa)
-            return _replace_node(planned.node, r2a, filtered)
-
-        allowed = base_names | ({planned.alias.lower()} if planned.alias else set())
-        for r in refs:
-            self._check_qualifier(r.qualifier, allowed)
-        pred = _resolved(where, planned.node.schema)
-        pred.check(planned.node.schema)
-        return SelectNode(planned.node, pred)
 
     # joins
 
-    def plan_join(self, q: ast.Query, left: _Planned) -> PlanNode:
-        clause = q.join
+    def plan_join(self, clause: ast.JoinClause, left: _Planned) -> PlanNode:
         right = self.plan_source(clause.source)
-
-        left_names = {n.lower() for n in (left.alias, left.base_name) if n}
-        right_names = {n.lower() for n in (right.alias, right.base_name) if n}
-
-        def side_of(ref: ast.ColumnRef) -> str:
-            if ref.qualifier is None:
-                raise UnknownIdentifier(f"join condition column {ref.name!r} must be qualified")
-            qual = ref.qualifier.lower()
-            if qual in left_names:
-                return "left"
-            if qual in right_names:
-                return "right"
-            raise UnknownIdentifier(f"unknown qualifier {ref.qualifier!r}")
-
         lref, rref = clause.cond.left, clause.cond.right
-        if side_of(lref) == "right" and side_of(rref) == "left":
+        if _crossed(lref, rref, left, right):
             lref, rref = rref, lref
-        if side_of(lref) != "left" or side_of(rref) != "right":
-            raise SchemaMismatch("join condition must compare one column from each side")
+        lschema, rschema = left.node.schema, right.node.schema
 
-        llabel = left.alias or left.base_name or "left"
-        rlabel = right.alias or right.base_name or "right"
+        llabel = left.alias or left.table or "left"
+        rlabel = right.alias or right.table or "right"
         if clause.cond.args is None:
             if clause.kind != "JOIN":
                 raise SchemaMismatch(f"{clause.kind} requires an SMATCH condition")
@@ -339,52 +328,37 @@ class _Planner:
                 raise SchemaMismatch("extra conjuncts are not supported with equality joins")
             if left.node.group_key is not None or right.node.group_key is not None:
                 raise SchemaMismatch("equality joins operate on ungrouped relations")
-            kind_check("equality_join", lref.name, left.node.schema)
-            kind_check("equality_join", rref.name, right.node.schema)
-            schema = equi_join_schema(left.node.schema, right.node.schema, (llabel, rlabel))
-            return EquiJoinNode(left.node, right.node,
-                                left.node.schema.resolve(lref.name),
-                                right.node.schema.resolve(rref.name),
-                                (llabel, rlabel), schema)
+            kind_check("equality_join", lref.name, lschema)
+            kind_check("equality_join", rref.name, rschema)
+            schema = equi_join_schema(lschema, rschema, (llabel, rlabel))
+            return EquiJoinNode(left.node, right.node, lschema.resolve(lref.name),
+                                rschema.resolve(rref.name), (llabel, rlabel), schema)
 
         if left.node.group_key is None or right.node.group_key is None:
             raise SchemaMismatch("similarity joins require grouped (arrable) inputs")
-        kind_check("smatch", lref.name, left.node.schema)
-        kind_check("smatch", rref.name, right.node.schema)
+        kind_check("smatch", lref.name, lschema)
+        kind_check("smatch", rref.name, rschema)
 
         extras = []
         for pc in clause.cond.extras:
-            if side_of(pc.left_column) == "right" and side_of(pc.right_column) == "left":
-                pc = replace(pc, left_column=pc.right_column, op=_FLIPPED[pc.op],
-                             right_column=pc.left_column, offset=-pc.offset)
-            pl, pr = pc.left_column, pc.right_column
-            kind_check("compare", pl.name, left.node.schema)
-            kind_check("compare", pr.name, right.node.schema)
-            lkind = left.node.schema.kind_of(pl.name)
-            rkind = right.node.schema.kind_of(pr.name)
-            if lkind is not rkind:
-                raise SchemaMismatch(f"join condition compares {pl} ({lkind.name}) "
-                                     f"with {pr} ({rkind.name})")
-            if pc.offset and lkind is not ColumnKind.SCALAR_NUMERIC:
-                raise SchemaMismatch(f"join condition adds an offset to {pl} ({lkind.name})")
-            ordered_check(pc.op, pl.name, left.node.schema)
-            extras.append(replace(pc, left_column=left.node.schema.resolve(pl.name),
-                                  right_column=right.node.schema.resolve(pr.name)))
+            if _crossed(pc.left_column, pc.right_column, left, right):
+                pc = pc.flipped()
+            pc.check(lschema, rschema)
+            extras.append(replace(pc, left_column=lschema.resolve(pc.left_column.name),
+                                  right_column=rschema.resolve(pc.right_column.name)))
 
         schema = Schema((
             Column(f"{llabel}.{left.node.group_key}", ColumnKind.SCALAR_NUMERIC),
             Column(f"{rlabel}.{right.node.group_key}", ColumnKind.SCALAR_NUMERIC),
             Column("score", ColumnKind.SCALAR_NUMERIC),
         ))
-        return JoinNode(left.node, right.node, clause.kind,
-                        left.node.schema.resolve(lref.name),
-                        right.node.schema.resolve(rref.name),
-                        clause.cond.args, tuple(extras), schema)
+        return JoinNode(left.node, right.node, clause.kind, lschema.resolve(lref.name),
+                        rschema.resolve(rref.name), clause.cond.args, tuple(extras), schema)
 
     # select list
 
-    def plan_select_list(self, items: tuple[ast.SelectItem, ...], planned: _Planned) -> PlanNode:
-        node = planned.node
+    def plan_select_list(self, items: tuple[ast.SelectItem, ...], source: _Planned) -> PlanNode:
+        node = source.node
         if len(items) == 1 and isinstance(items[0], ast.SelectStar):
             return node
 
@@ -401,21 +375,22 @@ class _Planner:
                 if isinstance(node, ProjectNode):
                     node = node.child
                 return AggregateNode(node, "count", None, "count")
-            self._check_ref_scope(agg.arg, planned)
+            _source_of(agg.arg, [source])
             kind_check(agg.func, agg.arg.name, node.schema)
             column = node.schema.resolve(agg.arg.name)
             return AggregateNode(node, agg.func, column, f"{agg.func}({column})")
 
         if dirs:
-            if cols and not all(self._is_gba_ref(c.ref, planned) for c in cols):
+            gba = node.group_key
+            if any(gba is None or c.ref.name.lower() != gba.lower() for c in cols):
                 raise SchemaMismatch("direction can only be combined with the group key")
             if len(dirs) != 1:
                 raise SchemaMismatch("only one direction item is supported")
-            gba = node.group_key
             if gba is None:
                 raise SchemaMismatch("direction requires a grouped (arrable) input")
+            for ref in (*(c.ref for c in cols), dirs[0].ref):
+                _source_of(ref, [source])
             ref = dirs[0].ref
-            self._check_ref_scope(ref, planned)
             kind_check("direction", ref.name, node.schema)
             schema = Schema((
                 Column(gba, node.schema.kind_of(gba)),
@@ -423,36 +398,20 @@ class _Planner:
             ))
             return DirectionNode(node, node.schema.resolve(ref.name), gba, schema)
 
-        names = []
-        for c in cols:
-            names.append(self._resolve_output(c.ref, planned))
+        names = [self.column(c.ref, source) for c in cols]
         if names == list(node.schema.names()):
             return node
-        sub = node.schema.subset(names)
-        return ProjectNode(node, tuple(names), sub)
+        return ProjectNode(node, tuple(names), node.schema.subset(names))
 
-    def _check_ref_scope(self, ref: ast.ColumnRef, planned: _Planned) -> None:
-        allowed = {n for n in (planned.alias, planned.base_name) if n}
-        self._check_qualifier(ref.qualifier, allowed)
-
-    def _is_gba_ref(self, ref: ast.ColumnRef, planned: _Planned) -> bool:
-        key = planned.node.group_key
-        return key is not None and ref.name.lower() == key.lower()
-
-    def _resolve_output(self, ref: ast.ColumnRef, planned: _Planned) -> str:
-        schema = planned.node.schema
-        # join outputs carry qualified column names; try the full spelling first
+    @staticmethod
+    def column(ref: ast.ColumnRef, source: _Planned) -> str:
+        """The schema's name for a select column; a join's output spells each
+        column with its side's label, and a column spelled so names it."""
+        schema = source.node.schema
         if ref.qualifier is not None and schema.has(str(ref)):
             return schema.resolve(str(ref))
-        self._check_ref_scope(ref, planned)
+        _source_of(ref, [source])
         return schema.resolve(ref.name)
-
-
-def _replace_node(root: PlanNode, target: R2ANode, replacement: PlanNode) -> PlanNode:
-    """``root`` with ``target`` swapped for ``replacement``; only CctNodes lie between."""
-    if root is target:
-        return replacement
-    return replace(root, child=_replace_node(root.child, target, replacement))
 
 
 def _window_clauses(q: ast.Query) -> list[WindowSpec]:

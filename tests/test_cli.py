@@ -343,6 +343,9 @@ CSV_ROW = "fid,oid,label,ts,bb_x,bb_y,bb_w,bb_h,fv_0\n{}\n"  # a CSV trace of on
 TWO_CLAUSES_JOIN = (f"SELECT * FROM (SELECT * FROM {SIDES[0]} WINDOW(TIME, 1, 1)) A "
                     f"CJOIN {SIDES[1]} ON A.fv SMATCH(0.9) B.fv WINDOW(TIME, 2, 2)")
 TWO_CLAUSES = "SELECT count(*) FROM (SELECT * FROM R1 WINDOW(TIME, 1, 1)) X WINDOW(TIME, 4, 4)"
+# a self-join of R1: the qualifier R1 names both sides
+SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fid) B "
+             "ON A.fv SMATCH(0.5) B.fv AND ")
 
 
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
@@ -400,6 +403,10 @@ TWO_CLAUSES = "SELECT count(*) FROM (SELECT * FROM R1 WINDOW(TIME, 1, 1)) X WIND
     ("run", TWO_CLAUSES, [], 2, "SCHEMA_MISMATCH: a query has one window, but it has the "
                                 "clauses WINDOW(TIME, 4.0, 4.0) and WINDOW(TIME, 1.0, 1.0)"),
     ("parse-check", TWO_CLAUSES, [], 2, "SCHEMA_MISMATCH"),
+    ("parse-check", SELF_JOIN + "R1.fid > B.fid", [], 2,
+     "UNKNOWN_IDENTIFIER: ambiguous qualifier 'R1'"),
+    ("parse-check", SELF_JOIN + "A.fid < A.fid", [], 2,
+     "SCHEMA_MISMATCH: join condition must compare one column from each side"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
         "window-inf-hop", "missing-query", "config-value", "config-json",
         "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
@@ -413,7 +420,7 @@ TWO_CLAUSES = "SELECT count(*) FROM (SELECT * FROM R1 WINDOW(TIME, 1, 1)) X WIND
         "config-deep", "window-inf-size", "tuple-window-inf-size", "csv-oid-text",
         "csv-fv-text", "window-ratio-overflow", "window-clause-ratio-overflow",
         "two-windows-join", "two-windows-join-parse-check", "two-windows",
-        "two-windows-parse-check"])
+        "two-windows-parse-check", "self-join-table-qualifier", "self-join-extra-one-side"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"

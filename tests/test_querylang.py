@@ -387,6 +387,8 @@ README_SQL = re.findall(r"```sql\n(.*?)```",
                         re.S)
 GROUPED = "SELECT * FROM R2A(R1, oid, fid) A {} R2A(R2, oid, fid) B ON {}"
 UNGROUPED = "SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.label = R2.label{}"
+SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fid) B "
+             "ON A.fv SMATCH(0.5) B.fv AND ")
 
 
 @pytest.mark.parametrize("text, outcome", [
@@ -400,6 +402,13 @@ UNGROUPED = "SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.label = R2.label{}"
     ("SELECT * FROM R1 A CJOIN R2 B ON A.fv SMATCH(0.9) B.fv", "SCHEMA_MISMATCH"),
     ("SELECT DIRECTION(bb), DIRECTION(bb) FROM R2A(R1, oid, fid) A", "SCHEMA_MISMATCH"),
     ("SELECT DIRECTION(bb) FROM R1", "SCHEMA_MISMATCH"),
+    # a qualifier names exactly one source, and an extra one column of each side
+    (SELF_JOIN + "R1.fid > B.fid", "UNKNOWN_IDENTIFIER"),
+    (SELF_JOIN + "A.fid < A.fid", "SCHEMA_MISMATCH"),
+    (SELF_JOIN + "A.fid < fid", "UNKNOWN_IDENTIFIER"),
+    ("SELECT * FROM R2A(R1, oid, fid) A CJOIN R2A(R2, oid, fid) A ON A.fv SMATCH(0.9) A.fv",
+     "UNKNOWN_IDENTIFIER"),
+    ("SELECT Z.oid, DIRECTION(A.bb) FROM R2A(R1, oid, fid) A", "UNKNOWN_IDENTIFIER"),
     # parser refusals: the error code and its (line, column)
     ("SELECT oid R1", ("SYNTAX_ERROR", 1, 12)),
     ("SELECT * FROM R2A(R1 oid, fid)", ("SYNTAX_ERROR", 1, 22)),
@@ -419,7 +428,9 @@ UNGROUPED = "SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.label = R2.label{}"
     *((text, None) for text in README_SQL),
 ], ids=["where-beside-join", "cct-ungrouped", "join-unqualified", "join-unknown-qualifier",
         "equality-join-extras", "equality-join-grouped", "similarity-join-ungrouped",
-        "two-directions", "direction-ungrouped", "missing-from", "missing-comma",
+        "two-directions", "direction-ungrouped", "self-join-table-qualifier",
+        "extra-one-side", "extra-unqualified", "sides-share-an-alias",
+        "direction-key-unknown-qualifier", "missing-from", "missing-comma",
         "missing-number", "sum-star", "cct-option", "metric", "polarity", "join-less-than",
         "box-three-components", "window-rows", "unterminated-string", "unexpected-character",
         "table-alias", "every-column-in-order",
