@@ -1,7 +1,8 @@
 """Tokenizer for the query language.
 
 Keywords are case-insensitive and resolved by the parser; the lexer only
-distinguishes identifiers, numbers, strings, and punctuation. ``--`` starts
+distinguishes identifiers, numbers, strings, and punctuation. A number is
+ASCII digits with an optional fractional part. ``--`` starts
 a line comment. Every token carries its 1-based line and column for error
 reporting.
 """
@@ -14,6 +15,7 @@ from ..errors import QuerySyntaxError
 
 _PUNCT_TWO = {"<=", ">=", "!=", "<>"}
 _PUNCT_ONE = set("()[],.*:+-=<>")
+_DIGITS = set("0123456789")  # str.isdigit also holds for '²', '①' and '٣'
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,13 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("STRING", text[i + 1:j], start_line, start_col))
             advance(j + 1 - i)
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     # a dot not followed by a digit is the qualifier separator
-                    if j + 1 >= n or not text[j + 1].isdigit():
+                    if j + 1 >= n or text[j + 1] not in _DIGITS:
                         break
                     seen_dot = True
                 j += 1

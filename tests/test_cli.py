@@ -39,7 +39,7 @@ def trace_file(tmp_path):
 
 def write_query(tmp_path, text, name="q.vaq"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -403,6 +403,12 @@ SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fi
     ("run", TWO_CLAUSES, [], 2, "SCHEMA_MISMATCH: a query has one window, but it has the "
                                 "clauses WINDOW(TIME, 4.0, 4.0) and WINDOW(TIME, 1.0, 1.0)"),
     ("parse-check", TWO_CLAUSES, [], 2, "SCHEMA_MISMATCH"),
+    ("run", "SELECT fid FROM R1 WHERE fid = \u00b2", [], 2,
+     "SYNTAX_ERROR: unexpected character '\u00b2' (line 1, column 32)"),
+    ("parse-check", "SELECT fid FROM R1 WHERE fid = \u00b2", [], 2,
+     "SYNTAX_ERROR: unexpected character '\u00b2' (line 1, column 32)"),
+    ("run", "SELECT fid FROM R1 WHERE fid = \u0663", [], 2, "SYNTAX_ERROR"),
+    ("parse-check", "SELECT fid FROM R1 WHERE fid = \u0663", [], 2, "SYNTAX_ERROR"),
     ("parse-check", SELF_JOIN + "R1.fid > B.fid", [], 2,
      "UNKNOWN_IDENTIFIER: ambiguous qualifier 'R1'"),
     ("parse-check", SELF_JOIN + "A.fid < A.fid", [], 2,
@@ -420,7 +426,8 @@ SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fi
         "config-deep", "window-inf-size", "tuple-window-inf-size", "csv-oid-text",
         "csv-fv-text", "window-ratio-overflow", "window-clause-ratio-overflow",
         "two-windows-join", "two-windows-join-parse-check", "two-windows",
-        "two-windows-parse-check", "self-join-table-qualifier", "self-join-extra-one-side"])
+        "two-windows-parse-check", "superscript-digit", "superscript-digit-parse-check",
+        "arabic-indic-digit", "arabic-indic-digit-parse-check", "self-join-table-qualifier", "self-join-extra-one-side"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"

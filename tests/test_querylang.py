@@ -422,6 +422,11 @@ SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fi
     ("SELECT * FROM R1 WINDOW(ROWS, 10, 10)", ("SYNTAX_ERROR", 1, 25)),
     ('SELECT oid FROM R1 WHERE label = "car', ("SYNTAX_ERROR", 1, 34)),
     ("SELECT oid FROM R1 WHERE fid = #", ("SYNTAX_ERROR", 1, 32)),
+    # a number is ASCII digits: other digits are unexpected characters
+    ("SELECT fid FROM R1 WHERE fid = \u00b2", ("SYNTAX_ERROR", 1, 32)),
+    ("SELECT fid FROM R1 WHERE fid = 1\u00b2", ("SYNTAX_ERROR", 1, 33)),
+    ("SELECT fid FROM R1 WHERE fid = \u2460", ("SYNTAX_ERROR", 1, 32)),
+    ("SELECT fid FROM R1 WHERE fid = \u0663", ("SYNTAX_ERROR", 1, 32)),
     # valid forms: the plan's node kinds, or None where it only has to plan
     ("SELECT X.oid FROM R1 AS X", ["ProjectNode", "WindowNode", "SourceNode"]),
     ("SELECT fid, oid, label, bb, fv, ts FROM R1", ["WindowNode", "SourceNode"]),
@@ -433,6 +438,7 @@ SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fi
         "direction-key-unknown-qualifier", "missing-from", "missing-comma",
         "missing-number", "sum-star", "cct-option", "metric", "polarity", "join-less-than",
         "box-three-components", "window-rows", "unterminated-string", "unexpected-character",
+        "superscript-two", "digit-then-superscript", "circled-one", "arabic-indic-three",
         "table-alias", "every-column-in-order",
         *(f"readme-{i}" for i in range(len(README_SQL)))])
 def test_each_query_plans_or_is_refused_with_its_code(text, outcome):
