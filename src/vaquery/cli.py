@@ -132,14 +132,16 @@ def cmd_bench(args) -> int:
     from . import evaluation
 
     trace_paths, queries, repetitions, fps = _bench_config(args.config)
+    # every query is planned once, before any trace is read; only runs are timed
+    plans = {name: _load_plan(path) for name, path in queries.items()}
     traces = [ingest.read_trace(p, fps=fps) for p in trace_paths]
     trace_size = sum(map(len, traces))
 
-    def runner(query_path: str) -> int:
-        _, stats = engine.instantiate(_load_plan(query_path)).run(traces)
+    def runner(plan) -> int:
+        _, stats = engine.instantiate(plan).run(traces)
         return stats.total_smatch_comparisons
 
-    variants = {name: functools.partial(runner, path) for name, path in queries.items()}
+    variants = {name: functools.partial(runner, plan) for name, plan in plans.items()}
     table = evaluation.bench_table(evaluation.bench(variants, trace_size, repetitions))
     print(table)
     if args.out:

@@ -247,6 +247,18 @@ def test_bench_three_variants(tmp_path, trace_file, capsys):
     assert comparisons["cctjoin"] <= comparisons["join"]
 
 
+def test_bench_plans_each_variant_once(tmp_path, trace_file, monkeypatch, capsys):
+    planned = []
+    plan = querylang.plan
+    monkeypatch.setattr(querylang, "plan", lambda *a, **k: planned.append(a) or plan(*a, **k))
+    queries = {name: str(write_query(tmp_path, Q2, f"{name}.vaq")) for name in ("a", "b")}
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"queries": queries, "traces": [str(trace_file)],
+                                  "repetitions": 3}))
+    assert main(["bench", "--config", str(config)]) == 0
+    assert len(planned) == len(queries)
+
+
 def test_parse_check_ok(tmp_path, capsys):
     qpath = write_query(tmp_path, Q2)
     assert main(["parse-check", "--query", str(qpath)]) == 0
@@ -590,6 +602,8 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
     ((BENCH, {"bench.json": "{"}), 3, "CONFIG_ERROR", "bench.json"),
     (_bench({"traces": ["{trace}"], "queries": {"q": "{tmp}/bad.vaq"}, "repetitions": 1}), 2,
      "SYNTAX_ERROR", "line 1"),
+    (_bench({"traces": ["{tmp}/absent.jsonl"], "queries": {"q": "{tmp}/bad.vaq"}}), 2,
+     "SYNTAX_ERROR", "line 1"),
     (_eval("count", "{", "[1]"), 3, "FORMAT_MISMATCH", "r.jsonl line 1"),
     (_eval("count", "[1]", "[1]"), 3, "FORMAT_MISMATCH", "r.jsonl line 1"),
     (_eval("count", '{"window": 0, "count": 1}', "{"), 3, "FORMAT_MISMATCH", "gt.json"),
@@ -677,7 +691,7 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
         "spec-not-utf8", "gen-out-missing-dir",
         "bench-repetitions-text", "bench-repetitions-fraction", "bench-traces-string",
         "bench-queries-list", "bench-fps-text", "bench-list", "bench-not-json",
-        "bench-bad-query", "eval-results-not-json", "eval-results-not-object",
+        "bench-bad-query", "bench-bad-query-missing-trace", "eval-results-not-json", "eval-results-not-object",
         "eval-gt-not-json", "eval-gt-count-text", "eval-gt-count-fraction",
         "eval-gt-count-string", "eval-gt-count-bool", "eval-gt-count-windows-float",
         "eval-window-array", "eval-pair-array",
