@@ -2,8 +2,8 @@
 
 Keywords are case-insensitive and resolved by the parser; the lexer only
 distinguishes identifiers, numbers, strings, and punctuation. A number is
-ASCII digits with an optional fractional part. ``--`` starts
-a line comment. Every token carries its 1-based line and column for error
+ASCII digits with an optional fractional part. ``--`` starts a line
+comment. Every token carries its 1-based line and column for error
 reporting.
 """
 
