@@ -204,8 +204,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the one place where a failure becomes an exit code.
 
     An OSError exits 3 (``NO_SUCH_FILE`` for a missing file in an existing directory,
-    else ``IO_ERROR``), a VaqueryError 2 if raised in :func:`_load_plan`, else 3.
-    Nothing else is caught: a bug keeps its traceback.
+    else ``IO_ERROR``), a MemoryError 3 (``OUT_OF_MEMORY``), a VaqueryError 2 if
+    raised in :func:`_load_plan`, else 3. Nothing else is caught: a bug keeps its
+    traceback.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -214,6 +215,8 @@ def main(argv: list[str] | None = None) -> int:
         missing = (isinstance(exc, FileNotFoundError)
                    and os.path.isdir(Path(exc.filename or "").parent))
         code, status, error = "NO_SUCH_FILE" if missing else "IO_ERROR", EXIT_RUNTIME_ERROR, exc
+    except MemoryError as exc:  # its memory is freed once the stack has unwound to here
+        code, status, error = "OUT_OF_MEMORY", EXIT_RUNTIME_ERROR, str(exc) or "out of memory"
     except VaqueryError as exc:
         planning = any(frame.f_code is _load_plan.__code__
                        for frame, _ in traceback.walk_tb(exc.__traceback__))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, SchemaMismatch, json_field, json_type, load_json
 from .model import Relation
-from .operators import (Direction8, aggregate, cct, cct_join, cjoin, count_star, direction,
+from .operators import (Direction8, aggregate, cct, cjoin, count_star, direction,
                         hash_equi_join, nl_join, project, select)
 from .querylang.planner import (AggregateNode, CctNode, DirectionNode,
                                 EquiJoinNode, JoinNode, PlanNode, ProjectNode,
@@ -263,13 +263,10 @@ def _operator(node: PlanNode, stats: StageStats) -> Callable[..., Any]:
                                                   node.prefixes)
     if isinstance(node, JoinNode):
         def joined(left, right) -> Relation:
-            on = (node.on_left, node.on_right)
-            if node.kind == "CCTJOIN":
-                pairs = cct_join(left, right, node.cond, on=on, extra=node.extras, counter=stats)
-            else:
-                pairs = (cjoin if node.kind == "CJOIN" else nl_join)(left, right, node.cond, on,
-                                                                    node.extras, stats)
-            left_key, right_key, _, _, score = pairs
+            join = cjoin if node.kind == "CJOIN" else nl_join
+            left_key, right_key, _, _, score = join(left, right, node.cond,
+                                                    (node.on_left, node.on_right), node.extras,
+                                                    stats)
             return Relation(node.schema, dict(zip(node.schema.names(),
                                                   (left_key, right_key, score))))
         return joined

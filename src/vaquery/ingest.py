@@ -144,33 +144,34 @@ def _jsonl_lines(fh) -> Iterator[tuple[int, dict]]:
 
 
 def _csv_record(rec: list[str], line_no: int) -> dict:
-    """Parse one CSV row's text fields, in the order their errors are reported,
-    into the record its JSONL line would decode to."""
+    """Parse one CSV row's text fields into the record its JSONL line would decode
+    to. The fields convert in the order their errors are reported: bb[0..3], fid,
+    oid, fv[i], then ts unless empty. The first that is not a number (an integer
+    for fid and oid) is refused with at most 20 characters of it."""
+    values: list = []  # in that order
+    add = values.append
     try:
-        bb = [float(v) for v in rec[4:8]]
-        fid, oid = int(rec[0]), int(rec[1])
-        fv = [float(v) for v in rec[8:]]
-        ts = float(rec[3]) if rec[3] != "" else None
+        for text in rec[4:8]:
+            add(float(text))
+        add(int(rec[0]))
+        add(int(rec[1]))
+        for text in rec[8:]:
+            add(float(text))
+        if rec[3] != "":
+            add(float(rec[3]))
     except ValueError:
-        raise _csv_refusal(rec, line_no) from None
+        fields = [*((f"bb[{i}]", v) for i, v in enumerate(rec[4:8])), ("fid", rec[0]),
+                  ("oid", rec[1]), *((f"fv[{i}]", v) for i, v in enumerate(rec[8:])),
+                  ("ts", rec[3])]
+        name, text = fields[len(values)]  # the first field not converted
+        kind = "an integer" if name in ("fid", "oid") else "a number"
+        shown = repr(text[:20]) + ("..." if len(text) > 20 else "")
+        raise TraceParseError(f"trace line {name} must be {kind}, got {shown}", line_no) from None
+    fid, oid, ts_at = values[4], values[5], len(rec) - 2
     _check_id("fid", fid, line_no)
     _check_id("oid", oid, line_no)
-    return {"fid": fid, "oid": oid, "label": rec[2], "bb": bb, "fv": fv, "ts": ts}
-
-
-def _csv_refusal(rec: list[str], line_no: int) -> TraceParseError:
-    """The error of a CSV row's first field, in :func:`_csv_record`'s order, that
-    is not a number (an integer for fid and oid), with at most 20 characters of it."""
-    for name, text in [*((f"bb[{i}]", v) for i, v in enumerate(rec[4:8])), ("fid", rec[0]),
-                       ("oid", rec[1]), *((f"fv[{i}]", v) for i, v in enumerate(rec[8:])),
-                       ("ts", rec[3])]:
-        convert, kind = (int, "an integer") if name in ("fid", "oid") else (float, "a number")
-        try:
-            convert(text)
-        except ValueError:
-            shown = repr(text[:20]) + ("..." if len(text) > 20 else "")
-            return TraceParseError(f"trace line {name} must be {kind}, got {shown}", line_no)
-    raise AssertionError("a CSV row that failed to parse has no failing field")
+    return {"fid": fid, "oid": oid, "label": rec[2], "bb": values[:4], "fv": values[6:ts_at],
+            "ts": values[ts_at] if rec[3] != "" else None}
 
 
 def _csv_lines(fh) -> Iterator[tuple[int, dict]]:
@@ -365,13 +366,13 @@ def write_trace(rel: Relation, path: str | Path) -> None:
                                  "ts": ts}) + "\n")
 
 
-def concat_traces(a: Relation, b: Relation, oid_offset: int,
-                  frame_dt: float | None = None) -> Relation:
+def concat_traces(a: Relation, b: Relation, oid_offset: int) -> Relation:
     """Append trace ``b`` after trace ``a`` on a shifted frame/time axis.
 
     ``b``'s frames are renumbered to continue after ``a``'s last frame and
-    its timestamps shifted accordingly; ``oid_offset`` must clear ``a``'s
-    oid range so object identities stay distinct.
+    its timestamps shifted to start one of ``a``'s mean frame steps after
+    ``a``'s last (one second if ``a`` spans one frame); ``oid_offset`` must
+    clear ``a``'s oid range so object identities stay distinct.
     """
     if not len(a):
         return b
@@ -387,9 +388,8 @@ def concat_traces(a: Relation, b: Relation, oid_offset: int,
 
     (first_fid, last_fid), (first_ts, last_ts) = (a.column(n)[[0, -1]].tolist()
                                                   for n in ("fid", "ts"))
-    if frame_dt is None:
-        span_f = last_fid - first_fid
-        frame_dt = (last_ts - first_ts) / span_f if span_f > 0 else 1.0
+    span_f = last_fid - first_fid
+    frame_dt = (last_ts - first_ts) / span_f if span_f > 0 else 1.0
     shift = {"fid": last_fid + 1 - b.column("fid")[0].item(), "oid": oid_offset,
              "ts": last_ts + frame_dt - b.column("ts")[0].item()}
     columns = {n: np.concatenate((col, b.column(n) + shift[n] if n in shift else b.column(n)))

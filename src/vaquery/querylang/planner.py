@@ -10,6 +10,9 @@ simplifications:
 * a projection feeding ``count(*)`` is dropped, since row counts ignore
   columns.
 
+A CCTJOIN is planned as what it means: a JOIN over ``CCT(side, BOTH, 1)``
+on each side.
+
 The parser's predicates, join conditions and windows are already the
 engine's objects; planning resolves each :class:`~.nodes.ColumnRef` in them
 to the schema's spelling of the column. One scope rule binds every
@@ -113,7 +116,7 @@ class ProjectNode(_Node):
 class JoinNode(_Node):
     left: "PlanNode"
     right: "PlanNode"
-    kind: str  # JOIN | CJOIN | CCTJOIN
+    kind: str  # JOIN | CJOIN
     on_left: str
     on_right: str
     cond: MatchCondition
@@ -352,7 +355,10 @@ class _Planner:
             Column(f"{rlabel}.{right.node.group_key}", ColumnKind.SCALAR_NUMERIC),
             Column("score", ColumnKind.SCALAR_NUMERIC),
         ))
-        return JoinNode(left.node, right.node, clause.kind, lschema.resolve(lref.name),
+        kind, sides = clause.kind, (left.node, right.node)
+        if kind == "CCTJOIN":  # a JOIN of the first and last element of each side's runs
+            kind, sides = "JOIN", tuple(CctNode(n, CctOption.BOTH, 1) for n in sides)
+        return JoinNode(*sides, kind, lschema.resolve(lref.name),
                         rschema.resolve(rref.name), clause.cond.args, tuple(extras), schema)
 
     # select list
@@ -375,9 +381,7 @@ class _Planner:
                 if isinstance(node, ProjectNode):
                     node = node.child
                 return AggregateNode(node, "count", None, "count")
-            _source_of(agg.arg, [source])
-            kind_check(agg.func, agg.arg.name, node.schema)
-            column = node.schema.resolve(agg.arg.name)
+            column = self.column(agg.arg, source, agg.func)
             return AggregateNode(node, agg.func, column, f"{agg.func}({column})")
 
         if dirs:
@@ -388,15 +392,14 @@ class _Planner:
                 raise SchemaMismatch("only one direction item is supported")
             if gba is None:
                 raise SchemaMismatch("direction requires a grouped (arrable) input")
-            for ref in (*(c.ref for c in cols), dirs[0].ref):
-                _source_of(ref, [source])
-            ref = dirs[0].ref
-            kind_check("direction", ref.name, node.schema)
+            for c in cols:
+                self.column(c.ref, source)
+            bb = self.column(dirs[0].ref, source, "direction")
             schema = Schema((
                 Column(gba, node.schema.kind_of(gba)),
                 Column("direction", ColumnKind.DIRECTION_ENUM),
             ))
-            return DirectionNode(node, node.schema.resolve(ref.name), gba, schema)
+            return DirectionNode(node, bb, gba, schema)
 
         names = [self.column(c.ref, source) for c in cols]
         if names == list(node.schema.names()):
@@ -404,14 +407,19 @@ class _Planner:
         return ProjectNode(node, tuple(names), node.schema.subset(names))
 
     @staticmethod
-    def column(ref: ast.ColumnRef, source: _Planned) -> str:
-        """The schema's name for a select column; a join's output spells each
-        column with its side's label, and a column spelled so names it."""
+    def column(ref: ast.ColumnRef, source: _Planned, op: str | None = None) -> str:
+        """The schema's name for a column of the select list, checked to be
+        legal for ``op`` if given; a join's output spells each column with its
+        side's label, and a column spelled so names it."""
         schema = source.node.schema
         if ref.qualifier is not None and schema.has(str(ref)):
-            return schema.resolve(str(ref))
-        _source_of(ref, [source])
-        return schema.resolve(ref.name)
+            name = schema.resolve(str(ref))
+        else:
+            _source_of(ref, [source])
+            name = schema.resolve(ref.name)
+        if op is not None:
+            kind_check(op, name, schema)
+        return name
 
 
 def _window_clauses(q: ast.Query) -> list[WindowSpec]:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import trace_relation
-from vaquery import querylang
+from vaquery import engine, querylang
 from vaquery.cli import _engine_config, build_parser, main
 from vaquery.ingest import ObjectSpec, SynthSpec, generate, read_trace, write_trace
 
@@ -148,6 +148,20 @@ def test_eval_count_task_scores_a_count_column(tmp_path, trace_file, capsys):
     results = tmp_path / "results.jsonl"
     assert main(["run", "--query", str(qpath), "--trace", str(trace_file),
                  "--out", str(results)]) == 0
+    gt = tmp_path / "gt.json"
+    gt.write_text("[3]")
+    assert main(["eval", "--results", str(results), "--gt", str(gt), "--task", "count"]) == 0
+    assert "100%" in capsys.readouterr().out
+
+
+def test_eval_count_task_scores_a_count_of_a_join_column(tmp_path, trace_file, capsys):
+    # an aggregate over a join names a side's column as the select list does
+    qpath = write_query(tmp_path, f"SELECT count(A.oid) FROM {SIDES[0]} CJOIN {SIDES[1]} "
+                                  f"ON A.fv SMATCH(0.9) B.fv")
+    results = tmp_path / "results.jsonl"
+    assert main(["run", "--query", str(qpath), "--trace", str(trace_file),
+                 "--trace", str(trace_file), "--out", str(results)]) == 0
+    assert json.loads(results.read_text().splitlines()[1]) == {"window": 0, "count(A.oid)": 3}
     gt = tmp_path / "gt.json"
     gt.write_text("[3]")
     assert main(["eval", "--results", str(results), "--gt", str(gt), "--task", "count"]) == 0
@@ -322,6 +336,20 @@ def test_parse_check_plan_error(tmp_path, capsys):
     qpath = write_query(tmp_path, "SELECT avg([FV]) FROM R1")
     assert main(["parse-check", "--query", str(qpath)]) == 2
     assert "ILLEGAL_COLUMN_KIND" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"),
+])
+def test_run_out_of_memory_exits_3(tmp_path, trace_file, monkeypatch, capsys, error, message):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(engine, "r2a_op", exhausted)
+    qpath = write_query(tmp_path, Q2)
+    assert main(["run", "--query", str(qpath), "--trace", str(trace_file)]) == 3
+    assert capsys.readouterr().err == f"error [OUT_OF_MEMORY]: {message}\n"
 
 
 def test_run_source_count_mismatch(tmp_path, trace_file, capsys):

@@ -13,7 +13,7 @@ from vaquery.errors import ConfigError, SchemaMismatch
 from vaquery.ingest import ObjectSpec, SynthSpec, generate
 from vaquery.model import TRACE_SCHEMA
 from vaquery.operators import (CctOption, Direction8, ScalarPairPredicate,
-                               cct, cjoin, hash_equi_join, nl_join, r2a)
+                               cct, cct_join, cjoin, hash_equi_join, nl_join, r2a)
 from vaquery.querylang import CctNode, parse, plan
 from vaquery.similarity import MatchCondition
 from vaquery.windows import WindowManager
@@ -388,6 +388,30 @@ def test_join_extra_from_query_text_matches_the_operator(monkeypatch, kind, join
     assert rows == [{"window": 0, "AR1.oid": lk, "AR2.oid": rk, "score": score}
                     for lk, rk, score in zip(*(pairs[i].tolist() for i in (0, 1, 4)))]
     assert st.of_kind("join")[0].smatch_comparisons == counter.smatch_comparisons
+
+
+def test_cctjoin_is_planned_and_run_as_a_join_over_cct_both():
+    left, right = (_visits(*objects) for objects in JOIN_TRACES)
+    on = "ON AR1.[FV] sMatch(0.9) AR2.[FV]"
+    cctjoin = plan(parse(f"SELECT * FROM (R2A(R1, R1.oid, R1.fid)) AR1 CCTJOIN "
+                         f"(R2A(R2, R2.oid, R2.fid)) AR2 {on}"), TWO)
+    explicit = plan(parse(f"SELECT * FROM CCT(R2A(R1, R1.oid, R1.fid), BOTH) AR1 JOIN "
+                          f"CCT(R2A(R2, R2.oid, R2.fid), BOTH) AR2 {on}"), TWO)
+    join = cctjoin.root
+    assert join.kind == "JOIN"
+    assert [(type(side), side.option, side.gap_threshold) for side in join.children] == \
+        [(CctNode, CctOption.BOTH, 1)] * 2
+    assert cctjoin == explicit
+    counter = StageStats("test")
+    pairs = cct_join(r2a(left, "oid", "fid"), r2a(right, "oid", "fid"), MatchCondition(th=0.9),
+                     counter=counter)
+    assert pair_keys(pairs) == [(1, 7), (2, 8)]
+    for qplan in (cctjoin, explicit):
+        rows, st = instantiate(qplan).run([left, right])
+        assert rows == [{"window": 0, "AR1.oid": lk, "AR2.oid": rk, "score": score}
+                        for lk, rk, score in zip(*(pairs[i].tolist() for i in (0, 1, 4)))]
+        assert st.total_smatch_comparisons == counter.smatch_comparisons == 2 * 2 * 2 * 2
+        assert sorted(s.name for s in st.of_kind("cct")) == ["cct", "cct#2"]
 
 
 @pytest.mark.parametrize("empty_side", [None, 0, 1])

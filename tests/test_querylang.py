@@ -1,4 +1,5 @@
 import re
+import string
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from vaquery.querylang import (AggregateNode, CctNode, DirectionNode, JoinNode,
                                ProjectNode, R2ANode, SelectNode, SourceNode,
                                WindowNode, iter_nodes, nodes, parse, plan,
                                render)
+from vaquery.querylang.lexer import tokenize
 from vaquery.querylang.planner import EquiJoinNode
 from vaquery.similarity import MatchCondition, MatchPolarity, Metric
 from vaquery.windows import WindowKind, WindowSpec
@@ -207,6 +209,38 @@ def test_cct_gap_must_be_a_whole_number_of_at_least_one(gap):
     assert "column 51" in str(exc.value)  # at the gap's first token
 
 
+LEXER_ALPHABET = [*string.ascii_letters, *string.digits, *string.punctuation,
+                  *string.whitespace, '"', "--", "\x0b", "\u00b2", "\u2460", "\u0663", "\u00e9"]
+
+
+def _offset(text, line, column):
+    """The offset in ``text`` of a 1-based (line, column); only a newline ends a line."""
+    return sum(len(part) + 1 for part in text.split("\n")[:line - 1]) + column - 1
+
+
+def _starts_a_token(text, at):
+    ch = text[at]
+    return (ch in " \t\r\n()[],.*:+-=<>_0123456789" or ch.isalpha()
+            or text.startswith("!=", at))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(LEXER_ALPHABET) | st.sampled_from(['"', "\n", "--"]),
+                max_size=30).map("".join))  # quotes, newlines and comments often
+def test_tokens_and_syntax_errors_point_at_their_source(text):
+    try:
+        tokens = tokenize(text)
+    except QuerySyntaxError as exc:
+        at = _offset(text, exc.line, exc.column)
+        assert text[at] == '"' or not _starts_a_token(text, at)
+        return
+    offsets = [_offset(text, t.line, t.column) for t in tokens]
+    assert offsets == sorted(set(offsets)) and offsets[-1] == len(text)
+    for token, at in zip(tokens, offsets):
+        source = {"STRING": f'"{token.value}"', "EOF": ""}.get(token.type, token.value)
+        assert text.startswith(source, at) or token.value == "!=" and text.startswith("<>", at)
+
+
 # --- planning ----------------------------------------------------------------
 
 def test_q2_plan_shape():
@@ -387,6 +421,7 @@ README_SQL = re.findall(r"```sql\n(.*?)```",
                         re.S)
 GROUPED = "SELECT * FROM R2A(R1, oid, fid) A {} R2A(R2, oid, fid) B ON {}"
 UNGROUPED = "SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.label = R2.label{}"
+GROUPED_SIDE = ["R2ANode", "WindowNode", "SourceNode"]
 SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fid) B "
              "ON A.fv SMATCH(0.5) B.fv AND ")
 
@@ -430,6 +465,13 @@ SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fi
     # valid forms: the plan's node kinds, or None where it only has to plan
     ("SELECT X.oid FROM R1 AS X", ["ProjectNode", "WindowNode", "SourceNode"]),
     ("SELECT fid, oid, label, bb, fv, ts FROM R1", ["WindowNode", "SourceNode"]),
+    # an aggregate argument binds as a select column does: to a join's output column
+    (GROUPED.format("CJOIN", "A.fv SMATCH(0.9) B.fv").replace("*", "count(A.oid)"),
+     ["AggregateNode", "JoinNode", *GROUPED_SIDE, *GROUPED_SIDE]),
+    (GROUPED.format("CJOIN", "A.fv SMATCH(0.9) B.fv").replace("*", "max(B.oid)"),
+     ["AggregateNode", "JoinNode", *GROUPED_SIDE, *GROUPED_SIDE]),
+    (UNGROUPED.format("").replace("R1.oid, R2.oid", "count(R1.oid)"),
+     ["AggregateNode", "EquiJoinNode", "WindowNode", "SourceNode", "WindowNode", "SourceNode"]),
     *((text, None) for text in README_SQL),
 ], ids=["where-beside-join", "cct-ungrouped", "join-unqualified", "join-unknown-qualifier",
         "equality-join-extras", "equality-join-grouped", "similarity-join-ungrouped",
@@ -439,7 +481,8 @@ SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fi
         "missing-number", "sum-star", "cct-option", "metric", "polarity", "join-less-than",
         "box-three-components", "window-rows", "unterminated-string", "unexpected-character",
         "superscript-two", "digit-then-superscript", "circled-one", "arabic-indic-three",
-        "table-alias", "every-column-in-order",
+        "table-alias", "every-column-in-order", "count-of-a-cjoin-column",
+        "max-of-a-cjoin-column", "count-of-an-equality-join-column",
         *(f"readme-{i}" for i in range(len(README_SQL)))])
 def test_each_query_plans_or_is_refused_with_its_code(text, outcome):
     if outcome is None or isinstance(outcome, list):
