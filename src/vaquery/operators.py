@@ -26,7 +26,8 @@ from numpy.dtypes import StringDType
 from .errors import EmptyRow, IllegalColumnKind, SchemaMismatch, UnknownColumn
 from .model import Arrable, Column, ColumnKind, Relation, Schema, kind_check, offsets_of
 # smatch stays a module attribute so that tracing tools can wrap it here
-from .similarity import MatchCondition, normalized_matrix, scores_against, smatch  # noqa: F401
+from .similarity import (MatchCondition, canonical_scores, normalized_matrix,  # noqa: F401
+                         scores_against, smatch)
 
 if TYPE_CHECKING:
     from .engine import StageStats
@@ -358,7 +359,7 @@ def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
 
     Returns one entry per matched group pair, in scan order, as five
     columns: left key, right key, left and right witness (each an element's
-    position in its group) and score.
+    position in its group) and the witness's canonical score.
     """
     kind_check("smatch", on[0], left.schema)
     kind_check("smatch", on[1], right.schema)
@@ -391,7 +392,7 @@ def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
             if hit:
                 li, ri = divmod(flat, mask.shape[1])
                 pairs.append((i, j, li, ri))
-                score.append(scores[li, ri])
+                score.append(canonical_scores(cond.metric, lmat[li], rmat[ri]))
     lgroup, rgroup, lwitness, rwitness = np.array(pairs, dtype=np.int64).reshape(-1, 4).T
     return (left.keys[lgroup], right.keys[rgroup], lwitness, rwitness,
             np.array(score, dtype=np.float64))
@@ -531,8 +532,9 @@ def aggregate(data: Relation | Arrable, func: str, column: str) -> float | int:
         raise ValueError(f"aggregate {func} over empty input")
     if func == "sum":
         return sum(values)
-    if func == "avg":
-        return sum(values) / len(values)
+    if func == "avg":  # a running sum that overflows: divide each value first
+        mean = sum(values) / len(values)
+        return sum(v / len(values) for v in values) if np.isinf(mean) else mean
     if func == "min":
         return min(values)
     return max(values)

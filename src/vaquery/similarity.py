@@ -10,7 +10,9 @@ Two metrics are supported, both producing scores in [0, 1]:
 
 A match condition pairs a metric with a threshold and a polarity: a
 similarity metric matches when the score is at least the threshold, a
-distance metric when the score is at most the threshold.
+distance metric when the score is at most the threshold. SELECT probes and
+all three joins decide through :func:`scores_against`, which decides every
+pair as its :func:`canonical_scores` score does, and report canonical scores.
 """
 
 from __future__ import annotations
@@ -63,18 +65,11 @@ class MatchCondition:
 def smatch(cond: MatchCondition, a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     """Evaluate the match condition on two 1-d vectors; returns (matched, score)."""
     a, b = (normalized_matrix(np.asarray(v, dtype=np.float64).reshape(1, -1)) for v in (a, b))
-    score = float(scores_against(cond, a, b)[0, 0])
+    score = float(canonical_scores(cond.metric, a, b)[0])
     return cond.matched(score), score
 
 
-# The one similarity kernel: SELECT probes and all three joins score through
-# scores_against, so every caller sees the same arithmetic and exactness rule.
-
-#: Equal unit rows are looked for only once a cosine score passes 1 - gate;
-#: a d-dimensional dot product is off by about d * 1e-16, far less than this.
-_EQUAL_GATE = 1e-6
-#: Elements of one block of euclidean differences: a slice of left rows is
-#: differenced against all of ``right`` at once, in blocks of at most this size.
+#: Vector components that scores_against differences at once, at most.
 _DIFF_ELEMENTS = 1 << 16
 
 
@@ -97,27 +92,48 @@ def normalized_matrix(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms[:, None]
 
 
+def canonical_scores(metric: Metric, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Scores of unit rows paired by broadcasting: with s the fixed-order sum of
+    a pair's d squared differences, euclidean is ``sqrt(s) / 2`` and cosine
+    ``1 - s / 2`` (a.b for unit rows), clipped to [0, 1]; an equal pair has s = 0."""
+    if left.shape[-1] != right.shape[-1]:
+        raise DimensionMismatch(
+            f"feature vectors differ in dimension: {left.shape[-1]} vs {right.shape[-1]}")
+    diff = left - right
+    np.multiply(diff, diff, out=diff)
+    s = np.add.reduce(diff, axis=-1)
+    return np.clip(np.sqrt(s) / 2.0 if metric is Metric.EUCLIDEAN else 1.0 - s / 2.0, 0.0, 1.0)
+
+
 def scores_against(cond: MatchCondition, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """(n, m) scores of every row of unit matrix ``left`` against every row of ``right``.
 
-    Exactness rule: equal unit rows score exactly 1.0 under cosine and
-    exactly 0.0 under euclidean, whatever the roundoff of the arithmetic.
+    Every score decides as its canonical score does, whatever the block:
+    euclidean scores are canonical, and cosine takes one GEMM whose scores
+    within beta(d) of the threshold, or of 1, are replaced by canonical ones.
     """
     if left.shape[1] != right.shape[1]:
         raise DimensionMismatch(
             f"feature vectors differ in dimension: {left.shape[1]} vs {right.shape[1]}")
     if cond.metric is Metric.EUCLIDEAN:
-        # direct differences, summed as np.linalg.norm sums them: an equal
-        # row subtracts to exactly zero
-        dist = np.empty((len(left), len(right)))
+        scores = np.empty((len(left), len(right)))
         step = max(1, _DIFF_ELEMENTS // max(1, right.size))
         for lo in range(0, len(left), step):
-            diff = right[None] - left[lo:lo + step, None]
-            np.multiply(diff, diff, out=diff)
-            np.add.reduce(diff, axis=2, out=dist[lo:lo + step])
-        return np.clip(np.sqrt(dist) / 2.0, 0.0, 1.0)
-    scores = np.clip(left @ right.T, 0.0, 1.0)
-    if scores.size and scores.max() > 1.0 - _EQUAL_GATE:
-        ids = np.unique(np.concatenate([left, right]), axis=0, return_inverse=True)[1].reshape(-1)
-        scores[ids[:len(left), None] == ids[None, len(left):]] = 1.0
-    return scores
+            scores[lo:lo + step] = canonical_scores(cond.metric, left[lo:lo + step, None], right)
+        return scores
+    scores = left @ right.T
+    # beta(d) bounds |GEMM - canonical|. With u = eps / 2, a unit row has |a|^2 =
+    # 1 + da, |da| <= (d + 6)u (d squares summed, a root, a division, one more
+    # for a rescaled row). The GEMM is off from a.b by gamma_d sum|a_i b_i| <= d u
+    # (Higham, 2nd ed., section 3.1), 1 - s/2 from 1 - S/2 = a.b - (da + db)/2,
+    # S = |a - b|^2 <= 4, by (d + 2)u S/2 + u. In all, to first order, that is
+    # (4d + 11)u <= 7.5 d eps, and a score outside the band decides canonically.
+    beta = 8 * left.shape[1] * np.finfo(float).eps
+    high = scores.max(initial=-np.inf)  # a block that misses the band skips its test
+    if high >= cond.th - beta and (high >= 1.0 - beta or scores.min() <= cond.th + beta):
+        i, j = np.nonzero((np.abs(scores - cond.th) <= beta) | (scores >= 1.0 - beta))
+        step = max(1, _DIFF_ELEMENTS // max(1, left.shape[1]))
+        for lo in range(0, len(i), step):
+            pick = slice(lo, lo + step)
+            scores[i[pick], j[pick]] = canonical_scores(cond.metric, left[i[pick]], right[j[pick]])
+    return np.clip(scores, 0.0, 1.0)

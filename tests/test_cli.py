@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -453,6 +454,12 @@ SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fi
      "UNKNOWN_IDENTIFIER: ambiguous qualifier 'R1'"),
     ("parse-check", SELF_JOIN + "A.fid < A.fid", [], 2,
      "SCHEMA_MISMATCH: join condition must compare one column from each side"),
+    ("run", Q2, ["--trace", "fid,oid,label,ts,bb_x,bb_y\n"], 3,
+     "PARSE_ERROR: unexpected CSV header ['fid', 'oid', 'label', 'ts', 'bb_x', 'bb_y'] (line 1)"),
+    ("run", Q2, ["--trace", CSV_ROW.format("0,1,p,,0,0,1,1," + "1" * 131_073)], 3,
+     "PARSE_ERROR: field larger than field limit (131072) (line 2)"),
+    ("parse-check", "SELECT fid FROM R1 WHERE oid 5", [], 2,
+     "SYNTAX_ERROR: expected a comparison operator, found '5' (line 1, column 30)"),
 ], ids=["smatch-run", "smatch-parse-check", "bb-range", "window-abc", "window-nan",
         "window-inf-hop", "missing-query", "config-value", "config-json",
         "ordered-string", "ordered-string-parse-check", "join-extra-mixed-kinds",
@@ -467,7 +474,8 @@ SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fi
         "csv-fv-text", "window-ratio-overflow", "window-clause-ratio-overflow",
         "two-windows-join", "two-windows-join-parse-check", "two-windows",
         "two-windows-parse-check", "superscript-digit", "superscript-digit-parse-check",
-        "arabic-indic-digit", "arabic-indic-digit-parse-check", "self-join-table-qualifier", "self-join-extra-one-side"])
+        "arabic-indic-digit", "arabic-indic-digit-parse-check", "self-join-table-qualifier", "self-join-extra-one-side",
+        "csv-short-header", "csv-field-over-limit", "comparison-without-operator"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, trace_file, capsys,
                                                 command, query, extra, code, error):
     qpath = write_query(tmp_path, query) if query else tmp_path / "missing.vaq"
@@ -517,6 +525,47 @@ def test_zero_vector_in_a_live_row_exits_3(tmp_path, capsys):
     assert main(["run", "--query", str(live), "--trace", str(trace)]) == 3
     err = capsys.readouterr().err
     assert "error [ZERO_VECTOR]" in err and "Traceback" not in err
+
+
+def test_a_probe_decides_a_row_alike_in_any_window(tmp_path, capsys):
+    # th is row 4's GEMM score in the 200-row block; the GEMM scores the
+    # row alone as 0.14084304442798184, so a decision that followed the
+    # block's shape would keep fid 4 in one window and drop it in the other
+    rng = np.random.default_rng(0)
+    vecs, probe = rng.normal(size=(200, 16)), rng.normal(size=16)
+    trace = tmp_path / "t.jsonl"
+    write_trace(trace_relation([(fid, 1, "person", (0, 0, 1, 1), tuple(v))
+                                for fid, v in enumerate(vecs)]), trace)
+    literal = ", ".join(np.format_float_positional(x, unique=True) for x in probe)
+    fids = []
+    for window in ("TUPLE, 200, 200", "TUPLE, 1, 1"):
+        query = write_query(tmp_path, "SELECT fid FROM R1 WHERE fv SMATCH(0.14084304442798187) "
+                                      f"[{literal}] WINDOW({window})")
+        assert main(["run", "--query", str(query), "--trace", str(trace)]) == 0
+        fids.append([json.loads(line)["fid"] for line in capsys.readouterr().out.splitlines()])
+    assert fids[0] == fids[1]
+
+
+def test_avg_of_values_whose_sum_overflows_is_finite(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    write_trace(trace_relation([(0, 1, "person", (0, 0, 1, 1), (1.0,), 1e308),
+                                (1, 1, "person", (0, 0, 1, 1), (1.0,), 1.7e308)]), trace)
+    out = {}
+    for func in ("avg", "sum"):
+        query = write_query(tmp_path, f"SELECT {func}(ts) FROM R1")
+        assert main(["run", "--query", str(query), "--trace", str(trace)]) == 0
+        out.update(json.loads(capsys.readouterr().out))
+    assert out == {"window": 0, "avg(ts)": 1.35e308, "sum(ts)": "inf"}
+
+
+def test_a_header_only_csv_trace_has_no_rows_and_a_blank_row_is_skipped(tmp_path, capsys):
+    query = write_query(tmp_path, "SELECT fid FROM R1")
+    for text, fids in ((CSV_ROW.format("").rstrip("\n"), []),
+                       (CSV_ROW.format("0,1,p,,0,0,1,1,1\n\n1,1,p,,0,0,1,1,1"), [0, 1])):
+        trace = tmp_path / "t.csv"
+        trace.write_text(text)
+        assert main(["run", "--query", str(query), "--trace", str(trace)]) == 0
+        assert [json.loads(line)["fid"] for line in capsys.readouterr().out.splitlines()] == fids
 
 
 def test_rate_zero_and_quantum_override_config_file(tmp_path):
@@ -714,6 +763,14 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
      "INDEX_MISMATCH", "object '1' has result rows in windows 0 and 1"),
     (_eval("pairs", '{"window": 0, "a": 1, "b": 2}\n' * 2, PAIR_GT), 3, "INDEX_MISMATCH",
      "window 0 with ids 1, 2 is listed twice"),
+    (_bench({"traces": [], "queries": {}, "fps": 0}), 3, "CONFIG_ERROR", "fps must be positive"),
+    (_eval("pairs", '{"a": 1, "b": 2}',
+           '{"left_universe": [1], "right_universe": [2], "positives": [[1, 2, 3]]}'), 3,
+     "FORMAT_MISMATCH", "positives[0] must be a [left, right] pair"),
+    (_spec({"intervals": [[0, 1, 2]]}), 3, "SPEC_ERROR", "intervals[0] must be a [lo, hi] pair"),
+    ((GEN, {"spec.json": json.dumps({"frames": 5, "objects": [
+        {"oid": oid, "bb": [0, 0, 1, 1], "intervals": [[0, 5]], "fv": [1] * (oid + 1)}
+        for oid in (1, 2)]})}), 3, "DIMENSION_MISMATCH", "[2, 3]"),
 ], ids=["spec-noise", "gen-seed-negative", "spec-velocity", "spec-bb", "spec-fv-dim-negative", "spec-fv-dim-zero",
         "spec-fv-empty", "spec-label", "spec-fps-nan", "spec-fv-dim-huge", "spec-frames-huge",
         "spec-not-utf8", "gen-out-missing-dir",
@@ -735,7 +792,9 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
         "run-trace-deep", "rate-tiny", "config-rates-tiny", "eval-count-window-outside-truth",
         "eval-count-window-twice", "spec-array", "spec-object-number", "spec-intervals-missing",
         "eval-pairs-gt-array", "eval-count-gt-object", "eval-direction-gt-array",
-        "eval-direction-object-in-two-windows", "eval-pair-twice-in-a-window"])
+        "eval-direction-object-in-two-windows", "eval-pair-twice-in-a-window",
+        "bench-fps-zero", "eval-positive-triple", "spec-interval-triple",
+        "spec-fv-dimensions-differ"])
 def test_every_subcommand_exits_with_a_code(tmp_path, trace_file, capsys, case, code, error,
                                             names):
     argv, files = case

@@ -96,6 +96,24 @@ def test_join_variants_agree_in_every_window(left, right, clause, th):
 
 
 @SETTINGS
+@given(left=traces(), right=traces(), clause=WINDOWS, th=st.sampled_from([0.8, 0.9, 0.99]),
+       metric=st.sampled_from(["COSINE", "EUCLIDEAN"]))
+def test_a_join_with_its_sides_swapped_finds_the_same_pairs(left, right, clause, th, metric):
+    # each element pair is decided by its own canonical score, which does not
+    # depend on which side it is scored from
+    th = th if metric == "COSINE" else 1 - th
+
+    def pairs(first: str, second: str, *traces) -> set:
+        query = (f"SELECT AR{first}.oid, AR{second}.oid "
+                 f"FROM (R2A(R{first}, R{first}.oid, R{first}.fid)) AR{first} JOIN "
+                 f"(R2A(R{second}, R{second}.oid, R{second}.fid)) AR{second} "
+                 f"ON AR{first}.[FV] sMatch({th}, {metric}) AR{second}.[FV] {clause}")
+        return {(r["window"], r["AR1.oid"], r["AR2.oid"]) for r in rows(query, *traces)}
+
+    assert pairs("2", "1", right, left) == pairs("1", "2", left, right)
+
+
+@SETTINGS
 @given(left=traces(), right=traces(), clause=WINDOWS,
        kind=st.sampled_from(["JOIN", "CJOIN", "CCTJOIN"]))
 def test_a_window_clause_cuts_the_same_windows_from_any_level_of_a_join(left, right, clause,

@@ -81,6 +81,12 @@ def test_kind_check_unknown_column():
         kind_check("avg", "speed", TRACE_SCHEMA)
 
 
+def test_relation_column_unknown_name(two_person_trace):
+    with pytest.raises(UnknownColumn) as exc:
+        two_person_trace.column("nope")
+    assert exc.value.code == "UNKNOWN_COLUMN"
+
+
 def test_schema_resolution_is_case_insensitive():
     assert TRACE_SCHEMA.resolve("FV") == "fv"
     assert TRACE_SCHEMA.kind_of("Bb") is ColumnKind.BBOX_VECTOR

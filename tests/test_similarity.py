@@ -5,9 +5,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import arrable_of
 from oracles import cosine_oracle, euclidean_scores_oracle, euclidean_unit_oracle
 from vaquery.errors import DimensionMismatch, ZeroVector
-from vaquery.similarity import (MatchCondition, MatchPolarity, Metric,
+from vaquery.operators import cjoin, nl_join
+from vaquery.similarity import (MatchCondition, MatchPolarity, Metric, canonical_scores,
                                 normalized_matrix, scores_against, smatch)
 
 
@@ -223,3 +225,54 @@ def test_only_an_all_zero_row_is_a_zero_vector():
     rows = np.random.default_rng(3).normal(size=(20, 8))
     assert np.array_equal(normalized_matrix(rows),
                           rows / np.sqrt((rows * rows).sum(axis=1))[:, None])
+
+
+def _split(raw: np.ndarray, rng) -> dict:
+    """Positions of the rows of ``raw`` cut into up to three non-empty groups, by key."""
+    groups = np.split(np.arange(len(raw)), np.sort(rng.integers(0, len(raw) + 1, size=2)))
+    return {key: rows for key, rows in enumerate(groups) if len(rows)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 40),
+       st.sampled_from([1, 3, 16, 128]), st.sampled_from(list(Metric)),
+       st.sampled_from(list(MatchPolarity)), st.sampled_from(["gemm", "canonical", "0", "1"]))
+def test_every_decision_and_reported_score_is_the_canonical_one(seed, n, m, dim, metric,
+                                                                polarity, th_from):
+    rng = np.random.default_rng(seed)
+    raw_left, raw_right = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+    pi, pj = rng.integers(n), rng.integers(m)
+    raw_right[pj] = raw_left[pi]  # a planted equal row
+    left, right = normalized_matrix(raw_left), normalized_matrix(raw_right)
+    canon = canonical_scores(metric, left[:, None], right[None])
+    k = rng.integers(n), rng.integers(m)
+    th = {"gemm": np.clip(left @ right.T, 0.0, 1.0)[k], "canonical": canon[k],
+          "0": 0.0, "1": 1.0}[th_from]
+    cond = MatchCondition(metric, float(th), polarity)
+    expected = cond.matched(canon)
+    cut = rng.integers(n + 1)
+    blocks = [scores_against(cond, left, right), scores_against(cond, right, left).T,
+              np.vstack([scores_against(cond, left[:cut], right),
+                         scores_against(cond, left[cut:], right)]),
+              np.array([[scores_against(cond, a[None], b[None])[0, 0] for b in right]
+                        for a in left])]
+    for block in blocks:
+        assert np.array_equal(cond.matched(block), expected)
+        assert block[pi, pj] == canon[pi, pj] == (1.0 if metric is Metric.COSINE else 0.0)
+
+    # a join's witness is the first canonical match of a group pair, in
+    # (left element, right element) order, and its score is canonical
+    lgroups, rgroups = _split(raw_left, rng), _split(raw_right, rng)
+    want = []
+    for lkey, lrows in lgroups.items():
+        for rkey, rrows in rgroups.items():
+            hits = np.argwhere(expected[np.ix_(lrows, rrows)])
+            if len(hits):
+                li, ri = hits[0].tolist()
+                want.append((lkey, rkey, li, ri, canon[lrows[li], rrows[ri]]))
+    sides = [arrable_of({key: {"fid": list(range(len(rows))), "fv": [tuple(v) for v in raw[rows]]}
+                         for key, rows in groups.items()})
+             for raw, groups in ((raw_left, lgroups), (raw_right, rgroups))]
+    for join in (nl_join, cjoin):
+        got = join(*sides, cond)
+        assert list(zip(*(column.tolist() for column in got))) == want

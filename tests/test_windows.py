@@ -74,6 +74,14 @@ def test_assignment_matches_scan_oracle(key, size, hop):
     assert len(got) <= math.ceil(size / hop)
 
 
+def test_assign_gallops_down_when_the_floor_estimate_overshoots():
+    # the floor estimate 3583.6 / 0.2 = 17918.0 guesses window 17918, but
+    # at(17918) = 17918 * 0.2 = 3583.6000000000004 starts above the key
+    got = assign(spec(0.2, 0.2), 3583.6, 0.0)
+    assert got == range(17917, 17918)
+    assert list(got) == windows_containing_oracle(3583.6, 0.0, 0.2, 0.2, max_index=20_000)
+
+
 @given(st.floats(0, 1000, allow_nan=False), st.floats(1, 200))
 def test_disjoint_windows_are_a_partition(key, size):
     assert len(list(assign(spec(size, size), key, origin=0))) == 1
