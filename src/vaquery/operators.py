@@ -27,7 +27,7 @@ from .errors import EmptyRow, IllegalColumnKind, SchemaMismatch, UnknownColumn
 from .model import Arrable, Column, ColumnKind, Relation, Schema, kind_check, offsets_of
 # smatch stays a module attribute so that tracing tools can wrap it here
 from .similarity import (MatchCondition, canonical_scores, normalized_matrix,  # noqa: F401
-                         scores_against, smatch)
+                         scores_against, smatch, tile_rows)
 
 if TYPE_CHECKING:
     from .engine import StageStats
@@ -187,7 +187,6 @@ class SMatchProbe(Predicate):
         unit = normalized_matrix(column(self.column)[idx])
         if counter is not None:
             counter.add(len(idx))
-        # probe on the left: the euclidean kernel loops over left rows
         out[idx] = self.cond.matched(scores_against(self.cond, self.unit_probe, unit)[0])
         return out
 
@@ -352,10 +351,10 @@ def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
                  first_match_only: bool) -> tuple[np.ndarray, ...]:
     """Shared core for the similarity joins.
 
-    Scores each (left group, right group) pair as one block; the witness is
-    the first matching element pair in (left element, right element) order.
-    ``first_match_only`` counts comparisons as if the scan stopped at that
-    witness; otherwise every element pair of the block counts.
+    Scans each (left group, right group) pair in row-major tiles of
+    :func:`tile_rows` left rows; the witness is the first matching element
+    pair in (left element, right element) order. ``first_match_only`` stops
+    at its tile and counts the pairs up to it; otherwise every pair counts.
 
     Returns one entry per matched group pair, in scan order, as five
     columns: left key, right key, left and right witness (each an element's
@@ -380,17 +379,24 @@ def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
         if llo == lhi:
             continue
         lmat = normalized_matrix(lvecs[left.order[llo:lhi]])
+        lvals = [v[llo:lhi] for v in lextra]
         for j, rlo, rhi, rmat in rgroups:
-            scores = scores_against(cond, lmat, rmat)
-            mask = cond.matched(scores)
-            for pred, lvals, rvals in zip(extra, lextra, rextra):
-                mask &= pred.mask(lvals[llo:lhi], rvals[rlo:rhi])
-            flat = int(np.argmax(mask))
-            hit = bool(mask.flat[flat])
+            m = rhi - rlo
+            step = tile_rows(cond.metric, m, lmat.shape[1])
+            hit = None
+            for lo in range(0, lhi - llo, step):
+                mask = cond.matched(scores_against(cond, lmat[lo:lo + step], rmat))
+                for pred, lv, rv in zip(extra, lvals, rextra):
+                    mask &= pred.mask(lv[lo:lo + step], rv[rlo:rhi])
+                flat = int(np.argmax(mask))
+                if hit is None and mask.flat[flat]:
+                    hit = lo * m + flat
+                    if first_match_only:
+                        break
             if counter is not None:
-                counter.add(flat + 1 if hit and first_match_only else mask.size)
-            if hit:
-                li, ri = divmod(flat, mask.shape[1])
+                counter.add(hit + 1 if hit is not None and first_match_only else (lhi - llo) * m)
+            if hit is not None:
+                li, ri = divmod(hit, m)
                 pairs.append((i, j, li, ri))
                 score.append(canonical_scores(cond.metric, lmat[li], rmat[ri]))
     lgroup, rgroup, lwitness, rwitness = np.array(pairs, dtype=np.int64).reshape(-1, 4).T

@@ -69,8 +69,14 @@ def smatch(cond: MatchCondition, a: np.ndarray, b: np.ndarray) -> tuple[bool, fl
     return cond.matched(score), score
 
 
-#: Vector components that scores_against differences at once, at most.
-_DIFF_ELEMENTS = 1 << 16
+#: Score elements that one tile of a join, or one cosine re-score, holds at most.
+TILE_ELEMENTS = 1 << 16
+
+
+def tile_rows(metric: Metric, m: int, d: int) -> int:
+    """Left rows of one tile against ``m`` right rows of dimension ``d``: a
+    euclidean pair is differenced, d elements wide, a cosine GEMM score is one."""
+    return max(1, TILE_ELEMENTS // (m * (d if metric is Metric.EUCLIDEAN else 1)))
 
 
 def normalized_matrix(vectors: np.ndarray) -> np.ndarray:
@@ -111,16 +117,13 @@ def scores_against(cond: MatchCondition, left: np.ndarray, right: np.ndarray) ->
     Every score decides as its canonical score does, whatever the block:
     euclidean scores are canonical, and cosine takes one GEMM whose scores
     within beta(d) of the threshold, or of 1, are replaced by canonical ones.
+    Memory is O(n · m · width), the width as in :func:`tile_rows`.
     """
     if left.shape[1] != right.shape[1]:
         raise DimensionMismatch(
             f"feature vectors differ in dimension: {left.shape[1]} vs {right.shape[1]}")
     if cond.metric is Metric.EUCLIDEAN:
-        scores = np.empty((len(left), len(right)))
-        step = max(1, _DIFF_ELEMENTS // max(1, right.size))
-        for lo in range(0, len(left), step):
-            scores[lo:lo + step] = canonical_scores(cond.metric, left[lo:lo + step, None], right)
-        return scores
+        return canonical_scores(cond.metric, left[:, None], right)
     scores = left @ right.T
     # beta(d) bounds |GEMM - canonical|. With u = eps / 2, a unit row has |a|^2 =
     # 1 + da, |da| <= (d + 6)u (d squares summed, a root, a division, one more
@@ -132,7 +135,7 @@ def scores_against(cond: MatchCondition, left: np.ndarray, right: np.ndarray) ->
     high = scores.max(initial=-np.inf)  # a block that misses the band skips its test
     if high >= cond.th - beta and (high >= 1.0 - beta or scores.min() <= cond.th + beta):
         i, j = np.nonzero((np.abs(scores - cond.th) <= beta) | (scores >= 1.0 - beta))
-        step = max(1, _DIFF_ELEMENTS // max(1, left.shape[1]))
+        step = max(1, TILE_ELEMENTS // max(1, left.shape[1]))
         for lo in range(0, len(i), step):
             pick = slice(lo, lo + step)
             scores[i[pick], j[pick]] = canonical_scores(cond.metric, left[i[pick]], right[j[pick]])

@@ -1,5 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from vaquery.operators import (And, BBoxTest, BBPattern, CctOption, Comparison,
                                count_star, direction, element_count,
                                group_count, hash_equi_join, nl_join, project,
                                r2a, select)
+from vaquery import similarity
 from vaquery.similarity import MatchCondition, MatchPolarity, Metric
 
 COS = MatchCondition(Metric.COSINE, 0.9)
@@ -454,6 +461,88 @@ def test_cjoin_pair_set_equals_nl_join_randomized():
             assert dict(zip(pair_keys(pairs), zip(pairs[2].tolist(), pairs[3].tolist()))) \
                 == witnesses
         assert (nl_counter.smatch_comparisons, c_counter.smatch_comparisons) == (expected_nl, expected_cj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 20), min_size=1, max_size=4),
+       st.integers(1, 4), st.integers(1, 8), st.sampled_from([2, 3, 16]),
+       st.sampled_from(list(Metric)),
+       st.sampled_from([(), (("ts", "<=", True),), (("label", "=", False),),
+                        (("ts", ">", True), ("label", "!=", False))]))
+def test_every_tile_size_gives_the_oracle_pairs_witnesses_and_counters(
+        seed, left_sizes, right_groups, m, dim, metric, extra_specs):
+    # every right group has m rows, so a tile of `rows * m * width` elements
+    # is a band of exactly `rows` left rows
+    rng = np.random.default_rng(seed)
+    th = float(rng.random())
+    cond = MatchCondition(metric, th)
+    lg, rg = ({k: [tuple(v) for v in rng.normal(size=(n, dim))] for k, n in enumerate(sizes)}
+              for sizes in (left_sizes, [m] * right_groups))
+    cols = {name: tuple({k: draw(len(vs)) for k, vs in g.items()} for g in (lg, rg))
+            for name, draw in (("ts", lambda n: rng.uniform(0, 3, n).tolist()),
+                               ("label", lambda n: rng.choice(["person", "car"], n).tolist()))}
+    offset = float(rng.uniform(-1, 1))
+    specs = [(col, op, offset if shifted else 0.0) for col, op, shifted in extra_specs]
+    extra = tuple(ScalarPairPredicate(col, op, col, off) for col, op, off in specs)
+    oracle_extras = [(cols[col][0], op, cols[col][1], off) for col, op, off in specs]
+    left, right = (arrable_of({k: {"fid": list(range(len(vs))), "fv": vs,
+                                   "ts": cols["ts"][side][k], "label": cols["label"][side][k]}
+                               for k, vs in g.items()})
+                   for side, g in enumerate((lg, rg)))
+
+    witnesses, expected_nl, expected_cj = {}, 0, 0
+    for lk, lvs in lg.items():
+        for rk, rvs in rg.items():
+            w = first_witness_oracle(lvs, rvs, metric.value, cond.polarity.value, th,
+                                     [(lv[lk], op, rv[rk], off) for lv, op, rv, off in oracle_extras])
+            expected_nl += len(lvs) * m
+            expected_cj += len(lvs) * m if w is None else w[0] * m + w[1] + 1
+            if w is not None:
+                witnesses[(lk, rk)] = w
+    assert set(witnesses) == join_pairs_oracle(lg, rg, metric.value, cond.polarity.value, th,
+                                               oracle_extras)
+
+    width = dim if metric is Metric.EUCLIDEAN else 1
+    scores = []
+    for tile in (1, 7 * m * width, similarity.TILE_ELEMENTS):
+        with mock.patch.object(similarity, "TILE_ELEMENTS", tile):
+            for join, expected in ((nl_join, expected_nl), (cjoin, expected_cj)):
+                counter = StageStats("test")
+                pairs = join(left, right, cond, extra=extra, counter=counter)
+                assert dict(zip(pair_keys(pairs), zip(pairs[2].tolist(), pairs[3].tolist()))) \
+                    == witnesses
+                assert counter.smatch_comparisons == expected
+                scores.append(pairs[4].tobytes())
+    assert len(set(scores)) == 1
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_cjoin_of_a_large_group_pair_stays_in_bounded_memory():
+    # one 4,000 x 4,000 group pair whose first element pair matches: the
+    # whole-block scan peaked at about 405 MiB here, one tile at about 40 MiB
+    code = textwrap.dedent("""\
+        from vaquery.engine import StageStats
+        from vaquery.ingest import ObjectSpec, SynthSpec, generate
+        from vaquery.operators import cjoin, r2a
+        from vaquery.similarity import MatchCondition
+        spec = SynthSpec(frames=1000, fv_dim=16, objects=tuple(
+            ObjectSpec(oid, "person", (0.0, 0.0, 1.0, 1.0), intervals=((0, 1000),))
+            for oid in range(4)))
+        side = r2a(generate(spec, 1), "label", "fid")
+        counter = StageStats("cjoin")
+        pairs = cjoin(side, side, MatchCondition(th=0.99), counter=counter)
+        with open("/proc/self/status") as fh:
+            hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM"))
+        print(len(side.order), len(pairs[0]), counter.smatch_comparisons, hwm // 1024)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows, pairs, comparisons, peak_mib = map(int, proc.stdout.split())
+    assert (rows, pairs, comparisons) == (4000, 1, 1)
+    assert peak_mib < 100
 
 
 @pytest.mark.parametrize("dim", [3, 128, 4096])
