@@ -187,7 +187,7 @@ class SMatchProbe(Predicate):
         unit = normalized_matrix(column(self.column)[idx])
         if counter is not None:
             counter.add(len(idx))
-        out[idx] = self.cond.matched(scores_against(self.cond, self.unit_probe, unit)[0])
+        out[idx] = scores_against(self.cond, self.unit_probe, unit)[0]
         return out
 
 
@@ -382,10 +382,10 @@ def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
         lvals = [v[llo:lhi] for v in lextra]
         for j, rlo, rhi, rmat in rgroups:
             m = rhi - rlo
-            step = tile_rows(cond.metric, m, lmat.shape[1])
+            step = tile_rows(m)
             hit = None
             for lo in range(0, lhi - llo, step):
-                mask = cond.matched(scores_against(cond, lmat[lo:lo + step], rmat))
+                mask = scores_against(cond, lmat[lo:lo + step], rmat)
                 for pred, lv, rv in zip(extra, lvals, rextra):
                     mask &= pred.mask(lv[lo:lo + step], rv[rlo:rhi])
                 flat = int(np.argmax(mask))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -17,6 +19,7 @@ from oracles import (cct_oracle, confusion_oracle, first_witness_oracle,
                      join_pairs_oracle, score_oracle, select_oracle, split_runs_oracle)
 from vaquery.errors import EmptyRow, IllegalColumnKind, SchemaMismatch, UnknownColumn, ZeroVector
 from vaquery.engine import StageStats
+from vaquery.ingest import generate
 from vaquery.model import Relation
 from vaquery.operators import (And, BBoxTest, BBPattern, CctOption, Comparison,
                                Direction8, Not, Or, ScalarPairPredicate,
@@ -471,8 +474,8 @@ def test_cjoin_pair_set_equals_nl_join_randomized():
                         (("ts", ">", True), ("label", "!=", False))]))
 def test_every_tile_size_gives_the_oracle_pairs_witnesses_and_counters(
         seed, left_sizes, right_groups, m, dim, metric, extra_specs):
-    # every right group has m rows, so a tile of `rows * m * width` elements
-    # is a band of exactly `rows` left rows
+    # every right group has m rows, so a tile of `rows * m` elements is a
+    # band of exactly `rows` left rows
     rng = np.random.default_rng(seed)
     th = float(rng.random())
     cond = MatchCondition(metric, th)
@@ -502,9 +505,8 @@ def test_every_tile_size_gives_the_oracle_pairs_witnesses_and_counters(
     assert set(witnesses) == join_pairs_oracle(lg, rg, metric.value, cond.polarity.value, th,
                                                oracle_extras)
 
-    width = dim if metric is Metric.EUCLIDEAN else 1
     scores = []
-    for tile in (1, 7 * m * width, similarity.TILE_ELEMENTS):
+    for tile in (1, 7 * m, similarity.TILE_ELEMENTS):
         with mock.patch.object(similarity, "TILE_ELEMENTS", tile):
             for join, expected in ((nl_join, expected_nl), (cjoin, expected_cj)):
                 counter = StageStats("test")
@@ -543,6 +545,31 @@ def test_cjoin_of_a_large_group_pair_stays_in_bounded_memory():
     rows, pairs, comparisons, peak_mib = map(int, proc.stdout.split())
     assert (rows, pairs, comparisons) == (4000, 1, 1)
     assert peak_mib < 100
+
+
+def test_joins_of_the_join_2cam_traces_match_their_golden_digest(monkeypatch):
+    # the join-2cam benchmark's seed-1 traces, joined in-process; the digest
+    # covers pair keys, witnesses and the bits of witness scores, beside the
+    # pair and comparison counts
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "benchmarks"))
+    import workloads
+    left, right = (r2a(generate(spec, 1), "oid", "fid")
+                   for spec in workloads.build("join-2cam", 1).specs)
+    got = {}
+    for cond in (MatchCondition(Metric.COSINE, 0.95), MatchCondition(Metric.EUCLIDEAN, 0.2)):
+        for join in (nl_join, cjoin):
+            counter = StageStats("join")
+            columns = join(left, right, cond, counter=counter)
+            digest = hashlib.sha256()
+            for column in columns[:4]:
+                digest.update(column.astype("<i8").tobytes())
+            digest.update(columns[4].astype("<f8").tobytes())
+            got[f"{join.__name__} {cond.metric.value} {cond.th}"] = {
+                "pairs": len(columns[0]), "comparisons": counter.smatch_comparisons,
+                "sha256": digest.hexdigest()}
+    golden = root / "tests" / "golden" / "join_2cam_seed1_joins.json"
+    assert got == json.loads(golden.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("dim", [3, 128, 4096])

@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import pytest
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import arrable_of
 from oracles import cosine_oracle, euclidean_scores_oracle, euclidean_unit_oracle
+from vaquery import operators, similarity
+from vaquery.engine import StageStats
 from vaquery.errors import DimensionMismatch, ZeroVector
 from vaquery.operators import cjoin, nl_join
 from vaquery.similarity import (MatchCondition, MatchPolarity, Metric, canonical_scores,
@@ -170,14 +173,17 @@ def test_batched_scores_match_oracle():
     probe_mat = normalized_matrix(probes)
     for metric in Metric:
         cond = MatchCondition(metric, 0.5)
-        scores = scores_against(cond, probe_mat, mat)
-        assert scores.shape == (len(probes), len(vectors))
+        decisions = scores_against(cond, probe_mat, mat)
+        scores = canonical_scores(metric, probe_mat[:, None], mat[None])
+        assert decisions.shape == scores.shape == (len(probes), len(vectors))
         for p, probe in enumerate(probes):
             for i, v in enumerate(vectors):
                 expected = (cosine_oracle(probe.tolist(), v.tolist())
                             if metric is Metric.COSINE
                             else euclidean_unit_oracle(probe.tolist(), v.tolist()))
                 assert scores[p, i] == pytest.approx(expected, abs=1e-9)
+                assert abs(expected - cond.th) > 1e-9  # so the oracle decides it too
+                assert decisions[p, i] == cond.matched(expected)
 
 
 def test_batched_zero_vector_rejected():
@@ -189,17 +195,20 @@ def test_batched_zero_vector_rejected():
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40), st.integers(0, 40),
        st.sampled_from([1, 3, 16, 128, 2000]))
 def test_euclidean_blocks_match_the_per_row_loop_bit_for_bit(seed, n, m, dim):
-    # 2000-d rows put one left row per block; small ones many
     rng = np.random.default_rng(seed)
     left, right = (normalized_matrix(rng.normal(size=(k, dim))) if k
                    else np.zeros((0, dim)) for k in (n, m))
     if n and m:
         right[m // 2] = left[n // 2]
-    got = scores_against(MatchCondition(Metric.EUCLIDEAN, 0.5), left, right)
-    assert got.shape == (n, m)
-    assert np.array_equal(got, euclidean_scores_oracle(left, right))
+    oracle = euclidean_scores_oracle(left, right)
+    assert np.array_equal(canonical_scores(Metric.EUCLIDEAN, left[:, None], right), oracle)
+    for th in (0.0, 0.5):
+        cond = MatchCondition(Metric.EUCLIDEAN, th)
+        got = scores_against(cond, left, right)
+        assert got.shape == (n, m)
+        assert np.array_equal(got, cond.matched(oracle))
     if n and m:
-        assert got[n // 2, m // 2] == 0.0
+        assert oracle[n // 2, m // 2] == 0.0 and got[n // 2, m // 2]
 
 
 @pytest.mark.filterwarnings("error")
@@ -213,9 +222,12 @@ def test_extreme_magnitudes_normalize_without_warnings(scale):
     # squares below the smallest normal float lose bits unless the row is rescaled
     ones = normalized_matrix(np.array([[1.0, 1.0, 0.0, 0.0]]))
     assert unit[3].tolist() == ones[0].tolist()
-    assert scores_against(MatchCondition(Metric.EUCLIDEAN, 0.0), unit[3:], ones)[0, 0] == 0.0
+    assert canonical_scores(Metric.EUCLIDEAN, unit[3], ones[0]) == 0.0
+    assert scores_against(MatchCondition(Metric.EUCLIDEAN, 0.0), unit[3:], ones)[0, 0]
     probe = normalized_matrix(fv([[scale, 0.0, 0.0, 0.0]]))
-    assert scores_against(MatchCondition(th=0.5), probe, unit)[0, 0] == 1.0
+    assert canonical_scores(Metric.COSINE, probe[0], unit[0]) == 1.0
+    for th in (0.5, 1.0):
+        assert scores_against(MatchCondition(th=th), probe, unit)[0, 0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -236,18 +248,27 @@ def _split(raw: np.ndarray, rng) -> dict:
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 40),
        st.sampled_from([1, 3, 16, 128]), st.sampled_from(list(Metric)),
-       st.sampled_from(list(MatchPolarity)), st.sampled_from(["gemm", "canonical", "0", "1"]))
+       st.sampled_from(list(MatchPolarity)), st.sampled_from(["gemm", "canonical", "0", "1"]),
+       st.sampled_from([-1, 0, 1]))
+# cosine scores below 0 clip to it, so sMatch(0) matches them all
+@example(0, 6, 40, 128, Metric.COSINE, MatchPolarity.SIMILARITY_AT_LEAST, "0", 0)
 def test_every_decision_and_reported_score_is_the_canonical_one(seed, n, m, dim, metric,
-                                                                polarity, th_from):
+                                                                polarity, th_from, step):
     rng = np.random.default_rng(seed)
     raw_left, raw_right = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
     pi, pj = rng.integers(n), rng.integers(m)
     raw_right[pj] = raw_left[pi]  # a planted equal row
+    if m > 1:  # and a near-equal one
+        raw_right[(pj + 1) % m] = raw_left[pi] + 1e-9 * rng.normal(size=dim)
     left, right = normalized_matrix(raw_left), normalized_matrix(raw_right)
     canon = canonical_scores(metric, left[:, None], right[None])
     k = rng.integers(n), rng.integers(m)
-    th = {"gemm": np.clip(left @ right.T, 0.0, 1.0)[k], "canonical": canon[k],
-          "0": 0.0, "1": 1.0}[th_from]
+    gemm = (left @ right.T)[k]
+    # a GEMM score, as the threshold the kernel filters at: th itself for
+    # cosine, 1 - 2 th^2 for euclidean
+    th = {"gemm": gemm if metric is Metric.COSINE else math.sqrt(max(0.0, 1.0 - gemm) / 2),
+          "canonical": canon[k], "0": 0.0, "1": 1.0}[th_from]
+    th = np.clip(np.nextafter(th, step * np.inf) if step else th, 0.0, 1.0)
     cond = MatchCondition(metric, float(th), polarity)
     expected = cond.matched(canon)
     cut = rng.integers(n + 1)
@@ -257,8 +278,9 @@ def test_every_decision_and_reported_score_is_the_canonical_one(seed, n, m, dim,
               np.array([[scores_against(cond, a[None], b[None])[0, 0] for b in right]
                         for a in left])]
     for block in blocks:
-        assert np.array_equal(cond.matched(block), expected)
-        assert block[pi, pj] == canon[pi, pj] == (1.0 if metric is Metric.COSINE else 0.0)
+        assert np.array_equal(block, expected)
+    equal = 1.0 if metric is Metric.COSINE else 0.0
+    assert smatch(cond, raw_left[pi], raw_right[pj])[1] == canon[pi, pj] == equal
 
     # a join's witness is the first canonical match of a group pair, in
     # (left element, right element) order, and its score is canonical
@@ -276,3 +298,38 @@ def test_every_decision_and_reported_score_is_the_canonical_one(seed, n, m, dim,
     for join in (nl_join, cjoin):
         got = join(*sides, cond)
         assert list(zip(*(column.tolist() for column in got))) == want
+
+
+def test_only_gemm_scores_near_the_threshold_are_rescored():
+    # canonical_scores is wrapped where the kernel and the joins' witnesses
+    # call it; each call scores its broadcast shape of pairs
+    spy = mock.Mock(wraps=canonical_scores)
+
+    def rescored() -> int:
+        pairs = sum(math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+                    for (_, a, b), _ in spy.call_args_list)
+        spy.reset_mock()
+        return pairs
+
+    rng = np.random.default_rng(7)
+    row = tuple(rng.normal(size=16))
+    side = arrable_of({0: {"fid": list(range(2000)), "fv": [row] * 2000}})
+    left, right = normalized_matrix(rng.normal(size=(50, 16))), normalized_matrix(
+        rng.normal(size=(60, 16)))
+    far = [MatchCondition(Metric.COSINE, 0.999), MatchCondition(Metric.EUCLIDEAN, 1e-3)]
+    # random 16-d rows lie far from these thresholds: no pair matches
+    assert not any(cond.matched(canonical_scores(cond.metric, left[:, None], right)).any()
+                   for cond in far)
+    with mock.patch.object(similarity, "canonical_scores", spy), \
+            mock.patch.object(operators, "canonical_scores", spy):
+        for cond, equal in ((MatchCondition(Metric.COSINE, 0.9), 1.0),
+                            (MatchCondition(Metric.EUCLIDEAN, 0.1), 0.0)):
+            # a 2,000 x 2,000 pair of one repeated row scores only its witness
+            counter = StageStats("join")
+            got = nl_join(side, side, cond, counter=counter)
+            assert [column.tolist() for column in got] == [[0], [0], [0], [0], [equal]]
+            assert counter.smatch_comparisons == 2000 * 2000
+            assert rescored() == 1
+        for cond in far:  # and no GEMM score lies in the band, so none is re-decided
+            assert not scores_against(cond, left, right).any()
+            assert rescored() == 0
