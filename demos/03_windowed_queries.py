@@ -3,7 +3,6 @@
 
 from vaquery.engine import EngineConfig, instantiate
 from vaquery.ingest import ObjectSpec, SynthSpec, generate
-from vaquery.model import TRACE_SCHEMA
 from vaquery.querylang import parse, plan, render
 
 # Four seconds of video: two people throughout, a car in the middle.
@@ -26,7 +25,7 @@ WINDOW(TIME, 1, 1)
 """
 ast = parse(count_query)
 print("canonical form:", render(ast))
-qplan = plan(ast, {"R1": TRACE_SCHEMA})
+qplan = plan(ast)
 counts, stats = instantiate(qplan).run([trace])
 for row in counts:
     print("  ", row)
@@ -34,14 +33,14 @@ for row in counts:
 # Net direction of motion per object, whole stream as one window.
 direction_query = ("SELECT AR1.oid, DIRECTION(AR1.[BB]) "
                    "FROM (CCT(R2A(R1, R1.oid, R1.fid), both)) AR1")
-directions, _ = instantiate(plan(parse(direction_query), {"R1": TRACE_SCHEMA})).run([trace])
+directions, _ = instantiate(plan(parse(direction_query))).run([trace])
 for row in directions:
     print("  ", {**row, "direction": row["direction"].value})
 
 # A rate-limited feed produces identical results, just slower: the engine's
 # output depends only on the plan and the trace.
 cfg = EngineConfig(default_rate=800.0)
-throttled, stats = instantiate(plan(parse(count_query), {"R1": TRACE_SCHEMA}), cfg).run([trace])
+throttled, stats = instantiate(plan(parse(count_query)), cfg).run([trace])
 print("throttled run identical:", throttled == counts)
 print("per-stage input counts :",
       {s.name: s.tuples_in for s in stats.stages})

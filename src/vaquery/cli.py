@@ -67,6 +67,29 @@ def _load_plan(query_path: str, window_flag: str | None = None):
     return querylang.plan(querylang.parse(text), default_window=window)
 
 
+def _write_run(out: Path, rows, stats: engine.OpStats, header) -> None:
+    """Write a run's results to ``out`` and its stats to ``out`` + ``.stats.json``.
+
+    Both go to temporary names beside ``out`` first. The stats are renamed
+    into place before the results, so a results file never appears without
+    its run's stats. On a failure the temporaries, and the stats if already
+    renamed, are removed: ``out`` stays as it was, and no file of the failed
+    run is left.
+    """
+    stats_path = Path(f"{out}.stats.json")
+    temps = [p.parent / f".{p.name}.{os.getpid()}.tmp" for p in (out, stats_path)]
+    try:
+        engine.write_results(rows, temps[0], header)
+        temps[1].write_text(json.dumps(stats.to_dict(), indent=2), encoding="utf-8")
+        os.replace(temps[1], stats_path)
+        temps[1] = stats_path  # from here on, a failure removes the stats just put in place
+        os.replace(temps[0], out)
+    except BaseException:
+        for p in temps:
+            p.unlink(missing_ok=True)
+        raise
+
+
 def cmd_run(args) -> int:
     plan = _load_plan(args.query, args.window)
     if len(args.trace) != len(plan.sources):
@@ -81,9 +104,7 @@ def cmd_run(args) -> int:
         for row in rows:
             print("  ".join(f"{k}={engine.jsonable(v)}" for k, v in row.items()))
     if args.out:
-        engine.write_results(rows, args.out, header)
-        stats_path = Path(args.out).with_suffix(Path(args.out).suffix + ".stats.json")
-        stats_path.write_text(json.dumps(stats.to_dict(), indent=2), encoding="utf-8")
+        _write_run(Path(args.out), rows, stats, header)
     elif args.format == "jsonl":
         for row in rows:
             print(engine.row_to_json(row))

@@ -196,11 +196,10 @@ class Relation:
     def rows(self) -> "RowView":
         return RowView(self)
 
-    def row_dicts(self, lo: int = 0, hi: int | None = None) -> list[dict[str, Any]]:
-        """Rows ``lo`` to ``hi`` as column->value mappings in schema order."""
+    def row_dicts(self) -> list[dict[str, Any]]:
+        """Every row as a column->value mapping in schema order."""
         names = list(self.columns)
-        return [dict(zip(names, row))
-                for row in zip(*(self.columns[n][lo:hi].tolist() for n in names))]
+        return [dict(zip(names, row)) for row in zip(*(self.columns[n].tolist() for n in names))]
 
     flatten = row_dicts
 

@@ -376,8 +376,6 @@ def _join_groups(left: Arrable, right: Arrable, cond: MatchCondition,
     pairs: list[tuple[int, int, int, int]] = []  # left group, right group, witnesses
     score: list[float] = []
     for i, (llo, lhi) in enumerate(zip(lbounds, lbounds[1:])):
-        if llo == lhi:
-            continue
         lmat = normalized_matrix(lvecs[left.order[llo:lhi]])
         lvals = [v[llo:lhi] for v in lextra]
         for j, rlo, rhi, rmat in rgroups:
@@ -493,12 +491,11 @@ _DIRECTION_BY_SIGNS = {
 }
 
 
-def direction(ar: Arrable, epsilon: float = 0.0,
-              bb_column: str = "bb") -> list[tuple[Any, Direction8]]:
+def direction(ar: Arrable, bb_column: str = "bb") -> list[tuple[Any, Direction8]]:
     """Net direction of motion per group, from the first and last boxes.
 
-    The displacement is taken between the lower-left corners; components
-    within ``epsilon`` of zero count as no movement on that axis.
+    The displacement is taken between the lower-left corners; a component
+    of zero is no movement on that axis.
     """
     kind_check("direction", bb_column, ar.schema)
     boxes = ar.base.column(ar.schema.resolve(bb_column))
@@ -508,20 +505,13 @@ def direction(ar: Arrable, epsilon: float = 0.0,
         raise EmptyRow(f"group {keys[empty[0]]!r} has no bounding boxes")
     first, last = ar.order[ar.offsets[:-1]], ar.order[ar.offsets[1:] - 1]
     delta = boxes[last, :2] - boxes[first, :2]
-    signs = np.where(np.abs(delta) <= epsilon, 0, np.sign(delta)).astype(int).tolist()
+    signs = np.sign(delta).astype(int).tolist()
     return [(key, _DIRECTION_BY_SIGNS[tuple(s)]) for key, s in zip(keys, signs)]
 
 
 def group_count(ar: Arrable) -> int:
     """Number of arrable rows, i.e. distinct group-by values."""
     return len(ar)
-
-
-def element_count(ar: Arrable, column: str | None = None) -> int:
-    """Total elements across all rows (of one column, or of the row vectors)."""
-    if column is not None:
-        return len(ar.values(ar.schema.resolve(column)))
-    return ar.element_count()
 
 
 def aggregate(data: Relation | Arrable, func: str, column: str) -> float | int:

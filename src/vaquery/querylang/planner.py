@@ -1,6 +1,7 @@
 """Query planner: validated AST -> executable operator tree.
 
-The plan is a deterministic function of (AST, catalog): the query's one
+Every source reads :data:`~vaquery.model.TRACE_SCHEMA`, so the plan is a
+deterministic function of the AST and the default window: the query's one
 window sits directly above each source leaf, grouping sits directly above
 its source, and no reordering is attempted beyond two faithful
 simplifications:
@@ -175,24 +176,6 @@ def iter_nodes(node: PlanNode):
 # --- planning ----------------------------------------------------------------
 
 
-class _Catalog:
-    def __init__(self, schemas: dict[str, Schema] | None):
-        self.schemas = schemas
-        self.order: list[str] = []
-
-    def lookup(self, name: str) -> Schema:
-        if self.schemas is None:
-            return TRACE_SCHEMA
-        for key, schema in self.schemas.items():
-            if key.lower() == name.lower():
-                return schema
-        raise UnknownIdentifier(f"unknown source {name!r}")
-
-    def ordinal(self, name: str) -> int:
-        self.order.append(name)
-        return len(self.order) - 1
-
-
 @dataclass(eq=False)
 class _Planned:
     """A planned source: its node and the two names a qualifier may give it."""
@@ -252,9 +235,9 @@ def _grouped_table(src: ast.Source) -> str | None:
 
 
 class _Planner:
-    def __init__(self, catalog: _Catalog, window: WindowSpec):
-        self.catalog = catalog
+    def __init__(self, window: WindowSpec):
         self.window = window  # the query's one window: it cuts every source
+        self.sources: list[str] = []  # the source leaves' names, in appearance order
 
     def plan_query(self, q: ast.Query) -> PlanNode:
         if q.join is not None and q.where is not None:
@@ -284,9 +267,9 @@ class _Planner:
     # sources
 
     def leaf(self, name: str) -> WindowNode:
-        """The query's window over the source ``name``."""
-        schema = self.catalog.lookup(name)
-        return WindowNode(SourceNode(name, self.catalog.ordinal(name), schema), self.window)
+        """The query's window over the source ``name``, the next in source order."""
+        self.sources.append(name)
+        return WindowNode(SourceNode(name, len(self.sources) - 1, TRACE_SCHEMA), self.window)
 
     def plan_source(self, src: ast.Source, where: Predicate | None = None) -> _Planned:
         """``src`` planned, with ``where`` filtering the table that it groups."""
@@ -433,10 +416,8 @@ def _window_clauses(q: ast.Query) -> list[WindowSpec]:
     return found
 
 
-def plan(query: ast.Query, catalog: dict[str, Schema] | None = None,
-         default_window: WindowSpec | None = None) -> QueryPlan:
-    """Plan a parsed query against the catalog of source schemas; without
-    one, every source the query names reads :data:`TRACE_SCHEMA`.
+def plan(query: ast.Query, default_window: WindowSpec | None = None) -> QueryPlan:
+    """Plan a parsed query; every source it names reads :data:`TRACE_SCHEMA`.
 
     A query has one window, which cuts every source: the WINDOW clause of the
     query or of any subquery, all of which must be equal, else
@@ -447,9 +428,9 @@ def plan(query: ast.Query, catalog: dict[str, Schema] | None = None,
         if clause != clauses[0]:
             raise SchemaMismatch(f"a query has one window, but it has the clauses "
                                  f"{render_window(clauses[0])} and {render_window(clause)}")
-    cat = _Catalog(catalog)
-    root = _Planner(cat, next(iter(clauses), default_window or WHOLE_STREAM)).plan_query(query)
+    planner = _Planner(next(iter(clauses), default_window or WHOLE_STREAM))
+    root = planner.plan_query(query)
     names = root.schema.names()
     if root.group_key is not None:  # a grouped row leads with its key
         names = (root.group_key, *(n for n in names if n != root.group_key))
-    return QueryPlan(root, tuple(cat.order), names)
+    return QueryPlan(root, tuple(planner.sources), names)

@@ -125,7 +125,6 @@ class WindowManager:
     def __init__(self, spec: WindowSpec, origin: float, count: int):
         self.spec, self.origin, self.count = spec, origin, count
         self._next_to_close = 0
-        self._watermark = -math.inf
         # keys that may still belong to an open window, the first of them at
         # position _base; blocks added since the last emit wait in _pending
         self._base = 0
@@ -153,10 +152,7 @@ class WindowManager:
 
     def close_windows(self, watermark: float) -> list[tuple[WindowInstance, range]]:
         """Emit every not-yet-closed window whose end <= watermark, with its range;
-        a regressing watermark is ignored (nothing re-emits)."""
-        if watermark <= self._watermark:
-            return []
-        self._watermark = watermark
+        a regressing watermark closes nothing (no window re-emits)."""
         return self._emit_through(assign(self.spec, watermark, self.origin).start - 1)
 
     def flush(self) -> list[tuple[WindowInstance, range]]:

@@ -110,14 +110,15 @@ def plans() -> dict[str, str | list[str]]:
     return {text: planned(text) for text in corpus()}
 
 
-def _untimed(stats: dict) -> dict:
-    """A ``.stats.json`` object without its wall-clock values; a stage keeps
-    the indices of the windows it timed."""
-    del stats["total_wall_seconds"]
-    for stage in stats["stages"]:
+def untimed(stats: engine.OpStats) -> dict:
+    """Stats as their ``.stats.json`` object without its wall-clock values; a
+    stage keeps the indices of the windows it timed, in window order."""
+    d = stats.to_dict()
+    del d["total_wall_seconds"]
+    for stage in d["stages"]:
         del stage["wall_seconds"]
         stage["window_wall"] = list(stage["window_wall"])
-    return stats
+    return d
 
 
 def workload_digests() -> dict[str, dict]:
@@ -130,11 +131,11 @@ def workload_digests() -> dict[str, dict]:
             traces = [ingest.generate(spec, seed) for spec in w.specs]
             rows, stats = engine.instantiate(plan(parse(w.query))).run(traces)
             engine.write_results(rows, results)
-            untimed = json.dumps(_untimed(stats.to_dict()), indent=2)
+            stats_text = json.dumps(untimed(stats), indent=2)
             out[f"{w.name} seed {seed}"] = {
                 "rows": len(rows),
                 "results_sha256": hashlib.sha256(results.read_bytes()).hexdigest(),
-                "stats_sha256": hashlib.sha256(untimed.encode("utf-8")).hexdigest()}
+                "stats_sha256": hashlib.sha256(stats_text.encode("utf-8")).hexdigest()}
     return out
 
 

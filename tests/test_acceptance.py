@@ -17,15 +17,11 @@ from vaquery.errors import IllegalColumnKind
 from vaquery.evaluation import (ConfusionCounts, PairGroundTruth, accuracy,
                                 confusion_pairs)
 from vaquery.ingest import ObjectSpec, SynthSpec, concat_traces, generate
-from vaquery.model import TRACE_SCHEMA
 from vaquery.operators import (CctOption, Direction8, cct, cct_join, cjoin, direction,
                                nl_join, r2a)
 from vaquery.querylang import iter_nodes, parse, plan, render
 from vaquery.similarity import MatchCondition, Metric
 from vaquery.windows import WindowKind, WindowManager, WindowSpec, assign, axis
-
-ONE = {"R1": TRACE_SCHEMA}
-TWO = {"R1": TRACE_SCHEMA, "R2": TRACE_SCHEMA}
 
 
 def ok(n: int, text: str) -> None:
@@ -215,7 +211,7 @@ def test_criterion_06_scalability_linearity():
     assert len(double) == 2 * len(single)
 
     for text in (Q1_TEXT, Q2_TEXT, Q4_TEXT):
-        p = plan(parse(text), ONE)
+        p = plan(parse(text))
 
         # CPU time of this process, the least of five runs of each trace taken
         # in turn: preemption and GC pauses only ever add time, and a slow
@@ -290,20 +286,18 @@ def test_criterion_09_parser_suite():
     """The standard query texts parse, plan, execute; bad types are rejected."""
     trace = _scalability_trace(n_objects=4, frames=30)
 
-    for text, catalog, traces in ((Q1_TEXT, ONE, [trace]),
-                                  (Q2_TEXT, ONE, [trace]),
-                                  (Q3_TEXT, TWO, [trace, trace]),
-                                  (Q4_TEXT, ONE, [trace])):
+    for text, traces in ((Q1_TEXT, [trace]), (Q2_TEXT, [trace]), (Q3_TEXT, [trace, trace]),
+                         (Q4_TEXT, [trace])):
         ast = parse(text)
         assert parse(render(ast)) == ast, "render -> re-parse must be identical"
-        p = plan(ast, catalog)
+        p = plan(ast)
         rows, _ = instantiate(p).run(traces)
         assert rows, f"no results for {text[:30]}..."
 
     with pytest.raises(IllegalColumnKind):
-        plan(parse("SELECT avg([FV]) FROM R1"), ONE)
+        plan(parse("SELECT avg([FV]) FROM R1"))
     with pytest.raises(IllegalColumnKind):
-        plan(parse("SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.[FV] = R2.[FV]"), TWO)
+        plan(parse("SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.[FV] = R2.[FV]"))
     ok(9, "Q1/Q2/Q3/Q4 parse+plan+execute; round-trip stable; ill-typed rejected")
 
 
@@ -317,7 +311,7 @@ def test_criterion_10_engine_determinism(tmp_path):
     ))
     trace = generate(spec, seed=6)  # 30 tuples, ~0.3s at 100 t/s
     text = Q2_TEXT + " WINDOW(TIME, 0.25, 0.25)"
-    p = plan(parse(text), ONE)
+    p = plan(parse(text))
 
     files = []
     for rate in (0.0, 100.0, 2000.0):

@@ -102,6 +102,24 @@ def test_run_outputs_byte_identical_with_no_header(tmp_path, trace_file):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("previous", [None, b'{"window": 0, "count": 7}\n'],
+                         ids=["no-previous-results", "previous-results"])
+def test_a_failed_run_leaves_its_results_file_as_it_was(tmp_path, trace_file, capsys,
+                                                        previous):
+    # the stats path is a directory, so the run fails once its results are written
+    qpath = write_query(tmp_path, Q2)
+    out = tmp_path / "r.jsonl"
+    if previous is not None:
+        out.write_bytes(previous)
+    (tmp_path / "r.jsonl.stats.json").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["run", "--query", str(qpath), "--trace", str(trace_file),
+                 "--out", str(out), "--no-header"]) == 3
+    assert "error [IO_ERROR]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (out.read_bytes() if out.exists() else None) == previous
+
+
 def test_header_line_present_by_default(tmp_path, trace_file):
     qpath = write_query(tmp_path, Q2)
     out = tmp_path / "r.jsonl"
@@ -710,6 +728,7 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
     ((RUN[:-1] + ["{tmp}"], {"q.vaq": Q2}), 3, "IO_ERROR", "directory"),
     ((["run", "--query", "{tmp}", "--trace", "{trace}"], {}), 3, "IO_ERROR", "directory"),
     (_run("--out", "{tmp}/absent/r.jsonl"), 3, "IO_ERROR", "absent"),
+    (_run("--out", "{tmp}"), 3, "IO_ERROR", "directory"),
     ((RUN, {"q.vaq": b"SELECT \xff"}), 2, "SYNTAX_ERROR", "column 8"),
     ((["parse-check", "--query", "{tmp}"], {}), 3, "IO_ERROR", "directory"),
     ((["parse-check", "--query", "{tmp}/absent.vaq"], {}), 3, "NO_SUCH_FILE", "absent.vaq"),
@@ -783,7 +802,8 @@ DEEP_JSON = "[" * 100_000  # deeper than the JSON decoder recurses
         "eval-pairs-gt-not-json", "eval-direction-missing",
         "config-not-utf8", "rate-inf", "config-quantum-bool", "config-rate-bool",
         "config-rates-bool", "config-rates-unread-source", "config-quantum-string", "run-trace-dir",
-        "run-query-dir", "run-out-missing-dir", "run-query-not-utf8", "parse-check-dir",
+        "run-query-dir", "run-out-missing-dir", "run-out-dir", "run-query-not-utf8",
+        "parse-check-dir",
         "parse-check-missing", "spec-frames-fraction", "spec-fv-dim-bool", "spec-oid-string",
         "spec-interval-fraction", "spec-noise-bool", "spec-fv-string", "spec-intervals-number",
         "eval-universe-string", "eval-universe-object", "eval-positive-string",

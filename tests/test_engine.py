@@ -5,21 +5,19 @@ import time
 import pytest
 
 from conftest import pair_keys, relation_of, trace_relation
+from goldens import untimed
 from oracles import select_oracle
 from vaquery import engine
 from vaquery.engine import (EngineConfig, Pipeline, StageStats, instantiate, row_to_json,
                             write_results)
 from vaquery.errors import ConfigError, SchemaMismatch
 from vaquery.ingest import ObjectSpec, SynthSpec, generate
-from vaquery.model import TRACE_SCHEMA
 from vaquery.operators import (CctOption, Direction8, ScalarPairPredicate,
                                cct, cct_join, cjoin, hash_equi_join, nl_join, r2a)
 from vaquery.querylang import CctNode, parse, plan
 from vaquery.similarity import MatchCondition
 from vaquery.windows import WindowManager
 
-ONE = {"R1": TRACE_SCHEMA}
-TWO = {"R1": TRACE_SCHEMA, "R2": TRACE_SCHEMA}
 
 Q2 = ('SELECT count(*) FROM (SELECT AR1.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1 '
       'WHERE (R1.label = "person"))')
@@ -41,14 +39,14 @@ def small_trace(seed=0, frames=40, persons=2, cars=1):
 
 
 def test_q2_pipeline_has_one_stage_per_node():
-    pipeline = instantiate(plan(parse(Q2), ONE))
+    pipeline = instantiate(plan(parse(Q2)))
     assert len(pipeline.stages) == 5
     kinds = [s.name.split("[")[0].split("#")[0] for s in pipeline.stages]
     assert kinds == ["source", "window", "select", "r2a", "aggregate"]
 
 
 def test_q3_pipeline_two_sources_one_join():
-    pipeline = instantiate(plan(parse(Q3), TWO))
+    pipeline = instantiate(plan(parse(Q3)))
     names = [s.name for s in pipeline.stages]
     assert sum(1 for n in names if n.startswith("source")) == 2
     assert sum(1 for n in names if n.startswith("join")) == 1
@@ -78,7 +76,7 @@ def test_the_smallest_feed_rate_makes_its_first_row_due_within_the_longest_sleep
 
 def test_single_window_count_result():
     trace = small_trace()
-    rows, _ = instantiate(plan(parse(Q2), ONE)).run([trace])
+    rows, _ = instantiate(plan(parse(Q2))).run([trace])
     assert rows == [{"window": 0, "count": 2}]
 
 
@@ -87,26 +85,16 @@ def test_windowed_counts_per_window():
     text = Q2 + " WINDOW(TIME, 0.5, 0.5)"
     q = parse(text)
     trace = small_trace()
-    rows, _ = instantiate(plan(q, ONE)).run([trace])
+    rows, _ = instantiate(plan(q)).run([trace])
     assert [r["window"] for r in rows] == [0, 1, 2]
     assert all(r["count"] == 2 for r in rows)
-
-
-def untimed(st) -> dict:
-    """Stats as a dict with timing values removed; window_wall keeps its keys."""
-    d = st.to_dict()
-    del d["total_wall_seconds"]
-    for stage in d["stages"]:
-        del stage["wall_seconds"]
-        stage["window_wall"] = sorted(stage["window_wall"])
-    return d
 
 
 def test_determinism_across_rates_and_quanta():
     # a source's ranges follow its feed clock: one range unthrottled, and
     # about one row per range throttled, since the engine keeps up with the feed
     trace = small_trace()
-    p = plan(parse(Q2 + " WINDOW(TIME, 0.5, 0.25)"), ONE)
+    p = plan(parse(Q2 + " WINDOW(TIME, 0.5, 0.25)"))
     outputs = []
     for rate in (0.0, 400.0, 2000.0):
         rows, st = instantiate(p, EngineConfig(default_rate=rate)).run([trace])
@@ -121,7 +109,7 @@ def test_probe_select_determinism_across_quanta():
     trace = small_trace()
     e0, e2 = ([1.0 if d == i else 0.0 for d in range(8)] for i in (0, 2))
     p = plan(parse(f"SELECT fid, oid FROM R1 WHERE [FV] SMATCH(0.9) {e0} "
-                   f"OR [FV] SMATCH(0.9) {e2} WINDOW(TUPLE, 25, 25)"), ONE)
+                   f"OR [FV] SMATCH(0.9) {e2} WINDOW(TUPLE, 25, 25)"))
     outputs = []
     for rate in (0.0, 2000.0):
         rows, st = instantiate(p, EngineConfig(default_rate=rate)).run([trace])
@@ -136,7 +124,7 @@ def test_probe_select_determinism_across_quanta():
 def test_join_determinism_across_configs():
     left, right = small_trace(1), small_trace(2)
     empty = relation_of([])
-    p = plan(parse(Q3 + " WINDOW(TIME, 0.5, 0.5)"), TWO)
+    p = plan(parse(Q3 + " WINDOW(TIME, 0.5, 0.5)"))
     for traces in ([left, right], [empty, right], [left, empty]):
         outputs = []
         for rate in (0.0, 2000.0):
@@ -153,8 +141,7 @@ def test_not_over_a_differently_cased_column_matches_the_oracle():
     # the planner resolves the columns inside NOT (FID, [Fv]) to the schema's names
     trace = small_trace()
     e0 = [1.0 if d == 0 else 0.0 for d in range(8)]
-    p = plan(parse(f"SELECT fid, oid FROM R1 WHERE NOT (FID < 5 OR [Fv] SMATCH(0.9) {e0})"),
-             ONE)
+    p = plan(parse(f"SELECT fid, oid FROM R1 WHERE NOT (FID < 5 OR [Fv] SMATCH(0.9) {e0})"))
     rows, st = instantiate(p).run([trace])
     tree = ("not", ("or", [("cmp", "fid", "<", 5),
                            ("probe", "fv", "cosine", "similarity_at_least", 0.9, e0)]))
@@ -168,28 +155,28 @@ def test_not_over_a_differently_cased_column_matches_the_oracle():
 
 def test_empty_source_join_terminates_cleanly():
     empty = relation_of([])
-    rows, st = instantiate(plan(parse(Q3), TWO)).run([small_trace(), empty])
+    rows, st = instantiate(plan(parse(Q3))).run([small_trace(), empty])
     assert rows == []
     assert st.of_kind("join")[0].smatch_comparisons == 0
 
 
 def test_counters_zero_before_any_input():
-    pipeline = instantiate(plan(parse(Q2), ONE))
+    pipeline = instantiate(plan(parse(Q2)))
     st = pipeline.stats()
     assert all(s.tuples_in == 0 and s.smatch_comparisons == 0 for s in st.stages)
 
 
 def test_source_tuples_in_equals_trace_size():
     trace = small_trace()
-    _, st = instantiate(plan(parse(Q2), ONE)).run([trace])
+    _, st = instantiate(plan(parse(Q2))).run([trace])
     assert st.of_kind("source")[0].tuples_in == len(trace)
 
 
 def test_cjoin_comparisons_bounded_by_regular_join():
     left, right = small_trace(1), small_trace(2)
     nl_text = Q3.replace("CJOIN", "JOIN")
-    _, st_nl = instantiate(plan(parse(nl_text), TWO)).run([left, right])
-    _, st_cj = instantiate(plan(parse(Q3), TWO)).run([left, right])
+    _, st_nl = instantiate(plan(parse(nl_text))).run([left, right])
+    _, st_cj = instantiate(plan(parse(Q3))).run([left, right])
     nl_count = st_nl.of_kind("join")[0].smatch_comparisons
     cj_count = st_cj.of_kind("join")[0].smatch_comparisons
     assert 0 < cj_count <= nl_count
@@ -197,7 +184,7 @@ def test_cjoin_comparisons_bounded_by_regular_join():
 
 def test_pipeline_is_single_use():
     trace = small_trace()
-    pipeline = instantiate(plan(parse(Q2), ONE))
+    pipeline = instantiate(plan(parse(Q2)))
     pipeline.run([trace])
     with pytest.raises(ConfigError):
         pipeline.run([trace])
@@ -205,11 +192,11 @@ def test_pipeline_is_single_use():
 
 def test_source_count_mismatch_rejected():
     with pytest.raises(SchemaMismatch):
-        instantiate(plan(parse(Q3), TWO)).run([small_trace()])
+        instantiate(plan(parse(Q3))).run([small_trace()])
 
 
 def test_a_rate_must_name_a_source_of_the_query():
-    qplan = plan(parse("SELECT count(*) FROM r1"), ONE)
+    qplan = plan(parse("SELECT count(*) FROM r1"))
     assert instantiate(qplan, EngineConfig(rates={"R1": 5.0})).config.rate_for("r1") == 5.0
     with pytest.raises(ConfigError) as exc:
         instantiate(qplan, EngineConfig(rates={"R1": 5.0, "R7": 5.0}))
@@ -243,7 +230,7 @@ def test_engine_config_from_json_file(tmp_path):
 def test_throttled_run_matches_unthrottled(two=None):
     trace = small_trace(frames=20, persons=1, cars=0)
     p = plan(parse("SELECT count(*) FROM (SELECT AR1.oid FROM "
-                   "(R2A(R1, R1.oid, R1.fid)) AR1)"), ONE)
+                   "(R2A(R1, R1.oid, R1.fid)) AR1)"))
     fast, _ = instantiate(p).run([trace])
     slow, _ = instantiate(p, EngineConfig(default_rate=200.0)).run([trace])
     assert fast == slow == [{"window": 0, "count": 1}]
@@ -257,7 +244,7 @@ def test_source_ranges_follow_the_feed_clock(monkeypatch):
     monkeypatch.setattr(WindowManager, "add",
                         lambda manager, keys: add(manager, keys) or sizes.append(len(keys)))
     trace = small_trace()
-    p = plan(parse(Q2 + " WINDOW(TUPLE, 25, 25)"), ONE)
+    p = plan(parse(Q2 + " WINDOW(TUPLE, 25, 25)"))
     instantiate(p).run([trace])
     assert sizes == [len(trace)]
     sizes.clear()
@@ -271,10 +258,10 @@ def test_throttled_join_inputs_are_fed_at_the_same_time():
     left, right = small_trace(1), small_trace(2)
     cfg = EngineConfig(default_rate=400.0)
     started = time.monotonic()
-    rows, _ = instantiate(plan(parse(Q3), TWO), cfg).run([left, right])
+    rows, _ = instantiate(plan(parse(Q3)), cfg).run([left, right])
     elapsed = time.monotonic() - started
     assert 0.3 <= elapsed < 0.5
-    assert rows == instantiate(plan(parse(Q3), TWO)).run([left, right])[0]
+    assert rows == instantiate(plan(parse(Q3))).run([left, right])[0]
 
 
 def test_cct_runs_never_span_window_boundaries():
@@ -283,7 +270,7 @@ def test_cct_runs_never_span_window_boundaries():
     trace = small_trace(frames=30, persons=1, cars=0)
     text = ('SELECT count(oid) FROM (CCT(R2A(R1, R1.oid, R1.fid), first)) AR1 '
             'WINDOW(TIME, 0.5, 0.5)')
-    rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
+    rows, _ = instantiate(plan(parse(text))).run([trace])
     assert [r["window"] for r in rows] == [0, 1]
     assert all(r["count(oid)"] == 1 for r in rows)
 
@@ -292,7 +279,7 @@ def test_single_underfilled_time_window():
     # a 120s disjoint window over a ~1.3s trace flushes as one complete window
     trace = small_trace()
     text = Q2 + " WINDOW(TIME, 120, 120)"
-    rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
+    rows, _ = instantiate(plan(parse(text))).run([trace])
     assert rows == [{"window": 0, "count": 2}]
 
 
@@ -303,7 +290,7 @@ def test_count_oid_counts_objects_count_fid_counts_visits():
     counts = {}
     for column in ("oid", "fid"):
         text = f"SELECT count({column}) FROM (CCT(R2A(R1, R1.oid, R1.fid), first)) AR1"
-        rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
+        rows, _ = instantiate(plan(parse(text))).run([trace])
         counts[column] = rows[0][f"count({column})"]
     assert counts == {"oid": 1, "fid": 2}
 
@@ -319,7 +306,7 @@ def test_cct_gap_from_query_text_runs_like_the_operator():
     trace = generate(SynthSpec(frames=60, fps=30, fv_dim=4, objects=(
         ObjectSpec(1, "person", (0, 0, 4, 8), (1, 0),
                    intervals=((0, 10), (15, 20), (30, 40), (50, 60))),)), 0)
-    qplan = plan(parse("SELECT * FROM CCT(R2A(R1, R1.oid, R1.fid), FIRST, 6)"), ONE)
+    qplan = plan(parse("SELECT * FROM CCT(R2A(R1, R1.oid, R1.fid), FIRST, 6)"))
     assert isinstance(qplan.root, CctNode) and qplan.root.gap_threshold == 6
     rows, _ = instantiate(qplan).run([trace])
     expected = cct(r2a(trace, "oid", "fid"), CctOption.FIRST, gap_threshold=6)
@@ -331,9 +318,9 @@ def test_cct_gap_from_query_text_runs_like_the_operator():
 def test_direction_compares_by_name(op):
     trace = small_trace(persons=2, cars=1)  # persons move E, the car N
     inner = "SELECT AR1.oid, DIRECTION(AR1.bb) FROM R2A(R1, R1.oid, R1.fid) AR1"
-    everything, _ = instantiate(plan(parse(f"SELECT * FROM ({inner}) X"), ONE)).run([trace])
+    everything, _ = instantiate(plan(parse(f"SELECT * FROM ({inner}) X"))).run([trace])
     text = f'SELECT * FROM ({inner}) X WHERE X.direction {op} "E"'
-    rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
+    rows, _ = instantiate(plan(parse(text))).run([trace])
     expected = [r for r in everything if (r["direction"].value == "E") == (op == "=")]
     assert expected and len(expected) < len(everything)
     assert rows == expected
@@ -351,7 +338,7 @@ def test_joined_time_windows_share_one_time_axis(swap):
     traces = [camera((1, (0, 30)), (2, (300, 330))), camera((7, (300, 330)))]
     text = ("SELECT A.oid, B.oid FROM (R2A(R1, R1.oid, R1.fid)) A JOIN "
             "(R2A(R2, R2.oid, R2.fid)) B ON A.fv SMATCH(0.9) B.fv WINDOW(TIME, 2, 2)")
-    rows, _ = instantiate(plan(parse(text), TWO)).run(traces[::-1] if swap else traces)
+    rows, _ = instantiate(plan(parse(text))).run(traces[::-1] if swap else traces)
     oids = (7, 2) if swap else (2, 7)
     assert rows == [{"window": 5, "A.oid": oids[0], "B.oid": oids[1]}]
 
@@ -369,7 +356,7 @@ def test_join_extra_from_query_text_matches_the_operator(monkeypatch, kind, join
     left, right = (_visits(*objects) for objects in JOIN_TRACES)
     text = (f"SELECT * FROM (R2A(R1, R1.oid, R1.fid)) AR1 {kind} (R2A(R2, R2.oid, R2.fid)) AR2 "
             f"ON AR1.[FV] sMatch(0.9) AR2.[FV] AND {extra}")
-    qplan = plan(parse(text), TWO)
+    qplan = plan(parse(text))
     predicate = ScalarPairPredicate("ts", "<=", "ts", 5.0)
     assert qplan.root.extras == (predicate,)
     made = []
@@ -394,9 +381,9 @@ def test_cctjoin_is_planned_and_run_as_a_join_over_cct_both():
     left, right = (_visits(*objects) for objects in JOIN_TRACES)
     on = "ON AR1.[FV] sMatch(0.9) AR2.[FV]"
     cctjoin = plan(parse(f"SELECT * FROM (R2A(R1, R1.oid, R1.fid)) AR1 CCTJOIN "
-                         f"(R2A(R2, R2.oid, R2.fid)) AR2 {on}"), TWO)
+                         f"(R2A(R2, R2.oid, R2.fid)) AR2 {on}"))
     explicit = plan(parse(f"SELECT * FROM CCT(R2A(R1, R1.oid, R1.fid), BOTH) AR1 JOIN "
-                          f"CCT(R2A(R2, R2.oid, R2.fid), BOTH) AR2 {on}"), TWO)
+                          f"CCT(R2A(R2, R2.oid, R2.fid), BOTH) AR2 {on}"))
     join = cctjoin.root
     assert join.kind == "JOIN"
     assert [(type(side), side.option, side.gap_threshold) for side in join.children] == \
@@ -420,7 +407,7 @@ def test_equi_join_from_query_text_matches_the_operator(empty_side):
     if empty_side is not None:
         traces[empty_side] = relation_of([])
     text = "SELECT * FROM R1 JOIN R2 ON R1.oid = R2.oid"
-    rows, _ = instantiate(plan(parse(text), TWO)).run(traces)
+    rows, _ = instantiate(plan(parse(text))).run(traces)
     expected = hash_equi_join(*traces, "oid", "oid", ("R1", "R2")).row_dicts()
     assert rows == [{"window": 0, **r} for r in expected]
     assert bool(rows) == (empty_side is None)
@@ -429,7 +416,7 @@ def test_equi_join_from_query_text_matches_the_operator(empty_side):
 def test_key_only_arrable_projection_gives_one_row_per_object():
     trace = small_trace(persons=2, cars=1)
     text = "SELECT AR1.oid FROM (R2A(R1, R1.oid, R1.fid)) AR1"
-    rows, _ = instantiate(plan(parse(text), ONE)).run([trace])
+    rows, _ = instantiate(plan(parse(text))).run([trace])
     assert rows == [{"window": 0, "oid": oid} for oid in (0, 1, 2)]
 
 
@@ -442,7 +429,7 @@ def test_key_only_arrable_projection_gives_one_row_per_object():
 ])
 def test_written_results_read_back_as_the_rows(tmp_path, text, sources):
     traces = [_visits(*objects) for objects in JOIN_TRACES][:sources]
-    rows, _ = instantiate(plan(parse(text), TWO)).run(traces)
+    rows, _ = instantiate(plan(parse(text))).run(traces)
     path = tmp_path / "results.jsonl"
     write_results(rows, path)
     read = [json.loads(line) for line in path.read_text().splitlines()]
@@ -477,7 +464,7 @@ SIDES = ("(R2A(R1, R1.oid, R1.fid)) A", "(R2A(R2, R2.oid, R2.fid)) B")
 def test_one_window_clause_cuts_both_sides_of_a_join(left, right, clause):
     # objects 1 and 11 never share a second; 2 and 12 share second 3
     text = f"SELECT * FROM {left} CJOIN {right} ON A.fv SMATCH(0.9) B.fv{clause}"
-    rows, _ = instantiate(plan(parse(text), TWO)).run(CAMERAS)
+    rows, _ = instantiate(plan(parse(text))).run(CAMERAS)
     assert [(r["window"], r["A.oid"], r["B.oid"]) for r in rows] == [(3, 2, 12)]
 
 
@@ -490,7 +477,7 @@ def test_an_equi_join_of_counts_sees_every_window_of_the_axis(seconds, windows):
     r2 = trace_relation(_seconds(5, 0, seconds), fps=10)
     text = ("SELECT * FROM (SELECT count(*) FROM R1) A JOIN (SELECT count(*) FROM R2) B "
             "ON A.count = B.count WINDOW(TIME, 1, 1)")
-    rows, _ = instantiate(plan(parse(text), TWO)).run([r1, r2])
+    rows, _ = instantiate(plan(parse(text))).run([r1, r2])
     assert {"window": 1, "A.count": 0, "B.count": 0} in rows
     assert [r["window"] for r in rows] == windows
 
@@ -500,7 +487,7 @@ def test_a_window_stage_lists_every_window_it_emits():
     # stats time each of the four windows it emits
     trace = generate(SynthSpec(frames=16, fps=8, fv_dim=4, objects=(
         ObjectSpec(1, "person", (0, 0, 4, 8), (1, 0), intervals=((0, 16),)),)), 0)
-    rows, st = instantiate(plan(parse("SELECT * FROM R1 WINDOW(TIME, 0.5, 0.5)"), ONE)).run([trace])
+    rows, st = instantiate(plan(parse("SELECT * FROM R1 WINDOW(TIME, 0.5, 0.5)"))).run([trace])
     window = st.stages[-1]
     assert window.name == "window"
     assert sorted({r["window"] for r in rows}) == sorted(window.window_wall) == [0, 1, 2, 3]
@@ -516,7 +503,7 @@ def test_every_operator_stage_of_a_join_lists_the_axis_windows():
     right = trace_relation(_seconds(11, 0, [0, 1]), fps=10)
     text = (f"SELECT * FROM {SIDES[0]} CJOIN (SELECT * FROM {SIDES[1]} WHERE B.fid >= 0) B "
             "ON A.fv SMATCH(0.9) B.fv WINDOW(TIME, 1, 1)")
-    _, st = instantiate(plan(parse(text), TWO)).run([left, right])
+    _, st = instantiate(plan(parse(text))).run([left, right])
     listed = {s.name: sorted(s.window_wall) for s in st.stages
               if not s.name.startswith("source")}
     assert set(listed) == {"window", "window#2", "r2a", "r2a#2", "select", "join"}
@@ -534,6 +521,6 @@ def test_every_operator_stage_of_a_join_lists_the_axis_windows():
     "SELECT AR1.oid, DIRECTION(AR1.bb) FROM (R2A(R1, R1.oid, R1.fid)) AR1",
 ])
 def test_output_names_are_the_columns_of_every_row(text):
-    qplan = plan(parse(text), ONE)
+    qplan = plan(parse(text))
     rows, _ = instantiate(qplan).run([small_trace()])
     assert rows and all(tuple(r)[1:] == qplan.output_names for r in rows)

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from vaquery.engine import instantiate
 from vaquery.ingest import ObjectSpec, SynthSpec, generate
-from vaquery.model import TRACE_SCHEMA
 from vaquery.querylang import parse, plan
 
-ONE = {"R1": TRACE_SCHEMA}
-TWO = {"R1": TRACE_SCHEMA, "R2": TRACE_SCHEMA}
 FPS = [10.0, 25.0, 29.97, 30.0]
 SECONDS = [0.1, 0.3, 0.7, 1.1, 1 / 3]
 BASES = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.7, 0.7, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]
@@ -48,7 +45,7 @@ WINDOWS = st.one_of(TUMBLING,
 
 
 def rows(query: str, *traces) -> list[dict]:
-    return instantiate(plan(parse(query), ONE if len(traces) == 1 else TWO)).run(traces)[0]
+    return instantiate(plan(parse(query))).run(traces)[0]
 
 
 def counts(query: str, trace) -> dict[int, int]:

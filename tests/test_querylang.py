@@ -45,9 +45,6 @@ Select AR1.oid, Direction(AR1.[BB])
 From (CCT(R2A(R1, R1.oid, R1.fid), both)) AR1
 '''
 
-ONE = {"R1": TRACE_SCHEMA}
-TWO = {"R1": TRACE_SCHEMA, "R2": TRACE_SCHEMA}
-
 
 def node_kinds(p):
     return [type(n).__name__ for n in iter_nodes(p.root)]
@@ -198,7 +195,7 @@ def test_cct_gap_parses_and_renders(gap_text, gap):
     assert ast.source.gap_threshold == gap
     assert f"LAST, {gap})" in render(ast)
     assert parse(render(ast)) == ast
-    assert plan(ast, {"R1": TRACE_SCHEMA}).root.gap_threshold == gap
+    assert plan(ast).root.gap_threshold == gap
 
 
 @pytest.mark.parametrize("gap", ["0", "-3", "2.5"])
@@ -244,7 +241,7 @@ def test_tokens_and_syntax_errors_point_at_their_source(text):
 # --- planning ----------------------------------------------------------------
 
 def test_q2_plan_shape():
-    p = plan(parse(Q2_TEXT), ONE)
+    p = plan(parse(Q2_TEXT))
     assert node_kinds(p) == ["AggregateNode", "R2ANode", "SelectNode",
                              "WindowNode", "SourceNode"]
     assert p.sources == ("R1",)
@@ -252,7 +249,7 @@ def test_q2_plan_shape():
 
 
 def test_q3_plan_two_sources_converge():
-    p = plan(parse(Q3_TEXT), TWO)
+    p = plan(parse(Q3_TEXT))
     kinds = node_kinds(p)
     assert kinds.count("SourceNode") == 2
     assert kinds.count("JoinNode") == 1
@@ -263,74 +260,64 @@ def test_q3_plan_two_sources_converge():
 
 
 def test_q4_plan_shape():
-    p = plan(parse(Q4_TEXT), ONE)
+    p = plan(parse(Q4_TEXT))
     assert node_kinds(p) == ["DirectionNode", "CctNode", "R2ANode",
                              "WindowNode", "SourceNode"]
     assert p.output_names == ("oid", "direction")
 
 
 def test_planning_is_deterministic():
-    assert plan(parse(Q3_TEXT), TWO) == plan(parse(Q3_TEXT), TWO)
+    assert plan(parse(Q3_TEXT)) == plan(parse(Q3_TEXT))
 
 
 def test_join_condition_plans_the_same_in_either_order():
     text = ("SELECT A.oid, B.oid FROM (R2A(R1, oid, fid)) A CJOIN (R2A(R2, oid, fid)) B "
             "ON {} SMATCH(0.9) {} AND A.ts <= B.ts")
-    assert plan(parse(text.format("B.fv", "A.fv")), TWO) == \
-        plan(parse(text.format("A.fv", "B.fv")), TWO)
+    assert plan(parse(text.format("B.fv", "A.fv"))) == \
+        plan(parse(text.format("A.fv", "B.fv")))
 
 
 def test_avg_over_feature_vector_rejected_at_plan_time():
     with pytest.raises(IllegalColumnKind):
-        plan(parse("SELECT avg([FV]) FROM R1"), ONE)
+        plan(parse("SELECT avg([FV]) FROM R1"))
 
 
 def test_equality_join_over_feature_vector_rejected_at_plan_time():
     with pytest.raises(IllegalColumnKind):
-        plan(parse("SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.[FV] = R2.[FV]"), TWO)
+        plan(parse("SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.[FV] = R2.[FV]"))
 
 
 def test_equality_join_on_label_plans():
-    p = plan(parse("SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.label = R2.label"), TWO)
+    p = plan(parse("SELECT R1.oid, R2.oid FROM R1 JOIN R2 ON R1.label = R2.label"))
     assert any(isinstance(n, EquiJoinNode) for n in iter_nodes(p.root))
 
 
 def test_cjoin_requires_smatch_condition():
     with pytest.raises(SchemaMismatch):
         plan(parse("SELECT A.oid, B.oid FROM (R2A(R1, oid, fid)) A "
-                   "CJOIN (R2A(R2, oid, fid)) B ON A.oid = B.oid"), TWO)
-
-
-def test_without_a_catalog_every_source_reads_the_trace_schema():
-    for text, catalog in ((Q2_TEXT, ONE), (Q3_TEXT, TWO), (Q4_TEXT, ONE)):
-        assert plan(parse(text)) == plan(parse(text), catalog)
-
-
-def test_unknown_source_rejected():
-    with pytest.raises(UnknownIdentifier):
-        plan(parse("SELECT oid FROM R9"), ONE)
+                   "CJOIN (R2A(R2, oid, fid)) B ON A.oid = B.oid"))
 
 
 def test_unknown_qualifier_rejected():
     with pytest.raises(UnknownIdentifier):
-        plan(parse("SELECT Z.oid FROM R1"), ONE)
+        plan(parse("SELECT Z.oid FROM R1"))
 
 
 def test_unknown_column_rejected():
     from vaquery.errors import UnknownColumn
     with pytest.raises(UnknownColumn):
-        plan(parse("SELECT speed FROM R1"), ONE)
+        plan(parse("SELECT speed FROM R1"))
 
 
 def test_window_clause_becomes_leaf_window_spec():
-    p = plan(parse("SELECT * FROM R1 WINDOW(TIME, 100, 50)"), ONE)
+    p = plan(parse("SELECT * FROM R1 WINDOW(TIME, 100, 50)"))
     win = next(n for n in iter_nodes(p.root) if isinstance(n, WindowNode))
     assert (win.spec.kind, win.spec.size, win.spec.hop) == (WindowKind.TIME, 100.0, 50.0)
 
 
 def test_default_window_used_without_clause():
     default = WindowSpec(WindowKind.TIME, 42.0, 42.0)
-    p = plan(parse("SELECT * FROM R1"), ONE, default)
+    p = plan(parse("SELECT * FROM R1"), default_window=default)
     win = next(n for n in iter_nodes(p.root) if isinstance(n, WindowNode))
     assert win.spec.size == 42.0
 
@@ -348,13 +335,13 @@ def test_a_subquery_window_clause_cuts_every_source():
     one_second = WindowSpec(WindowKind.TIME, 1.0, 1.0)
     moved = query.format(f"(SELECT * FROM {left} WINDOW(TIME, 1, 1)) A", right, "")
     # the flag gives way to the query's own clause
-    assert window_specs(plan(parse(moved), TWO, WindowSpec(WindowKind.TUPLE, 5, 5))) \
+    assert window_specs(plan(parse(moved), default_window=WindowSpec(WindowKind.TUPLE, 5, 5))) \
         == {one_second}
     outer = query.format(left, right, " WINDOW(TIME, 1, 1)")
-    assert window_specs(plan(parse(outer), TWO)) == {one_second}
+    assert window_specs(plan(parse(outer))) == {one_second}
     equal = query.format(f"(SELECT * FROM {left} WINDOW(TIME, 1.0, 1)) A", right,
                          " WINDOW(TIME, 1, 1)")
-    assert plan(parse(equal), TWO) == plan(parse(outer), TWO)
+    assert plan(parse(equal)) == plan(parse(outer))
 
 
 @pytest.mark.parametrize("text", [
@@ -369,49 +356,48 @@ def test_a_subquery_window_clause_cuts_every_source():
 ], ids=["left-subquery", "right-subquery", "nested", "under-cct"])
 def test_two_different_window_clauses_are_refused_by_name(text):
     with pytest.raises(SchemaMismatch) as exc:
-        plan(parse(text), TWO)
+        plan(parse(text))
     message = str(exc.value)
     assert message.count("WINDOW(") == 2 and "one window" in message
 
 
 def test_where_resolves_columns_to_the_schema_spelling():
-    p = plan(parse('SELECT * FROM R1 WHERE R1.LABEL = "person"'), ONE)
+    p = plan(parse('SELECT * FROM R1 WHERE R1.LABEL = "person"'))
     assert isinstance(p.root, SelectNode)
     assert p.root.predicate == Comparison("label", "=", "person")
 
 
 def test_where_on_base_table_pushes_below_grouping():
-    p = plan(parse(Q2_TEXT), ONE)
+    p = plan(parse(Q2_TEXT))
     kinds = node_kinds(p)
     assert kinds.index("SelectNode") > kinds.index("R2ANode")
 
 
 def test_where_on_arrable_columns_applies_above_grouping():
-    p = plan(parse("SELECT AR1.oid FROM (R2A(R1, oid, fid)) AR1 WHERE AR1.label = \"person\""),
-             ONE)
+    p = plan(parse("SELECT AR1.oid FROM (R2A(R1, oid, fid)) AR1 WHERE AR1.label = \"person\""))
     kinds = node_kinds(p)
     assert kinds.index("SelectNode") < kinds.index("R2ANode")
 
 
 def test_direction_requires_arrable():
     with pytest.raises(SchemaMismatch):
-        plan(parse("SELECT oid, DIRECTION(bb) FROM R1"), ONE)
+        plan(parse("SELECT oid, DIRECTION(bb) FROM R1"))
 
 
 def test_select_star_is_identity():
-    p = plan(parse("SELECT * FROM R1"), ONE)
+    p = plan(parse("SELECT * FROM R1"))
     assert node_kinds(p) == ["WindowNode", "SourceNode"]
     assert p.output_names == TRACE_SCHEMA.names()
 
 
 def test_bracketed_column_names_resolve_case_insensitively():
-    p = plan(parse("SELECT [FV] FROM R1"), ONE)
+    p = plan(parse("SELECT [FV] FROM R1"))
     assert p.output_names == ("fv",)
 
 
 def test_aggregate_mixed_with_columns_rejected():
     with pytest.raises(SchemaMismatch):
-        plan(parse("SELECT oid, count(*) FROM R1"), ONE)
+        plan(parse("SELECT oid, count(*) FROM R1"))
 
 
 # --- one row per refusal and per valid form -----------------------------------
@@ -486,12 +472,12 @@ SELF_JOIN = ("SELECT A.oid, B.oid FROM R2A(R1, oid, fid) A CJOIN R2A(R1, oid, fi
         *(f"readme-{i}" for i in range(len(README_SQL)))])
 def test_each_query_plans_or_is_refused_with_its_code(text, outcome):
     if outcome is None or isinstance(outcome, list):
-        p = plan(parse(text), TWO)
+        p = plan(parse(text))
         assert outcome is None or node_kinds(p) == outcome
         return
     code, *position = (outcome,) if isinstance(outcome, str) else outcome
     with pytest.raises(VaqueryError) as exc:
-        plan(parse(text), TWO)
+        plan(parse(text))
     assert exc.value.code == code
     if position:
         assert [exc.value.line, exc.value.column] == position

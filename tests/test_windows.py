@@ -279,3 +279,32 @@ def test_windows_partition_agree_with_assign_and_ignore_block_cuts(
     assert holding == [list(assign(spec, key, keys[0])) for key in keys]
     if tumbling:
         assert all(len(h) == 1 for h in holding)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(WindowKind),
+       fids=st.lists(st.integers(0, 2000), min_size=1, max_size=300).map(sorted),
+       time_spec=_TIME_SPECS,
+       tuple_spec=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       cuts=st.lists(st.integers(1, 300), max_size=8))
+@example(kind=WindowKind.TIME, fids=list(range(0, 600, 3)), time_spec=(0.3, 0.1),
+         tuple_spec=(1, 1), cuts=[7, 100])
+def test_a_manager_holds_no_key_of_a_closed_window(kind, fids, time_spec, tuple_spec, cuts):
+    # after each close the manager holds the last keys to arrive, numbered by
+    # their arrival position: every key of an open window, and otherwise only
+    # keys that lie in no window at all
+    by_time = kind is WindowKind.TIME
+    keys = [fid / 8.0 for fid in fids] if by_time else list(range(len(fids)))
+    window = WindowSpec(kind, *(time_spec if by_time else tuple_spec))
+    mgr = manager(window, (keys[0], keys[-1]))
+    bounds = sorted({0, len(keys), *(c for c in cuts if c < len(keys))})
+    for lo, hi in zip(bounds, bounds[1:]):
+        mgr.add(np.array(keys[lo:hi]))
+        mgr.close_windows(keys[hi - 1] if by_time else hi)
+        held = np.concatenate((mgr._keys, *mgr._pending)).tolist()
+        assert held == keys[hi - len(held):hi] and mgr._base == hi - len(held)
+        windows = [assign(window, k, mgr.origin) for k in held]
+        in_open = [w.stop > mgr._next_to_close for w in windows]
+        assert all(is_open or not w for is_open, w in zip(in_open, windows))
+        assert sum(in_open) == sum(assign(window, k, mgr.origin).stop > mgr._next_to_close
+                                   for k in keys[:hi])
