@@ -13,7 +13,13 @@ SHA-256 of its result bytes as ``engine.write_results`` writes them with no
 header, and of its ``.stats.json`` with the wall-clock fields dropped. Both
 are computed in-process from the ``ingest.generate`` relations.
 
-``tests/test_goldens.py`` checks both files. Rewrite them with::
+``golden/join_2cam_seed1_joins.json`` holds, for JOIN and CJOIN of the
+join-2cam workload's seed-1 traces under ``sMatch(0.95)`` and
+``sMatch(0.2, EUCLIDEAN)``, the pair and comparison counts and the SHA-256
+of the pairs' keys, witnesses and witness score bits.
+
+``tests/test_goldens.py`` checks the first two files and
+``tests/test_operators.py`` the third. Rewrite all three with::
 
     PYTHONPATH=src python tests/goldens.py
 
@@ -32,22 +38,31 @@ from pathlib import Path
 
 from vaquery import engine, ingest
 from vaquery.errors import VaqueryError
+from vaquery.operators import cjoin, nl_join, r2a
 from vaquery.querylang import parse, plan
+from vaquery.similarity import MatchCondition, Metric
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 PLANS = GOLDEN / "plans.json"
 WORKLOADS = GOLDEN / "workloads.json"
+JOINS = GOLDEN / "join_2cam_seed1_joins.json"
 SEEDS = (1, 3)
 
 
-def _workloads() -> list[tuple]:
-    """Each benchmark workload at each seed of :data:`SEEDS`, with its seed."""
+def _benchmark_workloads():
+    """The benchmark's ``workloads`` module."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     try:
         import workloads
     finally:
         sys.path.remove(str(ROOT / "benchmarks"))
+    return workloads
+
+
+def _workloads() -> list[tuple]:
+    """Each benchmark workload at each seed of :data:`SEEDS`, with its seed."""
+    workloads = _benchmark_workloads()
     return [(workloads.build(name, seed), seed) for name in workloads.FACTORIES
             for seed in SEEDS]
 
@@ -139,12 +154,32 @@ def workload_digests() -> dict[str, dict]:
     return out
 
 
+def join_digests() -> dict[str, dict]:
+    """Per join and condition: the pair and comparison counts and the SHA-256
+    of the pairs' keys, witnesses and witness score bits."""
+    left, right = (r2a(ingest.generate(spec, 1), "oid", "fid")
+                   for spec in _benchmark_workloads().build("join-2cam", 1).specs)
+    out = {}
+    for cond in (MatchCondition(Metric.COSINE, 0.95), MatchCondition(Metric.EUCLIDEAN, 0.2)):
+        for join in (nl_join, cjoin):
+            counter = engine.StageStats("join")
+            columns = join(left, right, cond, counter=counter)
+            digest = hashlib.sha256()
+            for column in columns[:4]:
+                digest.update(column.astype("<i8").tobytes())
+            digest.update(columns[4].astype("<f8").tobytes())
+            out[f"{join.__name__} {cond.metric.value} {cond.th}"] = {
+                "pairs": len(columns[0]), "comparisons": counter.smatch_comparisons,
+                "sha256": digest.hexdigest()}
+    return out
+
+
 def _write(path: Path, value: dict) -> None:
-    path.write_text(json.dumps(value, indent=1, ensure_ascii=False, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(value, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
     _write(PLANS, plans())
     _write(WORKLOADS, workload_digests())
-    print(f"wrote {PLANS.relative_to(ROOT)} and {WORKLOADS.relative_to(ROOT)}")
+    _write(JOINS, join_digests())
+    print(f"wrote {', '.join(str(p.relative_to(ROOT)) for p in (PLANS, WORKLOADS, JOINS))}")

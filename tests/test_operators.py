@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import random
@@ -14,12 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import goldens
 from conftest import arrable_of, group_values, pair_keys, relation_of, trace_relation
 from oracles import (cct_oracle, confusion_oracle, first_witness_oracle,
                      join_pairs_oracle, score_oracle, select_oracle, split_runs_oracle)
 from vaquery.errors import EmptyRow, IllegalColumnKind, SchemaMismatch, UnknownColumn, ZeroVector
 from vaquery.engine import StageStats
-from vaquery.ingest import generate
 from vaquery.model import Relation
 from vaquery.operators import (And, BBoxTest, BBPattern, CctOption, Comparison,
                                Direction8, Not, Or, ScalarPairPredicate,
@@ -563,29 +562,11 @@ def test_cjoin_of_a_large_group_pair_stays_in_bounded_memory():
     assert peak_mib < 100
 
 
-def test_joins_of_the_join_2cam_traces_match_their_golden_digest(monkeypatch):
+def test_joins_of_the_join_2cam_traces_match_their_golden_digest():
     # the join-2cam benchmark's seed-1 traces, joined in-process; the digest
     # covers pair keys, witnesses and the bits of witness scores, beside the
     # pair and comparison counts
-    root = Path(__file__).resolve().parents[1]
-    monkeypatch.syspath_prepend(str(root / "benchmarks"))
-    import workloads
-    left, right = (r2a(generate(spec, 1), "oid", "fid")
-                   for spec in workloads.build("join-2cam", 1).specs)
-    got = {}
-    for cond in (MatchCondition(Metric.COSINE, 0.95), MatchCondition(Metric.EUCLIDEAN, 0.2)):
-        for join in (nl_join, cjoin):
-            counter = StageStats("join")
-            columns = join(left, right, cond, counter=counter)
-            digest = hashlib.sha256()
-            for column in columns[:4]:
-                digest.update(column.astype("<i8").tobytes())
-            digest.update(columns[4].astype("<f8").tobytes())
-            got[f"{join.__name__} {cond.metric.value} {cond.th}"] = {
-                "pairs": len(columns[0]), "comparisons": counter.smatch_comparisons,
-                "sha256": digest.hexdigest()}
-    golden = root / "tests" / "golden" / "join_2cam_seed1_joins.json"
-    assert got == json.loads(golden.read_text(encoding="utf-8"))
+    assert goldens.join_digests() == json.loads(goldens.JOINS.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("dim", [3, 128, 4096])
