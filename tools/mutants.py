@@ -77,11 +77,14 @@ window index with more or fewer steps:
   it is.
 - ``windows.py:76`` ``lo >= 0`` to ``lo > 0``: the downward gallop stops at 0
   without testing it, and the bisection tests index 0.
-- ``windows.py:76`` ``lo >= 0`` to ``lo < 0``: no downward gallop. A guess one
-  index too high is the bisection's lower bound and still the answer; the
-  gallop matters only for a guess two or more too high, and the guess is
-  off by less than one index on every axis of at most ``MAX_WINDOWS``
-  windows, whose keys lie far inside the exact range of a float.
+- ``windows.py:76`` ``lo >= 0`` to ``lo < 0``: no downward gallop, so the
+  guess ``lo`` is the bisection's lower bound. That is wrong only if
+  ``above(lo - 1)`` holds, and it cannot: before rounding, ``at(lo - 1)``
+  lies about one hop below the key, since on an axis of at most
+  ``MAX_WINDOWS`` windows the quotient ``(key - origin) / hop`` is off by
+  far less than one index, and rounding cannot carry it above the key,
+  itself a float. (A guess too low, which a coarse float grid far from 0
+  can give, is the upward gallop's case.)
 - ``windows.py:76`` ``and`` to ``or``: the downward gallop runs below 0
   whatever ``above`` says, and the upward gallop brackets the answer again.
 - ``windows.py:77`` ``2 * step`` to ``2 / step``: the gallop steps by 2 and 1
