@@ -68,26 +68,35 @@ def _load_plan(query_path: str, window_flag: str | None = None):
 
 
 def _write_run(out: Path, rows, stats: engine.OpStats, header) -> None:
-    """Write a run's results to ``out`` and its stats to ``out`` + ``.stats.json``.
-
-    Both go to temporary names beside ``out`` first. The stats are renamed
-    into place before the results, so a results file never appears without
-    its run's stats. On a failure the temporaries, and the stats if already
-    renamed, are removed: ``out`` stays as it was, and no file of the failed
-    run is left.
+    """Write a run's results to ``out`` and its stats to ``out`` + ``.stats.json``:
+    both to temporary names, renamed into place stats first. A failure leaves
+    both files as they were and no temporary, and its OSError names no temporary.
     """
     stats_path = Path(f"{out}.stats.json")
-    temps = [p.parent / f".{p.name}.{os.getpid()}.tmp" for p in (out, stats_path)]
+    tmp_out, tmp_stats, old_stats = (p.parent / f".{p.name}.{os.getpid()}.{tag}" for p, tag in
+                                     ((out, "tmp"), (stats_path, "tmp"), (stats_path, "old")))
+    moved = placed = False
     try:
-        engine.write_results(rows, temps[0], header)
-        temps[1].write_text(json.dumps(stats.to_dict(), indent=2), encoding="utf-8")
-        os.replace(temps[1], stats_path)
-        temps[1] = stats_path  # from here on, a failure removes the stats just put in place
-        os.replace(temps[0], out)
-    except BaseException:
-        for p in temps:
-            p.unlink(missing_ok=True)
+        engine.write_results(rows, tmp_out, header)
+        tmp_stats.write_text(json.dumps(stats.to_dict(), indent=2), encoding="utf-8")
+        if stats_path.is_file():
+            os.replace(stats_path, old_stats)
+            moved = True
+        os.replace(tmp_stats, stats_path)
+        placed = True
+        os.replace(tmp_out, out)
+    except BaseException as exc:
+        tmp_out.unlink(missing_ok=True)
+        tmp_stats.unlink(missing_ok=True)
+        if moved:
+            os.replace(old_stats, stats_path)
+        elif placed:
+            stats_path.unlink()
+        given = {str(tmp_out): out, str(tmp_stats): stats_path}
+        if isinstance(exc, OSError) and exc.filename in given:
+            raise OSError(exc.errno, exc.strerror, str(given[exc.filename])) from None
         raise
+    old_stats.unlink(missing_ok=True)
 
 
 def cmd_run(args) -> int:

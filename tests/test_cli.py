@@ -120,6 +120,35 @@ def test_a_failed_run_leaves_its_results_file_as_it_was(tmp_path, trace_file, ca
     assert (out.read_bytes() if out.exists() else None) == previous
 
 
+def test_a_run_that_fails_after_placing_its_stats_puts_the_previous_stats_back(
+        tmp_path, trace_file, capsys):
+    # the results path is a directory, so the run fails after its stats are in place
+    qpath = write_query(tmp_path, Q2)
+    out = tmp_path / "r.jsonl"
+    out.mkdir()
+    stats = tmp_path / "r.jsonl.stats.json"
+    stats.write_bytes(b'{"previous": true}')
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["run", "--query", str(qpath), "--trace", str(trace_file),
+                 "--out", str(out), "--no-header"]) == 3
+    err = capsys.readouterr().err
+    assert "error [IO_ERROR]" in err and f"{str(out)!r}" in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert stats.read_bytes() == b'{"previous": true}'
+
+
+def test_a_run_replaces_its_results_file_and_does_not_write_through_it(tmp_path, trace_file):
+    qpath = write_query(tmp_path, Q2)
+    target = tmp_path / "elsewhere.jsonl"
+    target.write_bytes(b"kept\n")
+    out = tmp_path / "r.jsonl"
+    out.symlink_to(target)
+    assert main(["run", "--query", str(qpath), "--trace", str(trace_file),
+                 "--out", str(out), "--no-header"]) == 0
+    assert not out.is_symlink() and target.read_bytes() == b"kept\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
 def test_header_line_present_by_default(tmp_path, trace_file):
     qpath = write_query(tmp_path, Q2)
     out = tmp_path / "r.jsonl"

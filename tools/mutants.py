@@ -14,25 +14,25 @@ Each mutant changes one operator of the module: a comparison (``<`` to
 ``*`` to ``/``, ``@`` to ``*``, ``&`` to ``|``, ...), an augmented
 assignment's operator, or a boolean ``and`` to ``or`` and back. Operators
 in annotations are left alone. ``--function`` keeps the mutants inside the
-named functions or classes, ``--lines A-B`` those on lines A to B.
+named functions or classes.
 
 The checkout is never edited. ``src/``, ``tests/``, ``benchmarks/``,
 ``demos/``, ``README.md`` and ``pyproject.toml`` are copied to a temporary
 directory; each mutant is written there with :func:`ast.unparse`, and the
 named test files run in one ``pytest -x`` process at a time. The
 unmutated module, unparsed the same way, must pass first; a mutant's run
-that takes longer than ``--timeout`` seconds (by default ten times the
-unmutated run, and at least a minute) is stopped, and kills its mutant.
+that takes longer than ten times the unmutated run, and at least a minute,
+is stopped, and kills its mutant.
 Every survivor is printed as ``file:line: old -> new``, the expression
 before and after.
 
 Survivors
 ---------
 
-Run at the commit that added this harness, with the test files named here
-and the default timeout. Each survivor is listed with the reason it
-survives: most are equivalent, giving the same results with more or less
-work, which no test bounds; two are not shown equivalent.
+Run at the commit that added this harness, with the test files named here.
+Each survivor is listed with the reason it survives: most are equivalent,
+giving the same results with more or less work, which no test bounds; two
+are not shown equivalent.
 
 ``src/vaquery/similarity.py`` with ``tests/test_similarity.py
 tests/test_operators.py``:
@@ -178,11 +178,9 @@ def _mutated(source: str, site: tuple[int, int | None, type]) -> tuple[str, int,
     return ast.unparse(tree), node.lineno, old, ast.unparse(node)
 
 
-def _lines(tree: ast.AST, functions: list[str], spec: str | None) -> range | set[int]:
-    """The lines that ``--lines`` or ``--function`` name; every line when neither does."""
-    if spec:
-        first, _, last = spec.partition("-")
-        return range(int(first), int(last or first) + 1)
+def _lines(tree: ast.AST, functions: list[str]) -> range | set[int]:
+    """The lines of the functions or classes that ``--function`` names; every line
+    when it names none."""
     if not functions:
         return range(1, sys.maxsize)
     found = [n for n in ast.walk(tree)
@@ -214,14 +212,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("tests", nargs="+", help="test files to run, relative to the checkout")
     parser.add_argument("--function", action="append", default=[],
                         help="mutate only inside this function or class (repeatable)")
-    parser.add_argument("--lines", help="mutate only on lines A-B")
-    parser.add_argument("--timeout", type=float,
-                        help="seconds one mutant's test run may take")
     args = parser.parse_args(argv)
 
     source = (ROOT / args.module).read_text(encoding="utf-8")
     tree = ast.parse(source)
-    sites = _sites(tree, _lines(tree, args.function, args.lines))
+    sites = _sites(tree, _lines(tree, args.function))
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
         for name in COPIED:
@@ -236,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         if not _passes(work, args.tests, None):
             print(f"the tests fail on the unmutated {args.module}", file=sys.stderr)
             return 1
-        timeout = args.timeout or max(60.0, 10 * (time.perf_counter() - started))
+        timeout = max(60.0, 10 * (time.perf_counter() - started))
         survivors = 0
         for n, site in enumerate(sites, start=1):
             text, line, old, new = _mutated(source, site)
